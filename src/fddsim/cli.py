@@ -17,14 +17,12 @@ import sys
 
 import numpy as np
 
-from .channel import ArrayConfig, make_scenario, sample_channels
 from .config import ConfigError, parse_config
-from .covariance import (circulant_eigenvalues, estimate_asf, extrapolate_dl,
-                         export_covariance_csv, export_spectrum_csv,
-                         project_toeplitz_psd, sample_covariance)
+from .covariance import (ToeplitzCovariance, export_covariance_csv,
+                         export_spectrum_csv, grid_matrix)
 from .errors import FddsimError, InvalidArgumentError
-from .evaluation import run_experiment, summarize, write_records_csv, write_summary_json
-from .numerics import gaussian_complex
+from .evaluation import (estimate_user_pipeline, run_experiment, summarize,
+                         trial_scenario, write_records_csv, write_summary_json)
 from .sparsifier import build_beam_graph, formulate_milp, solve_sparsification
 from .validate import run_suites, SUITES
 
@@ -47,17 +45,14 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_extrapolate(args) -> int:
     cfg = parse_config(args.config)
-    arr = ArrayConfig(m=cfg.m, theta_max=np.deg2rad(cfg.theta_max_deg), alpha=cfg.alpha)
-    _, users = make_scenario(cfg.n_clusters, cfg.cluster_width, max(args.user + 1, 1),
-                             cfg.seed, 0, 0)
-    asf = users[args.user].asf
-    h_ul = sample_channels(arr, asf, "ul", cfg.n_ul, cfg.seed, 0, args.user, 1)
-    noise = np.sqrt(cfg.ul_sigma2) * gaussian_complex(
-        arr.m * cfg.n_ul, cfg.seed, 0, args.user, 2).reshape(arr.m, cfg.n_ul)
-    c_ul = project_toeplitz_psd(sample_covariance(h_ul + noise, cfg.ul_sigma2))
-    est = estimate_asf(c_ul.first_column, arr, grid_size=cfg.grid_factor * arr.m)
-    c_dl = extrapolate_dl(est, arr)
-    lam = circulant_eigenvalues(c_dl)
+    if not 0 <= args.user < cfg.k:
+        raise InvalidArgumentError(f"--user {args.user} is not a user index "
+                                   f"of the experiment (K = {cfg.k})")
+    arr, users = trial_scenario(cfg, 0)
+    est, c_dl, lam = estimate_user_pipeline(cfg, arr, users[args.user].asf, 0, args.user)
+    # the UL covariance of the fitted angular measure
+    c_ul = ToeplitzCovariance(first_column=grid_matrix(est.m, est.xi) @ est.weights,
+                              band="ul")
 
     os.makedirs(args.outdir, exist_ok=True)
     export_covariance_csv(c_ul, os.path.join(args.outdir, "c_ul_hat.csv"))

@@ -1,8 +1,9 @@
-"""Covariance pipeline: UL sample covariance, Toeplitz-PSD projection,
-angular power estimation by NNLS, and UL-to-DL extrapolation.
+"""Covariance pipeline: UL sample covariance, angular power estimation by
+weighted NNLS, and UL-to-DL extrapolation.
 
 The UL covariance of a uniform linear array is Hermitian Toeplitz, so a
-covariance is carried around as its first column plus a band tag.
+covariance is carried around as its first column plus a band tag. The
+Dykstra Toeplitz-PSD projection is kept as a reference for the estimator.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class ToeplitzCovariance:
 def sample_covariance(y: np.ndarray, sigma2: float) -> np.ndarray:
     """Noise-corrected sample covariance (1/N) sum y_i y_i^H - sigma2*I.
 
-    The result may be indefinite; the Toeplitz-PSD projection repairs it.
+    The result may be indefinite; the nonnegative angular fit repairs it.
     """
     y = np.asarray(y, dtype=complex)
     if y.ndim != 2 or y.shape[1] < 1:
@@ -132,7 +133,12 @@ def grid_matrix(m: int, xi: np.ndarray) -> np.ndarray:
 def estimate_asf(c_ul: np.ndarray, cfg, grid_size: int | None = None) -> AsfEstimate:
     """Nonnegative grid weights whose UL covariance column best matches c_ul.
 
-    Solves min ||G z - c_ul|| over z >= 0, with the complex system stacked
+    Solves min sum_d n_d |(G z)_d - c_ul[d]|^2 over z >= 0, with
+    n_0 = M and n_d = 2(M - d) the number of entries on diagonal offset
+    +-d, so the fit is in the Frobenius norm of the Toeplitz matrices.
+    Given the Toeplitz average of a sample covariance S this is, up to a
+    constant, the projection of S onto the Toeplitz-PSD cone restricted
+    to the grid's nonnegative measures. The complex system is stacked
     into real form. Default grid size is 4*M.
     """
     c_ul = np.asarray(c_ul, dtype=complex)
@@ -142,8 +148,11 @@ def estimate_asf(c_ul: np.ndarray, cfg, grid_size: int | None = None) -> AsfEsti
         raise InvalidArgumentError(f"grid size {g} must be at least M={m}")
     xi, theta = asf_grid(g, cfg.theta_max)
     gm = grid_matrix(m, xi)
-    a = np.vstack([gm.real, gm.imag])
-    b = np.concatenate([c_ul.real, c_ul.imag])
+    n_d = 2.0 * (m - np.arange(m))
+    n_d[0] = m
+    row_w = np.tile(np.sqrt(n_d), 2)
+    a = np.vstack([gm.real, gm.imag]) * row_w[:, None]
+    b = np.concatenate([c_ul.real, c_ul.imag]) * row_w
     z = nnls(a, b)
     return AsfEstimate(xi=xi, theta=theta, weights=z, m=m)
 

@@ -9,16 +9,16 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ArrayConfig, make_scenario, sample_channels, true_covariance
 from .config import ExperimentConfig
-from .covariance import (circulant_eigenvalues, estimate_asf, extrapolate_dl,
-                         project_toeplitz_psd, sample_covariance)
+from .covariance import (AsfEstimate, ToeplitzCovariance, circulant_eigenvalues,
+                         estimate_asf, extrapolate_dl, sample_covariance)
 from .errors import FddsimError, InvalidArgumentError, NumericalError
-from .numerics import gaussian_complex, hermitian_eig
+from .numerics import gaussian_complex, hermitian_eig, toeplitz_average
 from .probing import EffectiveChannelModel, dl_observe, make_pilot, mmse_effective
 from .sparsifier import build_beam_graph, solve_sparsification, sparsifying_precoder
 
@@ -140,7 +140,6 @@ class ExperimentRecord:
     matching_size: int
     err_norm: float
     sum_rate_bits: float
-    b_diag_mags: list = field(default_factory=list)
 
     def csv_row(self) -> str:
         return (f"{self.trial},{self.tdl},{self.snr_db:.12g},{self.served},"
@@ -150,33 +149,45 @@ class ExperimentRecord:
 CSV_HEADER = "trial,Tdl,snr_db,served,matching_size,err_norm,sum_rate_bits"
 
 
-def _estimate_user_pipeline(cfg: ExperimentConfig, arr: ArrayConfig, user_asf,
-                            trial: int, k: int):
-    """UL covariance -> angular estimate -> DL covariance -> beam powers."""
+def estimate_user_pipeline(cfg: ExperimentConfig, arr: ArrayConfig, user_asf,
+                           trial: int, k: int
+                           ) -> tuple[AsfEstimate, ToeplitzCovariance, np.ndarray]:
+    """UL covariance -> angular estimate -> DL covariance -> beam powers.
+
+    The angular measure is fitted to the Toeplitz average of the sample
+    covariance of user k's UL pilots in the given trial (or to the true UL
+    covariance with ``exact_covariance``). Returns the angular estimate,
+    the DL covariance and its beam-space spectrum.
+    """
     if cfg.exact_covariance:
         c_ul_hat = true_covariance(arr, user_asf, "ul").first_column
     else:
         h_ul = sample_channels(arr, user_asf, "ul", cfg.n_ul, cfg.seed, trial, k, _UL_CHAN)
         noise = np.sqrt(cfg.ul_sigma2) * gaussian_complex(
             arr.m * cfg.n_ul, cfg.seed, trial, k, _UL_NOISE).reshape(arr.m, cfg.n_ul)
-        c_sample = sample_covariance(h_ul + noise, cfg.ul_sigma2)
-        c_ul_hat = project_toeplitz_psd(c_sample).first_column
+        c_ul_hat = toeplitz_average(sample_covariance(h_ul + noise, cfg.ul_sigma2))
     asf_est = estimate_asf(c_ul_hat, arr, grid_size=cfg.grid_factor * arr.m)
     c_dl_hat = extrapolate_dl(asf_est, arr)
-    return circulant_eigenvalues(c_dl_hat)
+    return asf_est, c_dl_hat, circulant_eigenvalues(c_dl_hat)
+
+
+def trial_scenario(cfg: ExperimentConfig, trial: int) -> tuple[ArrayConfig, list]:
+    """The array and the K users of one trial."""
+    arr = ArrayConfig(m=cfg.m, theta_max=np.deg2rad(cfg.theta_max_deg), alpha=cfg.alpha)
+    _, users = make_scenario(cfg.n_clusters, cfg.cluster_width, cfg.k,
+                             cfg.seed, trial, _SCENARIO)
+    return arr, users
 
 
 def run_trial(cfg: ExperimentConfig, trial: int, genie_prior: bool = False) -> list:
     """All grid-point records for one Monte Carlo trial."""
-    arr = ArrayConfig(m=cfg.m, theta_max=np.deg2rad(cfg.theta_max_deg), alpha=cfg.alpha)
-    _, users = make_scenario(cfg.n_clusters, cfg.cluster_width, cfg.k,
-                             cfg.seed, trial, _SCENARIO)
+    arr, users = trial_scenario(cfg, trial)
 
     spectra = []
     true_spectra = []
     h_true = np.empty((cfg.m, cfg.k), dtype=complex)
     for k, user in enumerate(users):
-        spectra.append(_estimate_user_pipeline(cfg, arr, user.asf, trial, k))
+        spectra.append(estimate_user_pipeline(cfg, arr, user.asf, trial, k)[2])
         if genie_prior:
             true_spectra.append(circulant_eigenvalues(true_covariance(arr, user.asf, "dl")))
         h_true[:, k] = sample_channels(arr, user.asf, "dl", 1,
@@ -256,8 +267,7 @@ def _grid_point(cfg, trial, t_dl, i_tdl, t_eff, snr_db, plan, precoder, graph,
     h_hat_full = precoder.expand(h_hat_eff[:, served_cols])
     err = normalized_error(h_true[:, served_users], h_hat_full)
     return ExperimentRecord(trial, cfg.seed, t_dl, snr_db, len(served_users),
-                            plan.matching_size, err, rate,
-                            b_diag_mags=[float(abs(b[i, i])) for i in range(b.shape[0])])
+                            plan.matching_size, err, rate)
 
 
 def _trial_worker(args):

@@ -1,18 +1,19 @@
-"""Active-set non-negative least squares (Lawson-Hanson)."""
+"""Non-negative least squares (SciPy's Lawson-Hanson active-set solver)."""
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.optimize import nnls as _scipy_nnls
 
 from ..errors import InvalidArgumentError, NumericalError
 
 
-def nnls(a: np.ndarray, b: np.ndarray, max_iter: int | None = None) -> np.ndarray:
+def nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Minimize ||A z - b|| over z >= 0.
 
-    Returns a solution satisfying the KKT conditions: g = A^T (A z - b)
-    has g >= -tol everywhere and |g_i| <= tol where z_i > 0, with
-    tol = 1e-8 * ||A^T b||_inf.
+    The active-set iterations are capped at 10 * n for n columns (SciPy's
+    default of 3 * n is too few for fine angle grids); reaching the cap
+    raises NumericalError.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -21,34 +22,9 @@ def nnls(a: np.ndarray, b: np.ndarray, max_iter: int | None = None) -> np.ndarra
     if b.shape != (a.shape[0],):
         raise InvalidArgumentError("nnls: b length must match the rows of A")
 
-    n = a.shape[1]
-    if max_iter is None:
-        max_iter = 10 * n
-    tol = 1e-8 * max(np.max(np.abs(a.T @ b)), 1e-300)
-
-    x = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
-
-    for _ in range(max_iter):
-        w = a.T @ (b - a @ x)
-        w_masked = np.where(passive, -np.inf, w)
-        j = int(np.argmax(w_masked))
-        if passive.all() or w_masked[j] <= tol:
-            return x
-        passive[j] = True
-
-        # Inner loop: retreat until the unconstrained solution on the
-        # passive set is componentwise positive.
-        while True:
-            z = np.zeros(n)
-            z[passive], *_ = np.linalg.lstsq(a[:, passive], b, rcond=None)
-            if np.all(z[passive] > 0.0):
-                x = z
-                break
-            mask = passive & (z <= 0.0)
-            alpha = np.min(x[mask] / (x[mask] - z[mask]))
-            x = x + alpha * (z - x)
-            passive &= x > 0.0
-            x[~passive] = 0.0
-
-    raise NumericalError(f"nnls: iteration cap {max_iter} exceeded")
+    max_iter = 10 * a.shape[1]
+    try:
+        z, _ = _scipy_nnls(a, b, maxiter=max_iter)
+    except RuntimeError as exc:
+        raise NumericalError(f"nnls: iteration cap {max_iter} exceeded") from exc
+    return z

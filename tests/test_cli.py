@@ -1,10 +1,14 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fddsim
 from fddsim.cli import main
 
 SMALL_CFG = """\
@@ -110,3 +114,30 @@ def test_validate_fast_suites_pass(capsys):
     out = capsys.readouterr().out
     assert "[PASS] estimation-stability" in out
     assert "[PASS] szego-convergence" in out
+
+
+@pytest.mark.parametrize("user", ["-1", "3"])
+def test_extrapolate_user_out_of_range_exits_2(cfg_path, tmp_path, user, capsys):
+    outdir = tmp_path / "extrap"
+    assert main(["extrapolate", cfg_path, "--user", user, "--outdir", str(outdir)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_extrapolate_former_nnls_hang_input(tmp_path):
+    """User 0 of this M=64 scenario once made the in-repo active-set NNLS
+    step by zero forever with single-threaded BLAS, so the command runs in
+    a child process with BLAS pinned to one thread and a time limit."""
+    path = tmp_path / "m64.cfg"
+    path.write_text("M = 64\nK = 1\nT = 64\ntdl_list = 8\nsnr_db_list = 20\n"
+                    "n_trials = 1\nn_ul = 500\nseed = 443\n")
+    outdir = tmp_path / "extrap"
+    src = os.path.dirname(os.path.dirname(fddsim.__file__))
+    env = {**os.environ, "PYTHONPATH": src,
+           **{var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                   "MKL_NUM_THREADS")}}
+    proc = subprocess.run([sys.executable, "-m", "fddsim.cli", "extrapolate", str(path),
+                           "--user", "0", "--outdir", str(outdir)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert len((outdir / "spectrum.csv").read_text().strip().split("\n")) == 1 + 64

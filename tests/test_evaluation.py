@@ -239,3 +239,25 @@ def test_summarize_grid_stats():
     assert abs(row["sum_rate_mean"] - 2.5) < 1e-12
     expected_se = np.std([1, 2, 3, 4], ddof=1) / 2
     assert abs(row["sum_rate_se"] - expected_se) < 1e-12
+
+
+# Per-cell (sum_rate_mean, served_mean) of SMALL run for 3 trials. The
+# tolerance (1e-6 relative) absorbs BLAS round-off but not an estimator
+# change: moving the UL estimator from Dykstra + NNLS to the weighted NNLS
+# on the Toeplitz average shifted these means by up to 1.8e-4 relative.
+GOLDEN = {
+    (4, 10.0): (7.002724655506616, 2.0),
+    (4, 20.0): (12.226155898681988, 8.0 / 3.0),
+    (8, 10.0): (7.824116308849729, 8.0 / 3.0),
+    (8, 20.0): (14.025943546447602, 3.0),
+}
+
+
+def test_summary_golden_cells():
+    cfg = ExperimentConfig(**{**SMALL, "n_trials": 3})
+    grid = {(row["tdl"], row["snr_db"]): row
+            for row in summarize(run_experiment(cfg))["grid"]}
+    assert set(grid) == set(GOLDEN)
+    for cell, (rate, served) in GOLDEN.items():
+        assert grid[cell]["sum_rate_mean"] == pytest.approx(rate, rel=1e-6), cell
+        assert grid[cell]["served_mean"] == pytest.approx(served, abs=1e-12), cell
