@@ -69,8 +69,7 @@ def _cmd_sparsify(args) -> int:
         raise ConfigError(f"could not read beam-power matrix {args.spectra!r}: {exc}")
     graph = build_beam_graph(w, th_rel=args.th_rel)
     if args.dump_milp:
-        mip = formulate_milp(graph, args.tdl, args.p0,
-                             epsilon=0.5 / max(graph.n_beams, 1))
+        mip = formulate_milp(graph, args.tdl, args.p0)
         with open(args.dump_milp, "w") as fh:
             fh.write(mip.to_debug_text())
     plan = solve_sparsification(graph, args.tdl, p0=args.p0)

@@ -1,14 +1,11 @@
-"""Generic optimization kit: NNLS, LP/MILP, bipartite matching."""
+"""Generic optimization kit: NNLS, MILP, bipartite matching."""
 
-from .lp import (LE, EQ, GE, LinearProgram, MixedIntegerProgram, BnbResult,
-                 simplex_solve, branch_and_bound, milp_solve)
+from .lp import LinearProgram, MilpResult, MixedIntegerProgram, milp_solve
 from .matching import MatchingInstance, max_matching
 from .nnls import nnls
 
 __all__ = [
-    "LE", "EQ", "GE",
-    "LinearProgram", "MixedIntegerProgram", "BnbResult",
-    "simplex_solve", "branch_and_bound", "milp_solve",
+    "LinearProgram", "MixedIntegerProgram", "MilpResult", "milp_solve",
     "MatchingInstance", "max_matching",
     "nnls",
 ]

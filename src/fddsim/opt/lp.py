@@ -1,50 +1,40 @@
-"""Linear programs and branch-and-bound over binary variables.
+"""Mixed-integer linear programs solved by SciPy's HiGHS branch-and-cut.
 
-The LP engine wraps scipy's HiGHS solver behind a small maximization
-interface; branch-and-bound is implemented here so that node LPs can be
-inspected and branching stays deterministic.
+Every program here has the form max c.x subject to A x <= b and
+0 <= x <= upper, with a sparse A and the integer variables as a leading
+block of x.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy import sparse
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from ..errors import InvalidArgumentError, NumericalError
-
-INT_TOL = 1e-6
-PRUNE_TOL = 1e-9
-
-LE, EQ, GE = "<=", "==", ">="
 
 
 @dataclass
 class LinearProgram:
-    """max c.x subject to rows (A x sense b) and variable bounds."""
+    """max c.x subject to A x <= b and 0 <= x <= upper; A is stored CSR."""
 
     c: np.ndarray
-    a: np.ndarray
-    senses: list
+    a: sparse.csr_array
     b: np.ndarray
-    bounds: list  # per-variable (lo, hi); hi may be None for +inf
+    upper: np.ndarray
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
-        self.a = np.asarray(self.a, dtype=float).reshape(len(self.senses), -1)
+        self.a = sparse.csr_array(self.a, dtype=float)
         self.b = np.asarray(self.b, dtype=float)
+        self.upper = np.asarray(self.upper, dtype=float)
         n = self.c.size
-        if self.a.shape != (self.b.size, n) or len(self.senses) != self.b.size:
+        if self.a.shape != (self.b.size, n) or self.upper.shape != (n,):
             raise InvalidArgumentError("LinearProgram: inconsistent dimensions")
-        if len(self.bounds) != n:
-            raise InvalidArgumentError("LinearProgram: one bound pair per variable required")
-        for (lo, hi) in self.bounds:
-            if hi is not None and lo is not None and lo > hi:
-                raise InvalidArgumentError(f"LinearProgram: bound lo {lo} > hi {hi}")
-        for s in self.senses:
-            if s not in (LE, EQ, GE):
-                raise InvalidArgumentError(f"LinearProgram: unknown sense {s!r}")
+        if np.any(self.upper < 0.0):
+            raise InvalidArgumentError("LinearProgram: upper bounds must be nonnegative")
 
     @property
     def n_vars(self) -> int:
@@ -53,178 +43,55 @@ class LinearProgram:
 
 @dataclass
 class MixedIntegerProgram:
+    """A LinearProgram whose first ``n_int`` variables are integer."""
+
     lp: LinearProgram
-    integer_vars: list
+    n_int: int
 
     def __post_init__(self):
-        n = self.lp.n_vars
-        for j in self.integer_vars:
-            if not (0 <= j < n):
-                raise InvalidArgumentError(f"integer variable index {j} out of range")
-            lo, hi = self.lp.bounds[j]
-            if lo is None or hi is None:
-                raise InvalidArgumentError("integer variables must have finite bounds")
+        if not 0 <= self.n_int <= self.lp.n_vars:
+            raise InvalidArgumentError(
+                f"integer block size {self.n_int} out of range [0, {self.lp.n_vars}]")
 
     def to_debug_text(self) -> str:
         """Plain-text dump of the instance, one row per line."""
         lp = self.lp
         lines = ["maximize " + " + ".join(f"{cj:g}*x{j}" for j, cj in enumerate(lp.c) if cj)]
-        for row, sense, rhs in zip(lp.a, lp.senses, lp.b):
-            terms = " + ".join(f"{v:g}*x{j}" for j, v in enumerate(row) if v)
-            lines.append(f"  {terms or '0'} {sense} {rhs:g}")
-        for j, (lo, hi) in enumerate(lp.bounds):
-            kind = "int" if j in set(self.integer_vars) else "cont"
-            lines.append(f"  x{j} in [{lo}, {hi}] ({kind})")
+        a = lp.a
+        for i, rhs in enumerate(lp.b):
+            row = slice(a.indptr[i], a.indptr[i + 1])
+            terms = " + ".join(f"{v:g}*x{j}" for j, v in zip(a.indices[row], a.data[row]))
+            lines.append(f"  {terms or '0'} <= {rhs:g}")
+        for j, hi in enumerate(lp.upper):
+            kind = "int" if j < self.n_int else "cont"
+            lines.append(f"  x{j} in [0.0, {float(hi)}] ({kind})")
         return "\n".join(lines)
 
 
-def simplex_solve(lp: LinearProgram, bounds_override: dict | None = None):
-    """Solve the LP; returns (status, x, objective).
-
-    status is one of 'optimal', 'infeasible', 'unbounded'.
-    """
-    bounds = list(lp.bounds)
-    if bounds_override:
-        for j, bnd in bounds_override.items():
-            bounds[j] = bnd
-    le = [i for i, s in enumerate(lp.senses) if s == LE]
-    ge = [i for i, s in enumerate(lp.senses) if s == GE]
-    eq = [i for i, s in enumerate(lp.senses) if s == EQ]
-    a_ub = np.vstack([lp.a[le], -lp.a[ge]]) if le or ge else None
-    b_ub = np.concatenate([lp.b[le], -lp.b[ge]]) if le or ge else None
-    a_eq = lp.a[eq] if eq else None
-    b_eq = lp.b[eq] if eq else None
-    res = linprog(-lp.c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                  bounds=bounds, method="highs")
-    if res.status == 0:
-        return "optimal", res.x, float(lp.c @ res.x)
-    if res.status == 2:
-        return "infeasible", None, None
-    if res.status == 3:
-        return "unbounded", None, None
-    raise NumericalError(f"LP solver failed: {res.message}")  # pragma: no cover
-
-
-def milp_solve(mip: MixedIntegerProgram) -> "BnbResult":
-    """Solve the MILP with the library branch-and-cut engine.
-
-    Same result contract as branch_and_bound but without per-node
-    introspection; much faster on large instances whose LP relaxations are
-    weak (e.g. big-M constraints). Deterministic for fixed inputs.
-    """
-    from scipy.optimize import Bounds, LinearConstraint, milp as _milp
-
-    lp = mip.lp
-    integrality = np.zeros(lp.n_vars)
-    integrality[list(mip.integer_vars)] = 1
-    lower = np.array([lo if lo is not None else -np.inf for lo, _ in lp.bounds])
-    upper = np.array([hi if hi is not None else np.inf for _, hi in lp.bounds])
-    cl = np.array([b if s == GE else (b if s == EQ else -np.inf)
-                   for s, b in zip(lp.senses, lp.b)])
-    cu = np.array([b if s == LE else (b if s == EQ else np.inf)
-                   for s, b in zip(lp.senses, lp.b)])
-    res = _milp(c=-lp.c, constraints=LinearConstraint(lp.a, cl, cu),
-                integrality=integrality, bounds=Bounds(lower, upper))
-    if res.status == 2:
-        return BnbResult("infeasible", None, None, 0)
-    if res.status != 0 or res.x is None:  # pragma: no cover - solver failure
-        raise NumericalError(f"MILP solver failed: {res.message}")
-    x = res.x.copy()
-    for j in mip.integer_vars:
-        x[j] = round(x[j])
-    return BnbResult("optimal", x, float(lp.c @ x), 0)
-
-
 @dataclass
-class BnbResult:
-    status: str  # 'optimal' | 'infeasible' | 'node_cap'
+class MilpResult:
+    status: str  # 'optimal' | 'infeasible'
     x: np.ndarray | None
     objective: float | None
-    node_count: int
-    gap: float = 0.0
-    node_solutions: list = field(default_factory=list)
+    node_count: int  # HiGHS branch-and-bound nodes
+    gap: float       # HiGHS relative MIP gap at termination
 
 
-def _lp_feasible(lp: LinearProgram, x: np.ndarray, tol: float = 1e-6) -> bool:
-    ax = lp.a @ x
-    for v, s, rhs in zip(ax, lp.senses, lp.b):
-        if s == LE and v > rhs + tol:
-            return False
-        if s == GE and v < rhs - tol:
-            return False
-        if s == EQ and abs(v - rhs) > tol:
-            return False
-    for xj, (lo, hi) in zip(x, lp.bounds):
-        if lo is not None and xj < lo - tol:
-            return False
-        if hi is not None and xj > hi + tol:
-            return False
-    return True
+def milp_solve(mip: MixedIntegerProgram) -> MilpResult:
+    """Solve the MILP with HiGHS; integer variables come back rounded.
 
-
-def branch_and_bound(mip: MixedIntegerProgram, node_cap: int = 10**6,
-                     warm_start=None, collect_nodes: bool = False) -> BnbResult:
-    """Depth-first branch-and-bound, branching on the most fractional
-    integer variable (ties broken by lowest index), zero branch first.
-
-    ``warm_start``, if given, maps the root LP solution to a feasible
-    integer point used as the initial incumbent. When the node cap is hit
-    the best incumbent is returned with status 'node_cap' and the
-    remaining bound gap.
+    Deterministic for fixed inputs.
     """
     lp = mip.lp
-    int_vars = sorted(mip.integer_vars)
-    best_x = None
-    best_obj = -np.inf
-    nodes = 0
-    node_solutions = []
-
-    # stack entries: (bound fixes dict, parent LP bound)
-    stack = [({}, np.inf)]
-    root_x = None
-    while stack:
-        if nodes >= node_cap:
-            open_bound = max((pb for _, pb in stack), default=-np.inf)
-            gap = max(0.0, open_bound - best_obj)
-            return BnbResult("node_cap", best_x, best_obj if best_x is not None else None,
-                             nodes, gap=gap, node_solutions=node_solutions)
-        fixes, _parent_bound = stack.pop()
-        status, x, obj = simplex_solve(lp, bounds_override=fixes)
-        nodes += 1
-        if status == "unbounded":
-            raise NumericalError("branch_and_bound: LP relaxation unbounded")
-        if status == "infeasible":
-            continue
-        if collect_nodes:
-            node_solutions.append(x.copy())
-        if nodes == 1:
-            root_x = x
-            if warm_start is not None:
-                ws = warm_start(root_x)
-                if ws is not None:
-                    ws_x = np.asarray(ws, dtype=float)
-                    if _lp_feasible(lp, ws_x) and all(
-                            abs(ws_x[j] - round(ws_x[j])) <= INT_TOL for j in int_vars):
-                        best_x, best_obj = ws_x, float(lp.c @ ws_x)
-        if obj <= best_obj + PRUNE_TOL:
-            continue
-        frac = [(abs(x[j] - round(x[j])), j) for j in int_vars]
-        worst = max(frac, key=lambda t: (t[0], -t[1]), default=(0.0, -1))
-        if worst[0] <= INT_TOL:
-            xi = x.copy()
-            for j in int_vars:
-                xi[j] = round(xi[j])
-            best_x, best_obj = xi, obj
-            continue
-        j = worst[1]
-        # LIFO: push the one branch first so the zero branch is explored first
-        up = dict(fixes)
-        up[j] = (np.ceil(x[j] - INT_TOL), lp.bounds[j][1])
-        down = dict(fixes)
-        down[j] = (lp.bounds[j][0], np.floor(x[j] + INT_TOL))
-        stack.append((up, obj))
-        stack.append((down, obj))
-
-    if best_x is None:
-        return BnbResult("infeasible", None, None, nodes, node_solutions=node_solutions)
-    return BnbResult("optimal", best_x, float(best_obj), nodes, node_solutions=node_solutions)
+    integrality = np.zeros(lp.n_vars)
+    integrality[:mip.n_int] = 1
+    res = milp(c=-lp.c, constraints=LinearConstraint(lp.a, -np.inf, lp.b),
+               integrality=integrality, bounds=Bounds(0.0, lp.upper))
+    if res.status == 2:
+        return MilpResult("infeasible", None, None, 0, 0.0)  # HiGHS reports no node count
+    if res.status != 0 or res.x is None:
+        raise NumericalError(f"MILP solver failed: {res.message}")
+    x = res.x.copy()
+    x[:mip.n_int] = np.round(x[:mip.n_int])
+    return MilpResult("optimal", x, float(lp.c @ x), int(res.mip_node_count),
+                      float(res.mip_gap))

@@ -15,11 +15,11 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .errors import InvalidArgumentError
-from .numerics import dft_matrix
-from .opt import (LE, LinearProgram, MixedIntegerProgram, MatchingInstance,
-                  branch_and_bound, max_matching, milp_solve)
+from .opt import (LinearProgram, MixedIntegerProgram, MatchingInstance,
+                  max_matching, milp_solve)
 
 DEFAULT_TH_REL = 1e-2
 DEFAULT_EPSILON_FACTOR = 0.5  # epsilon = factor / n_beams, must stay below 1
@@ -68,9 +68,8 @@ class SparsificationPlan:
     users: list                  # selected user indices, ascending
     matching_size: int
     objective: float
-    node_count: int
-    gap: float = 0.0
-    approximate: bool = False
+    node_count: int              # HiGHS branch-and-bound nodes
+    gap: float = 0.0             # HiGHS relative MIP gap
     matched_edges: list = field(default_factory=list)
 
     def to_json(self) -> str:
@@ -81,138 +80,64 @@ class SparsificationPlan:
             "objective": self.objective,
             "node_count": self.node_count,
             "gap": self.gap,
-            "approximate": self.approximate,
+            "approximate": False,  # HiGHS runs without a node cap
         }, indent=2)
 
 
-def _var_layout(g: BeamGraph):
-    m, k = g.n_beams, g.n_users
-    return m, k, m + k  # x block, y block, z block offset
-
-
 def formulate_milp(g: BeamGraph, t_dl: int, p0: float,
-                   epsilon: float) -> MixedIntegerProgram:
+                   epsilon: float | None = None) -> MixedIntegerProgram:
     """MILP with binary beam selectors x, user selectors y and a continuous
-    matching block z in [0,1]; objective sum(z) + epsilon * sum(x)."""
-    m, k = g.n_beams, g.n_users
-    if epsilon >= 1.0 / max(m, 1):
-        raise InvalidArgumentError(
-            f"epsilon {epsilon} must be below 1/M = {1.0 / m} to keep the "
-            "matching size of the optimum unchanged")
-    a = g.adjacency.astype(float)
-    w = g.weights
-    nz = m + k + m * k
+    matching block z in [0,1]; objective sum(z) + epsilon * sum(x).
 
-    def zcol(bm, uk):
-        return m + k + bm * k + uk
-
-    c = np.zeros(nz)
-    c[:m] = epsilon
-    c[m + k:] = 1.0
-
-    rows, senses, rhs = [], [], []
-
-    def add(row, rhs_val):
-        rows.append(row)
-        senses.append(LE)
-        rhs.append(rhs_val)
-
-    for bm in range(m):  # sum_k z_mk <= x_m
-        row = np.zeros(nz)
-        row[zcol(bm, 0):zcol(bm, 0) + k] = 1.0
-        row[bm] = -1.0
-        add(row, 0.0)
-    for uk in range(k):  # sum_m z_mk <= y_k
-        row = np.zeros(nz)
-        for bm in range(m):
-            row[zcol(bm, uk)] = 1.0
-        row[m + uk] = -1.0
-        add(row, 0.0)
-    for uk in range(k):  # degree cap: sum_m A_mk x_m <= T_dl y_k + M (1 - y_k)
-        row = np.zeros(nz)
-        row[:m] = a[:, uk]
-        row[m + uk] = float(m) - float(t_dl)
-        add(row, float(m))
-    for uk in range(k):  # power floor: P0 y_k <= sum_m W_mk x_m
-        row = np.zeros(nz)
-        row[:m] = -w[:, uk] * g.adjacency[:, uk]
-        row[m + uk] = float(p0)
-        add(row, 0.0)
-    for bm in range(m):  # a selected beam needs a selected neighbor user
-        row = np.zeros(nz)
-        row[bm] = 1.0
-        row[m:m + k] = -a[bm, :]
-        add(row, 0.0)
-
-    bounds = [(0.0, 1.0)] * (m + k)
-    for bm in range(m):
-        for uk in range(k):
-            bounds.append((0.0, float(a[bm, uk])))  # z <= A pins non-edges at 0
-
-    lp = LinearProgram(c=c, a=np.array(rows), senses=senses, b=np.array(rhs),
-                       bounds=bounds)
-    return MixedIntegerProgram(lp=lp, integer_vars=list(range(m + k)))
-
-
-def _round_incumbent(g: BeamGraph, t_dl: int, p0: float):
-    """Warm-start hook: round the root LP and certify it with a matching."""
-    m, k = g.n_beams, g.n_users
-    a = g.adjacency
-    w = g.weights
-
-    def heuristic(root_x):
-        beams = root_x[:m] > 0.5
-        users = root_x[m:m + k] > 0.5
-        for _ in range(m + k):
-            deg = (a & beams[:, None]).sum(axis=0)
-            power = (w * (a & beams[:, None])).sum(axis=0)
-            ok = users & (deg >= 1) & (deg <= t_dl) & (power >= p0)
-            nbrs = (a & users[None, :]).any(axis=1) & beams
-            if ok.sum() == users.sum() and nbrs.sum() == beams.sum():
-                break
-            users, beams = ok, nbrs
-        edges = [(bm, uk) for bm, uk in zip(*np.nonzero(a))
-                 if beams[bm] and users[uk]]
-        size, matched = max_matching(MatchingInstance(m, k, edges))
-        x = np.zeros(m + k + m * k)
-        x[:m] = beams
-        x[m:m + k] = users
-        for (bm, uk) in matched:
-            x[m + k + bm * k + uk] = 1.0
-        return x
-
-    return heuristic
-
-
-def solve_sparsification(g: BeamGraph, t_dl: int, p0: float = 0.0,
-                         epsilon: float | None = None,
-                         node_cap: int = 10**6,
-                         collect_nodes: bool = False):
-    """Solve the beam/user selection MILP and certify the matching size.
-
-    Returns a SparsificationPlan; when ``collect_nodes`` is set, also the
-    list of node LP solutions (for integrality diagnostics).
-
-    The in-package branch-and-bound is used whenever node introspection is
-    requested; otherwise the instance goes to the library branch-and-cut
-    solver, which copes far better with the weak big-M degree relaxation on
-    large graphs. Both produce an exact optimum.
+    Variables are ordered x (M), y (K), then z with z_mk at M + K + m K + k.
+    ``epsilon`` defaults to DEFAULT_EPSILON_FACTOR / M.
     """
     m, k = g.n_beams, g.n_users
     if epsilon is None:
         epsilon = DEFAULT_EPSILON_FACTOR / max(m, 1)
-    mip = formulate_milp(g, t_dl, p0, epsilon)
-    if collect_nodes:
-        res = branch_and_bound(mip, node_cap=node_cap,
-                               warm_start=_round_incumbent(g, t_dl, p0),
-                               collect_nodes=True)
-    else:
-        res = milp_solve(mip)
+    if epsilon >= 1.0 / max(m, 1):
+        raise InvalidArgumentError(
+            f"epsilon {epsilon} must be below 1/M = {1.0 / m} to keep the "
+            "matching size of the optimum unchanged")
+    a = g.adjacency.astype(float).ravel()       # entry m K + k is A_mk
+    w = (g.weights * g.adjacency).ravel()
+    bm, uk = np.divmod(np.arange(m * k), k)     # beam and user of each z
+    xs, ys, zs = np.arange(m), m + np.arange(k), m + k + np.arange(m * k)
+    r_deg, r_pow, r_nbr = m + k, m + 2 * k, m + 3 * k  # first row of blocks 3-5
+
+    # (rows, columns, values) of the five row blocks, all of them "<="
+    triplets = [
+        (bm, zs, 1.0), (xs, xs, -1.0),                # sum_k z_mk <= x_m
+        (m + uk, zs, 1.0), (ys, ys, -1.0),            # sum_m z_mk <= y_k
+        # degree cap: sum_m A_mk x_m <= T_dl y_k + M (1 - y_k)
+        (r_deg + uk, bm, a), (r_deg + np.arange(k), ys, float(m) - float(t_dl)),
+        # power floor: P0 y_k <= sum_m W_mk x_m
+        (r_pow + uk, bm, -w), (r_pow + np.arange(k), ys, float(p0)),
+        # a selected beam needs a selected neighbor user
+        (r_nbr + xs, xs, 1.0), (r_nbr + bm, m + uk, -a),
+    ]
+    rows, cols, vals = zip(*triplets)
+    vals = [np.broadcast_to(v, r.shape) for r, v in zip(rows, vals)]
+    a_ub = sparse.csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                            shape=(2 * m + 3 * k, m + k + m * k))
+    a_ub.eliminate_zeros()
+    a_ub.sort_indices()
+
+    c = np.concatenate([np.full(m, epsilon), np.zeros(k), np.ones(m * k)])
+    b = np.concatenate([np.zeros(m + k), np.full(k, float(m)), np.zeros(k + m)])
+    upper = np.concatenate([np.ones(m + k), a])  # z <= A pins non-edges at 0
+    return MixedIntegerProgram(lp=LinearProgram(c=c, a=a_ub, b=b, upper=upper), n_int=m + k)
+
+
+def solve_sparsification(g: BeamGraph, t_dl: int, p0: float = 0.0,
+                         epsilon: float | None = None) -> SparsificationPlan:
+    """Solve the beam/user selection MILP with HiGHS and certify the
+    matching size with an independent maximum matching."""
+    m, k = g.n_beams, g.n_users
+    res = milp_solve(formulate_milp(g, t_dl, p0, epsilon))
     if res.x is None:
-        plan = SparsificationPlan(beams=[], users=[], matching_size=0,
-                                  objective=0.0, node_count=res.node_count,
-                                  gap=res.gap, approximate=res.status == "node_cap")
-        return (plan, res.node_solutions) if collect_nodes else plan
+        return SparsificationPlan(beams=[], users=[], matching_size=0, objective=0.0,
+                                  node_count=res.node_count, gap=res.gap)
 
     x = res.x
     beams = {bm for bm in range(m) if x[bm] > 0.5}
@@ -231,11 +156,10 @@ def solve_sparsification(g: BeamGraph, t_dl: int, p0: float = 0.0,
 
     plan = SparsificationPlan(
         beams=sorted(beams), users=sorted(users), matching_size=size,
-        objective=float(res.objective), node_count=res.node_count,
-        gap=res.gap, approximate=res.status == "node_cap",
+        objective=float(res.objective), node_count=res.node_count, gap=res.gap,
         matched_edges=matched)
     _validate_plan(g, plan, t_dl, p0)
-    return (plan, res.node_solutions) if collect_nodes else plan
+    return plan
 
 
 def _validate_plan(g: BeamGraph, plan: SparsificationPlan, t_dl: int, p0: float):
@@ -298,22 +222,27 @@ class SparsifyingPrecoder:
             raise InvalidArgumentError("sparsifying precoder needs at least one beam")
         if any(not (0 <= bm < self.m) for bm in self.beams):
             raise InvalidArgumentError("beam index out of range")
+        # the selected columns of the unitary DFT, entry (p, q) =
+        # exp(-j 2 pi p q / M) / sqrt(M), built once and conjugate-transposed
+        f_sel = np.exp(-2j * np.pi * np.outer(np.arange(self.m), self.beams) / self.m) \
+            / np.sqrt(self.m)
+        self._matrix = f_sel.conj().T
+        self._matrix.flags.writeable = False
 
     @property
     def m_prime(self) -> int:
         return len(self.beams)
 
     def matrix(self) -> np.ndarray:
-        f = dft_matrix(self.m)
-        return f[:, self.beams].conj().T
+        """The M' x M precoder (read-only)."""
+        return self._matrix
 
     def apply(self, h: np.ndarray) -> np.ndarray:
-        return self.matrix() @ h
+        return self._matrix @ h
 
     def expand(self, h_eff: np.ndarray) -> np.ndarray:
         """Back to the antenna domain, zero outside the selected beams."""
-        f = dft_matrix(self.m)
-        return f[:, self.beams] @ h_eff
+        return self._matrix.conj().T @ h_eff
 
 
 def sparsifying_precoder(plan: SparsificationPlan, m: int) -> SparsifyingPrecoder:

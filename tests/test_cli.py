@@ -75,6 +75,35 @@ def test_extrapolate_outputs(cfg_path, tmp_path):
     assert all(v >= 0 for v in lam)
 
 
+# Byte-exact `sparsify --tdl 2 --dump-milp` text of the 3 x 2 matrix below
+# (epsilon = 0.5 / M): locks the row layout and the number format.
+GOLDEN_MILP_3X2 = """\
+maximize 0.166667*x0 + 0.166667*x1 + 0.166667*x2 + 1*x5 + 1*x6 + 1*x7 + 1*x8 + 1*x9 + 1*x10
+  -1*x0 + 1*x5 + 1*x6 <= 0
+  -1*x1 + 1*x7 + 1*x8 <= 0
+  -1*x2 + 1*x9 + 1*x10 <= 0
+  -1*x3 + 1*x5 + 1*x7 + 1*x9 <= 0
+  -1*x4 + 1*x6 + 1*x8 + 1*x10 <= 0
+  1*x0 + 1*x1 + 1*x3 <= 3
+  1*x1 + 1*x2 + 1*x4 <= 3
+  -1*x0 + -0.8*x1 <= 0
+  -0.9*x1 + -0.7*x2 <= 0
+  1*x0 + -1*x3 <= 0
+  1*x1 + -1*x3 + -1*x4 <= 0
+  1*x2 + -1*x4 <= 0
+  x0 in [0.0, 1.0] (int)
+  x1 in [0.0, 1.0] (int)
+  x2 in [0.0, 1.0] (int)
+  x3 in [0.0, 1.0] (int)
+  x4 in [0.0, 1.0] (int)
+  x5 in [0.0, 1.0] (cont)
+  x6 in [0.0, 0.0] (cont)
+  x7 in [0.0, 1.0] (cont)
+  x8 in [0.0, 1.0] (cont)
+  x9 in [0.0, 0.0] (cont)
+  x10 in [0.0, 1.0] (cont)"""
+
+
 def test_sparsify_plan_and_milp_dump(tmp_path, capsys):
     spectra = tmp_path / "w.csv"
     np.savetxt(spectra, np.array([[1.0, 0.0], [0.8, 0.9], [0.0, 0.7]]),
@@ -86,7 +115,10 @@ def test_sparsify_plan_and_milp_dump(tmp_path, capsys):
     assert rc == 0
     plan = json.loads(plan_path.read_text())
     assert plan["matching_size"] == 2
-    assert "maximize" in milp_path.read_text()
+    assert sorted(plan) == sorted(["beams", "users", "matching_size", "objective",
+                                   "node_count", "gap", "approximate"])
+    assert plan["approximate"] is False
+    assert milp_path.read_text() == GOLDEN_MILP_3X2
 
 
 def test_sparsify_bad_file_exits_2(capsys):

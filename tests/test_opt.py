@@ -1,4 +1,4 @@
-"""Tests for the optimization kernels: matching, NNLS, LP, branch-and-bound."""
+"""Tests for the optimization kernels: matching, NNLS, MILP."""
 
 import itertools
 
@@ -7,9 +7,8 @@ import pytest
 
 from fddsim.errors import InvalidArgumentError
 from fddsim.numerics import rng_stream
-from fddsim.opt import (LE, GE, LinearProgram, MatchingInstance,
-                        MixedIntegerProgram, branch_and_bound, max_matching,
-                        nnls, simplex_solve)
+from fddsim.opt import (LinearProgram, MatchingInstance, MixedIntegerProgram,
+                        max_matching, milp_solve, nnls)
 
 
 # -------------------------------------------------------------------- matching
@@ -119,89 +118,25 @@ def test_nnls_matches_enumeration():
         assert obj <= _nnls_best_by_enumeration(a, b) + 1e-8
 
 
-# -------------------------------------------------------------------------- LP
+# ------------------------------------------------------------------------ MILP
 
-def test_simplex_single_variable():
-    lp = LinearProgram(c=[1.0], a=[[1.0]], senses=[LE], b=[3.0], bounds=[(0.0, None)])
-    status, x, obj = simplex_solve(lp)
-    assert status == "optimal"
-    assert abs(obj - 3.0) < 1e-9
-
-
-def test_simplex_infeasible():
-    lp = LinearProgram(c=[1.0], a=[[1.0]], senses=[LE], b=[-1.0], bounds=[(0.0, None)])
-    status, x, obj = simplex_solve(lp)
-    assert status == "infeasible"
-
-
-def test_simplex_unbounded():
-    lp = LinearProgram(c=[1.0], a=[[-1.0]], senses=[LE], b=[0.0], bounds=[(0.0, None)])
-    status, *_ = simplex_solve(lp)
-    assert status == "unbounded"
-
-
-def _best_vertex(lp):
-    """Enumerate basic feasible points: every choice of n tight constraints
-    among rows and bounds."""
-    n = lp.n_vars
-    rows = [(lp.a[i], lp.b[i]) for i in range(len(lp.senses))]
-    for j, (lo, hi) in enumerate(lp.bounds):
-        e = np.zeros(n)
-        e[j] = 1.0
-        rows.append((e, lo))
-        rows.append((e, hi))
-    best = None
-    for combo in itertools.combinations(range(len(rows)), n):
-        a = np.array([rows[i][0] for i in combo])
-        b = np.array([rows[i][1] for i in combo])
-        if abs(np.linalg.det(a)) < 1e-10:
-            continue
-        x = np.linalg.solve(a, b)
-        ax = lp.a @ x
-        ok = all(v <= r + 1e-9 for v, r in zip(ax, lp.b))
-        ok = ok and all(lo - 1e-9 <= xj <= hi + 1e-9
-                        for xj, (lo, hi) in zip(x, lp.bounds))
-        if ok:
-            val = float(lp.c @ x)
-            if best is None or val > best:
-                best = val
-    return best
-
-
-def test_simplex_matches_vertex_enumeration():
-    rng = rng_stream(54, 0)
-    for _ in range(20):
-        c = rng.standard_normal(5)
-        a = rng.standard_normal((4, 5))
-        b = rng.uniform(0.5, 2.0, size=4)
-        bounds = [(0.0, float(rng.uniform(0.5, 3.0))) for _ in range(5)]
-        lp = LinearProgram(c=c, a=a, senses=[LE] * 4, b=b, bounds=bounds)
-        status, x, obj = simplex_solve(lp)
-        assert status == "optimal"  # x=0 is always feasible here
-        assert abs(obj - _best_vertex(lp)) < 1e-7
-
-
-# -------------------------------------------------------------- branch & bound
-
-def _knapsack_mip(values, weights, cap):
-    n = len(values)
-    lp = LinearProgram(c=values, a=[weights], senses=[LE], b=[cap],
-                       bounds=[(0.0, 1.0)] * n)
-    return MixedIntegerProgram(lp=lp, integer_vars=list(range(n)))
+def _binary_mip(c, a, b):
+    """max c.x subject to a x <= b with every variable binary."""
+    n = len(c)
+    lp = LinearProgram(c=c, a=a, b=b, upper=np.ones(n))
+    return MixedIntegerProgram(lp=lp, n_int=n)
 
 
 def test_bnb_integral_root_single_node():
     # LP optimum already binary: x = (1, 1) under sum <= 2.
-    lp = LinearProgram(c=[1.0, 1.0], a=[[1.0, 1.0]], senses=[LE], b=[2.0],
-                       bounds=[(0.0, 1.0)] * 2)
-    res = branch_and_bound(MixedIntegerProgram(lp=lp, integer_vars=[0, 1]))
+    res = milp_solve(_binary_mip([1.0, 1.0], [[1.0, 1.0]], [2.0]))
     assert res.status == "optimal"
-    assert res.node_count == 1
+    assert res.node_count <= 1 and res.gap == 0.0
     assert abs(res.objective - 2.0) < 1e-9
 
 
 def test_bnb_knapsack():
-    res = branch_and_bound(_knapsack_mip([2.0, 3.0, 4.0], [1.0, 2.0, 3.0], 3.0))
+    res = milp_solve(_binary_mip([2.0, 3.0, 4.0], [[1.0, 2.0, 3.0]], [3.0]))
     assert res.status == "optimal"
     assert abs(res.objective - 5.0) < 1e-9
     np.testing.assert_allclose(res.x, [1.0, 1.0, 0.0], atol=1e-6)
@@ -214,8 +149,7 @@ def test_bnb_random_binary_vs_enumeration():
         c = rng.standard_normal(n)
         a = rng.standard_normal((3, n))
         b = rng.uniform(0.5, 2.5, size=3)
-        lp = LinearProgram(c=c, a=a, senses=[LE] * 3, b=b, bounds=[(0.0, 1.0)] * n)
-        res = branch_and_bound(MixedIntegerProgram(lp=lp, integer_vars=list(range(n))))
+        res = milp_solve(_binary_mip(c, a, b))
         best = -np.inf
         for bits in itertools.product([0.0, 1.0], repeat=n):
             x = np.array(bits)
@@ -223,77 +157,28 @@ def test_bnb_random_binary_vs_enumeration():
                 best = max(best, float(c @ x))
         assert res.status == "optimal"
         assert abs(res.objective - best) < 1e-6
+        assert np.array_equal(res.x, np.round(res.x))
 
 
 def test_bnb_infeasible():
-    lp = LinearProgram(c=[1.0], a=[[1.0]], senses=[GE], b=[2.0], bounds=[(0.0, 1.0)])
-    res = branch_and_bound(MixedIntegerProgram(lp=lp, integer_vars=[0]))
+    # 2x = 1 has the LP solution x = 1/2 but no integer one
+    res = milp_solve(_binary_mip([1.0], [[2.0], [-2.0]], [1.0, -1.0]))
     assert res.status == "infeasible"
     assert res.x is None
 
 
-def test_bnb_node_cap_reports_gap():
-    rng = rng_stream(56, 0)
-    n = 10
-    c = rng.uniform(1.0, 2.0, size=n)
-    w = rng.uniform(1.0, 2.0, size=n)
-    mip = _knapsack_mip(list(c), [list(w)][0], float(w.sum() / 2))
-    res = branch_and_bound(mip, node_cap=2)
-    assert res.status == "node_cap"
-    assert res.node_count <= 2
-    assert res.gap >= 0.0
-
-
-def test_bnb_objective_at_least_warm_start():
-    rng = rng_stream(57, 0)
-    n = 6
-    c = rng.uniform(0.5, 1.5, size=n)
-    w = rng.uniform(0.5, 1.5, size=n)
-    mip = _knapsack_mip(list(c), list(w), float(w.sum() / 2))
-
-    greedy = np.zeros(n)
-    load = 0.0
-    for j in np.argsort(-c / w):
-        if load + w[j] <= w.sum() / 2:
-            greedy[j] = 1.0
-            load += w[j]
-    ws_val = float(c @ greedy)
-    res = branch_and_bound(mip, warm_start=lambda root: greedy)
-    assert res.status == "optimal"
-    assert res.objective >= ws_val - 1e-9
-
-
-def test_bnb_collect_nodes():
-    mip = _knapsack_mip([2.0, 3.0, 4.0], [1.0, 2.0, 3.0], 3.0)
-    res = branch_and_bound(mip, collect_nodes=True)
-    assert len(res.node_solutions) >= 1
-    assert all(sol.size == 3 for sol in res.node_solutions)
-
-
-def test_milp_solve_matches_branch_and_bound():
-    from fddsim.opt import milp_solve
-    rng = rng_stream(58, 0)
-    for _ in range(30):
-        n = 6
-        c = rng.standard_normal(n)
-        a = rng.standard_normal((3, n))
-        b = rng.uniform(0.5, 2.5, size=3)
-        lp = LinearProgram(c=c, a=a, senses=[LE] * 3, b=b, bounds=[(0.0, 1.0)] * n)
-        mip = MixedIntegerProgram(lp=lp, integer_vars=list(range(n)))
-        fast = milp_solve(mip)
-        slow = branch_and_bound(mip)
-        assert fast.status == slow.status == "optimal"
-        assert abs(fast.objective - slow.objective) < 1e-6
-
-
 def test_milp_solve_infeasible():
-    from fddsim.opt import milp_solve
-    lp = LinearProgram(c=[1.0], a=[[1.0]], senses=[GE], b=[2.0], bounds=[(0.0, 1.0)])
-    res = milp_solve(MixedIntegerProgram(lp=lp, integer_vars=[0]))
+    # x >= 2 written as -x <= -2, against the bound x <= 1
+    res = milp_solve(_binary_mip([1.0], [[-1.0]], [-2.0]))
     assert res.status == "infeasible"
+    assert res.x is None
 
 
-def test_mip_requires_finite_integer_bounds():
-    lp = LinearProgram(c=[1.0], a=[[1.0]], senses=[LE], b=[3.0], bounds=[(0.0, None)])
+def test_linear_program_rejects_inconsistent_shapes():
     with pytest.raises(InvalidArgumentError):
-        MixedIntegerProgram(lp=lp, integer_vars=[0])
+        LinearProgram(c=[1.0, 1.0], a=[[1.0]], b=[1.0], upper=[1.0, 1.0])
+    with pytest.raises(InvalidArgumentError):
+        LinearProgram(c=[1.0], a=[[1.0]], b=[1.0], upper=[-1.0])
+    lp = LinearProgram(c=[1.0], a=[[1.0]], b=[1.0], upper=[1.0])
+    with pytest.raises(InvalidArgumentError):
+        MixedIntegerProgram(lp=lp, n_int=2)

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
 from fddsim.channel import AngularScatteringFunction, ArrayConfig, true_covariance
 from fddsim.covariance import circulant_eigenvalues
@@ -14,7 +16,7 @@ from fddsim.sparsifier import (BeamGraph, SparsifyingPrecoder,
                                brute_force_sparsify, build_beam_graph,
                                formulate_milp, solve_sparsification,
                                sparsifying_precoder)
-from fddsim.validate import random_beam_graph
+from fddsim.validate import fixed_selector_deviations, random_beam_graph
 
 
 def graph_from_matrix(w, threshold=0.0):
@@ -69,8 +71,58 @@ def test_formulate_milp_dimensions():
     mip = formulate_milp(g, t_dl=2, p0=0.0, epsilon=0.1)
     m, k = 3, 2
     assert mip.lp.n_vars == m + k + m * k
-    assert sorted(mip.integer_vars) == list(range(m + k))
+    assert mip.n_int == m + k
+    assert sparse.issparse(mip.lp.a) and mip.lp.a.format == "csr"
     assert "int" in mip.to_debug_text()
+
+
+def _milp_rows_by_loop(g, t_dl, p0):
+    """Dense constraint rows of the selection MILP, one row at a time."""
+    m, k = g.n_beams, g.n_users
+    a = g.adjacency.astype(float)
+    nz = m + k + m * k
+    rows = []
+    for bm in range(m):  # sum_k z_mk <= x_m
+        row = np.zeros(nz)
+        row[m + k + bm * k:m + k + (bm + 1) * k] = 1.0
+        row[bm] = -1.0
+        rows.append(row)
+    for uk in range(k):  # sum_m z_mk <= y_k
+        row = np.zeros(nz)
+        row[m + k + uk::k] = 1.0
+        row[m + uk] = -1.0
+        rows.append(row)
+    for uk in range(k):  # degree cap
+        row = np.zeros(nz)
+        row[:m] = a[:, uk]
+        row[m + uk] = float(m) - float(t_dl)
+        rows.append(row)
+    for uk in range(k):  # power floor
+        row = np.zeros(nz)
+        row[:m] = -g.weights[:, uk] * g.adjacency[:, uk]
+        row[m + uk] = float(p0)
+        rows.append(row)
+    for bm in range(m):  # a selected beam needs a selected neighbor user
+        row = np.zeros(nz)
+        row[bm] = 1.0
+        row[m:m + k] = -a[bm, :]
+        rows.append(row)
+    return np.array(rows)
+
+
+def test_formulate_milp_matches_row_loop():
+    rng = rng_stream(67, 0)
+    for _ in range(30):
+        m, k = int(rng.integers(1, 8)), int(rng.integers(1, 6))
+        g = random_beam_graph(rng, m, k)
+        t_dl = int(rng.integers(1, m + 1))  # includes T_dl = M, a zero coefficient
+        p0 = float(rng.choice([0.0, 0.3]))
+        lp = formulate_milp(g, t_dl, p0, epsilon=0.5 / m).lp
+        assert lp.a.has_canonical_format and not np.any(lp.a.data == 0.0)
+        assert np.array_equal(lp.a.toarray(), _milp_rows_by_loop(g, t_dl, p0))
+        assert np.array_equal(lp.b, [0.0] * (m + k) + [float(m)] * k + [0.0] * (k + m))
+        assert np.array_equal(lp.upper, np.concatenate([np.ones(m + k),
+                                                        g.adjacency.ravel()]))
 
 
 # ------------------------------------------------------------- solve: examples
@@ -161,13 +213,31 @@ def test_matching_block_integral_when_selectors_fixed():
     rng = rng_stream(64, 0)
     for _ in range(20):
         g = random_beam_graph(rng, 6, 4)
-        _, nodes = solve_sparsification(g, 2, collect_nodes=True)
-        nz = g.n_beams + g.n_users
-        for x in nodes:
-            xy = x[:nz]
-            if np.max(np.abs(xy - np.round(xy)), initial=0.0) <= 1e-6:
-                z = x[nz:]
-                assert np.max(np.abs(z - np.round(z)), initial=0.0) <= 1e-6
+        plan = solve_sparsification(g, 2)
+        devs = fixed_selector_deviations(g, 2, 0.0, plan, rng, n_random=3)
+        assert len(devs) == 4
+        assert max(devs) <= 1e-6
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_solve_matches_bruteforce_property(data):
+    """Degree cap, power floor and the enumeration oracle's matching size on
+    random graphs up to 7 x 5. Weights and P0 are multiples of 1/16, so the
+    power sums are exact."""
+    m = data.draw(st.integers(1, 7), label="beams")
+    k = data.draw(st.integers(1, 5), label="users")
+    w = np.array(data.draw(st.lists(st.integers(0, 16), min_size=m * k, max_size=m * k),
+                           label="weights"), dtype=float).reshape(m, k) / 16.0
+    t_dl = data.draw(st.integers(1, m), label="t_dl")
+    p0 = data.draw(st.integers(0, 32), label="p0") / 16.0
+    g = graph_from_matrix(w)
+    plan = solve_sparsification(g, t_dl, p0=p0)
+    for uk in plan.users:
+        inc = [bm for bm in plan.beams if g.adjacency[bm, uk]]
+        assert 1 <= len(inc) <= t_dl
+        assert g.weights[inc, uk].sum() >= p0
+    assert plan.matching_size == brute_force_sparsify(g, t_dl, p0=p0).matching_size
 
 
 def test_brute_force_guard():
@@ -182,6 +252,16 @@ def test_precoder_all_beams_is_dft_adjoint():
     from fddsim.numerics import dft_matrix
     pre = SparsifyingPrecoder(beams=list(range(6)), m=6)
     np.testing.assert_allclose(pre.matrix(), dft_matrix(6).conj().T, atol=1e-14)
+
+
+def test_precoder_matrix_is_read_only_selected_dft_rows():
+    from fddsim.numerics import dft_matrix
+    pre = SparsifyingPrecoder(beams=[5, 1, 6], m=8)
+    b = pre.matrix()
+    assert np.array_equal(b, dft_matrix(8)[:, [5, 1, 6]].conj().T)
+    assert pre.matrix() is b
+    with pytest.raises(ValueError):
+        b[0, 0] = 0.0
 
 
 def test_precoder_single_beam():
