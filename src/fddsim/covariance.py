@@ -1,8 +1,9 @@
 """Covariance pipeline: UL sample covariance, angular power estimation by
 weighted NNLS, and UL-to-DL extrapolation.
 
-The UL covariance of a uniform linear array is Hermitian Toeplitz, so a
-covariance is carried around as its first column plus a band tag. The
+The covariance of a uniform linear array is Hermitian Toeplitz, so it is
+carried around as its first column plus a band tag. The DL covariance is PSD
+by construction and its beam spectrum is one FFT of that column. The
 Dykstra Toeplitz-PSD projection is kept as a reference for the estimator.
 """
 
@@ -15,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .numerics import (dft_matrix, hermitian_eig, psd_project,
-                       toeplitz_average, toeplitz_from_column)
+from .numerics import psd_project, toeplitz_average, toeplitz_from_column
 from .opt import nnls
 
 DYKSTRA_TOL = 1e-8
@@ -159,26 +159,20 @@ def estimate_asf(c_ul: np.ndarray, cfg, grid_size: int | None = None) -> AsfEsti
 
 def extrapolate_dl(asf: AsfEstimate, cfg) -> ToeplitzCovariance:
     """Resample the Fourier transform of the estimated angular measure on
-    the scaled grid {alpha*m} to get the DL covariance first column."""
+    the scaled grid {alpha*m} to get the DL covariance first column; it is
+    PSD because the measure weights are nonnegative, which is checked."""
     w = asf.measure_weights
+    if np.any(w < 0.0):
+        raise InvalidArgumentError("extrapolate_dl: angular measure weights must be nonnegative")
     exps = np.exp(1j * np.pi * cfg.alpha * np.outer(np.arange(asf.m), asf.xi))
-    col = exps @ w.astype(complex)
-    cov = ToeplitzCovariance(first_column=col, band="dl")
-    # Resampling a nonnegative measure is PSD in exact arithmetic; clip
-    # round-off only.
-    w_min = hermitian_eig(cov.matrix()).eigenvalues[0]
-    if w_min < 0.0:
-        col = toeplitz_average(psd_project(cov.matrix()))
-        col[0] = max(col[0].real, 0.0)
-        cov = ToeplitzCovariance(first_column=col, band="dl")
-    return cov
+    return ToeplitzCovariance(first_column=exps @ w.astype(complex), band="dl")
 
 
 def circulant_eigenvalues(cov: ToeplitzCovariance) -> np.ndarray:
-    """Beam-space powers diag(F^H C F), real with negative round-off clipped."""
-    f = dft_matrix(cov.m)
-    c = cov.matrix()
-    lam = np.einsum("im,ij,jm->m", f.conj(), c, f).real
+    """Beam-space powers diag(F^H C F), real with negative round-off clipped:
+    lambda_m = 2 Re(sum_d (1 - d/M) c_d e^{j 2 pi d m/M}) - c_0, one FFT."""
+    m, c = cov.m, cov.first_column
+    lam = 2.0 * (m * np.fft.ifft((1.0 - np.arange(m) / m) * c)).real - c[0].real
     return np.maximum(lam, 0.0)
 
 

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fddsim import evaluation
 from fddsim.channel import AngularScatteringFunction, ArrayConfig, true_covariance
@@ -212,11 +213,94 @@ def test_extrapolate_two_cluster_accuracy():
     assert np.linalg.norm(out - c_dl) / np.linalg.norm(c_dl) <= 0.05
 
 
+def test_extrapolate_rejects_negative_weight():
+    est = estimate_asf(np.ones(8, dtype=complex), ArrayConfig(m=8))
+    est.weights[3] = -1e-9
+    with pytest.raises(InvalidArgumentError):
+        extrapolate_dl(est, ArrayConfig(m=8, alpha=1.1))
+
+
+def test_estimator_path_does_no_eigendecomposition(monkeypatch):
+    """With the true UL covariance the estimator path is NNLS, resampling
+    and FFT only: the DL covariance is PSD because the measure is."""
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigendecomposition on the estimator path")
+
+    cfg = ExperimentConfig(m=16, k=1, t=32, tdl_list=[8], snr_db_list=[20.0],
+                           n_trials=1, seed=1, exact_covariance=True)
+    arr, users = trial_scenario(cfg, 0)
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    _, c_dl, lam = estimate_user_pipeline(cfg, arr, users[0].asf, 0, 0)
+    assert c_dl.m == 16 and np.all(lam >= 0.0) and lam.sum() > 0.0
+
+
 def test_extrapolate_output_psd():
     cfg = ArrayConfig(m=16, alpha=1.15)
     c_ul = true_covariance(cfg, TWO_CLUSTER, "ul").first_column
     out = extrapolate_dl(estimate_asf(c_ul, cfg), cfg)
     assert np.linalg.eigvalsh(out.matrix())[0] >= -1e-10
+
+
+# ------------------------------------------------------- estimator properties
+# Random atomic UL measures (unit total mass), optionally with a Hermitian
+# perturbation of the Toeplitz column, M in [2, 32] and alpha in [1, 1.2].
+
+def _atomic_ul_case(data):
+    m = data.draw(st.integers(2, 32), label="m")
+    n_atoms = data.draw(st.integers(1, 4), label="atoms")
+    xi = np.array(data.draw(st.lists(st.floats(-1.0, 0.999), min_size=n_atoms,
+                                     max_size=n_atoms), label="xi"))
+    mass = np.array(data.draw(st.lists(st.floats(0.05, 1.0), min_size=n_atoms,
+                                       max_size=n_atoms), label="mass"))
+    c_ul = np.exp(1j * np.pi * np.outer(np.arange(m), xi)) @ (mass / mass.sum())
+    noise = data.draw(st.sampled_from([0.0, 0.01, 0.1]), label="noise")
+    if noise:
+        c_ul = c_ul + noise * gaussian_complex(m, data.draw(st.integers(0, 999), label="seed"))
+        c_ul[0] = c_ul[0].real
+    alpha = data.draw(st.floats(1.0, 1.2), label="alpha")
+    return ArrayConfig(m=m, alpha=alpha), c_ul
+
+
+PROPERTY = settings(max_examples=75, deadline=None, derandomize=True, database=None)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_extrapolate_psd_property(data):
+    cfg, c_ul = _atomic_ul_case(data)
+    out = extrapolate_dl(estimate_asf(c_ul, cfg), cfg)
+    assert np.linalg.eigvalsh(out.matrix())[0] >= -1e-12 * out.trace
+
+
+@PROPERTY
+@given(data=st.data())
+def test_spectrum_nonnegative_and_sums_to_trace_property(data):
+    cfg, c_ul = _atomic_ul_case(data)
+    out = extrapolate_dl(estimate_asf(c_ul, cfg), cfg)
+    lam = circulant_eigenvalues(out)
+    assert np.all(lam >= 0.0)
+    assert abs(lam.sum() - out.trace) <= 1e-12 * out.trace
+
+
+@PROPERTY
+@given(data=st.data())
+def test_extrapolate_alpha_one_returns_fit_property(data):
+    cfg, c_ul = _atomic_ul_case(data)
+    cfg = ArrayConfig(m=cfg.m, alpha=1.0)
+    est = estimate_asf(c_ul, cfg)
+    fit = grid_matrix(cfg.m, est.xi) @ est.weights
+    np.testing.assert_allclose(extrapolate_dl(est, cfg).first_column, fit,
+                               rtol=0, atol=1e-12)
+
+
+@PROPERTY
+@given(data=st.data(), log_s=st.floats(-3.0, 3.0))
+def test_estimate_asf_scale_equivariant_property(data, log_s):
+    cfg, c_ul = _atomic_ul_case(data)
+    s = 10.0 ** log_s
+    w = estimate_asf(c_ul, cfg).weights
+    w_s = estimate_asf(s * c_ul, cfg).weights
+    assert np.abs(w_s - s * w).max() <= 1e-10 * s * w.max()
 
 
 # ----------------------------------------------------------- beam-space spectrum
@@ -235,12 +319,13 @@ def test_circulant_eigenvalues_recover_circulant():
     np.testing.assert_allclose(circulant_eigenvalues(cov), lam, atol=1e-10)
 
 
-def test_circulant_eigenvalues_match_direct_diagonal():
-    cov = true_covariance(ArrayConfig(m=10), TWO_CLUSTER, "ul")
-    f = dft_matrix(10)
-    direct = np.real(np.diag(f.conj().T @ cov.matrix() @ f))
-    np.testing.assert_allclose(circulant_eigenvalues(cov),
-                               np.maximum(direct, 0.0), atol=1e-12)
+@pytest.mark.parametrize("m", [1, 2, 7, 10, 64, 256])
+def test_circulant_eigenvalues_match_direct_diagonal(m):
+    cov = true_covariance(ArrayConfig(m=m), TWO_CLUSTER, "ul")
+    f = dft_matrix(m)
+    direct = np.maximum(np.real(np.diag(f.conj().T @ cov.matrix() @ f)), 0.0)
+    atol = 1e-12 if m == 10 else 1e-12 * direct.max()
+    np.testing.assert_allclose(circulant_eigenvalues(cov), direct, atol=atol)
 
 
 # ------------------------------------------------------------------ CSV exports
