@@ -26,7 +26,6 @@ class ArrayConfig:
     m: int
     theta_max: float = DEFAULT_THETA_MAX
     alpha: float = DEFAULT_ALPHA
-    kappa: float = 1.0
 
     def __post_init__(self):
         if self.m < 1:

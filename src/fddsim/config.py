@@ -53,6 +53,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{_KEY_NAMES[key]}: must be >= 1")
         if self.n_trials < 0:
             raise ConfigError("n_trials: must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed: must be >= 0")
         for tdl in self.tdl_list:
             if not (1 <= tdl <= self.t):
                 raise ConfigError(f"tdl_list: entry {tdl} must lie in [1, T={self.t}]")
@@ -64,7 +66,7 @@ class ExperimentConfig:
             raise ConfigError("epsilon_factor: must be in (0, 1)")
         if not (0.0 < self.theta_max_deg <= 90.0):
             raise ConfigError("theta_max_deg: must be in (0, 90]")
-        if self.ul_sigma2 < 0 or self.p0 < 0 or self.th_rel < 0:
+        if not (self.ul_sigma2 >= 0 and self.p0 >= 0 and self.th_rel >= 0):  # NaN fails too
             raise ConfigError("ul_sigma2, p0 and th_rel must be nonnegative")
 
 

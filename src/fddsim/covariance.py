@@ -109,10 +109,6 @@ class AsfEstimate:
     m: int               # antenna count of the originating array
 
     @property
-    def grid_size(self) -> int:
-        return self.xi.size
-
-    @property
     def measure_weights(self) -> np.ndarray:
         """Point masses of the estimated angular measure."""
         return self.weights / np.sqrt(self.m)

@@ -20,7 +20,8 @@ from .covariance import (AsfEstimate, ToeplitzCovariance, circulant_eigenvalues,
 from .errors import FddsimError, InvalidArgumentError, NumericalError
 from .numerics import gaussian_complex, hermitian_eig, toeplitz_average
 from .probing import EffectiveChannelModel, dl_observe, make_pilot, mmse_effective
-from .sparsifier import build_beam_graph, solve_sparsification, sparsifying_precoder
+from .sparsifier import (SparsifyingPrecoder, build_beam_graph, solve_sparsification,
+                         sparsifying_precoder)
 
 ZF_COND_TOL = 1e-12
 
@@ -35,10 +36,6 @@ class ZfPrecoder:
     v: np.ndarray       # M' x K'', unit-norm columns
     j: np.ndarray       # beamforming gains J_k (real)
     p: np.ndarray       # per-stream powers, sum = P_dl
-
-    @property
-    def n_streams(self) -> int:
-        return self.v.shape[1]
 
 
 def zf_precoder(h_hat_eff: np.ndarray, p_dl: float) -> ZfPrecoder:
@@ -65,12 +62,12 @@ def zf_precoder(h_hat_eff: np.ndarray, p_dl: float) -> ZfPrecoder:
     return ZfPrecoder(v=v, j=j, p=p)
 
 
-def effective_gains(h_true_cols: np.ndarray, precoder, zf: ZfPrecoder) -> np.ndarray:
+def effective_gains(h_true_cols: np.ndarray, precoder: SparsifyingPrecoder,
+                    zf: ZfPrecoder) -> np.ndarray:
     """Received-symbol coefficient matrix b: row k is
     (h^(k))^H B^H V P^(1/2) for the k-th served user's true channel."""
     h = np.asarray(h_true_cols, dtype=complex)
-    b_mat = precoder.matrix() if hasattr(precoder, "matrix") else np.asarray(precoder)
-    return h.conj().T @ b_mat.conj().T @ zf.v @ np.diag(np.sqrt(zf.p))
+    return h.conj().T @ precoder.matrix().conj().T @ zf.v @ np.diag(np.sqrt(zf.p))
 
 
 def sum_rate(b: np.ndarray, t_dl: int, t: int) -> float:
@@ -179,17 +176,14 @@ def trial_scenario(cfg: ExperimentConfig, trial: int) -> tuple[ArrayConfig, list
     return arr, users
 
 
-def run_trial(cfg: ExperimentConfig, trial: int, genie_prior: bool = False) -> list:
+def run_trial(cfg: ExperimentConfig, trial: int) -> list:
     """All grid-point records for one Monte Carlo trial."""
     arr, users = trial_scenario(cfg, trial)
 
     spectra = []
-    true_spectra = []
     h_true = np.empty((cfg.m, cfg.k), dtype=complex)
     for k, user in enumerate(users):
         spectra.append(estimate_user_pipeline(cfg, arr, user.asf, trial, k)[2])
-        if genie_prior:
-            true_spectra.append(circulant_eigenvalues(true_covariance(arr, user.asf, "dl")))
         h_true[:, k] = sample_channels(arr, user.asf, "dl", 1,
                                        cfg.seed, trial, k, _DL_CHAN)[:, 0]
 
@@ -209,25 +203,24 @@ def run_trial(cfg: ExperimentConfig, trial: int, genie_prior: bool = False) -> l
         precoder = sparsifying_precoder(plan, cfg.m)
         m_prime = precoder.m_prime
         t_eff = min(t_dl, m_prime)  # a pilot never needs more dims than beams
-        prior = true_spectra if genie_prior else spectra
         models = {}
         for k in plan.users:
             support = [i for i, bm in enumerate(plan.beams) if graph.adjacency[bm, k]]
-            variances = [prior[k][plan.beams[i]] for i in support]
+            variances = [spectra[k][plan.beams[i]] for i in support]
             models[k] = (support, variances)
 
         for snr_db in cfg.snr_db_list:
             try:
                 records.append(_grid_point(cfg, trial, t_dl, i_tdl, t_eff, snr_db,
-                                           plan, precoder, graph, models, h_true))
+                                           plan, precoder, models, h_true))
             except FddsimError:
                 records.append(ExperimentRecord(trial, cfg.seed, t_dl, snr_db, 0,
                                                 plan.matching_size, float("nan"), 0.0))
     return records
 
 
-def _grid_point(cfg, trial, t_dl, i_tdl, t_eff, snr_db, plan, precoder, graph,
-                models, h_true) -> ExperimentRecord:
+def _grid_point(cfg, trial, t_dl, i_tdl, t_eff, snr_db, plan, precoder, models,
+                h_true) -> ExperimentRecord:
     p_dl = 10.0 ** (snr_db / 10.0)
     n0 = 1.0
     pilot = make_pilot(t_eff, precoder.m_prime, p_dl, cfg.seed, trial, _PILOT, i_tdl)
@@ -247,21 +240,8 @@ def _grid_point(cfg, trial, t_dl, i_tdl, t_eff, snr_db, plan, precoder, graph,
         return ExperimentRecord(trial, cfg.seed, t_dl, snr_db, 0,
                                 plan.matching_size, float("nan"), 0.0)
     served_users = [plan.users[c] for c in served_cols]
-
-    zf = None
-    while served_cols:
-        try:
-            zf = zf_precoder(h_hat_eff[:, served_cols], p_dl)
-            break
-        except NumericalError:
-            # drop the weakest estimated user and retry
-            norms = np.linalg.norm(h_hat_eff[:, served_cols], axis=0)
-            served_cols.pop(int(np.argmin(norms)))
-            served_users = [plan.users[c] for c in served_cols]
-    if zf is None:
-        return ExperimentRecord(trial, cfg.seed, t_dl, snr_db, 0,
-                                plan.matching_size, float("nan"), 0.0)
-
+    # greedy selection admitted this set only after zf_precoder succeeded on it
+    zf = zf_precoder(h_hat_eff[:, served_cols], p_dl)
     b = effective_gains(h_true[:, served_users], precoder, zf)
     rate = sum_rate(b, t_dl, cfg.t)
     h_hat_full = precoder.expand(h_hat_eff[:, served_cols])
@@ -270,23 +250,16 @@ def _grid_point(cfg, trial, t_dl, i_tdl, t_eff, snr_db, plan, precoder, graph,
                             plan.matching_size, err, rate)
 
 
-def _trial_worker(args):
-    cfg, trial, genie = args
-    return run_trial(cfg, trial, genie_prior=genie)
-
-
-def run_experiment(cfg: ExperimentConfig, threads: int = 1,
-                   genie_prior: bool = False) -> list:
+def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list:
     """Monte Carlo driver. Trials are independent (derived seeds), so the
     records are identical for any thread count; they are merged in trial
     order."""
     trials = list(range(cfg.n_trials))
     if threads <= 1 or cfg.n_trials <= 1:
-        batches = [run_trial(cfg, t, genie_prior=genie_prior) for t in trials]
+        batches = [run_trial(cfg, t) for t in trials]
     else:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            batches = list(pool.map(_trial_worker,
-                                    [(cfg, t, genie_prior) for t in trials]))
+            batches = list(pool.map(run_trial, [cfg] * len(trials), trials))
     records = [rec for batch in batches for rec in batch]
     records.sort(key=lambda r: (r.trial, r.tdl, r.snr_db))
     return records

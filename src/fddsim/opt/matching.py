@@ -1,84 +1,23 @@
-"""Hopcroft-Karp maximum bipartite matching."""
+"""Maximum bipartite matching size by SciPy's Hopcroft-Karp."""
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from ..errors import InvalidArgumentError
 
-_INF = -1
 
+def max_matching(adjacency: np.ndarray) -> int:
+    """Size of a maximum matching of the bipartite graph whose rows and
+    columns are the two vertex sets and whose True entries are the edges.
 
-@dataclass
-class MatchingInstance:
-    """Bipartite graph given by an edge list between [0, n_left) and [0, n_right)."""
-
-    n_left: int
-    n_right: int
-    edges: list = field(default_factory=list)
-
-    def __post_init__(self):
-        seen = set()
-        for (u, v) in self.edges:
-            if not (0 <= u < self.n_left and 0 <= v < self.n_right):
-                raise InvalidArgumentError(f"edge ({u},{v}) out of range")
-            if (u, v) in seen:
-                raise InvalidArgumentError(f"duplicate edge ({u},{v})")
-            seen.add((u, v))
-
-
-def max_matching(g: MatchingInstance) -> tuple[int, list]:
-    """Maximum matching size and one maximum matching as an edge list.
-
-    Runs Hopcroft-Karp; the result is certified maximum because the
-    algorithm terminates only when no augmenting path exists.
+    Runs ``scipy.sparse.csgraph.maximum_bipartite_matching`` (Hopcroft-Karp),
+    which stops only when no augmenting path exists, so the size is maximum.
     """
-    adj = [[] for _ in range(g.n_left)]
-    for (u, v) in g.edges:
-        adj[u].append(v)
-    for lst in adj:
-        lst.sort()  # deterministic matchings regardless of edge order
-
-    pair_l = [_INF] * g.n_left
-    pair_r = [_INF] * g.n_right
-    dist = [0] * g.n_left
-
-    def bfs() -> bool:
-        q = deque()
-        found = False
-        for u in range(g.n_left):
-            if pair_l[u] == _INF:
-                dist[u] = 0
-                q.append(u)
-            else:
-                dist[u] = _INF
-        while q:
-            u = q.popleft()
-            for v in adj[u]:
-                w = pair_r[v]
-                if w == _INF:
-                    found = True
-                elif dist[w] == _INF:
-                    dist[w] = dist[u] + 1
-                    q.append(w)
-        return found
-
-    def dfs(u: int) -> bool:
-        for v in adj[u]:
-            w = pair_r[v]
-            if w == _INF or (dist[w] == dist[u] + 1 and dfs(w)):
-                pair_l[u] = v
-                pair_r[v] = u
-                return True
-        dist[u] = _INF
-        return False
-
-    size = 0
-    while bfs():
-        for u in range(g.n_left):
-            if pair_l[u] == _INF and dfs(u):
-                size += 1
-
-    matched = [(u, pair_l[u]) for u in range(g.n_left) if pair_l[u] != _INF]
-    return size, matched
+    a = np.asarray(adjacency)
+    if a.dtype != bool or a.ndim != 2:
+        raise InvalidArgumentError("max_matching: adjacency must be a 2-D boolean array")
+    match = maximum_bipartite_matching(csr_array(a), perm_type="column")
+    return int(np.count_nonzero(match >= 0))

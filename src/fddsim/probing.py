@@ -71,7 +71,7 @@ class EffectiveChannelModel:
 def dl_observe(pilot: PilotMatrix, precoder, h: np.ndarray, n0: float,
                seed, *path: int) -> np.ndarray:
     """One pilot observation y = Psi B h + noise at a user receiver."""
-    b = precoder.matrix() if hasattr(precoder, "matrix") else np.asarray(precoder)
+    b = precoder.matrix()
     if b.shape[0] != pilot.m_prime or b.shape[1] != h.size:
         raise InvalidArgumentError("dl_observe: dimension mismatch")
     noise = np.sqrt(n0) * gaussian_complex(pilot.t_dl, seed, *path)

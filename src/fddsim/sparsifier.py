@@ -12,14 +12,13 @@ integral by the bipartite matching polytope property.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
 from .errors import InvalidArgumentError
-from .opt import (LinearProgram, MixedIntegerProgram, MatchingInstance,
-                  max_matching, milp_solve)
+from .opt import LinearProgram, MixedIntegerProgram, max_matching, milp_solve
 
 DEFAULT_TH_REL = 1e-2
 DEFAULT_EPSILON_FACTOR = 0.5  # epsilon = factor / n_beams, must stay below 1
@@ -41,13 +40,6 @@ class BeamGraph:
     def n_users(self) -> int:
         return self.weights.shape[1]
 
-    @property
-    def n_edges(self) -> int:
-        return int(self.adjacency.sum())
-
-    def edges(self) -> list:
-        return [(int(m), int(k)) for m, k in zip(*np.nonzero(self.adjacency))]
-
 
 def build_beam_graph(spectra, th_rel: float = DEFAULT_TH_REL) -> BeamGraph:
     """Threshold per-user spectra at th_rel times the largest entry."""
@@ -55,8 +47,12 @@ def build_beam_graph(spectra, th_rel: float = DEFAULT_TH_REL) -> BeamGraph:
         if not isinstance(spectra, np.ndarray) else np.asarray(spectra, dtype=float)
     if w.ndim != 2:
         raise InvalidArgumentError("build_beam_graph: spectra must form an M x K array")
+    if not np.all(np.isfinite(w)):
+        raise InvalidArgumentError("build_beam_graph: spectra must be finite")
     if np.any(w < 0):
         raise InvalidArgumentError("build_beam_graph: spectra must be nonnegative")
+    if not th_rel >= 0:
+        raise InvalidArgumentError(f"build_beam_graph: th_rel {th_rel} must be nonnegative")
     th = th_rel * float(w.max()) if w.size else 0.0
     adjacency = w > th
     return BeamGraph(weights=w, adjacency=adjacency, threshold=th)
@@ -70,7 +66,6 @@ class SparsificationPlan:
     objective: float
     node_count: int              # HiGHS branch-and-bound nodes
     gap: float = 0.0             # HiGHS relative MIP gap
-    matched_edges: list = field(default_factory=list)
 
     def to_json(self) -> str:
         return json.dumps({
@@ -93,6 +88,10 @@ def formulate_milp(g: BeamGraph, t_dl: int, p0: float,
     ``epsilon`` defaults to DEFAULT_EPSILON_FACTOR / M.
     """
     m, k = g.n_beams, g.n_users
+    if t_dl < 1:
+        raise InvalidArgumentError(f"T_dl {t_dl} must be at least 1")
+    if not p0 >= 0:
+        raise InvalidArgumentError(f"P0 {p0} must be nonnegative")
     if epsilon is None:
         epsilon = DEFAULT_EPSILON_FACTOR / max(m, 1)
     if epsilon >= 1.0 / max(m, 1):
@@ -147,17 +146,16 @@ def solve_sparsification(g: BeamGraph, t_dl: int, p0: float = 0.0,
     users = {uk for uk in users if any(g.adjacency[bm, uk] for bm in beams)}
     beams = {bm for bm in beams if any(g.adjacency[bm, uk] for uk in users)}
 
-    edges = [(bm, uk) for (bm, uk) in g.edges() if bm in beams and uk in users]
-    size, matched = max_matching(MatchingInstance(m, k, edges))
+    beams, users = sorted(beams), sorted(users)
+    size = max_matching(g.adjacency[np.ix_(beams, users)])
     z_sum = x[m + k:].sum()
     if abs(z_sum - size) > 1e-6:
         raise InvalidArgumentError(
             f"matching certificate mismatch: MILP z sum {z_sum} vs matching {size}")
 
     plan = SparsificationPlan(
-        beams=sorted(beams), users=sorted(users), matching_size=size,
-        objective=float(res.objective), node_count=res.node_count, gap=res.gap,
-        matched_edges=matched)
+        beams=beams, users=users, matching_size=size,
+        objective=float(res.objective), node_count=res.node_count, gap=res.gap)
     _validate_plan(g, plan, t_dl, p0)
     return plan
 
@@ -198,14 +196,13 @@ def brute_force_sparsify(g: BeamGraph, t_dl: int, p0: float = 0.0) -> Sparsifica
         power = (w * (a & sel[:, None])).sum(axis=0)
         users = [uk for uk in range(k)
                  if 1 <= deg[uk] <= t_dl and power[uk] >= p0]
-        edges = [(bm, uk) for bm in beams for uk in users if a[bm, uk]]
-        size, matched = max_matching(MatchingInstance(m, k, edges))
-        used_beams = sorted({bm for bm, _ in edges})
+        sub = a[np.ix_(beams, users)]
+        size = max_matching(sub)
         if size > best.matching_size:
-            best = SparsificationPlan(beams=used_beams,
-                                      users=sorted({uk for _, uk in edges}),
+            best = SparsificationPlan(beams=[bm for bm, r in zip(beams, sub) if r.any()],
+                                      users=[uk for uk, c in zip(users, sub.T) if c.any()],
                                       matching_size=size, objective=float(size),
-                                      node_count=0, matched_edges=matched)
+                                      node_count=0)
     return best
 
 

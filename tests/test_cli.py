@@ -125,6 +125,22 @@ def test_sparsify_bad_file_exits_2(capsys):
     assert main(["sparsify", "/no/such/w.csv", "--tdl", "2"]) == 2
 
 
+@pytest.mark.parametrize("entry, flags", [
+    (0.0, ["--tdl", "0"]),
+    (0.0, ["--tdl", "-1"]),
+    (0.0, ["--tdl", "2", "--p0", "-5"]),
+    (0.0, ["--tdl", "2", "--th-rel", "-1"]),
+    (float("nan"), ["--tdl", "2"]),
+])
+def test_sparsify_out_of_range_input_exits_2(tmp_path, capsys, entry, flags):
+    spectra = tmp_path / "w.csv"
+    np.savetxt(spectra, np.array([[1.0, 0.0], [0.8, 0.9], [entry, 0.7]]), delimiter=",")
+    plan_path = tmp_path / "plan.json"
+    assert main(["sparsify", str(spectra), *flags, "-o", str(plan_path)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not plan_path.exists()
+
+
 def test_validate_single_suite(capsys):
     rc = main(["validate", "--suite", "nnls"])
     out = capsys.readouterr().out

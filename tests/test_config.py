@@ -95,6 +95,11 @@ def test_invariants_enforced():
     with pytest.raises(ConfigError):
         ExperimentConfig(**{**base, "n_trials": -1})
     with pytest.raises(ConfigError):
+        ExperimentConfig(**{**base, "seed": -1})
+    for key in ("p0", "th_rel", "ul_sigma2"):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(**{**base, key: float("nan")})
+    with pytest.raises(ConfigError):
         ExperimentConfig(**{**base, "tdl_list": []})
     with pytest.raises(ConfigError):
         ExperimentConfig(**{**base, "cluster_width": 1.0})  # 3 clusters > 2

@@ -7,17 +7,16 @@ import pytest
 
 from fddsim.errors import InvalidArgumentError
 from fddsim.numerics import rng_stream
-from fddsim.opt import (LinearProgram, MatchingInstance, MixedIntegerProgram,
-                        max_matching, milp_solve, nnls)
+from fddsim.opt import (LinearProgram, MixedIntegerProgram, max_matching, milp_solve,
+                        nnls)
 
 
 # -------------------------------------------------------------------- matching
 
-def _matching_size_exhaustive(n_left, n_right, edges):
-    """Maximum matching by depth-first search over edge subsets."""
-    adj = [[] for _ in range(n_left)]
-    for (u, v) in edges:
-        adj[u].append(v)
+def _matching_size_exhaustive(mask):
+    """Maximum matching by depth-first search over row-to-column assignments."""
+    n_left = mask.shape[0]
+    adj = [np.flatnonzero(row).tolist() for row in mask]
 
     best = 0
 
@@ -40,48 +39,33 @@ def _matching_size_exhaustive(n_left, n_right, edges):
 
 
 def test_matching_complete_3x3():
-    edges = [(i, j) for i in range(3) for j in range(3)]
-    size, matched = max_matching(MatchingInstance(3, 3, edges))
-    assert size == 3
-    assert len(matched) == 3
+    assert max_matching(np.ones((3, 3), dtype=bool)) == 3
 
 
 def test_matching_star():
-    size, matched = max_matching(MatchingInstance(1, 5, [(0, j) for j in range(5)]))
-    assert size == 1
+    assert max_matching(np.ones((1, 5), dtype=bool)) == 1
 
 
 def test_matching_empty():
-    size, matched = max_matching(MatchingInstance(4, 4, []))
-    assert size == 0 and matched == []
+    assert max_matching(np.zeros((4, 4), dtype=bool)) == 0
 
 
-def test_matching_output_is_a_matching():
-    rng = rng_stream(51, 0)
-    mask = rng.random((6, 6)) < 0.5
-    edges = [(int(i), int(j)) for i, j in zip(*np.nonzero(mask))]
-    size, matched = max_matching(MatchingInstance(6, 6, edges))
-    lefts = [u for u, _ in matched]
-    rights = [v for _, v in matched]
-    assert len(set(lefts)) == len(matched) == size
-    assert len(set(rights)) == len(matched)
-    assert all(e in edges for e in matched)
-
-
-def test_matching_random_vs_exhaustive():
+@pytest.mark.parametrize("shape", [(8, 8), (3, 9), (9, 3), (0, 4), (4, 0)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+def test_matching_random_vs_exhaustive(shape):
     rng = rng_stream(52, 0)
     for _ in range(200):
-        mask = rng.random((8, 8)) < rng.uniform(0.1, 0.7)
-        edges = [(int(i), int(j)) for i, j in zip(*np.nonzero(mask))]
-        size, _ = max_matching(MatchingInstance(8, 8, edges))
-        assert size == _matching_size_exhaustive(8, 8, edges)
+        mask = rng.random(shape) < rng.uniform(0.1, 0.7)
+        assert max_matching(mask) == _matching_size_exhaustive(mask)
 
 
-def test_matching_rejects_bad_edges():
+def test_matching_rejects_non_boolean_or_non_2d():
     with pytest.raises(InvalidArgumentError):
-        MatchingInstance(2, 2, [(0, 5)])
+        max_matching(np.ones((2, 2)))
     with pytest.raises(InvalidArgumentError):
-        MatchingInstance(2, 2, [(0, 0), (0, 0)])
+        max_matching(np.ones(3, dtype=bool))
+    with pytest.raises(InvalidArgumentError):
+        max_matching(np.ones((2, 2, 2), dtype=bool))
 
 
 # ------------------------------------------------------------------------ NNLS
