@@ -32,8 +32,8 @@ class ArrayConfig:
             raise InvalidArgumentError("ArrayConfig: M must be >= 1")
         if not (0.0 < self.theta_max <= np.pi / 2):
             raise InvalidArgumentError("ArrayConfig: theta_max must be in (0, pi/2]")
-        if self.alpha < 1.0:
-            raise InvalidArgumentError("ArrayConfig: alpha must be >= 1")
+        if not (1.0 <= self.alpha < np.inf):  # NaN fails too
+            raise InvalidArgumentError("ArrayConfig: alpha must be finite and >= 1")
 
 
 @dataclass

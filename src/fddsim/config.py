@@ -15,6 +15,7 @@ List values are comma separated. Example::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .channel import DEFAULT_ALPHA
@@ -51,6 +52,11 @@ class ExperimentConfig:
         for key in ("m", "k", "t", "n_ul", "grid_factor", "n_clusters"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{_KEY_NAMES[key]}: must be >= 1")
+        for key in _FLOAT_FIELDS:
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{_KEY_NAMES[key]}: must be finite")
+        if not all(math.isfinite(snr) for snr in self.snr_db_list):
+            raise ConfigError("snr_db_list: entries must be finite")
         if self.n_trials < 0:
             raise ConfigError("n_trials: must be >= 0")
         if self.seed < 0:
@@ -110,6 +116,7 @@ _SCHEMA = {
     "exact_covariance": ("exact_covariance", _bool),
 }
 _KEY_NAMES = {fld: key for key, (fld, _) in _SCHEMA.items()}
+_FLOAT_FIELDS = tuple(fld for fld, conv in _SCHEMA.values() if conv is float)
 _REQUIRED = ("M", "K", "T", "tdl_list", "snr_db_list", "n_trials", "seed")
 
 

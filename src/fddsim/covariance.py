@@ -10,6 +10,7 @@ Dykstra Toeplitz-PSD projection is kept as a reference for the estimator.
 from __future__ import annotations
 
 import csv
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -143,14 +144,27 @@ def estimate_asf(c_ul: np.ndarray, cfg, grid_size: int | None = None) -> AsfEsti
     if g < m:
         raise InvalidArgumentError(f"grid size {g} must be at least M={m}")
     xi, theta = asf_grid(g, cfg.theta_max)
-    gm = grid_matrix(m, xi)
+    a, row_w = _asf_system(m, xi.tobytes())
+    b = np.concatenate([c_ul.real, c_ul.imag]) * row_w
+    z = nnls(a, b)
+    return AsfEstimate(xi=xi, theta=theta, weights=z, m=m)
+
+
+# The estimator's fixed matrices depend only on the array size, the grid
+# (passed as its raw float64 bytes, so it can be a cache key) and alpha.
+# Each is built once per process and shared read-only.
+
+@functools.lru_cache(maxsize=4)
+def _asf_system(m: int, xi: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """estimate_asf's weighted real design matrix and its row weights."""
+    gm = grid_matrix(m, np.frombuffer(xi))
     n_d = 2.0 * (m - np.arange(m))
     n_d[0] = m
     row_w = np.tile(np.sqrt(n_d), 2)
     a = np.vstack([gm.real, gm.imag]) * row_w[:, None]
-    b = np.concatenate([c_ul.real, c_ul.imag]) * row_w
-    z = nnls(a, b)
-    return AsfEstimate(xi=xi, theta=theta, weights=z, m=m)
+    a.flags.writeable = False
+    row_w.flags.writeable = False
+    return a, row_w
 
 
 def extrapolate_dl(asf: AsfEstimate, cfg) -> ToeplitzCovariance:
@@ -160,8 +174,17 @@ def extrapolate_dl(asf: AsfEstimate, cfg) -> ToeplitzCovariance:
     w = asf.measure_weights
     if np.any(w < 0.0):
         raise InvalidArgumentError("extrapolate_dl: angular measure weights must be nonnegative")
-    exps = np.exp(1j * np.pi * cfg.alpha * np.outer(np.arange(asf.m), asf.xi))
+    exps = _dl_resampling(asf.m, np.ascontiguousarray(asf.xi, dtype=float).tobytes(),
+                          cfg.alpha)
     return ToeplitzCovariance(first_column=exps @ w.astype(complex), band="dl")
+
+
+@functools.lru_cache(maxsize=4)
+def _dl_resampling(m: int, xi: bytes, alpha: float) -> np.ndarray:
+    """extrapolate_dl's M x G resampling matrix exp(j pi alpha d xi_i)."""
+    exps = np.exp(1j * np.pi * alpha * np.outer(np.arange(m), np.frombuffer(xi)))
+    exps.flags.writeable = False
+    return exps
 
 
 def circulant_eigenvalues(cov: ToeplitzCovariance) -> np.ndarray:

@@ -19,7 +19,8 @@ from .covariance import (AsfEstimate, ToeplitzCovariance, circulant_eigenvalues,
                          estimate_asf, extrapolate_dl, sample_covariance)
 from .errors import FddsimError, InvalidArgumentError, NumericalError
 from .numerics import gaussian_complex, hermitian_eig, toeplitz_average
-from .probing import EffectiveChannelModel, dl_observe, make_pilot, mmse_effective
+from .probing import (EffectiveChannelModel, PilotMatrix, dl_observe, make_pilot,
+                      mmse_effective)
 from .sparsifier import (SparsifyingPrecoder, build_beam_graph, solve_sparsification,
                          sparsifying_precoder)
 
@@ -88,30 +89,38 @@ def greedy_user_selection(h_hat_eff: np.ndarray, p_dl: float, t_dl: int,
                           t: int) -> list:
     """Greedy ZF user selection: repeatedly add the candidate maximizing the
     estimated sum rate (perfect ZF on the estimates, uniform power); stop
-    when no addition improves it."""
+    when no addition improves it. Ties go to the lowest column index.
+
+    Each step scores every remaining candidate c at once on the Gram
+    submatrices G of ``selected + [c]``, stacked: a candidate whose G has
+    w_min <= ZF_COND_TOL * w_max is rank deficient (rate -inf), as in
+    zf_precoder, and otherwise J_k = 1 / (G^-1)_kk, the inverse squared
+    column norm of H G^-1.
+    """
     h = np.asarray(h_hat_eff, dtype=complex)
     if h.ndim != 2 or h.shape[1] < 1:
         raise InvalidArgumentError("greedy_user_selection: no candidates")
-    n_cand = h.shape[1]
+    m_prime, n_cand = h.shape
     pre = max(0.0, 1.0 - t_dl / t)
-
-    def est_rate(idx: list) -> float:
-        try:
-            zf = zf_precoder(h[:, idx], p_dl)
-        except (NumericalError, InvalidArgumentError):
-            return -math.inf
-        return pre * float(np.sum(np.log2(1.0 + zf.j * zf.p)))
+    gram = h.conj().T @ h
 
     selected: list = []
     best = 0.0
-    while len(selected) < n_cand:
-        gains = [(est_rate(selected + [c]), c)
-                 for c in range(n_cand) if c not in selected]
-        rate, cand = max(gains, key=lambda g: (g[0], -g[1]))
-        if rate <= best:
+    while len(selected) < min(n_cand, m_prime):
+        cands = [c for c in range(n_cand) if c not in selected]
+        idx = np.array([selected + [c] for c in cands])
+        sub = gram[idx[:, :, None], idx[:, None, :]]
+        w = np.linalg.eigvalsh(sub)
+        full_rank = w[:, 0] > ZF_COND_TOL * np.maximum(w[:, -1], 1e-300)
+        rates = np.full(len(cands), -math.inf)
+        if full_rank.any():
+            j = 1.0 / np.diagonal(np.linalg.inv(sub[full_rank]), axis1=1, axis2=2).real
+            rates[full_rank] = pre * np.sum(np.log2(1.0 + j * (p_dl / idx.shape[1])), axis=1)
+        i = int(np.argmax(rates))  # the first maximum: ties go to the lowest index
+        if rates[i] <= best:
             break
-        selected.append(cand)
-        best = rate
+        selected.append(cands[i])
+        best = rates[i]
     return selected
 
 
@@ -203,35 +212,37 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> list:
         precoder = sparsifying_precoder(plan, cfg.m)
         m_prime = precoder.m_prime
         t_eff = min(t_dl, m_prime)  # a pilot never needs more dims than beams
-        models = {}
+        # The pilot directions Q^H (unit power), and per user B h, the unit
+        # observation-noise draw and the MMSE prior (unit noise power), do
+        # not depend on the SNR: form them once per T_dl.
+        q_h = make_pilot(t_eff, m_prime, 1.0, cfg.seed, trial, _PILOT, i_tdl).psi
+        probes = []
         for k in plan.users:
             support = [i for i, bm in enumerate(plan.beams) if graph.adjacency[bm, k]]
-            variances = [spectra[k][plan.beams[i]] for i in support]
-            models[k] = (support, variances)
+            model = EffectiveChannelModel(
+                m_prime=m_prime, support=support,
+                variances=[spectra[k][plan.beams[i]] for i in support], n0=1.0)
+            noise = gaussian_complex(t_eff, cfg.seed, trial, k, _OBS_NOISE, i_tdl)
+            probes.append((precoder.apply(h_true[:, k]), noise, model))
 
         for snr_db in cfg.snr_db_list:
             try:
-                records.append(_grid_point(cfg, trial, t_dl, i_tdl, t_eff, snr_db,
-                                           plan, precoder, models, h_true))
+                records.append(_grid_point(cfg, trial, t_dl, snr_db, plan, precoder,
+                                           q_h, probes, h_true))
             except FddsimError:
                 records.append(ExperimentRecord(trial, cfg.seed, t_dl, snr_db, 0,
                                                 plan.matching_size, float("nan"), 0.0))
     return records
 
 
-def _grid_point(cfg, trial, t_dl, i_tdl, t_eff, snr_db, plan, precoder, models,
+def _grid_point(cfg, trial, t_dl, snr_db, plan, precoder, q_h, probes,
                 h_true) -> ExperimentRecord:
     p_dl = 10.0 ** (snr_db / 10.0)
-    n0 = 1.0
-    pilot = make_pilot(t_eff, precoder.m_prime, p_dl, cfg.seed, trial, _PILOT, i_tdl)
+    pilot = PilotMatrix(psi=np.sqrt(p_dl) * q_h, p_dl=p_dl)
 
     h_hat_eff = np.zeros((precoder.m_prime, len(plan.users)), dtype=complex)
-    for col, k in enumerate(plan.users):
-        support, variances = models[k]
-        y = dl_observe(pilot, precoder, h_true[:, k], n0,
-                       cfg.seed, trial, k, _OBS_NOISE, i_tdl)
-        model = EffectiveChannelModel(m_prime=precoder.m_prime, support=support,
-                                      variances=variances, n0=n0)
+    for col, (bh, noise, model) in enumerate(probes):
+        y = dl_observe(pilot, bh, noise, model.n0)
         h_hat_eff[:, col] = mmse_effective(y, pilot, model)
 
     order = greedy_user_selection(h_hat_eff, p_dl, t_dl, cfg.t)
@@ -240,7 +251,7 @@ def _grid_point(cfg, trial, t_dl, i_tdl, t_eff, snr_db, plan, precoder, models,
         return ExperimentRecord(trial, cfg.seed, t_dl, snr_db, 0,
                                 plan.matching_size, float("nan"), 0.0)
     served_users = [plan.users[c] for c in served_cols]
-    # greedy selection admitted this set only after zf_precoder succeeded on it
+    # greedy selection admitted this set only after its ZF rank test passed
     zf = zf_precoder(h_hat_eff[:, served_cols], p_dl)
     b = effective_gains(h_true[:, served_users], precoder, zf)
     rate = sum_rate(b, t_dl, cfg.t)

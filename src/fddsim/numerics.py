@@ -38,7 +38,13 @@ def gaussian_complex(n: int, seed, *path: int) -> np.ndarray:
         rng = seed
     else:
         rng = rng_stream(seed, *path)
-    return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
+    # built in place: the same draws and the same complex division as
+    # (x + 1j*y) / sqrt(2), without the temporaries
+    out = np.empty(n, dtype=complex)
+    out.real = rng.standard_normal(n)
+    out.imag = rng.standard_normal(n)
+    out /= np.sqrt(2.0)
+    return out
 
 
 def dft_matrix(m: int) -> np.ndarray:

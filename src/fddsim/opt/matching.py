@@ -19,5 +19,10 @@ def max_matching(adjacency: np.ndarray) -> int:
     a = np.asarray(adjacency)
     if a.dtype != bool or a.ndim != 2:
         raise InvalidArgumentError("max_matching: adjacency must be a 2-D boolean array")
-    match = maximum_bipartite_matching(csr_array(a), perm_type="column")
+    # CSR straight from the mask: row pointers from the row sums, column
+    # indices in row-major order (cheaper than converting a dense array)
+    indptr = np.concatenate(([0], np.cumsum(a.sum(axis=1))))
+    indices = np.nonzero(a)[1]
+    graph = csr_array((np.ones(indices.size, dtype=bool), indices, indptr), shape=a.shape)
+    match = maximum_bipartite_matching(graph, perm_type="column")
     return int(np.count_nonzero(match >= 0))

@@ -68,14 +68,17 @@ class EffectiveChannelModel:
         return lam
 
 
-def dl_observe(pilot: PilotMatrix, precoder, h: np.ndarray, n0: float,
-               seed, *path: int) -> np.ndarray:
-    """One pilot observation y = Psi B h + noise at a user receiver."""
-    b = precoder.matrix()
-    if b.shape[0] != pilot.m_prime or b.shape[1] != h.size:
+def dl_observe(pilot: PilotMatrix, bh: np.ndarray, noise: np.ndarray,
+               n0: float) -> np.ndarray:
+    """One pilot observation y = Psi (B h) + sqrt(N0) n at a user receiver,
+    from the beam-domain channel B h and a unit-variance noise draw n.
+
+    Neither B h nor n depends on the pilot power, so a sweep over P_dl
+    forms them once and calls this per power.
+    """
+    if bh.shape != (pilot.m_prime,) or noise.shape != (pilot.t_dl,):
         raise InvalidArgumentError("dl_observe: dimension mismatch")
-    noise = np.sqrt(n0) * gaussian_complex(pilot.t_dl, seed, *path)
-    return pilot.psi @ (b @ h) + noise
+    return pilot.psi @ bh + np.sqrt(n0) * noise
 
 
 def mmse_effective(y: np.ndarray, pilot: PilotMatrix,

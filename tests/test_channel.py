@@ -229,3 +229,10 @@ def test_user_geometry_distinct_clusters():
     asf = AngularScatteringFunction(intervals=[(-0.1, 0.1, 1.0)])
     with pytest.raises(InvalidArgumentError):
         UserGeometry(cluster_indices=(1, 1), asf=asf)
+
+
+def test_array_config_rejects_non_finite_or_small_alpha():
+    for bad in (float("nan"), float("inf"), 0.9):
+        with pytest.raises(InvalidArgumentError):
+            ArrayConfig(m=8, alpha=bad)
+    ArrayConfig(m=8, alpha=1.0)

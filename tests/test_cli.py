@@ -121,6 +121,24 @@ def test_sparsify_plan_and_milp_dump(tmp_path, capsys):
     assert milp_path.read_text() == GOLDEN_MILP_3X2
 
 
+@pytest.mark.parametrize("command", ["simulate", "extrapolate"])
+@pytest.mark.parametrize("line", [
+    "snr_db_list = nan", "snr_db_list = 10, inf", "snr_db_list = -inf",
+    "p0 = inf", "th_rel = inf", "alpha = nan", "alpha = inf", "ul_sigma2 = inf",
+])
+def test_non_finite_config_value_exits_2(tmp_path, capsys, command, line):
+    key = line.split("=")[0].strip()
+    kept = [ln for ln in SMALL_CFG.splitlines() if ln.split("=")[0].strip() != key]
+    path = tmp_path / "bad.cfg"
+    path.write_text("\n".join(kept + [line]) + "\n")
+    out = tmp_path / "out"
+    argv = ["simulate", str(path), "-o", str(out)] if command == "simulate" \
+        else ["extrapolate", str(path), "--outdir", str(out)]
+    assert main(argv) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sparsify_bad_file_exits_2(capsys):
     assert main(["sparsify", "/no/such/w.csv", "--tdl", "2"]) == 2
 

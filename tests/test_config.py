@@ -99,6 +99,14 @@ def test_invariants_enforced():
     for key in ("p0", "th_rel", "ul_sigma2"):
         with pytest.raises(ConfigError):
             ExperimentConfig(**{**base, key: float("nan")})
+    for key in ("theta_max_deg", "alpha", "cluster_width", "th_rel", "p0",
+                "epsilon_factor", "ul_sigma2"):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ConfigError, match="must be finite"):
+                ExperimentConfig(**{**base, key: bad})
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ConfigError, match="snr_db_list"):
+            ExperimentConfig(**{**base, "snr_db_list": [20.0, bad]})
     with pytest.raises(ConfigError):
         ExperimentConfig(**{**base, "tdl_list": []})
     with pytest.raises(ConfigError):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fddsim import evaluation
+from fddsim import covariance, evaluation
 from fddsim.channel import AngularScatteringFunction, ArrayConfig, true_covariance
 from fddsim.config import ExperimentConfig
 from fddsim.covariance import (ToeplitzCovariance, asf_grid,
@@ -19,6 +19,7 @@ from fddsim.errors import InvalidArgumentError
 from fddsim.evaluation import estimate_user_pipeline, trial_scenario
 from fddsim.numerics import (dft_matrix, gaussian_complex, rng_stream,
                              toeplitz_from_column)
+from fddsim.opt import nnls
 
 TWO_CLUSTER = AngularScatteringFunction(
     intervals=[(-0.55, -0.35, 2.5), (0.25, 0.45, 2.5)], normalized=True)
@@ -180,6 +181,47 @@ def test_fused_estimator_matches_dykstra_path(m, seed, monkeypatch):
         warnings.simplefilter("error", RuntimeWarning)  # no Dykstra cap hit
         _, _, ref = estimate_user_pipeline(cfg, arr, users[0].asf, 0, 0)
     assert np.abs(fused - ref).sum() <= 5e-3 * np.abs(ref).sum()
+
+
+def _uncached_estimate(c_ul, cfg, g):
+    """estimate_asf and extrapolate_dl with their fixed matrices rebuilt."""
+    m = c_ul.size
+    xi, _ = asf_grid(g, cfg.theta_max)
+    gm = grid_matrix(m, xi)
+    n_d = 2.0 * (m - np.arange(m))
+    n_d[0] = m
+    row_w = np.tile(np.sqrt(n_d), 2)
+    z = nnls(np.vstack([gm.real, gm.imag]) * row_w[:, None],
+             np.concatenate([c_ul.real, c_ul.imag]) * row_w)
+    exps = np.exp(1j * np.pi * cfg.alpha * np.outer(np.arange(m), xi))
+    return z, exps @ (z / np.sqrt(m)).astype(complex)
+
+
+def test_cached_estimator_matches_uncached_across_sizes():
+    """Alternating array sizes and grids hit and miss the caches; every
+    result equals a from-scratch computation bit for bit."""
+    cases = [(ArrayConfig(m=m, alpha=alpha), g)
+             for m, alpha, g in [(8, 1.1, 32), (12, 1.1, 48), (8, 1.3, 24), (12, 1.1, 48)]]
+    for _ in range(3):
+        for cfg, g in cases:
+            c_ul = true_covariance(cfg, TWO_CLUSTER, "ul").first_column
+            z, c_dl = _uncached_estimate(c_ul, cfg, g)
+            est = estimate_asf(c_ul, cfg, grid_size=g)
+            np.testing.assert_array_equal(est.weights, z)
+            np.testing.assert_array_equal(extrapolate_dl(est, cfg).first_column, c_dl)
+
+
+def test_cached_estimator_matrices_are_read_only():
+    cfg = ArrayConfig(m=8)
+    est = estimate_asf(np.ones(8, dtype=complex), cfg)
+    extrapolate_dl(est, cfg)
+    a, row_w = covariance._asf_system(8, est.xi.tobytes())
+    exps = covariance._dl_resampling(8, est.xi.tobytes(), cfg.alpha)
+    for arr in (a, row_w, exps):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert covariance._asf_system(8, est.xi.tobytes())[0] is a
 
 
 # ----------------------------------------------------------------- extrapolation

@@ -149,6 +149,59 @@ def test_greedy_near_optimal_on_random_instances():
     assert hits >= 0.95 * n_trials
 
 
+def _greedy_per_candidate(h, p_dl, t_dl, t):
+    """Reference greedy selection: one zf_precoder call per candidate and
+    step, scored by its J and powers; the batched selection must match it."""
+    n_cand = h.shape[1]
+    pre = max(0.0, 1.0 - t_dl / t)
+
+    def est_rate(idx):
+        try:
+            zf = zf_precoder(h[:, idx], p_dl)
+        except (NumericalError, InvalidArgumentError):
+            return -math.inf
+        return pre * float(np.sum(np.log2(1.0 + zf.j * zf.p)))
+
+    selected = []
+    best = 0.0
+    while len(selected) < n_cand:
+        gains = [(est_rate(selected + [c]), c)
+                 for c in range(n_cand) if c not in selected]
+        rate, cand = max(gains, key=lambda g: (g[0], -g[1]))
+        if rate <= best:
+            break
+        selected.append(cand)
+        best = rate
+    return selected
+
+
+def test_greedy_matches_per_candidate_reference():
+    """Identical selections on random instances, including duplicate and
+    zero columns, more candidates than beams and column scales 1e-3..1e3."""
+    rng = rng_stream(78, 0)
+    kinds = set()
+    for _ in range(600):
+        m_prime = int(rng.integers(1, 9))
+        n_cand = int(rng.integers(1, 11))
+        h = gaussian_complex(m_prime * n_cand, rng).reshape(m_prime, n_cand)
+        if rng.random() < 0.3:
+            h = h * 10.0 ** rng.uniform(-3.0, 3.0, n_cand)
+            kinds.add("scaled")
+        if n_cand > 1 and rng.random() < 0.2:
+            h[:, n_cand - 1] = h[:, int(rng.integers(0, n_cand - 1))]
+            kinds.add("duplicate")
+        if rng.random() < 0.15:
+            h[:, int(rng.integers(0, n_cand))] = 0.0
+            kinds.add("zero")
+        if m_prime < n_cand:
+            kinds.add("wide")
+        p_dl = 10.0 ** rng.uniform(-1.0, 3.0)
+        t_dl = int(rng.integers(1, 65))
+        assert (greedy_user_selection(h, p_dl, t_dl, 64)
+                == _greedy_per_candidate(h, p_dl, t_dl, 64))
+    assert kinds == {"scaled", "duplicate", "zero", "wide"}
+
+
 # ------------------------------------------------------------ normalized error
 
 def test_normalized_error_basics():
@@ -239,6 +292,59 @@ def test_summarize_grid_stats():
     assert abs(row["sum_rate_mean"] - 2.5) < 1e-12
     expected_se = np.std([1, 2, 3, 4], ddof=1) / 2
     assert abs(row["sum_rate_se"] - expected_se) < 1e-12
+
+
+# Trial 0 of the acceptance Monte Carlo config (M=64, K=8, n_ul=500,
+# th_rel=1e-3) for config seeds 1 and 8: (seed, Tdl, snr_db, served,
+# matching_size, err_norm, sum_rate_bits). served is the greedy ZF decision.
+GOLDEN_TRIAL0 = [
+    (1, 8, 10, 3, 8, 0.8740233282082279, 10.805810688486764),
+    (1, 8, 20, 3, 8, 0.8697756284105138, 18.925112372508103),
+    (1, 8, 30, 3, 8, 0.8689540674290751, 28.003504709636225),
+    (1, 16, 10, 4, 8, 0.7394933653683611, 13.238287283039309),
+    (1, 16, 20, 6, 8, 0.7680745529706, 24.077989068840033),
+    (1, 16, 30, 7, 8, 0.7664543384273148, 40.266370709273374),
+    (1, 24, 10, 5, 8, 0.7109631753918619, 13.17678481900515),
+    (1, 24, 20, 7, 8, 0.712166739688864, 24.81799839116914),
+    (1, 24, 30, 8, 8, 0.7090242032528269, 39.607303587513634),
+    (1, 32, 10, 7, 8, 0.6678564382360703, 11.4085540624939),
+    (1, 32, 20, 7, 8, 0.6494135046423537, 22.392244844887518),
+    (1, 32, 30, 8, 8, 0.6497443737117548, 34.68177598893577),
+    (1, 48, 10, 7, 8, 0.3396229906891471, 8.071858051618493),
+    (1, 48, 20, 8, 8, 0.3291278611183116, 13.807148517364709),
+    (1, 48, 30, 8, 8, 0.3235301102979237, 20.412480875142293),
+    (8, 8, 10, 3, 8, 0.7123810348226891, 13.039478100021519),
+    (8, 8, 20, 4, 8, 0.7760094620005703, 23.380694611447385),
+    (8, 8, 30, 4, 8, 0.793633140352474, 35.684787607567316),
+    (8, 16, 10, 5, 8, 0.7145826273888469, 14.974674422245084),
+    (8, 16, 20, 6, 8, 0.7211850815074635, 28.112830609587213),
+    (8, 16, 30, 8, 8, 0.719973351964981, 46.33647878812412),
+    (8, 24, 10, 6, 8, 0.6195711620707824, 14.558020182473461),
+    (8, 24, 20, 8, 8, 0.6192562764234141, 27.043384278091587),
+    (8, 24, 30, 8, 8, 0.6173222081670718, 43.335713377956004),
+    (8, 32, 10, 7, 8, 0.5016973135439361, 13.753906344643596),
+    (8, 32, 20, 8, 8, 0.4957545189003611, 25.218997575432482),
+    (8, 32, 30, 8, 8, 0.4930095369837858, 38.30441710598401),
+    (8, 48, 10, 8, 8, 0.27856069940877626, 8.924175607090064),
+    (8, 48, 20, 8, 8, 0.25428683175006744, 15.24981098983335),
+    (8, 48, 30, 8, 8, 0.24984793997638025, 21.902110589035757),
+]
+
+
+def test_acceptance_scale_trial_records_golden():
+    got = []
+    for seed in (1, 8):
+        cfg = ExperimentConfig(m=64, k=8, t=64, tdl_list=[8, 16, 24, 32, 48],
+                               snr_db_list=[10.0, 20.0, 30.0], n_trials=1,
+                               seed=seed, n_ul=500, th_rel=1e-3)
+        got += run_trial(cfg, 0)
+    assert len(got) == len(GOLDEN_TRIAL0)
+    for rec, (seed, tdl, snr, served, matching, err, rate) in zip(got, GOLDEN_TRIAL0):
+        cell = (seed, tdl, snr)
+        assert (rec.seed, rec.tdl, rec.snr_db) == cell
+        assert (rec.served, rec.matching_size) == (served, matching), cell
+        assert rec.err_norm == pytest.approx(err, rel=1e-9), cell
+        assert rec.sum_rate_bits == pytest.approx(rate, rel=1e-9), cell
 
 
 # Per-cell (sum_rate_mean, served_mean) of SMALL run for 3 trials. The

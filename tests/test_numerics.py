@@ -43,6 +43,18 @@ def test_gaussian_complex_same_seed_identical():
                                   gaussian_complex(16, 5, 2))
 
 
+def test_gaussian_complex_draws_pinned():
+    """The first draws of one stream, bit for bit (shortest round-trip
+    reprs): any change to the generator or to how the samples are
+    combined shows here."""
+    expected = [-0.5156355649946001 + 0.07908250770157008j,
+                -1.6189557959974168 + 0.24890343544095217j,
+                -0.2525104996025513 + 0.5228938841104623j,
+                -0.0733815256136782 + 1.1782980857339755j,
+                -0.5077653863097529 + 0.2488609467042778j]
+    np.testing.assert_array_equal(gaussian_complex(5, 1, 2, 3), expected)
+
+
 def test_gaussian_complex_moments():
     z = gaussian_complex(10**5, 11)
     assert abs(np.mean(np.abs(z) ** 2) - 1.0) < 0.02

@@ -47,16 +47,15 @@ def test_dl_observe_noiseless_formula():
     pre = SparsifyingPrecoder(beams=list(range(m)), m=m)
     pilot = PilotMatrix(psi=np.sqrt(2.0) * np.eye(m, dtype=complex), p_dl=2.0)
     h = gaussian_complex(m, 41, 0)
-    y = dl_observe(pilot, pre, h, 0.0, 41, 1)
+    y = dl_observe(pilot, pre.apply(h), gaussian_complex(m, 41, 1), 0.0)
     np.testing.assert_allclose(y, np.sqrt(2.0) * (dft_matrix(m).conj().T @ h),
                                atol=1e-12)
 
 
 def test_dl_observe_noise_only():
     m = 8
-    pre = SparsifyingPrecoder(beams=list(range(m)), m=m)
     pilot = make_pilot(m, m, 1.0, 42, 0)
-    draws = [dl_observe(pilot, pre, np.zeros(m, dtype=complex), 0.5, 42, i)
+    draws = [dl_observe(pilot, np.zeros(m, dtype=complex), gaussian_complex(m, 42, i), 0.5)
              for i in range(500)]
     var = np.mean([np.mean(np.abs(y) ** 2) for y in draws])
     assert abs(var - 0.5) < 0.05
@@ -65,9 +64,15 @@ def test_dl_observe_noise_only():
 def test_dl_observe_deterministic():
     pre = SparsifyingPrecoder(beams=[0, 2], m=4)
     pilot = make_pilot(2, 2, 1.0, 43, 0)
-    h = gaussian_complex(4, 43, 1)
-    np.testing.assert_array_equal(dl_observe(pilot, pre, h, 0.1, 43, 2),
-                                  dl_observe(pilot, pre, h, 0.1, 43, 2))
+    bh = pre.apply(gaussian_complex(4, 43, 1))
+    noise = gaussian_complex(2, 43, 2)
+    y = dl_observe(pilot, bh, noise, 0.1)
+    np.testing.assert_array_equal(y, dl_observe(pilot, bh, noise, 0.1))
+    np.testing.assert_array_equal(y, pilot.psi @ bh + np.sqrt(0.1) * noise)
+    with pytest.raises(InvalidArgumentError):
+        dl_observe(pilot, np.zeros(3, dtype=complex), noise, 0.1)
+    with pytest.raises(InvalidArgumentError):
+        dl_observe(pilot, bh, np.zeros(3, dtype=complex), 0.1)
 
 
 # ----------------------------------------------------------------------- MMSE
