@@ -14,8 +14,8 @@ from .evaluation import (ExperimentRecord, ZfPrecoder, effective_gains,
                          greedy_user_selection, normalized_error,
                          run_experiment, run_trial, sum_rate, summarize,
                          write_records_csv, write_summary_json, zf_precoder)
-from .probing import (EffectiveChannelModel, PilotMatrix, dl_observe,
-                      error_trace_oracle, make_pilot, mmse_effective)
+from .probing import (PilotMatrix, dl_observe, error_trace_oracle, make_pilot,
+                      mmse_effective)
 from .sparsifier import (BeamGraph, SparsificationPlan, SparsifyingPrecoder,
                          brute_force_sparsify, build_beam_graph,
                          formulate_milp, solve_sparsification,

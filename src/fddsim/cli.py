@@ -40,6 +40,11 @@ def _cmd_simulate(args) -> int:
         print(f"  Tdl={row['tdl']:<4d} snr={row['snr_db']:<6g} "
               f"rate={row['sum_rate_mean']:.3f} +- {row['sum_rate_se']:.3f} "
               f"served={row['served_mean']:.2f}")
+    failed = [r for r in records if r.failure]
+    first = (f"; first: trial {failed[0].trial} Tdl={failed[0].tdl} "
+             f"snr={failed[0].snr_db:g}: {failed[0].failure}") if failed else ""
+    print(f"{len(failed)} of {len(records)} grid points failed (counted as zero rate)"
+          f"{first}", file=sys.stderr)
     return 0
 
 
@@ -80,7 +85,8 @@ def _cmd_sparsify(args) -> int:
     else:
         print(text)
     print(f"selected {len(plan.beams)} beams, {len(plan.users)} users, "
-          f"matching size {plan.matching_size}", file=sys.stderr)
+          f"matching size {plan.matching_size}, {plan.n_classes} beam classes",
+          file=sys.stderr)
     return 0
 
 
@@ -120,7 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--th-rel", type=float, default=0.01,
                    help="edge threshold relative to the largest power")
     p.add_argument("-o", "--output", default=None, help="plan JSON path (default stdout)")
-    p.add_argument("--dump-milp", default=None, help="write the MILP in debug text form")
+    p.add_argument("--dump-milp", default=None,
+                   help="write the MILP in debug text form, headed by its beam classes")
     p.set_defaults(func=_cmd_sparsify)
 
     p = sub.add_parser("validate", help="run self-check suites")

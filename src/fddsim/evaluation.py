@@ -19,8 +19,7 @@ from .covariance import (AsfEstimate, ToeplitzCovariance, circulant_eigenvalues,
                          estimate_asf, extrapolate_dl, sample_covariance)
 from .errors import FddsimError, InvalidArgumentError, NumericalError
 from .numerics import gaussian_complex, hermitian_eig, toeplitz_average
-from .probing import (EffectiveChannelModel, PilotMatrix, dl_observe, make_pilot,
-                      mmse_effective)
+from .probing import PilotMatrix, dl_observe, make_pilot, mmse_effective
 from .sparsifier import (SparsifyingPrecoder, build_beam_graph, solve_sparsification,
                          sparsifying_precoder)
 
@@ -146,6 +145,9 @@ class ExperimentRecord:
     matching_size: int
     err_norm: float
     sum_rate_bits: float
+    # why the grid point failed (a solver or estimator error), "" if it did
+    # not; a failed point has zero rate. Not written to the records CSV.
+    failure: str = ""
 
     def csv_row(self) -> str:
         return (f"{self.trial},{self.tdl},{self.snr_db:.12g},{self.served},"
@@ -199,40 +201,43 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> list:
     graph = build_beam_graph(spectra, th_rel=cfg.th_rel)
     records = []
     for i_tdl, t_dl in enumerate(cfg.tdl_list):
+        failure = ""
         try:
             plan = solve_sparsification(graph, t_dl, p0=cfg.p0,
                                         epsilon=cfg.epsilon_factor / cfg.m)
-        except FddsimError:
-            plan = None
+        except FddsimError as exc:
+            plan, failure = None, _failure("sparsify", exc)
         if plan is None or not plan.beams or not plan.users:
             for snr_db in cfg.snr_db_list:
                 records.append(ExperimentRecord(trial, cfg.seed, t_dl, snr_db, 0,
-                                                0, float("nan"), 0.0))
+                                                0, float("nan"), 0.0, failure))
             continue
         precoder = sparsifying_precoder(plan, cfg.m)
         m_prime = precoder.m_prime
         t_eff = min(t_dl, m_prime)  # a pilot never needs more dims than beams
-        # The pilot directions Q^H (unit power), and per user B h, the unit
-        # observation-noise draw and the MMSE prior (unit noise power), do
-        # not depend on the SNR: form them once per T_dl.
+        # The pilot directions Q^H (unit power), and per selected user B h,
+        # the unit observation-noise draw and the MMSE prior (its beam powers
+        # on its edges; unit noise power), do not depend on the SNR: form
+        # them once per T_dl.
         q_h = make_pilot(t_eff, m_prime, 1.0, cfg.seed, trial, _PILOT, i_tdl).psi
-        probes = []
-        for k in plan.users:
-            support = [i for i, bm in enumerate(plan.beams) if graph.adjacency[bm, k]]
-            model = EffectiveChannelModel(
-                m_prime=m_prime, support=support,
-                variances=[spectra[k][plan.beams[i]] for i in support], n0=1.0)
-            noise = gaussian_complex(t_eff, cfg.seed, trial, k, _OBS_NOISE, i_tdl)
-            probes.append((precoder.apply(h_true[:, k]), noise, model))
+        bh = precoder.apply(h_true[:, plan.users]).T
+        noise = np.stack([gaussian_complex(t_eff, cfg.seed, trial, k, _OBS_NOISE, i_tdl)
+                          for k in plan.users])
+        prior = (graph.weights * graph.adjacency)[np.ix_(plan.beams, plan.users)].T
 
         for snr_db in cfg.snr_db_list:
             try:
                 records.append(_grid_point(cfg, trial, t_dl, snr_db, plan, precoder,
-                                           q_h, probes, h_true))
-            except FddsimError:
+                                           q_h, (bh, noise, prior), h_true))
+            except FddsimError as exc:
                 records.append(ExperimentRecord(trial, cfg.seed, t_dl, snr_db, 0,
-                                                plan.matching_size, float("nan"), 0.0))
+                                                plan.matching_size, float("nan"), 0.0,
+                                                _failure("grid point", exc)))
     return records
+
+
+def _failure(stage: str, exc: FddsimError) -> str:
+    return f"{stage}: {type(exc).__name__}: {exc}"
 
 
 def _grid_point(cfg, trial, t_dl, snr_db, plan, precoder, q_h, probes,
@@ -240,10 +245,9 @@ def _grid_point(cfg, trial, t_dl, snr_db, plan, precoder, q_h, probes,
     p_dl = 10.0 ** (snr_db / 10.0)
     pilot = PilotMatrix(psi=np.sqrt(p_dl) * q_h, p_dl=p_dl)
 
-    h_hat_eff = np.zeros((precoder.m_prime, len(plan.users)), dtype=complex)
-    for col, (bh, noise, model) in enumerate(probes):
-        y = dl_observe(pilot, bh, noise, model.n0)
-        h_hat_eff[:, col] = mmse_effective(y, pilot, model)
+    bh, noise, prior = probes
+    y = np.stack([dl_observe(pilot, b, n, 1.0) for b, n in zip(bh, noise)])
+    h_hat_eff = mmse_effective(y, pilot, prior, 1.0).T
 
     order = greedy_user_selection(h_hat_eff, p_dl, t_dl, cfg.t)
     served_cols = sorted(order)
@@ -285,7 +289,11 @@ def write_records_csv(records: list, path) -> None:
 
 def summarize(records: list) -> dict:
     """Per-(T_dl, SNR) means and standard errors, accumulated in record
-    order so results do not depend on how trials were scheduled."""
+    order so results do not depend on how trials were scheduled.
+
+    A failed grid point (see ``ExperimentRecord.failure``) counts as zero
+    rate in ``sum_rate_mean``; ``n_failed`` counts them per cell.
+    """
     grid = {}
     for rec in records:
         grid.setdefault((rec.tdl, rec.snr_db), []).append(rec)
@@ -304,6 +312,7 @@ def summarize(records: list) -> dict:
             "sum_rate_se": float(rates.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
             "err_norm_mean": float(np.nanmean(errs)) if np.any(np.isfinite(errs)) else float("nan"),
             "served_mean": float(served.mean()),
+            "n_failed": sum(bool(r.failure) for r in recs),
         })
     return {"grid": out}
 

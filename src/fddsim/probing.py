@@ -40,34 +40,6 @@ def make_pilot(t_dl: int, m_prime: int, p_dl: float, seed, *path: int) -> PilotM
     return PilotMatrix(psi=psi, p_dl=p_dl)
 
 
-@dataclass
-class EffectiveChannelModel:
-    """Diagonal prior for one user's effective channel: nonzero variances
-    only on the modeled support positions (indices into the selected-beam
-    axis), plus the observation noise level."""
-
-    m_prime: int
-    support: list           # positions within [0, M')
-    variances: np.ndarray   # prior variances on the support, same length
-    n0: float
-
-    def __post_init__(self):
-        self.variances = np.asarray(self.variances, dtype=float)
-        if any(not (0 <= p < self.m_prime) for p in self.support):
-            raise InvalidArgumentError("support position out of range")
-        if len(self.support) != self.variances.size:
-            raise InvalidArgumentError("one variance per support position required")
-        if np.any(self.variances < 0):
-            raise InvalidArgumentError("prior variances must be nonnegative")
-        if self.n0 < 0:
-            raise InvalidArgumentError("noise level must be nonnegative")
-
-    def prior_diagonal(self) -> np.ndarray:
-        lam = np.zeros(self.m_prime)
-        lam[self.support] = self.variances
-        return lam
-
-
 def dl_observe(pilot: PilotMatrix, bh: np.ndarray, noise: np.ndarray,
                n0: float) -> np.ndarray:
     """One pilot observation y = Psi (B h) + sqrt(N0) n at a user receiver,
@@ -81,26 +53,34 @@ def dl_observe(pilot: PilotMatrix, bh: np.ndarray, noise: np.ndarray,
     return pilot.psi @ bh + np.sqrt(n0) * noise
 
 
-def mmse_effective(y: np.ndarray, pilot: PilotMatrix,
-                   model: EffectiveChannelModel) -> np.ndarray:
-    """Linear MMSE estimate Lam Psi^H (Psi Lam Psi^H + N0 I)^-1 y.
+def mmse_effective(y: np.ndarray, pilot: PilotMatrix, lam: np.ndarray,
+                   n0: float) -> np.ndarray:
+    """Linear MMSE estimates Lam_i Psi^H (Psi Lam_i Psi^H + N0 I)^-1 y_i of
+    a stack of users probed by one pilot, by one batched solve.
 
-    Entries outside the modeled support are exactly zero.
+    Row i of ``y`` (n x T_dl) is user i's observation and row i of ``lam``
+    (n x M') the diagonal of its beam-power prior; row i of the result is
+    its estimate, exactly zero where the prior is zero.
     """
-    if y.shape != (pilot.t_dl,):
-        raise InvalidArgumentError("mmse_effective: observation length mismatch")
-    if model.m_prime != pilot.m_prime:
-        raise InvalidArgumentError("mmse_effective: model/pilot dimension mismatch")
-    lam = model.prior_diagonal()
+    y = np.asarray(y)
+    lam = np.asarray(lam, dtype=float)
+    if y.ndim != 2 or y.shape[1] != pilot.t_dl:
+        raise InvalidArgumentError("mmse_effective: observations must be n x T_dl")
+    if lam.shape != (y.shape[0], pilot.m_prime):
+        raise InvalidArgumentError("mmse_effective: priors must be n x M', one per observation")
+    if np.any(lam < 0):
+        raise InvalidArgumentError("mmse_effective: prior variances must be nonnegative")
+    if not n0 >= 0:
+        raise InvalidArgumentError("mmse_effective: noise level must be nonnegative")
     psi = pilot.psi
-    inner = (psi * lam) @ psi.conj().T + model.n0 * np.eye(pilot.t_dl)
+    inner = (psi * lam[:, None, :]) @ psi.conj().T + n0 * np.eye(pilot.t_dl)
     try:
-        sol = np.linalg.solve(inner, y)
+        sol = np.linalg.solve(inner, y[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"mmse_effective: singular observation covariance: {exc}") from exc
     if not np.all(np.isfinite(sol)):
         raise NumericalError("mmse_effective: non-finite solve result")
-    return lam * (psi.conj().T @ sol)
+    return lam * (sol @ psi.conj())
 
 
 def error_trace_oracle(pilot: PilotMatrix, support_columns: np.ndarray,

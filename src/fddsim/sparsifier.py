@@ -5,14 +5,16 @@ and select a beam subset plus a user subset such that every selected user
 keeps at most T_dl selected beams and at least P0 selected power, while
 the matching size of the selected subgraph (= effective channel rank with
 probability 1) is maximized. The selection is solved exactly as a MILP
-with binary beam/user indicators and a continuous matching block that is
-integral by the bipartite matching polytope property.
+with one integer count per class of interchangeable beams, binary user
+indicators and a continuous matching block that is integral by total
+unimodularity of bipartite b-matching; the plan takes the strongest beams
+of each class.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
@@ -66,6 +68,7 @@ class SparsificationPlan:
     objective: float
     node_count: int              # HiGHS branch-and-bound nodes
     gap: float = 0.0             # HiGHS relative MIP gap
+    n_classes: int = 0           # beam classes, one count variable each
 
     def to_json(self) -> str:
         return json.dumps({
@@ -75,16 +78,55 @@ class SparsificationPlan:
             "objective": self.objective,
             "node_count": self.node_count,
             "gap": self.gap,
+            "n_classes": self.n_classes,
             "approximate": False,  # HiGHS runs without a node cap
         }, indent=2)
 
 
-def formulate_milp(g: BeamGraph, t_dl: int, p0: float,
-                   epsilon: float | None = None) -> MixedIntegerProgram:
-    """MILP with binary beam selectors x, user selectors y and a continuous
-    matching block z in [0,1]; objective sum(z) + epsilon * sum(x).
+def beam_classes(g: BeamGraph, p0: float) -> list:
+    """Classes of interchangeable beams, as ascending index arrays ordered
+    by their lowest beam.
 
-    Variables are ordered x (M), y (K), then z with z_mk at M + K + m K + k.
+    Only active beams (those with an edge) are classed. Two beams fall in
+    one class when their adjacency rows are equal and, with P0 > 0, so are
+    their rows of ``weights * adjacency``: swapping them then changes no
+    row and no objective term of the selection MILP.
+    """
+    active = np.flatnonzero(g.adjacency.any(axis=1))
+    key = g.adjacency[active].astype(float)
+    if p0 > 0:
+        key = np.hstack([key, g.weights[active] * key])
+    _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    rank = np.argsort(np.argsort(first))  # class id by lowest member
+    return [active[rank[inverse.ravel()] == c] for c in range(first.size)]
+
+
+@dataclass
+class SelectionMilp(MixedIntegerProgram):
+    """The selection MILP together with its beam classes: ``classes[c]``
+    holds the beams whose count is variable c."""
+
+    classes: list = field(default_factory=list)
+
+    def to_debug_text(self) -> str:
+        head = [f"# class {c}: beams {' '.join(map(str, beams))}"
+                for c, beams in enumerate(self.classes)]
+        return "\n".join(head + [super().to_debug_text()])
+
+
+def formulate_milp(g: BeamGraph, t_dl: int, p0: float,
+                   epsilon: float | None = None) -> SelectionMilp:
+    """MILP with an integer beam count x_c in [0, n_c] per beam class c
+    (see ``beam_classes``), binary user selectors y and a continuous
+    matching block z_ck in [0, A_ck]; objective sum(z) + epsilon * sum(x).
+
+    Rows, all "<=": sum_k z_ck <= x_c; sum_c z_ck <= y_k; the degree cap
+    sum_c A_ck x_c <= T_dl y_k + d_k (1 - y_k) with d_k the user's degree;
+    the power floor P0 y_k <= sum_c W_ck x_c, with W_ck the least power a
+    beam of class c gives user k; and x_c <= n_c sum_k A_ck y_k, so a
+    selected beam has a selected neighbor user.
+
+    Variables are ordered x (C), y (K), then z with z_ck at C + K + c K + k.
     ``epsilon`` defaults to DEFAULT_EPSILON_FACTOR / M.
     """
     m, k = g.n_beams, g.n_users
@@ -98,64 +140,83 @@ def formulate_milp(g: BeamGraph, t_dl: int, p0: float,
         raise InvalidArgumentError(
             f"epsilon {epsilon} must be below 1/M = {1.0 / m} to keep the "
             "matching size of the optimum unchanged")
-    a = g.adjacency.astype(float).ravel()       # entry m K + k is A_mk
-    w = (g.weights * g.adjacency).ravel()
-    bm, uk = np.divmod(np.arange(m * k), k)     # beam and user of each z
-    xs, ys, zs = np.arange(m), m + np.arange(k), m + k + np.arange(m * k)
-    r_deg, r_pow, r_nbr = m + k, m + 2 * k, m + 3 * k  # first row of blocks 3-5
+    classes = beam_classes(g, p0)
+    n_cls = len(classes)
+    size = np.array([len(cls) for cls in classes], dtype=float)
+    weighted = g.weights * g.adjacency
+    a_ck = g.adjacency[[cls[0] for cls in classes]]
+    w_ck = np.array([weighted[cls].min(axis=0) for cls in classes]).reshape(n_cls, k)
+    degree = g.adjacency.sum(axis=0).astype(float)
+
+    a = a_ck.astype(float).ravel()               # entry c K + k is A_ck
+    cc, uk = np.divmod(np.arange(n_cls * k), k)  # class and user of each z
+    xs, ys, zs = np.arange(n_cls), n_cls + np.arange(k), n_cls + k + np.arange(n_cls * k)
+    r_deg, r_pow, r_nbr = n_cls + k, n_cls + 2 * k, n_cls + 3 * k  # blocks 3-5
 
     # (rows, columns, values) of the five row blocks, all of them "<="
     triplets = [
-        (bm, zs, 1.0), (xs, xs, -1.0),                # sum_k z_mk <= x_m
-        (m + uk, zs, 1.0), (ys, ys, -1.0),            # sum_m z_mk <= y_k
-        # degree cap: sum_m A_mk x_m <= T_dl y_k + M (1 - y_k)
-        (r_deg + uk, bm, a), (r_deg + np.arange(k), ys, float(m) - float(t_dl)),
-        # power floor: P0 y_k <= sum_m W_mk x_m
-        (r_pow + uk, bm, -w), (r_pow + np.arange(k), ys, float(p0)),
+        (cc, zs, 1.0), (xs, xs, -1.0),                  # sum_k z_ck <= x_c
+        (n_cls + uk, zs, 1.0), (ys, ys, -1.0),          # sum_c z_ck <= y_k
+        # degree cap: sum_c A_ck x_c <= T_dl y_k + d_k (1 - y_k)
+        (r_deg + uk, cc, a), (r_deg + np.arange(k), ys, degree - float(t_dl)),
+        # power floor: P0 y_k <= sum_c W_ck x_c
+        (r_pow + uk, cc, -w_ck.ravel()), (r_pow + np.arange(k), ys, float(p0)),
         # a selected beam needs a selected neighbor user
-        (r_nbr + xs, xs, 1.0), (r_nbr + bm, m + uk, -a),
+        (r_nbr + xs, xs, 1.0), (r_nbr + cc, n_cls + uk, -size[cc] * a),
     ]
     rows, cols, vals = zip(*triplets)
     vals = [np.broadcast_to(v, r.shape) for r, v in zip(rows, vals)]
     a_ub = sparse.csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                            shape=(2 * m + 3 * k, m + k + m * k))
+                            shape=(2 * n_cls + 3 * k, n_cls + k + n_cls * k))
     a_ub.eliminate_zeros()
     a_ub.sort_indices()
 
-    c = np.concatenate([np.full(m, epsilon), np.zeros(k), np.ones(m * k)])
-    b = np.concatenate([np.zeros(m + k), np.full(k, float(m)), np.zeros(k + m)])
-    upper = np.concatenate([np.ones(m + k), a])  # z <= A pins non-edges at 0
-    return MixedIntegerProgram(lp=LinearProgram(c=c, a=a_ub, b=b, upper=upper), n_int=m + k)
+    c = np.concatenate([np.full(n_cls, epsilon), np.zeros(k), np.ones(n_cls * k)])
+    b = np.concatenate([np.zeros(n_cls + k), degree, np.zeros(k + n_cls)])
+    upper = np.concatenate([size, np.ones(k), a])  # z <= A pins non-edges at 0
+    return SelectionMilp(lp=LinearProgram(c=c, a=a_ub, b=b, upper=upper),
+                         n_int=n_cls + k, classes=classes)
 
 
 def solve_sparsification(g: BeamGraph, t_dl: int, p0: float = 0.0,
                          epsilon: float | None = None) -> SparsificationPlan:
-    """Solve the beam/user selection MILP with HiGHS and certify the
-    matching size with an independent maximum matching."""
-    m, k = g.n_beams, g.n_users
-    res = milp_solve(formulate_milp(g, t_dl, p0, epsilon))
+    """Solve the beam/user selection MILP with HiGHS, take the strongest
+    beams of each class and certify the matching size with an independent
+    maximum matching.
+
+    The x_c beams taken from class c are those with the most power
+    sum_k W_mk over the selected users; ties go to the lowest index.
+    """
+    k = g.n_users
+    mip = formulate_milp(g, t_dl, p0, epsilon)
+    n_cls = len(mip.classes)
+    res = milp_solve(mip)
     if res.x is None:
         return SparsificationPlan(beams=[], users=[], matching_size=0, objective=0.0,
-                                  node_count=res.node_count, gap=res.gap)
+                                  node_count=res.node_count, gap=res.gap, n_classes=n_cls)
 
     x = res.x
-    beams = {bm for bm in range(m) if x[bm] > 0.5}
-    users = {uk for uk in range(k) if x[m + uk] > 0.5}
+    users = np.flatnonzero(x[n_cls:n_cls + k] > 0.5)
+    power = (g.weights * g.adjacency)[:, users].sum(axis=1)
+    beams = set()
+    for cls, count in zip(mip.classes, x[:n_cls].astype(int)):
+        beams.update(int(bm) for bm in cls[np.argsort(-power[cls], kind="stable")[:count]])
     # A user selected with no selected incident beam contributes nothing
     # (possible when P0 = 0); drop it so downstream probing never touches it.
-    users = {uk for uk in users if any(g.adjacency[bm, uk] for bm in beams)}
+    users = {int(uk) for uk in users if any(g.adjacency[bm, uk] for bm in beams)}
     beams = {bm for bm in beams if any(g.adjacency[bm, uk] for uk in users)}
 
     beams, users = sorted(beams), sorted(users)
     size = max_matching(g.adjacency[np.ix_(beams, users)])
-    z_sum = x[m + k:].sum()
+    z_sum = x[n_cls + k:].sum()
     if abs(z_sum - size) > 1e-6:
         raise InvalidArgumentError(
             f"matching certificate mismatch: MILP z sum {z_sum} vs matching {size}")
 
     plan = SparsificationPlan(
         beams=beams, users=users, matching_size=size,
-        objective=float(res.objective), node_count=res.node_count, gap=res.gap)
+        objective=float(res.objective), node_count=res.node_count, gap=res.gap,
+        n_classes=n_cls)
     _validate_plan(g, plan, t_dl, p0)
     return plan
 

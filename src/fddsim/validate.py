@@ -17,8 +17,7 @@ from .covariance import circulant_eigenvalues, project_toeplitz_psd
 from .numerics import (dft_matrix, gaussian_complex, hermitian_eig,
                        numerical_rank, rng_stream)
 from .opt import max_matching, nnls
-from .probing import (EffectiveChannelModel, PilotMatrix, error_trace_oracle,
-                      make_pilot, mmse_effective)
+from .probing import PilotMatrix, error_trace_oracle, make_pilot, mmse_effective
 from .sparsifier import (BeamGraph, SparsifyingPrecoder, brute_force_sparsify,
                          formulate_milp, solve_sparsification)
 
@@ -68,41 +67,45 @@ def _random_selection_instances(n_instances: int, seed: int):
 
 def _selector_points(g: BeamGraph, t_dl: int, p0: float, plan, rng: np.random.Generator,
                      n_random: int):
-    """Binary (x, y) selector vectors that satisfy every selection row: the
-    plan's own and ``n_random`` random ones. A random point takes a random
-    beam subset, a random subset of the users within the degree cap and the
-    power floor on it, and then keeps only beams next to a kept user."""
+    """Beam and user selections (boolean masks) that satisfy every selection
+    row: the plan's own and ``n_random`` random ones. A random point takes a
+    random beam subset, a random subset of the users within the degree cap
+    and the power floor on it, and then keeps only beams next to a kept
+    user."""
     m, k = g.n_beams, g.n_users
     a, w = g.adjacency, g.weights
-    xy = np.zeros(m + k)
-    xy[plan.beams] = 1.0
-    xy[m + np.asarray(plan.users, dtype=int)] = 1.0
-    yield xy
+    beams, users = np.zeros(m, dtype=bool), np.zeros(k, dtype=bool)
+    beams[plan.beams] = True
+    users[plan.users] = True
+    yield beams, users
     for _ in range(n_random):
         beams = rng.random(m) < 0.5
         deg = (a & beams[:, None]).sum(axis=0)
         power = (w * (a & beams[:, None])).sum(axis=0)
         users = (deg <= t_dl) & (power >= p0) & (rng.random(k) < 0.5)
         beams &= (a & users[None, :]).any(axis=1)
-        yield np.concatenate([beams, users]).astype(float)
+        yield beams, users
 
 
 def fixed_selector_deviations(g: BeamGraph, t_dl: int, p0: float, plan,
                               rng: np.random.Generator, n_random: int = 2) -> list:
     """Matching-block deviation from binary of the selection MILP's LP
-    relaxation with the beam/user selectors fixed at binary points (see
-    ``_selector_points``), one entry per LP; an LP that HiGHS does not
-    solve to optimality counts as deviation inf.
+    relaxation with the class counts and user selectors fixed at integer
+    points (the selections of ``_selector_points``, counted per beam
+    class), one entry per LP; an LP that HiGHS does not solve to
+    optimality counts as deviation inf.
 
-    With binary selectors the z block ranges over a bipartite matching
-    polytope, whose vertices are integral.
+    With integer counts and selectors the z block ranges over a bipartite
+    b-matching polytope, whose vertices are integral.
     """
-    lp = formulate_milp(g, t_dl, p0).lp
-    nz = g.n_beams + g.n_users
+    mip = formulate_milp(g, t_dl, p0)
+    lp = mip.lp
+    nz = len(mip.classes) + g.n_users
     devs = []
-    for xy in _selector_points(g, t_dl, p0, plan, rng, n_random):
+    for beams, users in _selector_points(g, t_dl, p0, plan, rng, n_random):
+        counts = np.array([beams[cls].sum() for cls in mip.classes], dtype=float)
         lo, hi = np.zeros(lp.n_vars), lp.upper.copy()
-        lo[:nz] = hi[:nz] = xy
+        lo[:nz] = hi[:nz] = np.concatenate([counts, users])
         res = linprog(-lp.c, A_ub=lp.a, b_ub=lp.b, bounds=np.column_stack([lo, hi]),
                       method="highs")
         if res.status != 0:
@@ -144,7 +147,7 @@ def suite_milp_vs_bruteforce(n_instances: int = 200, seed: int = 77,
 def suite_node_lp_integrality(n_instances: int = 200, seed: int = 77,
                               tol: float = 1e-6) -> SuiteResult:
     """Matching variables stay binary in the LP relaxation whenever the
-    beam/user selectors are fixed at binary points."""
+    class counts and user selectors are fixed at integer points."""
     _, z_dev, n_lps = _milp_oracle(n_instances, seed, collect_z=True)
     return SuiteResult("node-lp-integrality", z_dev <= tol,
                        f"max matching-variable deviation from binary over {n_lps} "
@@ -197,8 +200,8 @@ def mmse_empirical_vs_oracle(n_draws: int = 2000, n0: float = 0.1):
     support = [int(np.argmax(np.abs(f.conj().T @ f_s[:, i])))
                for i in range(_STABILITY_S)]
     eff_pilot = PilotMatrix(psi=pilot.psi @ f, p_dl=pilot.p_dl)
-    model = EffectiveChannelModel(m_prime=_STABILITY_M, support=support,
-                                  variances=lam, n0=n0)
+    prior = np.zeros((1, _STABILITY_M))
+    prior[0, support] = lam
     rng = rng_stream(_STABILITY_SEED, 37)
     total = 0.0
     for _ in range(n_draws):
@@ -207,7 +210,7 @@ def mmse_empirical_vs_oracle(n_draws: int = 2000, n0: float = 0.1):
         h_beam[support] = g
         noise = np.sqrt(n0) * gaussian_complex(eff_pilot.t_dl, rng)
         y = eff_pilot.psi @ h_beam + noise
-        h_hat = mmse_effective(y, eff_pilot, model)
+        h_hat = mmse_effective(y[None, :], eff_pilot, prior, n0)[0]
         total += float(np.linalg.norm(h_beam - h_hat) ** 2)
     return total / n_draws, error_trace_oracle(pilot, f_s, lam, n0)
 

@@ -76,37 +76,36 @@ def test_extrapolate_outputs(cfg_path, tmp_path):
 
 
 # Byte-exact `sparsify --tdl 2 --dump-milp` text of the 3 x 2 matrix below
-# (epsilon = 0.5 / M): locks the row layout and the number format.
+# (epsilon = 0.5 / M): locks the class comments, the row layout and the
+# number format. Beams 1 and 2 share an adjacency row, so the count of
+# class 1 ranges over [0, 2].
 GOLDEN_MILP_3X2 = """\
-maximize 0.166667*x0 + 0.166667*x1 + 0.166667*x2 + 1*x5 + 1*x6 + 1*x7 + 1*x8 + 1*x9 + 1*x10
-  -1*x0 + 1*x5 + 1*x6 <= 0
-  -1*x1 + 1*x7 + 1*x8 <= 0
-  -1*x2 + 1*x9 + 1*x10 <= 0
-  -1*x3 + 1*x5 + 1*x7 + 1*x9 <= 0
-  -1*x4 + 1*x6 + 1*x8 + 1*x10 <= 0
-  1*x0 + 1*x1 + 1*x3 <= 3
-  1*x1 + 1*x2 + 1*x4 <= 3
-  -1*x0 + -0.8*x1 <= 0
-  -0.9*x1 + -0.7*x2 <= 0
-  1*x0 + -1*x3 <= 0
-  1*x1 + -1*x3 + -1*x4 <= 0
-  1*x2 + -1*x4 <= 0
+# class 0: beams 0
+# class 1: beams 1 2
+maximize 0.166667*x0 + 0.166667*x1 + 1*x4 + 1*x5 + 1*x6 + 1*x7
+  -1*x0 + 1*x4 + 1*x5 <= 0
+  -1*x1 + 1*x6 + 1*x7 <= 0
+  -1*x2 + 1*x4 + 1*x6 <= 0
+  -1*x3 + 1*x5 + 1*x7 <= 0
+  1*x0 + 1*x1 + 1*x2 <= 3
+  1*x1 <= 2
+  -1*x0 + -0.6*x1 <= 0
+  -0.7*x1 <= 0
+  1*x0 + -1*x2 <= 0
+  1*x1 + -2*x2 + -2*x3 <= 0
   x0 in [0.0, 1.0] (int)
-  x1 in [0.0, 1.0] (int)
+  x1 in [0.0, 2.0] (int)
   x2 in [0.0, 1.0] (int)
   x3 in [0.0, 1.0] (int)
-  x4 in [0.0, 1.0] (int)
-  x5 in [0.0, 1.0] (cont)
-  x6 in [0.0, 0.0] (cont)
-  x7 in [0.0, 1.0] (cont)
-  x8 in [0.0, 1.0] (cont)
-  x9 in [0.0, 0.0] (cont)
-  x10 in [0.0, 1.0] (cont)"""
+  x4 in [0.0, 1.0] (cont)
+  x5 in [0.0, 0.0] (cont)
+  x6 in [0.0, 1.0] (cont)
+  x7 in [0.0, 1.0] (cont)"""
 
 
 def test_sparsify_plan_and_milp_dump(tmp_path, capsys):
     spectra = tmp_path / "w.csv"
-    np.savetxt(spectra, np.array([[1.0, 0.0], [0.8, 0.9], [0.0, 0.7]]),
+    np.savetxt(spectra, np.array([[1.0, 0.0], [0.8, 0.9], [0.6, 0.7]]),
                delimiter=",")
     plan_path = tmp_path / "plan.json"
     milp_path = tmp_path / "milp.txt"
@@ -114,10 +113,13 @@ def test_sparsify_plan_and_milp_dump(tmp_path, capsys):
                "-o", str(plan_path), "--dump-milp", str(milp_path)])
     assert rc == 0
     plan = json.loads(plan_path.read_text())
-    assert plan["matching_size"] == 2
+    assert plan["matching_size"] == 2 and plan["n_classes"] == 2
+    # one beam of class 1 is beam 1, the stronger (0.8 + 0.9 against 0.6 + 0.7)
+    assert plan["beams"] in ([0, 1], [1, 2])
     assert sorted(plan) == sorted(["beams", "users", "matching_size", "objective",
-                                   "node_count", "gap", "approximate"])
+                                   "node_count", "gap", "n_classes", "approximate"])
     assert plan["approximate"] is False
+    assert "2 beam classes" in capsys.readouterr().err
     assert milp_path.read_text() == GOLDEN_MILP_3X2
 
 

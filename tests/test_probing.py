@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from fddsim.errors import InvalidArgumentError
+from fddsim.errors import InvalidArgumentError, NumericalError
 from fddsim.numerics import dft_matrix, gaussian_complex, rng_stream
-from fddsim.probing import (EffectiveChannelModel, PilotMatrix, dl_observe,
-                            error_trace_oracle, make_pilot, mmse_effective)
+from fddsim.probing import (PilotMatrix, dl_observe, error_trace_oracle,
+                            make_pilot, mmse_effective)
 from fddsim.sparsifier import SparsifyingPrecoder
 from fddsim.validate import mmse_empirical_vs_oracle
 
@@ -77,33 +77,61 @@ def test_dl_observe_deterministic():
 
 # ----------------------------------------------------------------------- MMSE
 
+def _prior(m_prime, support, variances):
+    lam = np.zeros(m_prime)
+    lam[support] = variances
+    return lam
+
+
 def test_mmse_scalar_closed_form():
     psi = np.array([[0.7 + 0.2j]])
     pilot = PilotMatrix(psi=psi, p_dl=float(abs(psi[0, 0]) ** 2))
     lam, n0 = 1.7, 0.3
-    model = EffectiveChannelModel(m_prime=1, support=[0], variances=[lam], n0=n0)
-    y = np.array([0.9 - 0.4j])
-    expected = lam * psi[0, 0].conj() * y[0] / (abs(psi[0, 0]) ** 2 * lam + n0)
-    np.testing.assert_allclose(mmse_effective(y, pilot, model), [expected],
+    y = np.array([[0.9 - 0.4j]])
+    expected = lam * psi[0, 0].conj() * y[0, 0] / (abs(psi[0, 0]) ** 2 * lam + n0)
+    np.testing.assert_allclose(mmse_effective(y, pilot, [[lam]], n0), [[expected]],
                                atol=1e-12)
 
 
 def test_mmse_huge_noise_shrinks_to_zero():
     pilot = make_pilot(3, 6, 1.0, 44, 0)
-    model = EffectiveChannelModel(m_prime=6, support=[0, 3], variances=[1.0, 2.0],
-                                  n0=1e12)
-    y = gaussian_complex(3, 44, 1)
-    assert np.linalg.norm(mmse_effective(y, pilot, model)) < 1e-9
+    y = gaussian_complex(3, 44, 1)[None, :]
+    h_hat = mmse_effective(y, pilot, [_prior(6, [0, 3], [1.0, 2.0])], 1e12)
+    assert np.linalg.norm(h_hat) < 1e-9
 
 
 def test_mmse_zero_outside_support():
     pilot = make_pilot(4, 8, 1.0, 45, 0)
-    model = EffectiveChannelModel(m_prime=8, support=[1, 5], variances=[1.0, 1.0],
-                                  n0=0.1)
-    y = gaussian_complex(4, 45, 1)
-    h_hat = mmse_effective(y, pilot, model)
+    y = gaussian_complex(4, 45, 1)[None, :]
+    h_hat = mmse_effective(y, pilot, [_prior(8, [1, 5], [1.0, 1.0])], 0.1)[0]
     off = [i for i in range(8) if i not in (1, 5)]
     np.testing.assert_array_equal(h_hat[off], np.zeros(6))
+
+
+def test_mmse_batch_matches_per_user_formula():
+    """Each row of the batched estimate is Lam Psi^H (Psi Lam Psi^H + N0 I)^-1 y
+    of its own user, formed one user at a time."""
+    rng = rng_stream(50, 0)
+    pilot = make_pilot(5, 9, 3.0, 50, 1)
+    psi = pilot.psi
+    n_users, n0 = 6, 0.4
+    lam = rng.random((n_users, 9)) * (rng.random((n_users, 9)) < 0.6)
+    y = gaussian_complex(n_users * 5, rng).reshape(n_users, 5)
+    got = mmse_effective(y, pilot, lam, n0)
+    assert got.shape == (n_users, 9)
+    for i in range(n_users):
+        inner = psi @ np.diag(lam[i]) @ psi.conj().T + n0 * np.eye(5)
+        ref = np.diag(lam[i]) @ psi.conj().T @ np.linalg.solve(inner, y[i])
+        np.testing.assert_allclose(got[i], ref, rtol=1e-12, atol=0.0)
+
+
+def test_mmse_numerical_failures_raise():
+    pilot = make_pilot(3, 6, 1.0, 51, 0)
+    y = gaussian_complex(3, 51, 1)[None, :]
+    with pytest.raises(NumericalError, match="singular"):
+        mmse_effective(y, pilot, np.zeros((1, 6)), 0.0)  # zero prior, no noise
+    with pytest.raises(NumericalError, match="non-finite"):
+        mmse_effective(np.full((1, 3), np.inf + 0j), pilot, np.ones((1, 6)), 0.1)
 
 
 def test_mmse_empirical_matches_oracle():
@@ -113,13 +141,19 @@ def test_mmse_empirical_matches_oracle():
 
 def test_mmse_rejects_mismatched_dims():
     pilot = make_pilot(3, 6, 1.0, 46, 0)
-    model = EffectiveChannelModel(m_prime=5, support=[0], variances=[1.0], n0=0.1)
+    y = gaussian_complex(3, 46, 1)[None, :]
     with pytest.raises(InvalidArgumentError):
-        mmse_effective(gaussian_complex(3, 46, 1), pilot, model)
+        mmse_effective(y, pilot, np.ones((1, 5)), 0.1)   # prior length != M'
     with pytest.raises(InvalidArgumentError):
-        EffectiveChannelModel(m_prime=4, support=[4], variances=[1.0], n0=0.1)
+        mmse_effective(y, pilot, np.ones((2, 6)), 0.1)   # one prior per observation
     with pytest.raises(InvalidArgumentError):
-        EffectiveChannelModel(m_prime=4, support=[0], variances=[-1.0], n0=0.1)
+        mmse_effective(y[:, :2], pilot, np.ones((1, 6)), 0.1)
+    with pytest.raises(InvalidArgumentError):
+        mmse_effective(y[0], pilot, np.ones((1, 6)), 0.1)  # not a stack
+    with pytest.raises(InvalidArgumentError):
+        mmse_effective(y, pilot, -np.ones((1, 6)), 0.1)
+    with pytest.raises(InvalidArgumentError):
+        mmse_effective(y, pilot, np.ones((1, 6)), -0.1)
 
 
 # ----------------------------------------------------------------- error trace

@@ -11,7 +11,7 @@ from fddsim.channel import AngularScatteringFunction, ArrayConfig, true_covarian
 from fddsim.covariance import circulant_eigenvalues
 from fddsim.errors import InvalidArgumentError
 from fddsim.numerics import rng_stream
-from fddsim.sparsifier import (BeamGraph, SparsifyingPrecoder,
+from fddsim.sparsifier import (BeamGraph, SparsifyingPrecoder, beam_classes,
                                brute_force_sparsify, build_beam_graph,
                                formulate_milp, solve_sparsification,
                                sparsifying_precoder)
@@ -21,6 +21,29 @@ from fddsim.validate import fixed_selector_deviations, random_beam_graph
 def graph_from_matrix(w, threshold=0.0):
     w = np.asarray(w, dtype=float)
     return BeamGraph(weights=w, adjacency=w > threshold, threshold=threshold)
+
+
+def repeated_row_graph(rng, n_beams, n_users):
+    """Random graph whose beams copy one of at most three distinct rows, so
+    beam classes have several members. Half the beams then get fresh edge
+    weights: those share only the adjacency row with their copies. Weights
+    are multiples of 1/16, so power sums are exact."""
+    n_rows = int(rng.integers(1, 4))
+    adjacency = (rng.random((n_rows, n_users)) < 0.6)[rng.integers(0, n_rows, n_beams)]
+    weights = rng.integers(1, 17, (n_rows, n_users))[rng.integers(0, n_rows, n_beams)]
+    fresh = rng.random(n_beams) < 0.5
+    weights[fresh] = rng.integers(1, 17, (int(fresh.sum()), n_users))
+    return BeamGraph(weights=np.where(adjacency, weights / 16.0, 0.0), adjacency=adjacency,
+                     threshold=0.0)
+
+
+def assert_plan_feasible(g, plan, t_dl, p0):
+    for uk in plan.users:
+        inc = [bm for bm in plan.beams if g.adjacency[bm, uk]]
+        assert 1 <= len(inc) <= t_dl
+        assert g.weights[inc, uk].sum() >= p0
+    for bm in plan.beams:
+        assert any(g.adjacency[bm, uk] for uk in plan.users)
 
 
 # ------------------------------------------------------------------ beam graph
@@ -72,62 +95,78 @@ def test_formulate_milp_epsilon_precondition():
 
 
 def test_formulate_milp_dimensions():
-    g = graph_from_matrix([[1.0, 0.0], [0.5, 0.8], [0.0, 0.3]])
+    # beams 1 and 2 share an adjacency row; beam 3 has no edge
+    g = graph_from_matrix([[1.0, 0.0], [0.5, 0.8], [0.4, 0.3], [0.0, 0.0]])
     mip = formulate_milp(g, t_dl=2, p0=0.0, epsilon=0.1)
-    m, k = 3, 2
-    assert mip.lp.n_vars == m + k + m * k
-    assert mip.n_int == m + k
+    c, k = 2, 2
+    assert [cls.tolist() for cls in mip.classes] == [[0], [1, 2]]
+    assert mip.lp.n_vars == c + k + c * k
+    assert mip.n_int == c + k
+    assert mip.lp.upper[:c].tolist() == [1.0, 2.0]
     assert sparse.issparse(mip.lp.a) and mip.lp.a.format == "csr"
     assert "int" in mip.to_debug_text()
+    # a power floor keys the classes on the weights too
+    assert [cls.tolist() for cls in beam_classes(g, 0.1)] == [[0], [1], [2]]
 
 
-def _milp_rows_by_loop(g, t_dl, p0):
-    """Dense constraint rows of the selection MILP, one row at a time."""
+def _class_program_by_loop(g, t_dl, p0):
+    """(classes, dense rows, right-hand side, upper bounds) of the class
+    program, built one beam, class and row at a time."""
     m, k = g.n_beams, g.n_users
-    a = g.adjacency.astype(float)
-    nz = m + k + m * k
-    rows = []
-    for bm in range(m):  # sum_k z_mk <= x_m
+    a, wa = g.adjacency, g.weights * g.adjacency
+    by_key = {}
+    for bm in range(m):
+        if a[bm].any():
+            key = tuple(a[bm]) + (tuple(wa[bm]) if p0 > 0 else ())
+            by_key.setdefault(key, []).append(bm)
+    classes = list(by_key.values())  # insertion order: by lowest beam
+    n = len(classes)
+    nz = n + k + n * k
+    rows, rhs = [], []
+
+    def row_of(entries, b):
         row = np.zeros(nz)
-        row[m + k + bm * k:m + k + (bm + 1) * k] = 1.0
-        row[bm] = -1.0
+        for j, v in entries:
+            row[j] += v
         rows.append(row)
-    for uk in range(k):  # sum_m z_mk <= y_k
-        row = np.zeros(nz)
-        row[m + k + uk::k] = 1.0
-        row[m + uk] = -1.0
-        rows.append(row)
+        rhs.append(b)
+
+    for c in range(n):  # sum_k z_ck <= x_c
+        row_of([(c, -1.0)] + [(n + k + c * k + uk, 1.0) for uk in range(k)], 0.0)
+    for uk in range(k):  # sum_c z_ck <= y_k
+        row_of([(n + uk, -1.0)] + [(n + k + c * k + uk, 1.0) for c in range(n)], 0.0)
     for uk in range(k):  # degree cap
-        row = np.zeros(nz)
-        row[:m] = a[:, uk]
-        row[m + uk] = float(m) - float(t_dl)
-        rows.append(row)
-    for uk in range(k):  # power floor
-        row = np.zeros(nz)
-        row[:m] = -g.weights[:, uk] * g.adjacency[:, uk]
-        row[m + uk] = float(p0)
-        rows.append(row)
-    for bm in range(m):  # a selected beam needs a selected neighbor user
-        row = np.zeros(nz)
-        row[bm] = 1.0
-        row[m:m + k] = -a[bm, :]
-        rows.append(row)
-    return np.array(rows)
+        d = float(a[:, uk].sum())
+        row_of([(c, float(a[cls[0], uk])) for c, cls in enumerate(classes)]
+               + [(n + uk, d - t_dl)], d)
+    for uk in range(k):  # power floor, with the least power of each class
+        row_of([(c, -min(wa[bm, uk] for bm in cls)) for c, cls in enumerate(classes)]
+               + [(n + uk, p0)], 0.0)
+    for c, cls in enumerate(classes):  # a selected beam needs a selected neighbor user
+        row_of([(c, 1.0)] + [(n + uk, -len(cls) * float(a[cls[0], uk])) for uk in range(k)],
+               0.0)
+    upper = [len(cls) for cls in classes] + [1.0] * k \
+        + [float(a[cls[0], uk]) for cls in classes for uk in range(k)]
+    return classes, np.array(rows).reshape(-1, nz), rhs, upper
 
 
 def test_formulate_milp_matches_row_loop():
     rng = rng_stream(67, 0)
-    for _ in range(30):
+    for i in range(40):
         m, k = int(rng.integers(1, 8)), int(rng.integers(1, 6))
-        g = random_beam_graph(rng, m, k)
-        t_dl = int(rng.integers(1, m + 1))  # includes T_dl = M, a zero coefficient
+        g = random_beam_graph(rng, m, k) if i % 2 else repeated_row_graph(rng, m, k)
+        t_dl = int(rng.integers(1, m + 1))  # includes T_dl = degree, a zero coefficient
         p0 = float(rng.choice([0.0, 0.3]))
-        lp = formulate_milp(g, t_dl, p0, epsilon=0.5 / m).lp
+        mip = formulate_milp(g, t_dl, p0, epsilon=0.5 / m)
+        lp = mip.lp
+        classes, rows, rhs, upper = _class_program_by_loop(g, t_dl, p0)
+        assert [cls.tolist() for cls in mip.classes] == classes
         assert lp.a.has_canonical_format and not np.any(lp.a.data == 0.0)
-        assert np.array_equal(lp.a.toarray(), _milp_rows_by_loop(g, t_dl, p0))
-        assert np.array_equal(lp.b, [0.0] * (m + k) + [float(m)] * k + [0.0] * (k + m))
-        assert np.array_equal(lp.upper, np.concatenate([np.ones(m + k),
-                                                        g.adjacency.ravel()]))
+        assert np.array_equal(lp.a.toarray(), rows)
+        assert np.array_equal(lp.b, rhs)
+        assert np.array_equal(lp.upper, upper)
+        assert np.array_equal(lp.c, [0.5 / m] * len(classes) + [0.0] * k
+                              + [1.0] * (len(classes) * k))
 
 
 # ------------------------------------------------------------- solve: examples
@@ -197,6 +236,23 @@ def test_solve_matches_bruteforce_random():
         assert plan.matching_size == ref.matching_size
 
 
+@pytest.mark.parametrize("floor", [False, True], ids=["p0=0", "p0>0"])
+def test_class_program_matches_bruteforce_on_repeated_rows(floor):
+    """Graphs whose beams repeat rows: the class program's matching size is
+    the enumeration oracle's, and its plan is feasible."""
+    rng = rng_stream(68, int(floor))
+    merged = 0
+    for _ in range(60):
+        g = repeated_row_graph(rng, int(rng.integers(2, 9)), int(rng.integers(1, 5)))
+        t_dl = int(rng.integers(1, 5))
+        p0 = float(np.median(g.weights[g.adjacency])) if floor and g.adjacency.any() else 0.0
+        plan = solve_sparsification(g, t_dl, p0=p0)
+        merged += plan.n_classes < g.adjacency.any(axis=1).sum()
+        assert plan.matching_size == brute_force_sparsify(g, t_dl, p0=p0).matching_size
+        assert_plan_feasible(g, plan, t_dl, p0)
+    assert merged >= 20  # most instances have a class of several beams
+
+
 def test_solve_matching_size_independent_of_epsilon():
     rng = rng_stream(62, 0)
     for _ in range(10):
@@ -219,6 +275,7 @@ def test_solved_plan_respects_constraints():
             assert sum(g.weights[bm, uk] for bm in inc) >= p0 - 1e-9
         for bm in plan.beams:
             assert any(g.adjacency[bm, uk] for uk in plan.users)
+        assert plan.n_classes == len(beam_classes(g, p0))
 
 
 def test_matching_block_integral_when_selectors_fixed():
@@ -250,6 +307,31 @@ def test_solve_matches_bruteforce_property(data):
         assert 1 <= len(inc) <= t_dl
         assert g.weights[inc, uk].sum() >= p0
     assert plan.matching_size == brute_force_sparsify(g, t_dl, p0=p0).matching_size
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_plan_takes_strongest_beams_of_each_class(data):
+    """Within each class of beams sharing an adjacency row (P0 = 0), the
+    plan's beams are the class's strongest by power over the plan's users,
+    ties going to the lowest index. Weights are multiples of 1/16."""
+    m = data.draw(st.integers(2, 8), label="beams")
+    k = data.draw(st.integers(1, 4), label="users")
+    n_rows = data.draw(st.integers(1, 3), label="distinct rows")
+    rows = np.array(data.draw(st.lists(st.booleans(), min_size=n_rows * k,
+                                       max_size=n_rows * k), label="rows")).reshape(n_rows, k)
+    pick = data.draw(st.lists(st.integers(0, n_rows - 1), min_size=m, max_size=m),
+                     label="row of each beam")
+    w = np.array(data.draw(st.lists(st.integers(1, 16), min_size=m * k, max_size=m * k),
+                           label="weights"), dtype=float).reshape(m, k) / 16.0
+    g = graph_from_matrix(np.where(rows[pick], w, 0.0))
+    t_dl = data.draw(st.integers(1, m), label="t_dl")
+    plan = solve_sparsification(g, t_dl)
+    power = g.weights[:, plan.users].sum(axis=1)
+    for cls in beam_classes(g, 0.0):
+        taken = [bm for bm in cls if bm in plan.beams]
+        strongest = sorted(cls, key=lambda bm: (-power[bm], bm))[:len(taken)]
+        assert taken == sorted(strongest), (cls.tolist(), power[cls].tolist())
 
 
 def test_brute_force_guard():
