@@ -8,7 +8,8 @@ probability 1) is maximized. The selection is solved exactly as a MILP
 with one integer count per class of interchangeable beams, binary user
 indicators and a continuous matching block that is integral by total
 unimodularity of bipartite b-matching; the plan takes the strongest beams
-of each class.
+of each class. With at most one class, as on a complete graph with P0 = 0,
+the program's optimum has a closed form and HiGHS is not called.
 """
 
 from __future__ import annotations
@@ -66,8 +67,8 @@ class SparsificationPlan:
     users: list                  # selected user indices, ascending
     matching_size: int
     objective: float
-    node_count: int              # HiGHS branch-and-bound nodes
-    gap: float = 0.0             # HiGHS relative MIP gap
+    node_count: int              # HiGHS branch-and-bound nodes, 0 in closed form
+    gap: float = 0.0             # HiGHS relative MIP gap, 0 in closed form
     n_classes: int = 0           # beam classes, one count variable each
 
     def to_json(self) -> str:
@@ -114,8 +115,24 @@ class SelectionMilp(MixedIntegerProgram):
         return "\n".join(head + [super().to_debug_text()])
 
 
-def formulate_milp(g: BeamGraph, t_dl: int, p0: float,
-                   epsilon: float | None = None) -> SelectionMilp:
+def _checked_epsilon(m: int, t_dl: int, p0: float, epsilon: float | None) -> float:
+    """Check the selection arguments shared by the program and its closed
+    form; return epsilon, which defaults to DEFAULT_EPSILON_FACTOR / M."""
+    if t_dl < 1:
+        raise InvalidArgumentError(f"T_dl {t_dl} must be at least 1")
+    if not p0 >= 0:
+        raise InvalidArgumentError(f"P0 {p0} must be nonnegative")
+    if epsilon is None:
+        epsilon = DEFAULT_EPSILON_FACTOR / max(m, 1)
+    if not epsilon < 1.0 / max(m, 1):  # also rejects NaN
+        raise InvalidArgumentError(
+            f"epsilon {epsilon} must be below 1/M = {1.0 / m} to keep the "
+            "matching size of the optimum unchanged")
+    return epsilon
+
+
+def formulate_milp(g: BeamGraph, t_dl: int, p0: float, epsilon: float | None = None,
+                   *, classes: list | None = None) -> SelectionMilp:
     """MILP with an integer beam count x_c in [0, n_c] per beam class c
     (see ``beam_classes``), binary user selectors y and a continuous
     matching block z_ck in [0, A_ck]; objective sum(z) + epsilon * sum(x).
@@ -127,20 +144,13 @@ def formulate_milp(g: BeamGraph, t_dl: int, p0: float,
     selected beam has a selected neighbor user.
 
     Variables are ordered x (C), y (K), then z with z_ck at C + K + c K + k.
-    ``epsilon`` defaults to DEFAULT_EPSILON_FACTOR / M.
+    ``epsilon`` defaults to DEFAULT_EPSILON_FACTOR / M. ``classes`` are
+    ``beam_classes(g, p0)``, for a caller that already has them.
     """
-    m, k = g.n_beams, g.n_users
-    if t_dl < 1:
-        raise InvalidArgumentError(f"T_dl {t_dl} must be at least 1")
-    if not p0 >= 0:
-        raise InvalidArgumentError(f"P0 {p0} must be nonnegative")
-    if epsilon is None:
-        epsilon = DEFAULT_EPSILON_FACTOR / max(m, 1)
-    if epsilon >= 1.0 / max(m, 1):
-        raise InvalidArgumentError(
-            f"epsilon {epsilon} must be below 1/M = {1.0 / m} to keep the "
-            "matching size of the optimum unchanged")
-    classes = beam_classes(g, p0)
+    k = g.n_users
+    epsilon = _checked_epsilon(g.n_beams, t_dl, p0, epsilon)
+    if classes is None:
+        classes = beam_classes(g, p0)
     n_cls = len(classes)
     size = np.array([len(cls) for cls in classes], dtype=float)
     weighted = g.weights * g.adjacency
@@ -178,60 +188,95 @@ def formulate_milp(g: BeamGraph, t_dl: int, p0: float,
                          n_int=n_cls + k, classes=classes)
 
 
+def _one_class_optimum(g: BeamGraph, classes: list, t_dl: int, p0: float, epsilon: float):
+    """(class counts, selected users, matching size, objective) of the
+    selection program with at most one beam class, in closed form.
+
+    With class c of n_c beams and adjacency row U, a selected user of U caps
+    the count at T_dl and a selected beam needs one, so x <= min(n_c, T_dl).
+    A larger x only adds users of U meeting the floor x W_ck >= P0 and adds
+    epsilon, so x = min(n_c, T_dl) with every such user is optimal, or x = 0
+    when no user meets the floor. The matching size is min(x, |users|).
+    """
+    if not classes:
+        return [], np.zeros(0, dtype=int), 0, 0.0
+    cls = classes[0]
+    w_ck = (g.weights * g.adjacency)[cls].min(axis=0)
+    count = min(cls.size, t_dl)
+    users = np.flatnonzero(g.adjacency[cls[0]] & (count * w_ck >= p0))
+    if users.size == 0:
+        count = 0
+    size = min(count, users.size)
+    return [count], users, size, float(size + epsilon * count)
+
+
 def solve_sparsification(g: BeamGraph, t_dl: int, p0: float = 0.0,
                          epsilon: float | None = None) -> SparsificationPlan:
-    """Solve the beam/user selection MILP with HiGHS, take the strongest
-    beams of each class and certify the matching size with an independent
-    maximum matching.
+    """Solve the beam/user selection program, take the strongest beams of
+    each class and certify the matching size with an independent maximum
+    matching.
 
-    The x_c beams taken from class c are those with the most power
-    sum_k W_mk over the selected users; ties go to the lowest index.
+    A graph with at most one beam class (for instance a complete graph with
+    P0 = 0) is solved in closed form and reports node count 0; any other
+    graph goes to HiGHS. The x_c beams taken from class c are those with
+    the most power sum_k W_mk over the selected users; ties go to the
+    lowest index.
     """
     k = g.n_users
-    mip = formulate_milp(g, t_dl, p0, epsilon)
-    n_cls = len(mip.classes)
-    res = milp_solve(mip)
-    if res.x is None:
-        return SparsificationPlan(beams=[], users=[], matching_size=0, objective=0.0,
-                                  node_count=res.node_count, gap=res.gap, n_classes=n_cls)
+    epsilon = _checked_epsilon(g.n_beams, t_dl, p0, epsilon)
+    classes = beam_classes(g, p0)
+    n_cls = len(classes)
+    if n_cls <= 1:
+        counts, users, size, objective = _one_class_optimum(g, classes, t_dl, p0, epsilon)
+        node_count, gap = 0, 0.0
+    else:
+        res = milp_solve(formulate_milp(g, t_dl, p0, epsilon, classes=classes))
+        if res.x is None:
+            return SparsificationPlan(beams=[], users=[], matching_size=0, objective=0.0,
+                                      node_count=res.node_count, gap=res.gap,
+                                      n_classes=n_cls)
+        counts = res.x[:n_cls].astype(int)
+        users = np.flatnonzero(res.x[n_cls:n_cls + k] > 0.5)
+        size, objective = res.x[n_cls + k:].sum(), res.objective
+        node_count, gap = res.node_count, res.gap
 
-    x = res.x
-    users = np.flatnonzero(x[n_cls:n_cls + k] > 0.5)
     power = (g.weights * g.adjacency)[:, users].sum(axis=1)
-    beams = set()
-    for cls, count in zip(mip.classes, x[:n_cls].astype(int)):
-        beams.update(int(bm) for bm in cls[np.argsort(-power[cls], kind="stable")[:count]])
+    beams = np.sort(np.concatenate(
+        [np.zeros(0, dtype=int)]
+        + [cls[np.argsort(-power[cls], kind="stable")[:count]]
+           for cls, count in zip(classes, counts)]))
     # A user selected with no selected incident beam contributes nothing
-    # (possible when P0 = 0); drop it so downstream probing never touches it.
-    users = {int(uk) for uk in users if any(g.adjacency[bm, uk] for bm in beams)}
-    beams = {bm for bm in beams if any(g.adjacency[bm, uk] for uk in users)}
-
-    beams, users = sorted(beams), sorted(users)
-    size = max_matching(g.adjacency[np.ix_(beams, users)])
-    z_sum = x[n_cls + k:].sum()
-    if abs(z_sum - size) > 1e-6:
+    # (possible when P0 = 0); drop it so downstream probing never touches it,
+    # then the beams left without a selected user.
+    sub = g.adjacency[np.ix_(beams, users)]
+    has_user, has_beam = sub.any(axis=1), sub.any(axis=0)
+    beams, users = beams[has_user], users[has_beam]
+    matched = max_matching(sub[np.ix_(has_user, has_beam)])
+    if abs(size - matched) > 1e-6:
         raise InvalidArgumentError(
-            f"matching certificate mismatch: MILP z sum {z_sum} vs matching {size}")
+            f"matching certificate mismatch: predicted size {size} vs matching {matched}")
 
     plan = SparsificationPlan(
-        beams=beams, users=users, matching_size=size,
-        objective=float(res.objective), node_count=res.node_count, gap=res.gap,
-        n_classes=n_cls)
+        beams=beams.tolist(), users=users.tolist(), matching_size=matched,
+        objective=float(objective), node_count=node_count, gap=gap, n_classes=n_cls)
     _validate_plan(g, plan, t_dl, p0)
     return plan
 
 
 def _validate_plan(g: BeamGraph, plan: SparsificationPlan, t_dl: int, p0: float):
-    beams = set(plan.beams)
-    for uk in plan.users:
-        inc = [bm for bm in beams if g.adjacency[bm, uk]]
-        if len(inc) > t_dl:
-            raise InvalidArgumentError(f"plan violates degree cap for user {uk}")
-        if sum(g.weights[bm, uk] for bm in inc) < p0 - 1e-9:
-            raise InvalidArgumentError(f"plan violates power floor for user {uk}")
-    for bm in plan.beams:
-        if not any(g.adjacency[bm, uk] for uk in plan.users):
-            raise InvalidArgumentError(f"plan contains isolated beam {bm}")
+    beams = np.asarray(plan.beams, dtype=int)
+    users = np.asarray(plan.users, dtype=int)
+    sub = g.adjacency[np.ix_(beams, users)]
+    degree = sub.sum(axis=0)
+    power = np.where(sub, g.weights[np.ix_(beams, users)], 0.0).sum(axis=0)
+    bad = (degree > t_dl) | (power < p0 - 1e-9)
+    if bad.any():
+        uk = int(np.argmax(bad))
+        what = "degree cap" if degree[uk] > t_dl else "power floor"
+        raise InvalidArgumentError(f"plan violates {what} for user {users[uk]}")
+    isolated = ~sub.any(axis=1)
+    if isolated.any():
+        raise InvalidArgumentError(f"plan contains isolated beam {beams[np.argmax(isolated)]}")
 
 
 def brute_force_sparsify(g: BeamGraph, t_dl: int, p0: float = 0.0) -> SparsificationPlan:

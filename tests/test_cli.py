@@ -151,10 +151,16 @@ def test_sparsify_bad_file_exits_2(capsys):
     (0.0, ["--tdl", "2", "--p0", "-5"]),
     (0.0, ["--tdl", "2", "--th-rel", "-1"]),
     (float("nan"), ["--tdl", "2"]),
+    # every beam reaches both users: one beam class, solved in closed form
+    ("one class", ["--tdl", "0"]),
+    ("one class", ["--tdl", "2", "--p0", "-5"]),
+    ("one class", ["--tdl", "2", "--p0", "nan"]),
 ])
 def test_sparsify_out_of_range_input_exits_2(tmp_path, capsys, entry, flags):
     spectra = tmp_path / "w.csv"
-    np.savetxt(spectra, np.array([[1.0, 0.0], [0.8, 0.9], [entry, 0.7]]), delimiter=",")
+    w = [[1.0, 1.0], [1.0, 1.0]] if entry == "one class" \
+        else [[1.0, 0.0], [0.8, 0.9], [entry, 0.7]]
+    np.savetxt(spectra, np.array(w), delimiter=",")
     plan_path = tmp_path / "plan.json"
     assert main(["sparsify", str(spectra), *flags, "-o", str(plan_path)]) == 2
     assert "error:" in capsys.readouterr().err

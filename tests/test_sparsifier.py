@@ -11,9 +11,10 @@ from fddsim.channel import AngularScatteringFunction, ArrayConfig, true_covarian
 from fddsim.covariance import circulant_eigenvalues
 from fddsim.errors import InvalidArgumentError
 from fddsim.numerics import rng_stream
-from fddsim.sparsifier import (BeamGraph, SparsifyingPrecoder, beam_classes,
-                               brute_force_sparsify, build_beam_graph,
-                               formulate_milp, solve_sparsification,
+from fddsim.opt import milp_solve
+from fddsim.sparsifier import (BeamGraph, SparsificationPlan, SparsifyingPrecoder,
+                               _validate_plan, beam_classes, brute_force_sparsify,
+                               build_beam_graph, formulate_milp, solve_sparsification,
                                sparsifying_precoder)
 from fddsim.validate import fixed_selector_deviations, random_beam_graph
 
@@ -90,8 +91,11 @@ def test_build_beam_graph_rejects_negative():
 
 def test_formulate_milp_epsilon_precondition():
     g = graph_from_matrix([[1.0]])
-    with pytest.raises(InvalidArgumentError):
-        formulate_milp(g, t_dl=1, p0=0.0, epsilon=1.0)
+    for epsilon in (1.0, np.nan):
+        with pytest.raises(InvalidArgumentError):
+            formulate_milp(g, t_dl=1, p0=0.0, epsilon=epsilon)
+        with pytest.raises(InvalidArgumentError):
+            solve_sparsification(g, t_dl=1, epsilon=epsilon)
 
 
 def test_formulate_milp_dimensions():
@@ -194,12 +198,35 @@ def test_solve_identity_adjacency():
 
 
 def test_certificate_mismatch_raises(monkeypatch):
-    """The independent matching must agree with the HiGHS z sum."""
+    """The independent matching must agree with the HiGHS z sum (identity,
+    three classes) and with the closed form's matching size (one class)."""
     import fddsim.sparsifier as sp
     true_size = sp.max_matching
     monkeypatch.setattr(sp, "max_matching", lambda a: true_size(a) + 1)
-    with pytest.raises(InvalidArgumentError, match="certificate"):
-        solve_sparsification(graph_from_matrix(np.eye(3)), t_dl=1)
+    for w in (np.eye(3), np.ones((3, 2))):
+        with pytest.raises(InvalidArgumentError, match="certificate"):
+            solve_sparsification(graph_from_matrix(w), t_dl=1)
+
+
+# weights of the hand-made plans below: beams 1 and 2 reach only user 0,
+# beam 3 only user 1
+_VALIDATE_W = [[1.0, 0.5], [0.5, 0.0], [0.5, 0.0], [0.0, 0.5]]
+
+
+@pytest.mark.parametrize("beams, users, t_dl, p0, message", [
+    ([0, 1, 2], [0], 2, 0.0, "degree cap for user 0"),
+    ([0], [0, 1], 3, 0.75, "power floor for user 1"),
+    ([0, 3], [0], 3, 0.0, "isolated beam 3"),
+], ids=["degree cap", "power floor", "isolated beam"])
+def test_validate_plan_rejects_each_violation(beams, users, t_dl, p0, message):
+    g = graph_from_matrix(_VALIDATE_W)
+    plan = SparsificationPlan(beams=beams, users=users, matching_size=1, objective=1.0,
+                              node_count=0)
+    with pytest.raises(InvalidArgumentError, match=message):
+        _validate_plan(g, plan, t_dl, p0)
+    good = SparsificationPlan(beams=[0, 3], users=[0, 1], matching_size=2, objective=2.0,
+                              node_count=0)
+    _validate_plan(g, good, 2, 0.5)
 
 
 def test_solve_disjoint_single_beam_users():
@@ -332,6 +359,81 @@ def test_plan_takes_strongest_beams_of_each_class(data):
         taken = [bm for bm in cls if bm in plan.beams]
         strongest = sorted(cls, key=lambda bm: (-power[bm], bm))[:len(taken)]
         assert taken == sorted(strongest), (cls.tolist(), power[cls].tolist())
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_one_class_closed_form_matches_highs(data):
+    """Graphs with at most one beam class: one adjacency row shared by some
+    beams, the others edgeless (possibly all of them). The closed-form plan
+    has the HiGHS optimum's objective, matching size and beam count, and the
+    enumeration oracle's matching size. The class's beams share one weight
+    row (dyadic, so power sums are exact), which keeps one class at P0 > 0."""
+    m = data.draw(st.integers(1, 7), label="beams")
+    k = data.draw(st.integers(1, 5), label="users")
+    row = np.array(data.draw(st.lists(st.booleans(), min_size=k, max_size=k), label="row"))
+    member = np.array(data.draw(st.lists(st.booleans(), min_size=m, max_size=m),
+                                label="class members"))
+    power = np.array(data.draw(st.lists(st.integers(1, 16), min_size=k, max_size=k),
+                               label="weight row"), dtype=float) / 16.0
+    t_dl = data.draw(st.integers(1, m + 1), label="t_dl")
+    p0 = data.draw(st.one_of(st.just(0), st.integers(1, 48)), label="p0") / 16.0
+    g = graph_from_matrix(np.where(member[:, None] & row, power, 0.0))
+    n_cls = len(beam_classes(g, p0))
+    assert n_cls <= 1
+
+    plan = solve_sparsification(g, t_dl, p0=p0)
+    res = milp_solve(formulate_milp(g, t_dl, p0))
+    assert plan.n_classes == n_cls and plan.node_count == 0 and plan.gap == 0.0
+    assert abs(plan.objective - res.objective) <= 1e-9
+    assert plan.matching_size == round(res.x[n_cls + k:].sum())
+    assert len(plan.beams) == round(res.x[:n_cls].sum())
+    assert plan.matching_size == brute_force_sparsify(g, t_dl, p0=p0).matching_size
+    assert_plan_feasible(g, plan, t_dl, p0)
+
+
+def test_highs_runs_only_on_two_or_more_classes(monkeypatch):
+    import fddsim.sparsifier as sp
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("HiGHS path taken on a graph with at most one class")
+
+    monkeypatch.setattr(sp, "formulate_milp", refuse)
+    monkeypatch.setattr(sp, "milp_solve", refuse)
+    # (weights, P0, T_dl, classes, matching size); at T_dl = 1 one beam
+    # misses the floor, and the edgeless graph has no class
+    for w, p0, t_dl, n_cls, size in [(np.ones((3, 2)), 0.0, 2, 1, 2),
+                                     (np.full((3, 2), 0.5), 0.75, 2, 1, 2),
+                                     (np.full((3, 2), 0.5), 0.75, 1, 1, 0),
+                                     (np.zeros((3, 2)), 0.0, 2, 0, 0)]:
+        g = graph_from_matrix(w)
+        plan = solve_sparsification(g, t_dl, p0=p0)
+        assert (plan.n_classes, plan.matching_size, plan.node_count) == (n_cls, size, 0)
+        assert len(plan.beams) == (t_dl if size else 0)
+
+    calls = []
+    monkeypatch.setattr(sp, "formulate_milp", formulate_milp)
+    monkeypatch.setattr(sp, "milp_solve", lambda mip: calls.append(mip) or milp_solve(mip))
+    two = graph_from_matrix([[1.0, 0.0], [0.0, 1.0]])
+    assert len(beam_classes(two, 0.0)) == 2
+    assert solve_sparsification(two, t_dl=1).matching_size == 2
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("t_dl", [8, 16, 24, 32, 48])
+def test_complete_64x8_plan_matches_highs(t_dl):
+    """The acceptance-scale complete graph: the closed form gives HiGHS's
+    plan, the count's strongest beams by power over the selected users."""
+    w = rng_stream(69, 0).uniform(0.5, 2.0, (64, 8))
+    g = graph_from_matrix(w)
+    plan = solve_sparsification(g, t_dl)
+    res = milp_solve(formulate_milp(g, t_dl, 0.0))
+    count, users = int(res.x[0]), np.flatnonzero(res.x[1:9] > 0.5)
+    beams = np.sort(np.argsort(-w[:, users].sum(axis=1), kind="stable")[:count])
+    assert plan.n_classes == 1 and plan.node_count == 0
+    assert plan.beams == beams.tolist() and plan.users == users.tolist() == list(range(8))
+    assert plan.matching_size == round(res.x[9:].sum()) == 8
+    assert abs(plan.objective - res.objective) <= 1e-9
 
 
 def test_brute_force_guard():
