@@ -3,12 +3,11 @@ uplink pilots, active channel sparsification, effective-channel probing
 and zero-forcing sum-rate evaluation."""
 
 from .channel import (AngularScatteringFunction, ArrayConfig, UserGeometry,
-                      array_response, make_scenario, sample_channels,
-                      true_covariance)
+                      make_scenario, sample_channels, true_covariance)
 from .config import ConfigError, ExperimentConfig, parse_config
 from .covariance import (AsfEstimate, ToeplitzCovariance, asf_grid,
                          circulant_eigenvalues, estimate_asf, extrapolate_dl,
-                         project_toeplitz_psd, sample_covariance)
+                         sample_covariance)
 from .errors import FddsimError, InvalidArgumentError, NumericalError
 from .evaluation import (ExperimentRecord, ZfPrecoder, effective_gains,
                          greedy_user_selection, normalized_error,
@@ -17,8 +16,7 @@ from .evaluation import (ExperimentRecord, ZfPrecoder, effective_gains,
 from .probing import (PilotMatrix, dl_observe, error_trace_oracle, make_pilot,
                       mmse_effective)
 from .sparsifier import (BeamGraph, SparsificationPlan, SparsifyingPrecoder,
-                         brute_force_sparsify, build_beam_graph,
-                         formulate_milp, solve_sparsification,
+                         build_beam_graph, formulate_milp, solve_sparsification,
                          sparsifying_precoder)
 
 __version__ = "0.1.0"

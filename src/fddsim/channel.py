@@ -8,7 +8,6 @@ see array responses whose phases differ by the carrier ratio alpha.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,17 +86,6 @@ class UserGeometry:
             raise InvalidArgumentError("user cluster indices must be distinct")
 
 
-def array_response(cfg: ArrayConfig, theta: float, band: str) -> np.ndarray:
-    """Length-M steering vector; DL phases are the UL ones scaled by alpha."""
-    if abs(theta) > cfg.theta_max + 1e-12:
-        raise InvalidArgumentError(f"theta {theta} outside +-theta_max {cfg.theta_max}")
-    xi = np.sin(theta) / np.sin(cfg.theta_max)
-    scale = 1.0 if band == "ul" else cfg.alpha
-    if band not in ("ul", "dl"):
-        raise InvalidArgumentError(f"band must be 'ul' or 'dl', got {band!r}")
-    return np.exp(1j * np.pi * scale * xi * np.arange(cfg.m))
-
-
 def true_covariance(cfg: ArrayConfig, asf: AngularScatteringFunction,
                     band: str) -> ToeplitzCovariance:
     """Exact covariance: first column is the ASF transform sampled at
@@ -106,7 +94,7 @@ def true_covariance(cfg: ArrayConfig, asf: AngularScatteringFunction,
         raise InvalidArgumentError(f"band must be 'ul' or 'dl', got {band!r}")
     scale = 1.0 if band == "ul" else cfg.alpha
     col = asf.fourier(scale * np.arange(cfg.m))
-    return ToeplitzCovariance(first_column=col, band=band)
+    return ToeplitzCovariance(first_column=col)
 
 
 def sample_channels(cfg: ArrayConfig, asf: AngularScatteringFunction,
@@ -153,27 +141,3 @@ def make_scenario(n_clusters: int, cluster_width: float, k: int, seed,
         users.append(UserGeometry(cluster_indices=(int(i1), int(i2)), asf=asf))
     return clusters, users
 
-
-def scenario_to_json(clusters, users, seed: int, cluster_width: float,
-                     normalized: bool) -> str:
-    return json.dumps({
-        "clusters": [[a, b] for (a, b) in clusters],
-        "users": [list(u.cluster_indices) for u in users],
-        "seed": seed,
-        "cluster_width": cluster_width,
-        "normalized": normalized,
-    }, indent=2)
-
-
-def scenario_from_json(text: str):
-    data = json.loads(text)
-    clusters = [tuple(c) for c in data["clusters"]]
-    w = data["cluster_width"]
-    density = 1.0 / (2.0 * w) if data["normalized"] else 1.0
-    users = []
-    for idx in data["users"]:
-        asf = AngularScatteringFunction(
-            intervals=[clusters[i] + (density,) for i in idx],
-            normalized=data["normalized"])
-        users.append(UserGeometry(cluster_indices=tuple(idx), asf=asf))
-    return clusters, users

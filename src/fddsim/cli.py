@@ -56,8 +56,7 @@ def _cmd_extrapolate(args) -> int:
     arr, users = trial_scenario(cfg, 0)
     est, c_dl, lam = estimate_user_pipeline(cfg, arr, users[args.user].asf, 0, args.user)
     # the UL covariance of the fitted angular measure
-    c_ul = ToeplitzCovariance(first_column=grid_matrix(est.m, est.xi) @ est.weights,
-                              band="ul")
+    c_ul = ToeplitzCovariance(first_column=grid_matrix(est.m, est.xi) @ est.weights)
 
     os.makedirs(args.outdir, exist_ok=True)
     export_covariance_csv(c_ul, os.path.join(args.outdir, "c_ul_hat.csv"))

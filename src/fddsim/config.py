@@ -16,7 +16,7 @@ List values are comma separated. Example::
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .channel import DEFAULT_ALPHA
 from .errors import InvalidArgumentError

@@ -1,27 +1,22 @@
 """Covariance pipeline: UL sample covariance, angular power estimation by
-weighted NNLS, and UL-to-DL extrapolation.
+weighted NNLS (SciPy's Lawson-Hanson), and UL-to-DL extrapolation.
 
 The covariance of a uniform linear array is Hermitian Toeplitz, so it is
-carried around as its first column plus a band tag. The DL covariance is PSD
-by construction and its beam spectrum is one FFT of that column. The
-Dykstra Toeplitz-PSD projection is kept as a reference for the estimator.
+carried around as its first column. The DL covariance is PSD by
+construction and its beam spectrum is one FFT of that column.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import nnls as _scipy_nnls
 
-from .errors import InvalidArgumentError
-from .numerics import psd_project, toeplitz_average, toeplitz_from_column
-from .opt import nnls
-
-DYKSTRA_TOL = 1e-8
-DYKSTRA_MAX_ITER = 5000
+from .errors import InvalidArgumentError, NumericalError
+from .numerics import toeplitz_from_column
 
 
 @dataclass
@@ -29,12 +24,9 @@ class ToeplitzCovariance:
     """Hermitian PSD Toeplitz covariance, stored as its first column."""
 
     first_column: np.ndarray
-    band: str  # "ul" or "dl"
 
     def __post_init__(self):
         self.first_column = np.asarray(self.first_column, dtype=complex)
-        if self.band not in ("ul", "dl"):
-            raise InvalidArgumentError(f"band must be 'ul' or 'dl', got {self.band!r}")
         if self.first_column.real[0] < -1e-12 * max(abs(self.first_column[0]), 1.0):
             raise InvalidArgumentError("covariance diagonal entry must be nonnegative")
 
@@ -65,47 +57,11 @@ def sample_covariance(y: np.ndarray, sigma2: float) -> np.ndarray:
     return c - sigma2 * np.eye(y.shape[0])
 
 
-def project_toeplitz_psd(a: np.ndarray, band: str = "ul",
-                         tol: float = DYKSTRA_TOL,
-                         max_iter: int = DYKSTRA_MAX_ITER) -> ToeplitzCovariance:
-    """Frobenius projection onto the Toeplitz Hermitian PSD cone.
-
-    Dykstra's alternating projections between the Hermitian Toeplitz
-    subspace and the PSD cone; this converges to the exact projection onto
-    their intersection. Stops when the successive-iterate change drops
-    below tol * ||A||_F.
-    """
-    a = np.asarray(a, dtype=complex)
-    scale = max(np.linalg.norm(a), 1e-300)
-    x = 0.5 * (a + a.conj().T)
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
-    converged = False
-    for _ in range(max_iter):
-        y = toeplitz_from_column(toeplitz_average(x + p))
-        p = x + p - y
-        x_prev = x
-        x = psd_project(y + q)
-        q = y + q - x
-        if (np.linalg.norm(x - x_prev) < tol * scale
-                and np.linalg.norm(x - y) < tol * scale):
-            converged = True
-            break
-    if not converged:
-        warnings.warn("project_toeplitz_psd: iteration cap reached before the "
-                      "residual tolerance; returning the last iterate",
-                      RuntimeWarning)
-    col = toeplitz_average(x)
-    col[0] = max(col[0].real, 0.0)
-    return ToeplitzCovariance(first_column=col, band=band)
-
-
 @dataclass
 class AsfEstimate:
     """Discrete angular power estimate on a uniform grid in xi = sin(theta)/sin(theta_max)."""
 
     xi: np.ndarray       # grid points, strictly increasing in [-1, 1)
-    theta: np.ndarray    # corresponding angles
     weights: np.ndarray  # NNLS solution w.r.t. the 1/sqrt(M)-normalized grid matrix
     m: int               # antenna count of the originating array
 
@@ -115,11 +71,9 @@ class AsfEstimate:
         return self.weights / np.sqrt(self.m)
 
 
-def asf_grid(g: int, theta_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform xi grid of size g and the matching angle grid."""
-    xi = -1.0 + 2.0 * np.arange(g) / g
-    theta = np.arcsin(xi * np.sin(theta_max))
-    return xi, theta
+def asf_grid(g: int) -> np.ndarray:
+    """Uniform xi grid of size g."""
+    return -1.0 + 2.0 * np.arange(g) / g
 
 
 def grid_matrix(m: int, xi: np.ndarray) -> np.ndarray:
@@ -127,7 +81,7 @@ def grid_matrix(m: int, xi: np.ndarray) -> np.ndarray:
     return np.exp(1j * np.pi * np.outer(np.arange(m), xi)) / np.sqrt(m)
 
 
-def estimate_asf(c_ul: np.ndarray, cfg, grid_size: int | None = None) -> AsfEstimate:
+def estimate_asf(c_ul: np.ndarray, grid_size: int | None = None) -> AsfEstimate:
     """Nonnegative grid weights whose UL covariance column best matches c_ul.
 
     Solves min sum_d n_d |(G z)_d - c_ul[d]|^2 over z >= 0, with
@@ -143,11 +97,33 @@ def estimate_asf(c_ul: np.ndarray, cfg, grid_size: int | None = None) -> AsfEsti
     g = 4 * m if grid_size is None else int(grid_size)
     if g < m:
         raise InvalidArgumentError(f"grid size {g} must be at least M={m}")
-    xi, theta = asf_grid(g, cfg.theta_max)
+    xi = asf_grid(g)
     a, row_w = _asf_system(m, xi.tobytes())
     b = np.concatenate([c_ul.real, c_ul.imag]) * row_w
     z = nnls(a, b)
-    return AsfEstimate(xi=xi, theta=theta, weights=z, m=m)
+    return AsfEstimate(xi=xi, weights=z, m=m)
+
+
+def nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Minimize ||A z - b|| over z >= 0 (SciPy's Lawson-Hanson active set).
+
+    The active-set iterations are capped at 10 * n for n columns (SciPy's
+    default of 3 * n is too few for fine angle grids); reaching the cap
+    raises NumericalError.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim != 2 or a.shape[1] < 1:
+        raise InvalidArgumentError("nnls: A must be a matrix with at least one column")
+    if b.shape != (a.shape[0],):
+        raise InvalidArgumentError("nnls: b length must match the rows of A")
+
+    max_iter = 10 * a.shape[1]
+    try:
+        z, _ = _scipy_nnls(a, b, maxiter=max_iter)
+    except RuntimeError as exc:
+        raise NumericalError(f"nnls: iteration cap {max_iter} exceeded") from exc
+    return z
 
 
 # The estimator's fixed matrices depend only on the array size, the grid
@@ -176,7 +152,7 @@ def extrapolate_dl(asf: AsfEstimate, cfg) -> ToeplitzCovariance:
         raise InvalidArgumentError("extrapolate_dl: angular measure weights must be nonnegative")
     exps = _dl_resampling(asf.m, np.ascontiguousarray(asf.xi, dtype=float).tobytes(),
                           cfg.alpha)
-    return ToeplitzCovariance(first_column=exps @ w.astype(complex), band="dl")
+    return ToeplitzCovariance(first_column=exps @ w.astype(complex))
 
 
 @functools.lru_cache(maxsize=4)

@@ -174,7 +174,7 @@ def estimate_user_pipeline(cfg: ExperimentConfig, arr: ArrayConfig, user_asf,
         noise = np.sqrt(cfg.ul_sigma2) * gaussian_complex(
             arr.m * cfg.n_ul, cfg.seed, trial, k, _UL_NOISE).reshape(arr.m, cfg.n_ul)
         c_ul_hat = toeplitz_average(sample_covariance(h_ul + noise, cfg.ul_sigma2))
-    asf_est = estimate_asf(c_ul_hat, arr, grid_size=cfg.grid_factor * arr.m)
+    asf_est = estimate_asf(c_ul_hat, grid_size=cfg.grid_factor * arr.m)
     c_dl_hat = extrapolate_dl(asf_est, arr)
     return asf_est, c_dl_hat, circulant_eigenvalues(c_dl_hat)
 

@@ -72,10 +72,6 @@ class HermitianEig:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # unitary, columns are eigenvectors
 
-    def reconstruct(self) -> np.ndarray:
-        u = self.eigenvectors
-        return (u * self.eigenvalues) @ u.conj().T
-
 
 def hermitian_eig(a: np.ndarray) -> HermitianEig:
     """Eigendecomposition of a Hermitian matrix (ascending eigenvalues)."""
@@ -87,15 +83,6 @@ def hermitian_eig(a: np.ndarray) -> HermitianEig:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh rarely fails
         raise NumericalError(f"hermitian_eig did not converge: {exc}") from exc
     return HermitianEig(eigenvalues=w, eigenvectors=u)
-
-
-def psd_project(a: np.ndarray) -> np.ndarray:
-    """Frobenius-nearest PSD matrix: clip negative eigenvalues at zero."""
-    eig = hermitian_eig(a)
-    w = np.maximum(eig.eigenvalues, 0.0)
-    u = eig.eigenvectors
-    out = (u * w) @ u.conj().T
-    return 0.5 * (out + out.conj().T)
 
 
 def toeplitz_average(a: np.ndarray) -> np.ndarray:

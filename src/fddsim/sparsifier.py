@@ -7,21 +7,23 @@ the matching size of the selected subgraph (= effective channel rank with
 probability 1) is maximized. The selection is solved exactly as a MILP
 with one integer count per class of interchangeable beams, binary user
 indicators and a continuous matching block that is integral by total
-unimodularity of bipartite b-matching; the plan takes the strongest beams
-of each class. With at most one class, as on a complete graph with P0 = 0,
-the program's optimum has a closed form and HiGHS is not called.
+unimodularity of bipartite b-matching, by SciPy's HiGHS; the plan takes
+the strongest beams of each class, and SciPy's maximum bipartite matching
+certifies its size. With at most one class, as on a complete graph with
+P0 = 0, the program's optimum has a closed form and HiGHS is not called.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
-from .errors import InvalidArgumentError
-from .opt import LinearProgram, MixedIntegerProgram, max_matching, milp_solve
+from .errors import InvalidArgumentError, NumericalError
 
 DEFAULT_TH_REL = 1e-2
 DEFAULT_EPSILON_FACTOR = 0.5  # epsilon = factor / n_beams, must stay below 1
@@ -32,8 +34,7 @@ class BeamGraph:
     """M x K bipartite graph: adjacency from thresholding beam powers."""
 
     weights: np.ndarray    # nonnegative, weights[m, k] = beam power of user k
-    adjacency: np.ndarray  # boolean, weights > threshold
-    threshold: float
+    adjacency: np.ndarray  # boolean, weights > th_rel * max(weights)
 
     @property
     def n_beams(self) -> int:
@@ -57,8 +58,7 @@ def build_beam_graph(spectra, th_rel: float = DEFAULT_TH_REL) -> BeamGraph:
     if not th_rel >= 0:
         raise InvalidArgumentError(f"build_beam_graph: th_rel {th_rel} must be nonnegative")
     th = th_rel * float(w.max()) if w.size else 0.0
-    adjacency = w > th
-    return BeamGraph(weights=w, adjacency=adjacency, threshold=th)
+    return BeamGraph(weights=w, adjacency=w > th)
 
 
 @dataclass
@@ -103,16 +103,33 @@ def beam_classes(g: BeamGraph, p0: float) -> list:
 
 
 @dataclass
-class SelectionMilp(MixedIntegerProgram):
-    """The selection MILP together with its beam classes: ``classes[c]``
-    holds the beams whose count is variable c."""
+class SelectionMilp:
+    """The selection MILP: max c.x subject to A x <= b and 0 <= x <= upper,
+    with the first ``n_int`` variables integer. ``classes[c]`` holds the
+    beams whose count is variable c."""
 
-    classes: list = field(default_factory=list)
+    c: np.ndarray
+    a: sparse.csr_array
+    b: np.ndarray
+    upper: np.ndarray
+    n_int: int
+    classes: list
 
     def to_debug_text(self) -> str:
-        head = [f"# class {c}: beams {' '.join(map(str, beams))}"
-                for c, beams in enumerate(self.classes)]
-        return "\n".join(head + [super().to_debug_text()])
+        """Plain-text dump: the beam classes, then one row per line."""
+        lines = [f"# class {c}: beams {' '.join(map(str, beams))}"
+                 for c, beams in enumerate(self.classes)]
+        lines.append("maximize " + " + ".join(f"{cj:g}*x{j}" for j, cj in enumerate(self.c)
+                                              if cj))
+        a = self.a
+        for i, rhs in enumerate(self.b):
+            row = slice(a.indptr[i], a.indptr[i + 1])
+            terms = " + ".join(f"{v:g}*x{j}" for j, v in zip(a.indices[row], a.data[row]))
+            lines.append(f"  {terms or '0'} <= {rhs:g}")
+        for j, hi in enumerate(self.upper):
+            kind = "int" if j < self.n_int else "cont"
+            lines.append(f"  x{j} in [0.0, {float(hi)}] ({kind})")
+        return "\n".join(lines)
 
 
 def _checked_epsilon(m: int, t_dl: int, p0: float, epsilon: float | None) -> float:
@@ -184,8 +201,47 @@ def formulate_milp(g: BeamGraph, t_dl: int, p0: float, epsilon: float | None = N
     c = np.concatenate([np.full(n_cls, epsilon), np.zeros(k), np.ones(n_cls * k)])
     b = np.concatenate([np.zeros(n_cls + k), degree, np.zeros(k + n_cls)])
     upper = np.concatenate([size, np.ones(k), a])  # z <= A pins non-edges at 0
-    return SelectionMilp(lp=LinearProgram(c=c, a=a_ub, b=b, upper=upper),
-                         n_int=n_cls + k, classes=classes)
+    return SelectionMilp(c=c, a=a_ub, b=b, upper=upper, n_int=n_cls + k, classes=classes)
+
+
+def milp_solve(mip: SelectionMilp) -> tuple[np.ndarray, int, float]:
+    """Solve the selection MILP with HiGHS: (x with the integer block
+    rounded, branch-and-bound node count, relative MIP gap).
+
+    Every right-hand side and upper bound is nonnegative, so x = 0 is
+    feasible and the program is bounded: any status but optimal is a
+    solver failure and raises NumericalError. Deterministic for fixed
+    inputs.
+    """
+    integrality = np.zeros(mip.c.size)
+    integrality[:mip.n_int] = 1
+    res = milp(c=-mip.c, constraints=LinearConstraint(mip.a, -np.inf, mip.b),
+               integrality=integrality, bounds=Bounds(0.0, mip.upper))
+    if res.status != 0 or res.x is None:
+        raise NumericalError(f"MILP solver failed: {res.message}")
+    x = res.x
+    x[:mip.n_int] = np.round(x[:mip.n_int])
+    return x, int(res.mip_node_count), float(res.mip_gap)
+
+
+def max_matching(adjacency: np.ndarray) -> int:
+    """Size of a maximum matching of the bipartite graph whose rows and
+    columns are the two vertex sets and whose True entries are the edges.
+
+    Runs ``scipy.sparse.csgraph.maximum_bipartite_matching`` (Hopcroft-Karp),
+    which stops only when no augmenting path exists, so the size is maximum.
+    """
+    a = np.asarray(adjacency)
+    if a.dtype != bool or a.ndim != 2:
+        raise InvalidArgumentError("max_matching: adjacency must be a 2-D boolean array")
+    # CSR straight from the mask: row pointers from the row sums, column
+    # indices in row-major order (cheaper than converting a dense array)
+    indptr = np.concatenate(([0], np.cumsum(a.sum(axis=1))))
+    indices = np.nonzero(a)[1]
+    graph = sparse.csr_array((np.ones(indices.size, dtype=bool), indices, indptr),
+                             shape=a.shape)
+    match = maximum_bipartite_matching(graph, perm_type="column")
+    return int(np.count_nonzero(match >= 0))
 
 
 def _one_class_optimum(g: BeamGraph, classes: list, t_dl: int, p0: float, epsilon: float):
@@ -230,15 +286,11 @@ def solve_sparsification(g: BeamGraph, t_dl: int, p0: float = 0.0,
         counts, users, size, objective = _one_class_optimum(g, classes, t_dl, p0, epsilon)
         node_count, gap = 0, 0.0
     else:
-        res = milp_solve(formulate_milp(g, t_dl, p0, epsilon, classes=classes))
-        if res.x is None:
-            return SparsificationPlan(beams=[], users=[], matching_size=0, objective=0.0,
-                                      node_count=res.node_count, gap=res.gap,
-                                      n_classes=n_cls)
-        counts = res.x[:n_cls].astype(int)
-        users = np.flatnonzero(res.x[n_cls:n_cls + k] > 0.5)
-        size, objective = res.x[n_cls + k:].sum(), res.objective
-        node_count, gap = res.node_count, res.gap
+        mip = formulate_milp(g, t_dl, p0, epsilon, classes=classes)
+        x, node_count, gap = milp_solve(mip)
+        counts = x[:n_cls].astype(int)
+        users = np.flatnonzero(x[n_cls:n_cls + k] > 0.5)
+        size, objective = x[n_cls + k:].sum(), mip.c @ x
 
     power = (g.weights * g.adjacency)[:, users].sum(axis=1)
     beams = np.sort(np.concatenate(
@@ -277,39 +329,6 @@ def _validate_plan(g: BeamGraph, plan: SparsificationPlan, t_dl: int, p0: float)
     isolated = ~sub.any(axis=1)
     if isolated.any():
         raise InvalidArgumentError(f"plan contains isolated beam {beams[np.argmax(isolated)]}")
-
-
-def brute_force_sparsify(g: BeamGraph, t_dl: int, p0: float = 0.0) -> SparsificationPlan:
-    """Exact optimum by enumeration; test oracle for small instances.
-
-    For each beam subset, the best user set is exactly the set of users
-    that are individually feasible (degree and power are per-user), so only
-    beam subsets need enumeration.
-    """
-    m, k = g.n_beams, g.n_users
-    active = [bm for bm in range(m) if g.adjacency[bm].any()]
-    if len(active) + k > 14:
-        raise InvalidArgumentError("brute_force_sparsify: instance too large")
-    a = g.adjacency
-    w = g.weights
-    best = SparsificationPlan(beams=[], users=[], matching_size=0,
-                              objective=0.0, node_count=0)
-    for mask in range(1 << len(active)):
-        beams = [active[i] for i in range(len(active)) if mask >> i & 1]
-        sel = np.zeros(m, dtype=bool)
-        sel[beams] = True
-        deg = (a & sel[:, None]).sum(axis=0)
-        power = (w * (a & sel[:, None])).sum(axis=0)
-        users = [uk for uk in range(k)
-                 if 1 <= deg[uk] <= t_dl and power[uk] >= p0]
-        sub = a[np.ix_(beams, users)]
-        size = max_matching(sub)
-        if size > best.matching_size:
-            best = SparsificationPlan(beams=[bm for bm, r in zip(beams, sub) if r.any()],
-                                      users=[uk for uk, c in zip(users, sub.T) if c.any()],
-                                      matching_size=size, objective=float(size),
-                                      node_count=0)
-    return best
 
 
 @dataclass

@@ -1,7 +1,10 @@
 """Self-check suites tying the solvers to independent oracles.
 
 Each suite returns a SuiteResult; the CLI ``validate`` subcommand prints a
-pass/fail table and the acceptance tests assert on the same functions.
+pass/fail table and the acceptance tests assert on the same functions. The
+reference code the suites check against lives here too: the Dykstra
+Toeplitz-PSD projection, which the angular fit replaces in the pipeline,
+and the enumeration oracle for beam/user selection.
 """
 
 from __future__ import annotations
@@ -13,13 +16,17 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .channel import AngularScatteringFunction, ArrayConfig, true_covariance
-from .covariance import circulant_eigenvalues, project_toeplitz_psd
+from .covariance import ToeplitzCovariance, circulant_eigenvalues, nnls
+from .errors import InvalidArgumentError
 from .numerics import (dft_matrix, gaussian_complex, hermitian_eig,
-                       numerical_rank, rng_stream)
-from .opt import max_matching, nnls
+                       numerical_rank, rng_stream, toeplitz_average,
+                       toeplitz_from_column)
 from .probing import PilotMatrix, error_trace_oracle, make_pilot, mmse_effective
-from .sparsifier import (BeamGraph, SparsifyingPrecoder, brute_force_sparsify,
-                         formulate_milp, solve_sparsification)
+from .sparsifier import (BeamGraph, SparsificationPlan, SparsifyingPrecoder,
+                         formulate_milp, max_matching, solve_sparsification)
+
+DYKSTRA_TOL = 1e-8
+DYKSTRA_MAX_ITER = 5000
 
 
 @dataclass
@@ -33,8 +40,7 @@ def random_beam_graph(rng: np.random.Generator, n_beams: int, n_users: int,
                       edge_prob: float = 0.5) -> BeamGraph:
     adjacency = rng.random((n_beams, n_users)) < edge_prob
     weights = np.where(adjacency, rng.random((n_beams, n_users)) + 0.05, 0.0)
-    th = 0.0 if not adjacency.any() else float(weights[adjacency].min()) / 2.0
-    return BeamGraph(weights=weights, adjacency=adjacency, threshold=th)
+    return BeamGraph(weights=weights, adjacency=adjacency)
 
 
 def suite_rank_matching(n_trials: int = 1000, size: int = 8, seed: int = 2024) -> SuiteResult:
@@ -49,6 +55,39 @@ def suite_rank_matching(n_trials: int = 1000, size: int = 8, seed: int = 2024) -
         hits += numerical_rank(mat) == max_matching(mask)
     return SuiteResult("rank-matching", hits == n_trials,
                        f"{hits}/{n_trials} masked matrices with rank == matching")
+
+
+def brute_force_sparsify(g: BeamGraph, t_dl: int, p0: float = 0.0) -> SparsificationPlan:
+    """Exact optimum by enumeration; test oracle for small instances.
+
+    For each beam subset, the best user set is exactly the set of users
+    that are individually feasible (degree and power are per-user), so only
+    beam subsets need enumeration.
+    """
+    m, k = g.n_beams, g.n_users
+    active = [bm for bm in range(m) if g.adjacency[bm].any()]
+    if len(active) + k > 14:
+        raise InvalidArgumentError("brute_force_sparsify: instance too large")
+    a = g.adjacency
+    w = g.weights
+    best = SparsificationPlan(beams=[], users=[], matching_size=0,
+                              objective=0.0, node_count=0)
+    for mask in range(1 << len(active)):
+        beams = [active[i] for i in range(len(active)) if mask >> i & 1]
+        sel = np.zeros(m, dtype=bool)
+        sel[beams] = True
+        deg = (a & sel[:, None]).sum(axis=0)
+        power = (w * (a & sel[:, None])).sum(axis=0)
+        users = [uk for uk in range(k)
+                 if 1 <= deg[uk] <= t_dl and power[uk] >= p0]
+        sub = a[np.ix_(beams, users)]
+        size = max_matching(sub)
+        if size > best.matching_size:
+            best = SparsificationPlan(beams=[bm for bm, r in zip(beams, sub) if r.any()],
+                                      users=[uk for uk, c in zip(users, sub.T) if c.any()],
+                                      matching_size=size, objective=float(size),
+                                      node_count=0)
+    return best
 
 
 def _random_selection_instances(n_instances: int, seed: int):
@@ -99,14 +138,13 @@ def fixed_selector_deviations(g: BeamGraph, t_dl: int, p0: float, plan,
     b-matching polytope, whose vertices are integral.
     """
     mip = formulate_milp(g, t_dl, p0)
-    lp = mip.lp
     nz = len(mip.classes) + g.n_users
     devs = []
     for beams, users in _selector_points(g, t_dl, p0, plan, rng, n_random):
         counts = np.array([beams[cls].sum() for cls in mip.classes], dtype=float)
-        lo, hi = np.zeros(lp.n_vars), lp.upper.copy()
+        lo, hi = np.zeros(mip.c.size), mip.upper.copy()
         lo[:nz] = hi[:nz] = np.concatenate([counts, users])
-        res = linprog(-lp.c, A_ub=lp.a, b_ub=lp.b, bounds=np.column_stack([lo, hi]),
+        res = linprog(-mip.c, A_ub=mip.a, b_ub=mip.b, bounds=np.column_stack([lo, hi]),
                       method="highs")
         if res.status != 0:
             devs.append(np.inf)
@@ -236,6 +274,49 @@ def suite_szego(m_values=(16, 32, 64, 128)) -> SuiteResult:
     ok = all(b < a for a, b in zip(errs, errs[1:]))
     detail = ", ".join(f"M={m}: {e:.4f}" for m, e in zip(m_values, errs))
     return SuiteResult("szego-convergence", ok, detail)
+
+
+def psd_project(a: np.ndarray) -> np.ndarray:
+    """Frobenius-nearest PSD matrix: clip negative eigenvalues at zero."""
+    eig = hermitian_eig(a)
+    w = np.maximum(eig.eigenvalues, 0.0)
+    u = eig.eigenvectors
+    out = (u * w) @ u.conj().T
+    return 0.5 * (out + out.conj().T)
+
+
+def project_toeplitz_psd(a: np.ndarray, tol: float = DYKSTRA_TOL,
+                         max_iter: int = DYKSTRA_MAX_ITER) -> ToeplitzCovariance:
+    """Frobenius projection onto the Toeplitz Hermitian PSD cone.
+
+    Dykstra's alternating projections between the Hermitian Toeplitz
+    subspace and the PSD cone; this converges to the exact projection onto
+    their intersection. Stops when the successive-iterate change drops
+    below tol * ||A||_F.
+    """
+    a = np.asarray(a, dtype=complex)
+    scale = max(np.linalg.norm(a), 1e-300)
+    x = 0.5 * (a + a.conj().T)
+    p = np.zeros_like(x)
+    q = np.zeros_like(x)
+    converged = False
+    for _ in range(max_iter):
+        y = toeplitz_from_column(toeplitz_average(x + p))
+        p = x + p - y
+        x_prev = x
+        x = psd_project(y + q)
+        q = y + q - x
+        if (np.linalg.norm(x - x_prev) < tol * scale
+                and np.linalg.norm(x - y) < tol * scale):
+            converged = True
+            break
+    if not converged:
+        warnings.warn("project_toeplitz_psd: iteration cap reached before the "
+                      "residual tolerance; returning the last iterate",
+                      RuntimeWarning)
+    col = toeplitz_average(x)
+    col[0] = max(col[0].real, 0.0)
+    return ToeplitzCovariance(first_column=col)
 
 
 def _random_cone_columns(rng: np.random.Generator, m: int, n_samples: int,

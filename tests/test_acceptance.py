@@ -92,7 +92,7 @@ def test_acceptance_05_dl_extrapolation_fidelity():
     asf = AngularScatteringFunction(
         intervals=[(-0.55, -0.35, 2.5), (0.25, 0.45, 2.5)], normalized=True)
     c_ul = true_covariance(arr, asf, "ul").first_column
-    est = estimate_asf(c_ul, arr, grid_size=8 * arr.m)
+    est = estimate_asf(c_ul, grid_size=8 * arr.m)
     c_dl_hat = extrapolate_dl(est, arr).matrix()
     c_dl = true_covariance(arr, asf, "dl").matrix()
     rel = float(np.linalg.norm(c_dl_hat - c_dl) / np.linalg.norm(c_dl))

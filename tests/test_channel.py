@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from fddsim.channel import (AngularScatteringFunction, ArrayConfig,
-                            UserGeometry, array_response, make_scenario,
-                            sample_channels, scenario_from_json,
-                            scenario_to_json, true_covariance)
+                            UserGeometry, make_scenario, sample_channels,
+                            true_covariance)
 from fddsim.covariance import circulant_eigenvalues
 from fddsim.errors import InvalidArgumentError
 
@@ -58,35 +57,6 @@ def test_asf_fourier_point_mass():
     x = np.array([0.0, 1.0, 2.0])
     np.testing.assert_allclose(asf.fourier(x), 2.0 * np.exp(1j * np.pi * 0.25 * x),
                                atol=1e-14)
-
-
-# -------------------------------------------------------------- array response
-
-def test_array_response_broadside():
-    cfg = ArrayConfig(m=8)
-    np.testing.assert_allclose(array_response(cfg, 0.0, "ul"), np.ones(8))
-    np.testing.assert_allclose(array_response(cfg, 0.0, "dl"), np.ones(8))
-
-
-def test_array_response_edge_of_sector():
-    cfg = ArrayConfig(m=6)
-    a = array_response(cfg, cfg.theta_max, "ul")
-    np.testing.assert_allclose(a, (-1.0 + 0j) ** np.arange(6), atol=1e-12)
-
-
-def test_array_response_alpha_one_degeneracy():
-    cfg = ArrayConfig(m=5, alpha=1.0)
-    theta = 0.31
-    np.testing.assert_allclose(array_response(cfg, theta, "ul"),
-                               array_response(cfg, theta, "dl"), atol=1e-14)
-
-
-def test_array_response_rejects_out_of_sector():
-    cfg = ArrayConfig(m=4)
-    with pytest.raises(InvalidArgumentError):
-        array_response(cfg, cfg.theta_max + 0.1, "ul")
-    with pytest.raises(InvalidArgumentError):
-        array_response(cfg, 0.0, "sideways")
 
 
 # ------------------------------------------------------------- true covariance
@@ -210,19 +180,6 @@ def test_make_scenario_rejects_bad_args():
         make_scenario(1, 0.2, 3, 1)
     with pytest.raises(InvalidArgumentError):
         make_scenario(3, 0.8, 3, 1)
-
-
-def test_scenario_json_roundtrip():
-    clusters, users = make_scenario(3, 0.2, 4, 17, 0)
-    text = scenario_to_json(clusters, users, seed=17, cluster_width=0.2,
-                            normalized=True)
-    c2, u2 = scenario_from_json(text)
-    assert [tuple(np.round(c, 12)) for c in c2] == \
-           [tuple(np.round(c, 12)) for c in clusters]
-    assert [u.cluster_indices for u in u2] == [u.cluster_indices for u in users]
-    for ua, ub in zip(users, u2):
-        np.testing.assert_allclose(ua.asf.fourier(np.arange(4.0)),
-                                   ub.asf.fourier(np.arange(4.0)), atol=1e-12)
 
 
 def test_user_geometry_distinct_clusters():

@@ -103,7 +103,14 @@ maximize 0.166667*x0 + 0.166667*x1 + 1*x4 + 1*x5 + 1*x6 + 1*x7
   x7 in [0.0, 1.0] (cont)"""
 
 
-def test_sparsify_plan_and_milp_dump(tmp_path, capsys):
+def test_sparsify_plan_and_milp_dump(tmp_path, capsys, monkeypatch):
+    """The plan and the dumped program; the dump is formulated apart from
+    the solver, and on this input (two classes, so HiGHS runs) it is the
+    text of the program that HiGHS receives."""
+    import fddsim.sparsifier as sp
+    solved = []
+    solve = sp.milp_solve
+    monkeypatch.setattr(sp, "milp_solve", lambda mip: solved.append(mip) or solve(mip))
     spectra = tmp_path / "w.csv"
     np.savetxt(spectra, np.array([[1.0, 0.0], [0.8, 0.9], [0.6, 0.7]]),
                delimiter=",")
@@ -120,7 +127,8 @@ def test_sparsify_plan_and_milp_dump(tmp_path, capsys):
                                    "node_count", "gap", "n_classes", "approximate"])
     assert plan["approximate"] is False
     assert "2 beam classes" in capsys.readouterr().err
-    assert milp_path.read_text() == GOLDEN_MILP_3X2
+    assert len(solved) == 1
+    assert solved[0].to_debug_text() == milp_path.read_text() == GOLDEN_MILP_3X2
 
 
 @pytest.mark.parametrize("command", ["simulate", "extrapolate"])

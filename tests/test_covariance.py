@@ -13,13 +13,13 @@ from fddsim.config import ExperimentConfig
 from fddsim.covariance import (ToeplitzCovariance, asf_grid,
                                circulant_eigenvalues, estimate_asf,
                                export_covariance_csv, export_spectrum_csv,
-                               extrapolate_dl, grid_matrix,
-                               project_toeplitz_psd, sample_covariance)
+                               extrapolate_dl, grid_matrix, nnls,
+                               sample_covariance)
 from fddsim.errors import InvalidArgumentError
 from fddsim.evaluation import estimate_user_pipeline, trial_scenario
 from fddsim.numerics import (dft_matrix, gaussian_complex, rng_stream,
                              toeplitz_from_column)
-from fddsim.opt import nnls
+from fddsim.validate import project_toeplitz_psd
 
 TWO_CLUSTER = AngularScatteringFunction(
     intervals=[(-0.55, -0.35, 2.5), (0.25, 0.45, 2.5)], normalized=True)
@@ -111,19 +111,16 @@ def test_project_variational_characterization():
 
 def test_toeplitz_covariance_invariants():
     with pytest.raises(InvalidArgumentError):
-        ToeplitzCovariance(first_column=np.array([-1.0, 0.0]), band="ul")
-    with pytest.raises(InvalidArgumentError):
-        ToeplitzCovariance(first_column=np.array([1.0]), band="sideways")
-    cov = ToeplitzCovariance(first_column=np.array([2.0, 1.0]), band="ul")
+        ToeplitzCovariance(first_column=np.array([-1.0, 0.0]))
+    cov = ToeplitzCovariance(first_column=np.array([2.0, 1.0]))
     assert cov.m == 2 and abs(cov.trace - 4.0) < 1e-14
 
 
 # --------------------------------------------------------------- ASF estimation
 
 def test_estimate_asf_point_source_at_zero():
-    cfg = ArrayConfig(m=16)
     c_ul = np.ones(16, dtype=complex)  # point source at xi = 0
-    est = estimate_asf(c_ul, cfg)
+    est = estimate_asf(c_ul)
     total = est.measure_weights.sum()
     center = np.argmin(np.abs(est.xi))
     window = est.measure_weights[max(0, center - 2):center + 3].sum()
@@ -131,18 +128,16 @@ def test_estimate_asf_point_source_at_zero():
 
 
 def test_estimate_asf_uniform_residual():
-    cfg = ArrayConfig(m=12)
     c_ul = np.zeros(12, dtype=complex)
     c_ul[0] = 1.0
-    est = estimate_asf(c_ul, cfg)
+    est = estimate_asf(c_ul)
     gm = grid_matrix(12, est.xi)
     assert np.linalg.norm(gm @ est.weights - c_ul) <= 1e-6
 
 
 def test_estimate_asf_grid_too_small():
-    cfg = ArrayConfig(m=8)
     with pytest.raises(InvalidArgumentError):
-        estimate_asf(np.ones(8, dtype=complex), cfg, grid_size=4)
+        estimate_asf(np.ones(8, dtype=complex), grid_size=4)
 
 
 def test_estimate_asf_residual_decreases_with_grid():
@@ -150,7 +145,7 @@ def test_estimate_asf_residual_decreases_with_grid():
     c_ul = true_covariance(cfg, TWO_CLUSTER, "ul").first_column
     residuals = []
     for factor in (2, 4, 8):
-        est = estimate_asf(c_ul, cfg, grid_size=factor * 16)
+        est = estimate_asf(c_ul, grid_size=factor * 16)
         gm = grid_matrix(16, est.xi)
         residuals.append(np.linalg.norm(gm @ est.weights - c_ul))
     assert residuals[0] >= residuals[1] - 1e-12
@@ -158,9 +153,9 @@ def test_estimate_asf_residual_decreases_with_grid():
 
 
 def test_asf_grid_shape():
-    xi, theta = asf_grid(8, np.pi / 3)
-    assert xi[0] == -1.0 and xi[-1] < 1.0
-    np.testing.assert_allclose(np.sin(theta), xi * np.sin(np.pi / 3), atol=1e-14)
+    xi = asf_grid(8)
+    assert xi.shape == (8,) and xi[0] == -1.0 and xi[-1] < 1.0
+    np.testing.assert_allclose(np.diff(xi), 0.25, atol=1e-15)
 
 
 @pytest.mark.parametrize("m", [16, 32])
@@ -186,7 +181,7 @@ def test_fused_estimator_matches_dykstra_path(m, seed, monkeypatch):
 def _uncached_estimate(c_ul, cfg, g):
     """estimate_asf and extrapolate_dl with their fixed matrices rebuilt."""
     m = c_ul.size
-    xi, _ = asf_grid(g, cfg.theta_max)
+    xi = asf_grid(g)
     gm = grid_matrix(m, xi)
     n_d = 2.0 * (m - np.arange(m))
     n_d[0] = m
@@ -206,14 +201,14 @@ def test_cached_estimator_matches_uncached_across_sizes():
         for cfg, g in cases:
             c_ul = true_covariance(cfg, TWO_CLUSTER, "ul").first_column
             z, c_dl = _uncached_estimate(c_ul, cfg, g)
-            est = estimate_asf(c_ul, cfg, grid_size=g)
+            est = estimate_asf(c_ul, grid_size=g)
             np.testing.assert_array_equal(est.weights, z)
             np.testing.assert_array_equal(extrapolate_dl(est, cfg).first_column, c_dl)
 
 
 def test_cached_estimator_matrices_are_read_only():
     cfg = ArrayConfig(m=8)
-    est = estimate_asf(np.ones(8, dtype=complex), cfg)
+    est = estimate_asf(np.ones(8, dtype=complex))
     extrapolate_dl(est, cfg)
     a, row_w = covariance._asf_system(8, est.xi.tobytes())
     exps = covariance._dl_resampling(8, est.xi.tobytes(), cfg.alpha)
@@ -229,7 +224,7 @@ def test_cached_estimator_matrices_are_read_only():
 def test_extrapolate_alpha_one_reproduces_fit():
     cfg = ArrayConfig(m=24, alpha=1.0)
     c_ul = true_covariance(cfg, TWO_CLUSTER, "ul").first_column
-    est = estimate_asf(c_ul, cfg)
+    est = estimate_asf(c_ul)
     gm = grid_matrix(24, est.xi)
     fit = gm @ est.weights
     out = extrapolate_dl(est, cfg)
@@ -239,7 +234,7 @@ def test_extrapolate_alpha_one_reproduces_fit():
 def test_extrapolate_point_mass_at_zero():
     cfg = ArrayConfig(m=8, alpha=1.2)
     c_ul = np.ones(8, dtype=complex)
-    est = estimate_asf(c_ul, cfg)
+    est = estimate_asf(c_ul)
     out = extrapolate_dl(est, cfg)
     vals = out.first_column
     assert np.all(vals.real > 0.5)
@@ -250,13 +245,13 @@ def test_extrapolate_two_cluster_accuracy():
     cfg = ArrayConfig(m=64, alpha=1.1)
     c_ul = true_covariance(cfg, TWO_CLUSTER, "ul").first_column
     c_dl = true_covariance(cfg, TWO_CLUSTER, "dl").matrix()
-    est = estimate_asf(c_ul, cfg, grid_size=8 * 64)
+    est = estimate_asf(c_ul, grid_size=8 * 64)
     out = extrapolate_dl(est, cfg).matrix()
     assert np.linalg.norm(out - c_dl) / np.linalg.norm(c_dl) <= 0.05
 
 
 def test_extrapolate_rejects_negative_weight():
-    est = estimate_asf(np.ones(8, dtype=complex), ArrayConfig(m=8))
+    est = estimate_asf(np.ones(8, dtype=complex))
     est.weights[3] = -1e-9
     with pytest.raises(InvalidArgumentError):
         extrapolate_dl(est, ArrayConfig(m=8, alpha=1.1))
@@ -279,7 +274,7 @@ def test_estimator_path_does_no_eigendecomposition(monkeypatch):
 def test_extrapolate_output_psd():
     cfg = ArrayConfig(m=16, alpha=1.15)
     c_ul = true_covariance(cfg, TWO_CLUSTER, "ul").first_column
-    out = extrapolate_dl(estimate_asf(c_ul, cfg), cfg)
+    out = extrapolate_dl(estimate_asf(c_ul), cfg)
     assert np.linalg.eigvalsh(out.matrix())[0] >= -1e-10
 
 
@@ -310,7 +305,7 @@ PROPERTY = settings(max_examples=75, deadline=None, derandomize=True, database=N
 @given(data=st.data())
 def test_extrapolate_psd_property(data):
     cfg, c_ul = _atomic_ul_case(data)
-    out = extrapolate_dl(estimate_asf(c_ul, cfg), cfg)
+    out = extrapolate_dl(estimate_asf(c_ul), cfg)
     assert np.linalg.eigvalsh(out.matrix())[0] >= -1e-12 * out.trace
 
 
@@ -318,7 +313,7 @@ def test_extrapolate_psd_property(data):
 @given(data=st.data())
 def test_spectrum_nonnegative_and_sums_to_trace_property(data):
     cfg, c_ul = _atomic_ul_case(data)
-    out = extrapolate_dl(estimate_asf(c_ul, cfg), cfg)
+    out = extrapolate_dl(estimate_asf(c_ul), cfg)
     lam = circulant_eigenvalues(out)
     assert np.all(lam >= 0.0)
     assert abs(lam.sum() - out.trace) <= 1e-12 * out.trace
@@ -329,7 +324,7 @@ def test_spectrum_nonnegative_and_sums_to_trace_property(data):
 def test_extrapolate_alpha_one_returns_fit_property(data):
     cfg, c_ul = _atomic_ul_case(data)
     cfg = ArrayConfig(m=cfg.m, alpha=1.0)
-    est = estimate_asf(c_ul, cfg)
+    est = estimate_asf(c_ul)
     fit = grid_matrix(cfg.m, est.xi) @ est.weights
     np.testing.assert_allclose(extrapolate_dl(est, cfg).first_column, fit,
                                rtol=0, atol=1e-12)
@@ -340,15 +335,15 @@ def test_extrapolate_alpha_one_returns_fit_property(data):
 def test_estimate_asf_scale_equivariant_property(data, log_s):
     cfg, c_ul = _atomic_ul_case(data)
     s = 10.0 ** log_s
-    w = estimate_asf(c_ul, cfg).weights
-    w_s = estimate_asf(s * c_ul, cfg).weights
+    w = estimate_asf(c_ul).weights
+    w_s = estimate_asf(s * c_ul).weights
     assert np.abs(w_s - s * w).max() <= 1e-10 * s * w.max()
 
 
 # ----------------------------------------------------------- beam-space spectrum
 
 def test_circulant_eigenvalues_identity():
-    cov = ToeplitzCovariance(first_column=np.eye(6)[:, 0].astype(complex), band="ul")
+    cov = ToeplitzCovariance(first_column=np.eye(6)[:, 0].astype(complex))
     np.testing.assert_allclose(circulant_eigenvalues(cov), np.ones(6), atol=1e-12)
 
 
@@ -357,7 +352,7 @@ def test_circulant_eigenvalues_recover_circulant():
     f = dft_matrix(m)
     lam = np.arange(1.0, m + 1.0)
     c = (f * lam) @ f.conj().T
-    cov = ToeplitzCovariance(first_column=c[:, 0], band="ul")
+    cov = ToeplitzCovariance(first_column=c[:, 0])
     np.testing.assert_allclose(circulant_eigenvalues(cov), lam, atol=1e-10)
 
 

@@ -1,27 +1,28 @@
 """Tests for beam-graph construction and the selection MILP."""
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
+from scipy.optimize import OptimizeResult, milp
 
-from fddsim.channel import AngularScatteringFunction, ArrayConfig, true_covariance
+from fddsim.channel import ArrayConfig, true_covariance
+from fddsim.config import ExperimentConfig
 from fddsim.covariance import circulant_eigenvalues
-from fddsim.errors import InvalidArgumentError
+from fddsim.errors import InvalidArgumentError, NumericalError
+from fddsim.evaluation import run_trial
 from fddsim.numerics import rng_stream
-from fddsim.opt import milp_solve
 from fddsim.sparsifier import (BeamGraph, SparsificationPlan, SparsifyingPrecoder,
-                               _validate_plan, beam_classes, brute_force_sparsify,
-                               build_beam_graph, formulate_milp, solve_sparsification,
+                               _validate_plan, beam_classes, build_beam_graph,
+                               formulate_milp, milp_solve, solve_sparsification,
                                sparsifying_precoder)
-from fddsim.validate import fixed_selector_deviations, random_beam_graph
+from fddsim.validate import (brute_force_sparsify, fixed_selector_deviations,
+                             random_beam_graph)
 
 
 def graph_from_matrix(w, threshold=0.0):
     w = np.asarray(w, dtype=float)
-    return BeamGraph(weights=w, adjacency=w > threshold, threshold=threshold)
+    return BeamGraph(weights=w, adjacency=w > threshold)
 
 
 def repeated_row_graph(rng, n_beams, n_users):
@@ -34,8 +35,7 @@ def repeated_row_graph(rng, n_beams, n_users):
     weights = rng.integers(1, 17, (n_rows, n_users))[rng.integers(0, n_rows, n_beams)]
     fresh = rng.random(n_beams) < 0.5
     weights[fresh] = rng.integers(1, 17, (int(fresh.sum()), n_users))
-    return BeamGraph(weights=np.where(adjacency, weights / 16.0, 0.0), adjacency=adjacency,
-                     threshold=0.0)
+    return BeamGraph(weights=np.where(adjacency, weights / 16.0, 0.0), adjacency=adjacency)
 
 
 def assert_plan_feasible(g, plan, t_dl, p0):
@@ -104,10 +104,10 @@ def test_formulate_milp_dimensions():
     mip = formulate_milp(g, t_dl=2, p0=0.0, epsilon=0.1)
     c, k = 2, 2
     assert [cls.tolist() for cls in mip.classes] == [[0], [1, 2]]
-    assert mip.lp.n_vars == c + k + c * k
+    assert mip.c.size == c + k + c * k
     assert mip.n_int == c + k
-    assert mip.lp.upper[:c].tolist() == [1.0, 2.0]
-    assert sparse.issparse(mip.lp.a) and mip.lp.a.format == "csr"
+    assert mip.upper[:c].tolist() == [1.0, 2.0]
+    assert sparse.issparse(mip.a) and mip.a.format == "csr"
     assert "int" in mip.to_debug_text()
     # a power floor keys the classes on the weights too
     assert [cls.tolist() for cls in beam_classes(g, 0.1)] == [[0], [1], [2]]
@@ -162,15 +162,17 @@ def test_formulate_milp_matches_row_loop():
         t_dl = int(rng.integers(1, m + 1))  # includes T_dl = degree, a zero coefficient
         p0 = float(rng.choice([0.0, 0.3]))
         mip = formulate_milp(g, t_dl, p0, epsilon=0.5 / m)
-        lp = mip.lp
         classes, rows, rhs, upper = _class_program_by_loop(g, t_dl, p0)
         assert [cls.tolist() for cls in mip.classes] == classes
-        assert lp.a.has_canonical_format and not np.any(lp.a.data == 0.0)
-        assert np.array_equal(lp.a.toarray(), rows)
-        assert np.array_equal(lp.b, rhs)
-        assert np.array_equal(lp.upper, upper)
-        assert np.array_equal(lp.c, [0.5 / m] * len(classes) + [0.0] * k
+        assert mip.a.has_canonical_format and not np.any(mip.a.data == 0.0)
+        assert np.array_equal(mip.a.toarray(), rows)
+        assert np.array_equal(mip.b, rhs)
+        assert np.array_equal(mip.upper, upper)
+        assert np.array_equal(mip.c, [0.5 / m] * len(classes) + [0.0] * k
                               + [1.0] * (len(classes) * k))
+        # x = 0 is feasible in every selection program, so HiGHS can only
+        # report it optimal (see test_milp_solve_non_optimal_status_raises)
+        assert np.all(mip.b >= 0.0) and np.all(mip.upper >= 0.0)
 
 
 # ------------------------------------------------------------- solve: examples
@@ -383,11 +385,12 @@ def test_one_class_closed_form_matches_highs(data):
     assert n_cls <= 1
 
     plan = solve_sparsification(g, t_dl, p0=p0)
-    res = milp_solve(formulate_milp(g, t_dl, p0))
+    mip = formulate_milp(g, t_dl, p0)
+    x, _, _ = milp_solve(mip)
     assert plan.n_classes == n_cls and plan.node_count == 0 and plan.gap == 0.0
-    assert abs(plan.objective - res.objective) <= 1e-9
-    assert plan.matching_size == round(res.x[n_cls + k:].sum())
-    assert len(plan.beams) == round(res.x[:n_cls].sum())
+    assert abs(plan.objective - mip.c @ x) <= 1e-9
+    assert plan.matching_size == round(x[n_cls + k:].sum())
+    assert len(plan.beams) == round(x[:n_cls].sum())
     assert plan.matching_size == brute_force_sparsify(g, t_dl, p0=p0).matching_size
     assert_plan_feasible(g, plan, t_dl, p0)
 
@@ -420,6 +423,32 @@ def test_highs_runs_only_on_two_or_more_classes(monkeypatch):
     assert len(calls) == 1
 
 
+def test_milp_solve_non_optimal_status_raises(monkeypatch):
+    """x = 0 is feasible in every selection program, so any HiGHS status but
+    optimal is a solver failure. A time limit (status 1) and a reported
+    infeasibility (status 2) make milp_solve raise NumericalError, and
+    run_trial records the failure against the sparsify step."""
+    import fddsim.sparsifier as sp
+    two = formulate_milp(graph_from_matrix(np.eye(2)), t_dl=1, p0=0.0)
+    monkeypatch.setattr(sp, "milp", lambda **kw: milp(**kw, options={"time_limit": 1e-12}))
+    with pytest.raises(NumericalError, match="Time limit reached"):
+        milp_solve(two)
+
+    infeasible = "The problem is infeasible."
+    monkeypatch.setattr(sp, "milp", lambda **kw: OptimizeResult(status=2, x=None,
+                                                                 message=infeasible))
+    with pytest.raises(NumericalError, match=infeasible):
+        milp_solve(two)
+    # trial 0 of this config has several beam classes, so every T_dl reaches HiGHS
+    cfg = ExperimentConfig(m=16, k=3, t=32, tdl_list=[4, 8], snr_db_list=[10.0],
+                           n_trials=1, seed=1, n_ul=200, th_rel=1e-2)
+    records = run_trial(cfg, 0)
+    assert len(records) == 2
+    for rec in records:
+        assert rec.failure == f"sparsify: NumericalError: MILP solver failed: {infeasible}"
+        assert (rec.served, rec.matching_size, rec.sum_rate_bits) == (0, 0, 0.0)
+
+
 @pytest.mark.parametrize("t_dl", [8, 16, 24, 32, 48])
 def test_complete_64x8_plan_matches_highs(t_dl):
     """The acceptance-scale complete graph: the closed form gives HiGHS's
@@ -427,13 +456,14 @@ def test_complete_64x8_plan_matches_highs(t_dl):
     w = rng_stream(69, 0).uniform(0.5, 2.0, (64, 8))
     g = graph_from_matrix(w)
     plan = solve_sparsification(g, t_dl)
-    res = milp_solve(formulate_milp(g, t_dl, 0.0))
-    count, users = int(res.x[0]), np.flatnonzero(res.x[1:9] > 0.5)
+    mip = formulate_milp(g, t_dl, 0.0)
+    x, _, _ = milp_solve(mip)
+    count, users = int(x[0]), np.flatnonzero(x[1:9] > 0.5)
     beams = np.sort(np.argsort(-w[:, users].sum(axis=1), kind="stable")[:count])
     assert plan.n_classes == 1 and plan.node_count == 0
     assert plan.beams == beams.tolist() and plan.users == users.tolist() == list(range(8))
-    assert plan.matching_size == round(res.x[9:].sum()) == 8
-    assert abs(plan.objective - res.objective) <= 1e-9
+    assert plan.matching_size == round(x[9:].sum()) == 8
+    assert abs(plan.objective - mip.c @ x) <= 1e-9
 
 
 def test_brute_force_guard():
