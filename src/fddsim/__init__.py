@@ -9,14 +9,12 @@ from .covariance import (AsfEstimate, ToeplitzCovariance, asf_grid,
                          circulant_eigenvalues, estimate_asf, extrapolate_dl,
                          sample_covariance)
 from .errors import FddsimError, InvalidArgumentError, NumericalError
-from .evaluation import (ExperimentRecord, ZfPrecoder, effective_gains,
+from .evaluation import (ExperimentRecord, effective_gains,
                          greedy_user_selection, normalized_error,
                          run_experiment, run_trial, sum_rate, summarize,
                          write_records_csv, write_summary_json, zf_precoder)
-from .probing import (PilotMatrix, dl_observe, error_trace_oracle, make_pilot,
-                      mmse_effective)
-from .sparsifier import (BeamGraph, SparsificationPlan, SparsifyingPrecoder,
-                         build_beam_graph, formulate_milp, solve_sparsification,
-                         sparsifying_precoder)
+from .probing import dl_observe, error_trace_oracle, make_pilot, mmse_effective
+from .sparsifier import (BeamGraph, SparsificationPlan, beam_coefficients,
+                         build_beam_graph, formulate_milp, solve_sparsification)
 
 __version__ = "0.1.0"

@@ -1,6 +1,6 @@
 """Synthetic channel geometry for a uniform linear array.
 
-Angles are parametrized by xi = sin(theta)/sin(theta_max) in [-1, 1). An
+The geometry is defined in the normalized angle xi in [-1, 1) alone. An
 angular scattering function is a union of weighted xi-intervals plus
 optional point masses; UL and DL share the same scattering function but
 see array responses whose phases differ by the carrier ratio alpha.
@@ -17,20 +17,16 @@ from .errors import InvalidArgumentError
 from .numerics import gaussian_complex, hermitian_eig, rng_stream
 
 DEFAULT_ALPHA = 2140.0 / 1950.0  # LTE-IMT UL/DL carrier pair
-DEFAULT_THETA_MAX = np.pi / 3.0
 
 
 @dataclass
 class ArrayConfig:
     m: int
-    theta_max: float = DEFAULT_THETA_MAX
     alpha: float = DEFAULT_ALPHA
 
     def __post_init__(self):
         if self.m < 1:
             raise InvalidArgumentError("ArrayConfig: M must be >= 1")
-        if not (0.0 < self.theta_max <= np.pi / 2):
-            raise InvalidArgumentError("ArrayConfig: theta_max must be in (0, pi/2]")
         if not (1.0 <= self.alpha < np.inf):  # NaN fails too
             raise InvalidArgumentError("ArrayConfig: alpha must be finite and >= 1")
 

@@ -23,7 +23,8 @@ from .covariance import (ToeplitzCovariance, export_covariance_csv,
 from .errors import FddsimError, InvalidArgumentError
 from .evaluation import (estimate_user_pipeline, run_experiment, summarize,
                          trial_scenario, write_records_csv, write_summary_json)
-from .sparsifier import build_beam_graph, formulate_milp, solve_sparsification
+from .sparsifier import (DEFAULT_TH_REL, build_beam_graph, formulate_milp,
+                         solve_sparsification)
 from .validate import run_suites, SUITES
 
 
@@ -109,7 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None, help="records CSV path")
     p.add_argument("--summary", default=None, help="also write a summary JSON")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker processes; results are identical for any count")
+                   help="worker processes, at most one per trial; results are "
+                   "identical for any count")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("extrapolate", help="single-user covariance pipeline")
@@ -122,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spectra", help="CSV matrix, rows = beams, columns = users")
     p.add_argument("--tdl", type=int, required=True, help="per-user beam budget")
     p.add_argument("--p0", type=float, default=0.0, help="per-user power floor")
-    p.add_argument("--th-rel", type=float, default=0.01,
+    p.add_argument("--th-rel", type=float, default=DEFAULT_TH_REL,
                    help="edge threshold relative to the largest power")
     p.add_argument("-o", "--output", default=None, help="plan JSON path (default stdout)")
     p.add_argument("--dump-milp", default=None,

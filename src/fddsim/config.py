@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from .channel import DEFAULT_ALPHA
 from .errors import InvalidArgumentError
+from .sparsifier import DEFAULT_EPSILON_FACTOR, DEFAULT_TH_REL
 
 
 class ConfigError(InvalidArgumentError):
@@ -37,13 +38,12 @@ class ExperimentConfig:
     seed: int
     n_ul: int = 1000
     grid_factor: int = 4
-    theta_max_deg: float = 60.0
     alpha: float = DEFAULT_ALPHA
     n_clusters: int = 3
     cluster_width: float = 0.2
-    th_rel: float = 0.01
+    th_rel: float = DEFAULT_TH_REL
     p0: float = 0.0
-    epsilon_factor: float = 0.5
+    epsilon_factor: float = DEFAULT_EPSILON_FACTOR
     ul_sigma2: float = 0.01
     output_path: str | None = None
     exact_covariance: bool = False
@@ -66,12 +66,13 @@ class ExperimentConfig:
                 raise ConfigError(f"tdl_list: entry {tdl} must lie in [1, T={self.t}]")
         if not self.tdl_list or not self.snr_db_list:
             raise ConfigError("tdl_list and snr_db_list must be nonempty")
+        for key in ("tdl_list", "snr_db_list"):
+            if len(set(getattr(self, key))) != len(getattr(self, key)):
+                raise ConfigError(f"{key}: entries must be distinct")
         if self.cluster_width * self.n_clusters > 2.0:
             raise ConfigError("cluster_width: clusters do not fit in [-1, 1]")
         if not (0.0 < self.epsilon_factor < 1.0):
             raise ConfigError("epsilon_factor: must be in (0, 1)")
-        if not (0.0 < self.theta_max_deg <= 90.0):
-            raise ConfigError("theta_max_deg: must be in (0, 90]")
         if not (self.ul_sigma2 >= 0 and self.p0 >= 0 and self.th_rel >= 0):  # NaN fails too
             raise ConfigError("ul_sigma2, p0 and th_rel must be nonnegative")
 
@@ -103,7 +104,6 @@ _SCHEMA = {
     "n_ul": ("n_ul", int),
     "n_trials": ("n_trials", int),
     "grid_factor": ("grid_factor", int),
-    "theta_max_deg": ("theta_max_deg", float),
     "alpha": ("alpha", float),
     "n_clusters": ("n_clusters", int),
     "cluster_width": ("cluster_width", float),

@@ -59,7 +59,7 @@ def sample_covariance(y: np.ndarray, sigma2: float) -> np.ndarray:
 
 @dataclass
 class AsfEstimate:
-    """Discrete angular power estimate on a uniform grid in xi = sin(theta)/sin(theta_max)."""
+    """Discrete angular power estimate on a uniform grid in the normalized angle xi."""
 
     xi: np.ndarray       # grid points, strictly increasing in [-1, 1)
     weights: np.ndarray  # NNLS solution w.r.t. the 1/sqrt(M)-normalized grid matrix

@@ -1,5 +1,10 @@
 """Zero-forcing evaluation and the Monte Carlo experiment driver.
 
+The DL stage runs in the beam domain on plain arrays: a trial takes the
+beam coefficients F^H h of its true channels once, and the probing input,
+the true effective channels and the estimation error read the selected
+beams' rows of them.
+
 SNR convention: unit noise power, so P_dl = SNR. Rates are in bits/s/Hz
 (log base 2) and include the DL training overhead prefactor (1 - T_dl/T).
 """
@@ -19,9 +24,8 @@ from .covariance import (AsfEstimate, ToeplitzCovariance, circulant_eigenvalues,
                          estimate_asf, extrapolate_dl, sample_covariance)
 from .errors import FddsimError, InvalidArgumentError, NumericalError
 from .numerics import gaussian_complex, hermitian_eig, toeplitz_average
-from .probing import PilotMatrix, dl_observe, make_pilot, mmse_effective
-from .sparsifier import (SparsifyingPrecoder, build_beam_graph, solve_sparsification,
-                         sparsifying_precoder)
+from .probing import dl_observe, make_pilot, mmse_effective
+from .sparsifier import beam_coefficients, build_beam_graph, solve_sparsification
 
 ZF_COND_TOL = 1e-12
 
@@ -29,45 +33,29 @@ ZF_COND_TOL = 1e-12
 _SCENARIO, _UL_CHAN, _UL_NOISE, _DL_CHAN, _PILOT, _OBS_NOISE = range(6)
 
 
-@dataclass
-class ZfPrecoder:
-    """Column-normalized pseudoinverse beamformer with per-stream powers."""
-
-    v: np.ndarray       # M' x K'', unit-norm columns
-    j: np.ndarray       # beamforming gains J_k (real)
-    p: np.ndarray       # per-stream powers, sum = P_dl
-
-
-def zf_precoder(h_hat_eff: np.ndarray, p_dl: float) -> ZfPrecoder:
-    """ZF beamformer from estimated effective channels (columns).
-
-    V = H (H^H H)^-1 J^(1/2) with J normalizing columns to unit norm and
-    uniform power P_dl / K'' per stream.
-    """
+def zf_precoder(h_hat_eff: np.ndarray) -> np.ndarray:
+    """Unit-norm ZF beamformer V = H (H^H H)^-1 J^(1/2) (M' x K'') from
+    estimated effective channels H (columns), J normalizing the columns of
+    H (H^H H)^-1 to unit norm."""
     h = np.asarray(h_hat_eff, dtype=complex)
     if h.ndim != 2 or h.shape[1] < 1:
         raise InvalidArgumentError("zf_precoder: need an M' x K'' matrix")
-    m_prime, k2 = h.shape
-    if k2 > m_prime:
+    if h.shape[1] > h.shape[0]:
         raise InvalidArgumentError("zf_precoder: more streams than beams")
     gram = h.conj().T @ h
     w = hermitian_eig(gram).eigenvalues
     if w[0] <= ZF_COND_TOL * max(w[-1], 1e-300):
         raise NumericalError("zf_precoder: estimated channel matrix is rank deficient")
     pinv_t = h @ np.linalg.inv(gram)
-    norms = np.linalg.norm(pinv_t, axis=0)
-    v = pinv_t / norms
-    j = 1.0 / norms**2
-    p = np.full(k2, p_dl / k2)
-    return ZfPrecoder(v=v, j=j, p=p)
+    return pinv_t / np.linalg.norm(pinv_t, axis=0)
 
 
-def effective_gains(h_true_cols: np.ndarray, precoder: SparsifyingPrecoder,
-                    zf: ZfPrecoder) -> np.ndarray:
-    """Received-symbol coefficient matrix b: row k is
-    (h^(k))^H B^H V P^(1/2) for the k-th served user's true channel."""
-    h = np.asarray(h_true_cols, dtype=complex)
-    return h.conj().T @ precoder.matrix().conj().T @ zf.v @ np.diag(np.sqrt(zf.p))
+def effective_gains(h_eff_true: np.ndarray, v: np.ndarray, p_dl: float) -> np.ndarray:
+    """Received-symbol coefficient matrix b under uniform power P_dl / K''
+    per stream: row k is (B h^(k))^H V sqrt(P_dl / K''), with B h^(k) the
+    k-th served user's true effective channel (column k of h_eff_true)."""
+    h = np.asarray(h_eff_true, dtype=complex)
+    return (h.conj().T @ v) * np.sqrt(p_dl / v.shape[1])
 
 
 def sum_rate(b: np.ndarray, t_dl: int, t: int) -> float:
@@ -181,7 +169,7 @@ def estimate_user_pipeline(cfg: ExperimentConfig, arr: ArrayConfig, user_asf,
 
 def trial_scenario(cfg: ExperimentConfig, trial: int) -> tuple[ArrayConfig, list]:
     """The array and the K users of one trial."""
-    arr = ArrayConfig(m=cfg.m, theta_max=np.deg2rad(cfg.theta_max_deg), alpha=cfg.alpha)
+    arr = ArrayConfig(m=cfg.m, alpha=cfg.alpha)
     _, users = make_scenario(cfg.n_clusters, cfg.cluster_width, cfg.k,
                              cfg.seed, trial, _SCENARIO)
     return arr, users
@@ -197,6 +185,9 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> list:
         spectra.append(estimate_user_pipeline(cfg, arr, user.asf, trial, k)[2])
         h_true[:, k] = sample_channels(arr, user.asf, "dl", 1,
                                        cfg.seed, trial, k, _DL_CHAN)[:, 0]
+    # F^H h for every user: the probing input, the true effective channels
+    # and (by Parseval) the estimation error all read rows of it
+    h_beam = beam_coefficients(h_true)
 
     graph = build_beam_graph(spectra, th_rel=cfg.th_rel)
     records = []
@@ -212,23 +203,21 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> list:
                 records.append(ExperimentRecord(trial, cfg.seed, t_dl, snr_db, 0,
                                                 0, float("nan"), 0.0, failure))
             continue
-        precoder = sparsifying_precoder(plan, cfg.m)
-        m_prime = precoder.m_prime
-        t_eff = min(t_dl, m_prime)  # a pilot never needs more dims than beams
+        t_eff = min(t_dl, len(plan.beams))  # a pilot never needs more dims than beams
         # The pilot directions Q^H (unit power), and per selected user B h,
         # the unit observation-noise draw and the MMSE prior (its beam powers
         # on its edges; unit noise power), do not depend on the SNR: form
         # them once per T_dl.
-        q_h = make_pilot(t_eff, m_prime, 1.0, cfg.seed, trial, _PILOT, i_tdl).psi
-        bh = precoder.apply(h_true[:, plan.users]).T
+        q_h = make_pilot(t_eff, len(plan.beams), cfg.seed, trial, _PILOT, i_tdl)
+        h_eff = h_beam[np.ix_(plan.beams, plan.users)]
         noise = np.stack([gaussian_complex(t_eff, cfg.seed, trial, k, _OBS_NOISE, i_tdl)
                           for k in plan.users])
         prior = (graph.weights * graph.adjacency)[np.ix_(plan.beams, plan.users)].T
 
         for snr_db in cfg.snr_db_list:
             try:
-                records.append(_grid_point(cfg, trial, t_dl, snr_db, plan, precoder,
-                                           q_h, (bh, noise, prior), h_true))
+                records.append(_grid_point(cfg, trial, t_dl, snr_db, plan, q_h,
+                                           (h_eff, noise, prior), h_beam))
             except FddsimError as exc:
                 records.append(ExperimentRecord(trial, cfg.seed, t_dl, snr_db, 0,
                                                 plan.matching_size, float("nan"), 0.0,
@@ -240,27 +229,28 @@ def _failure(stage: str, exc: FddsimError) -> str:
     return f"{stage}: {type(exc).__name__}: {exc}"
 
 
-def _grid_point(cfg, trial, t_dl, snr_db, plan, precoder, q_h, probes,
-                h_true) -> ExperimentRecord:
+def _grid_point(cfg, trial, t_dl, snr_db, plan, q_h, probes,
+                h_beam) -> ExperimentRecord:
     p_dl = 10.0 ** (snr_db / 10.0)
-    pilot = PilotMatrix(psi=np.sqrt(p_dl) * q_h, p_dl=p_dl)
+    psi = np.sqrt(p_dl) * q_h
 
-    bh, noise, prior = probes
-    y = np.stack([dl_observe(pilot, b, n, 1.0) for b, n in zip(bh, noise)])
-    h_hat_eff = mmse_effective(y, pilot, prior, 1.0).T
+    h_eff, noise, prior = probes
+    y = dl_observe(psi, h_eff.T, noise, 1.0)
+    h_hat_eff = mmse_effective(y, psi, prior, 1.0).T
 
     order = greedy_user_selection(h_hat_eff, p_dl, t_dl, cfg.t)
     served_cols = sorted(order)
     if not served_cols:
         return ExperimentRecord(trial, cfg.seed, t_dl, snr_db, 0,
                                 plan.matching_size, float("nan"), 0.0)
-    served_users = [plan.users[c] for c in served_cols]
     # greedy selection admitted this set only after its ZF rank test passed
-    zf = zf_precoder(h_hat_eff[:, served_cols], p_dl)
-    b = effective_gains(h_true[:, served_users], precoder, zf)
-    rate = sum_rate(b, t_dl, cfg.t)
-    h_hat_full = precoder.expand(h_hat_eff[:, served_cols])
-    err = normalized_error(h_true[:, served_users], h_hat_full)
+    v = zf_precoder(h_hat_eff[:, served_cols])
+    rate = sum_rate(effective_gains(h_eff[:, served_cols], v, p_dl), t_dl, cfg.t)
+    # F is unitary, so ||h - B^H h_hat|| = ||F^H h - h_hat zero-filled||
+    served_users = [plan.users[c] for c in served_cols]
+    h_hat_beam = np.zeros((cfg.m, len(served_cols)), dtype=complex)
+    h_hat_beam[plan.beams] = h_hat_eff[:, served_cols]
+    err = normalized_error(h_beam[:, served_users], h_hat_beam)
     return ExperimentRecord(trial, cfg.seed, t_dl, snr_db, len(served_users),
                             plan.matching_size, err, rate)
 
@@ -273,7 +263,8 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list:
     if threads <= 1 or cfg.n_trials <= 1:
         batches = [run_trial(cfg, t) for t in trials]
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        # fork starts every worker at the first submit: never more than trials
+        with ProcessPoolExecutor(max_workers=min(threads, cfg.n_trials)) as pool:
             batches = list(pool.map(run_trial, [cfg] * len(trials), trials))
     records = [rec for batch in batches for rec in batch]
     records.sort(key=lambda r: (r.trial, r.tdl, r.snr_db))

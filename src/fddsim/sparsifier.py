@@ -11,6 +11,10 @@ unimodularity of bipartite b-matching, by SciPy's HiGHS; the plan takes
 the strongest beams of each class, and SciPy's maximum bipartite matching
 certifies its size. With at most one class, as on a complete graph with
 P0 = 0, the program's optimum has a closed form and HiGHS is not called.
+
+The sparsifying precoder of a plan is its selected rows of the conjugate
+DFT F^H; ``beam_coefficients`` applies F^H by one FFT, so no precoder
+matrix is ever built.
 """
 
 from __future__ import annotations
@@ -331,41 +335,12 @@ def _validate_plan(g: BeamGraph, plan: SparsificationPlan, t_dl: int, p0: float)
         raise InvalidArgumentError(f"plan contains isolated beam {beams[np.argmax(isolated)]}")
 
 
-@dataclass
-class SparsifyingPrecoder:
-    """Selected-row conjugate DFT: maps antenna channels to selected-beam
-    coefficients. Rows are orthonormal (B B^H = I)."""
+def beam_coefficients(h: np.ndarray) -> np.ndarray:
+    """F^H h along axis 0, with F the unitary DFT of ``numerics.dft_matrix``:
+    row b holds the coefficients of beam b, sqrt(M) ifft(h) by one FFT.
 
-    beams: list
-    m: int
-
-    def __post_init__(self):
-        if not self.beams:
-            raise InvalidArgumentError("sparsifying precoder needs at least one beam")
-        if any(not (0 <= bm < self.m) for bm in self.beams):
-            raise InvalidArgumentError("beam index out of range")
-        # the selected columns of the unitary DFT, entry (p, q) =
-        # exp(-j 2 pi p q / M) / sqrt(M), built once and conjugate-transposed
-        f_sel = np.exp(-2j * np.pi * np.outer(np.arange(self.m), self.beams) / self.m) \
-            / np.sqrt(self.m)
-        self._matrix = f_sel.conj().T
-        self._matrix.flags.writeable = False
-
-    @property
-    def m_prime(self) -> int:
-        return len(self.beams)
-
-    def matrix(self) -> np.ndarray:
-        """The M' x M precoder (read-only)."""
-        return self._matrix
-
-    def apply(self, h: np.ndarray) -> np.ndarray:
-        return self._matrix @ h
-
-    def expand(self, h_eff: np.ndarray) -> np.ndarray:
-        """Back to the antenna domain, zero outside the selected beams."""
-        return self._matrix.conj().T @ h_eff
-
-
-def sparsifying_precoder(plan: SparsificationPlan, m: int) -> SparsifyingPrecoder:
-    return SparsifyingPrecoder(beams=list(plan.beams), m=m)
+    The sparsifying precoder B of a plan is rows ``plan.beams`` of F^H, so a
+    user's effective channel B h is those rows of its beam coefficients.
+    """
+    h = np.asarray(h, dtype=complex)
+    return np.sqrt(h.shape[0]) * np.fft.ifft(h, axis=0)

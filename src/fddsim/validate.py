@@ -21,9 +21,9 @@ from .errors import InvalidArgumentError
 from .numerics import (dft_matrix, gaussian_complex, hermitian_eig,
                        numerical_rank, rng_stream, toeplitz_average,
                        toeplitz_from_column)
-from .probing import PilotMatrix, error_trace_oracle, make_pilot, mmse_effective
-from .sparsifier import (BeamGraph, SparsificationPlan, SparsifyingPrecoder,
-                         formulate_milp, max_matching, solve_sparsification)
+from .probing import error_trace_oracle, make_pilot, mmse_effective
+from .sparsifier import (BeamGraph, SparsificationPlan, formulate_milp, max_matching,
+                         solve_sparsification)
 
 DYKSTRA_TOL = 1e-8
 DYKSTRA_MAX_ITER = 5000
@@ -204,10 +204,9 @@ def _stability_setup(t_dl: int):
     f = dft_matrix(_STABILITY_M)
     rng = rng_stream(_STABILITY_SEED, 17)
     support = np.sort(rng.choice(_STABILITY_M, size=_STABILITY_S, replace=False))
-    precoder = SparsifyingPrecoder(beams=[int(b) for b in support], m=_STABILITY_M)
-    small = make_pilot(t_dl, _STABILITY_S, 1.0, _STABILITY_SEED, 19)
-    pilot = PilotMatrix(psi=small.psi @ precoder.matrix(), p_dl=1.0)
-    return pilot, f[:, support], np.ones(_STABILITY_S)
+    # the sparsifying precoder: the support's rows of F^H
+    psi = make_pilot(t_dl, _STABILITY_S, _STABILITY_SEED, 19) @ f[:, support].conj().T
+    return psi, f[:, support], np.ones(_STABILITY_S)
 
 
 def suite_estimation_stability(decade_tol: float = 0.15) -> SuiteResult:
@@ -231,13 +230,13 @@ def suite_estimation_stability(decade_tol: float = 0.15) -> SuiteResult:
 def mmse_empirical_vs_oracle(n_draws: int = 2000, n0: float = 0.1):
     """(empirical, closed-form) MMSE error trace for the stability setup:
     average squared estimation error over fresh channel/noise draws."""
-    pilot, f_s, lam = _stability_setup(_STABILITY_S)
+    psi, f_s, lam = _stability_setup(_STABILITY_S)
     f = dft_matrix(_STABILITY_M)
     # f_s columns are DFT columns, so the beam-domain support is where
     # |F^H f_s| peaks at 1.
     support = [int(np.argmax(np.abs(f.conj().T @ f_s[:, i])))
                for i in range(_STABILITY_S)]
-    eff_pilot = PilotMatrix(psi=pilot.psi @ f, p_dl=pilot.p_dl)
+    eff_psi = psi @ f
     prior = np.zeros((1, _STABILITY_M))
     prior[0, support] = lam
     rng = rng_stream(_STABILITY_SEED, 37)
@@ -246,11 +245,11 @@ def mmse_empirical_vs_oracle(n_draws: int = 2000, n0: float = 0.1):
         g = gaussian_complex(_STABILITY_S, rng)
         h_beam = np.zeros(_STABILITY_M, dtype=complex)
         h_beam[support] = g
-        noise = np.sqrt(n0) * gaussian_complex(eff_pilot.t_dl, rng)
-        y = eff_pilot.psi @ h_beam + noise
-        h_hat = mmse_effective(y[None, :], eff_pilot, prior, n0)[0]
+        noise = np.sqrt(n0) * gaussian_complex(eff_psi.shape[0], rng)
+        y = eff_psi @ h_beam + noise
+        h_hat = mmse_effective(y[None, :], eff_psi, prior, n0)[0]
         total += float(np.linalg.norm(h_beam - h_hat) ** 2)
-    return total / n_draws, error_trace_oracle(pilot, f_s, lam, n0)
+    return total / n_draws, error_trace_oracle(psi, f_s, lam, n0)
 
 
 def szego_errors(m_values=(16, 32, 64, 128)) -> list:

@@ -135,6 +135,8 @@ def test_sparsify_plan_and_milp_dump(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("line", [
     "snr_db_list = nan", "snr_db_list = 10, inf", "snr_db_list = -inf",
     "p0 = inf", "th_rel = inf", "alpha = nan", "alpha = inf", "ul_sigma2 = inf",
+    # repeated grid entries
+    "tdl_list = 4, 4", "snr_db_list = 10, 10",
 ])
 def test_non_finite_config_value_exits_2(tmp_path, capsys, command, line):
     key = line.split("=")[0].strip()

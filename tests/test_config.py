@@ -4,6 +4,7 @@ import pytest
 
 from fddsim.channel import DEFAULT_ALPHA
 from fddsim.config import ConfigError, ExperimentConfig, parse_config
+from fddsim.sparsifier import DEFAULT_EPSILON_FACTOR, DEFAULT_TH_REL
 
 MINIMAL = """\
 M = 16
@@ -26,11 +27,10 @@ def test_parse_minimal_with_defaults(tmp_path):
     cfg = parse_config(write(tmp_path, MINIMAL))
     assert cfg.m == 16 and cfg.k == 4 and cfg.t == 32
     assert cfg.tdl_list == [8] and cfg.snr_db_list == [20.0]
-    assert cfg.theta_max_deg == 60.0
     assert cfg.alpha == DEFAULT_ALPHA
     assert cfg.grid_factor == 4
-    assert cfg.th_rel == 0.01 and cfg.p0 == 0.0
-    assert cfg.epsilon_factor == 0.5
+    assert cfg.th_rel == DEFAULT_TH_REL == 0.01 and cfg.p0 == 0.0
+    assert cfg.epsilon_factor == DEFAULT_EPSILON_FACTOR == 0.5
     assert cfg.exact_covariance is False
 
 
@@ -62,8 +62,10 @@ def test_tdl_above_t_rejected_with_key(tmp_path):
 
 
 def test_unknown_key_reports_line(tmp_path):
-    with pytest.raises(ConfigError, match="bogus"):
-        parse_config(write(tmp_path, MINIMAL + "bogus = 1\n"))
+    # theta_max_deg was a key once; the geometry is defined in xi alone
+    for key in ("bogus", "theta_max_deg"):
+        with pytest.raises(ConfigError, match=f":8: unknown key '{key}'"):
+            parse_config(write(tmp_path, MINIMAL + f"{key} = 1\n"))
 
 
 def test_duplicate_key_rejected(tmp_path):
@@ -99,7 +101,7 @@ def test_invariants_enforced():
     for key in ("p0", "th_rel", "ul_sigma2"):
         with pytest.raises(ConfigError):
             ExperimentConfig(**{**base, key: float("nan")})
-    for key in ("theta_max_deg", "alpha", "cluster_width", "th_rel", "p0",
+    for key in ("alpha", "cluster_width", "th_rel", "p0",
                 "epsilon_factor", "ul_sigma2"):
         for bad in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ConfigError, match="must be finite"):
@@ -113,6 +115,9 @@ def test_invariants_enforced():
         ExperimentConfig(**{**base, "cluster_width": 1.0})  # 3 clusters > 2
     with pytest.raises(ConfigError):
         ExperimentConfig(**{**base, "epsilon_factor": 1.0})
-    with pytest.raises(ConfigError):
-        ExperimentConfig(**{**base, "theta_max_deg": 120.0})
+    # a repeated grid entry would write every (trial, T_dl, SNR) row twice
+    with pytest.raises(ConfigError, match="tdl_list: entries must be distinct"):
+        ExperimentConfig(**{**base, "tdl_list": [8, 16, 8]})
+    with pytest.raises(ConfigError, match="snr_db_list: entries must be distinct"):
+        ExperimentConfig(**{**base, "snr_db_list": [10.0, 10.0]})
     ExperimentConfig(**{**base, "n_trials": 0})  # zero trials is allowed

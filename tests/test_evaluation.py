@@ -13,64 +13,66 @@ from fddsim.evaluation import (CSV_HEADER, ExperimentRecord, effective_gains,
                                run_experiment, run_trial, sum_rate, summarize,
                                write_records_csv, zf_precoder)
 from fddsim.numerics import dft_matrix, gaussian_complex, rng_stream
-from fddsim.sparsifier import SparsifyingPrecoder
+from fddsim.sparsifier import beam_coefficients
 
 
 # ---------------------------------------------------------------- zf_precoder
 
+def _zf_gains(h, v):
+    """The ZF beamforming gains J_k = |h_k^H v_k|^2 of a beamformer V."""
+    return np.abs(np.diag(h.conj().T @ v)) ** 2
+
+
 def test_zf_orthonormal_channels():
     h = dft_matrix(6)[:, :3]
-    zf = zf_precoder(h, p_dl=3.0)
-    np.testing.assert_allclose(zf.v, h, atol=1e-10)
-    np.testing.assert_allclose(zf.j, np.ones(3), atol=1e-10)
-    np.testing.assert_allclose(zf.p, np.ones(3), atol=1e-12)
+    v = zf_precoder(h)
+    np.testing.assert_allclose(v, h, atol=1e-10)
+    np.testing.assert_allclose(_zf_gains(h, v), np.ones(3), atol=1e-10)
 
 
 def test_zf_single_user_matched_filter():
     h = np.array([[1.0 + 1j], [2.0], [0.5j]])
-    zf = zf_precoder(h, p_dl=1.0)
-    np.testing.assert_allclose(zf.v[:, 0], h[:, 0] / np.linalg.norm(h), atol=1e-12)
-    assert abs(zf.j[0] - np.linalg.norm(h) ** 2) < 1e-10
+    v = zf_precoder(h)
+    np.testing.assert_allclose(v[:, 0], h[:, 0] / np.linalg.norm(h), atol=1e-12)
+    assert abs(_zf_gains(h, v)[0] - np.linalg.norm(h) ** 2) < 1e-10
 
 
 def test_zf_diagonalizes_estimated_channel():
     h = gaussian_complex(32, 71, 0).reshape(8, 4)
-    zf = zf_precoder(h, p_dl=2.0)
-    prod = h.conj().T @ zf.v
+    v = zf_precoder(h)
+    prod = h.conj().T @ v
     off = prod - np.diag(np.diag(prod))
     assert np.max(np.abs(off)) < 1e-8
-    np.testing.assert_allclose(np.linalg.norm(zf.v, axis=0), np.ones(4), atol=1e-10)
-    assert abs(zf.p.sum() - 2.0) < 1e-10
+    np.testing.assert_allclose(np.linalg.norm(v, axis=0), np.ones(4), atol=1e-10)
 
 
 def test_zf_rank_deficient_raises():
     h = np.ones((4, 2), dtype=complex)
     with pytest.raises(NumericalError):
-        zf_precoder(h, p_dl=1.0)
+        zf_precoder(h)
     with pytest.raises(InvalidArgumentError):
-        zf_precoder(np.ones((2, 3), dtype=complex), p_dl=1.0)
+        zf_precoder(np.ones((2, 3), dtype=complex))
 
 
 # ------------------------------------------------------------ effective gains
 
 def test_effective_gains_perfect_csi_interference_free():
     m = 8
-    pre = SparsifyingPrecoder(beams=list(range(m)), m=m)
     h_true = gaussian_complex(m * 3, 72, 0).reshape(m, 3)
-    h_eff = pre.apply(h_true)
-    zf = zf_precoder(h_eff, p_dl=3.0)
-    b = effective_gains(h_true, pre, zf)
+    h_eff = beam_coefficients(h_true)  # every beam selected: B = F^H
+    np.testing.assert_allclose(h_eff, dft_matrix(m).conj().T @ h_true, atol=1e-12)
+    v = zf_precoder(h_eff)
+    b = effective_gains(h_eff, v, 3.0)
     off = b - np.diag(np.diag(b))
     assert np.max(np.abs(off)) <= 1e-8 * np.linalg.norm(b)
-    np.testing.assert_allclose(np.abs(np.diag(b)), np.sqrt(zf.j * zf.p), atol=1e-8)
+    # uniform power 3 / 3 per stream
+    np.testing.assert_allclose(np.abs(np.diag(b)), np.sqrt(_zf_gains(h_eff, v)), atol=1e-8)
 
 
 def test_effective_gains_zero_channel_row():
-    pre = SparsifyingPrecoder(beams=[0, 1, 2], m=4)
     h_eff = gaussian_complex(6, 73, 0).reshape(3, 2)
-    zf = zf_precoder(h_eff, p_dl=1.0)
-    h_true = np.zeros((4, 2), dtype=complex)
-    b = effective_gains(h_true, pre, zf)
+    v = zf_precoder(h_eff)
+    b = effective_gains(np.zeros((3, 2), dtype=complex), v, 1.0)
     np.testing.assert_array_equal(b, np.zeros((2, 2)))
 
 
@@ -125,10 +127,10 @@ def test_greedy_near_optimal_on_random_instances():
 
     def est_rate(h, idx, p_dl, pre):
         try:
-            zf = zf_precoder(h[:, idx], p_dl)
+            v = zf_precoder(h[:, idx])
         except (NumericalError, InvalidArgumentError):
             return -np.inf
-        return pre * float(np.sum(np.log2(1.0 + zf.j * zf.p)))
+        return pre * float(np.sum(np.log2(1.0 + _zf_gains(h[:, idx], v) * (p_dl / len(idx)))))
 
     rng = rng_stream(76, 0)
     hits = 0
@@ -151,16 +153,17 @@ def test_greedy_near_optimal_on_random_instances():
 
 def _greedy_per_candidate(h, p_dl, t_dl, t):
     """Reference greedy selection: one zf_precoder call per candidate and
-    step, scored by its J and powers; the batched selection must match it."""
+    step, scored by its gains J = |diag(H^H V)|^2 at uniform power; the
+    batched selection must match it."""
     n_cand = h.shape[1]
     pre = max(0.0, 1.0 - t_dl / t)
 
     def est_rate(idx):
         try:
-            zf = zf_precoder(h[:, idx], p_dl)
+            v = zf_precoder(h[:, idx])
         except (NumericalError, InvalidArgumentError):
             return -math.inf
-        return pre * float(np.sum(np.log2(1.0 + zf.j * zf.p)))
+        return pre * float(np.sum(np.log2(1.0 + _zf_gains(h[:, idx], v) * (p_dl / len(idx)))))
 
     selected = []
     best = 0.0
@@ -242,6 +245,33 @@ def test_run_experiment_thread_invariant():
     r1 = run_experiment(cfg, threads=1)
     r4 = run_experiment(cfg, threads=4)
     assert [rec.csv_row() for rec in r1] == [rec.csv_row() for rec in r4]
+
+
+def test_run_experiment_caps_workers_at_trials(monkeypatch):
+    """--threads 500 on a 2-trial config asks the pool for 2 workers. The
+    recording executor runs the trials in this process and forks nothing."""
+    import fddsim.evaluation as ev
+
+    asked = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    cfg = ExperimentConfig(**SMALL)
+    monkeypatch.setattr(ev, "ProcessPoolExecutor", RecordingExecutor)
+    records = run_experiment(cfg, threads=500)
+    assert asked == [cfg.n_trials] == [2]
+    assert len(records) == 2 * 2 * 2
 
 
 def test_run_experiment_zero_trials():

@@ -5,74 +5,77 @@ import pytest
 
 from fddsim.errors import InvalidArgumentError, NumericalError
 from fddsim.numerics import dft_matrix, gaussian_complex, rng_stream
-from fddsim.probing import (PilotMatrix, dl_observe, error_trace_oracle,
-                            make_pilot, mmse_effective)
-from fddsim.sparsifier import SparsifyingPrecoder
+from fddsim.probing import dl_observe, error_trace_oracle, make_pilot, mmse_effective
+from fddsim.sparsifier import beam_coefficients
 from fddsim.validate import mmse_empirical_vs_oracle
 
 
 # --------------------------------------------------------------------- pilots
 
 def test_make_pilot_rows_orthonormal():
-    pilot = make_pilot(4, 10, 2.5, 7, 0)
-    np.testing.assert_allclose(pilot.psi @ pilot.psi.conj().T, 2.5 * np.eye(4),
-                               atol=1e-10)
-    assert abs(np.trace(pilot.psi @ pilot.psi.conj().T).real - 4 * 2.5) < 1e-9
+    psi = make_pilot(4, 10, 7, 0)
+    assert psi.shape == (4, 10)
+    np.testing.assert_allclose(psi @ psi.conj().T, np.eye(4), atol=1e-10)
 
 
 def test_make_pilot_square_is_scaled_unitary():
-    pilot = make_pilot(5, 5, 3.0, 8, 0)
-    np.testing.assert_allclose(pilot.psi.conj().T @ pilot.psi, 3.0 * np.eye(5),
-                               atol=1e-10)
+    psi = np.sqrt(3.0) * make_pilot(5, 5, 8, 0)
+    np.testing.assert_allclose(psi.conj().T @ psi, 3.0 * np.eye(5), atol=1e-10)
 
 
 def test_make_pilot_seeds_differ():
-    p1 = make_pilot(3, 8, 1.0, 1, 0)
-    p2 = make_pilot(3, 8, 1.0, 2, 0)
-    assert not np.allclose(p1.psi, p2.psi)
-    np.testing.assert_allclose(p2.psi @ p2.psi.conj().T, np.eye(3), atol=1e-10)
+    p1 = make_pilot(3, 8, 1, 0)
+    p2 = make_pilot(3, 8, 2, 0)
+    assert not np.allclose(p1, p2)
+    np.testing.assert_allclose(p2 @ p2.conj().T, np.eye(3), atol=1e-10)
 
 
 def test_make_pilot_rejects_bad_dims():
     with pytest.raises(InvalidArgumentError):
-        make_pilot(9, 8, 1.0, 1, 0)
+        make_pilot(9, 8, 1, 0)
     with pytest.raises(InvalidArgumentError):
-        make_pilot(0, 8, 1.0, 1, 0)
+        make_pilot(0, 8, 1, 0)
 
 
 # ---------------------------------------------------------------- observation
 
 def test_dl_observe_noiseless_formula():
     m = 6
-    pre = SparsifyingPrecoder(beams=list(range(m)), m=m)
-    pilot = PilotMatrix(psi=np.sqrt(2.0) * np.eye(m, dtype=complex), p_dl=2.0)
+    psi = np.sqrt(2.0) * np.eye(m, dtype=complex)
     h = gaussian_complex(m, 41, 0)
-    y = dl_observe(pilot, pre.apply(h), gaussian_complex(m, 41, 1), 0.0)
-    np.testing.assert_allclose(y, np.sqrt(2.0) * (dft_matrix(m).conj().T @ h),
+    y = dl_observe(psi, beam_coefficients(h)[None, :], gaussian_complex(m, 41, 1)[None, :],
+                   0.0)
+    np.testing.assert_allclose(y[0], np.sqrt(2.0) * (dft_matrix(m).conj().T @ h),
                                atol=1e-12)
 
 
 def test_dl_observe_noise_only():
-    m = 8
-    pilot = make_pilot(m, m, 1.0, 42, 0)
-    draws = [dl_observe(pilot, np.zeros(m, dtype=complex), gaussian_complex(m, 42, i), 0.5)
-             for i in range(500)]
-    var = np.mean([np.mean(np.abs(y) ** 2) for y in draws])
-    assert abs(var - 0.5) < 0.05
+    m, n = 8, 500
+    psi = make_pilot(m, m, 42, 0)
+    y = dl_observe(psi, np.zeros((n, m), dtype=complex),
+                   gaussian_complex(n * m, 42, 1).reshape(n, m), 0.5)
+    assert y.shape == (n, m)
+    assert abs(np.mean(np.abs(y) ** 2) - 0.5) < 0.05
 
 
 def test_dl_observe_deterministic():
-    pre = SparsifyingPrecoder(beams=[0, 2], m=4)
-    pilot = make_pilot(2, 2, 1.0, 43, 0)
-    bh = pre.apply(gaussian_complex(4, 43, 1))
-    noise = gaussian_complex(2, 43, 2)
-    y = dl_observe(pilot, bh, noise, 0.1)
-    np.testing.assert_array_equal(y, dl_observe(pilot, bh, noise, 0.1))
-    np.testing.assert_array_equal(y, pilot.psi @ bh + np.sqrt(0.1) * noise)
+    """One stacked call: row i is Psi (B h_i) + sqrt(N0) n_i of user i."""
+    psi = make_pilot(2, 2, 43, 0)
+    bh = beam_coefficients(gaussian_complex(12, 43, 1).reshape(4, 3))[[0, 2]].T
+    noise = gaussian_complex(6, 43, 2).reshape(3, 2)
+    y = dl_observe(psi, bh, noise, 0.1)
+    np.testing.assert_array_equal(y, dl_observe(psi, bh, noise, 0.1))
+    for i in range(3):
+        np.testing.assert_allclose(y[i], psi @ bh[i] + np.sqrt(0.1) * noise[i],
+                                   rtol=1e-14, atol=0.0)
     with pytest.raises(InvalidArgumentError):
-        dl_observe(pilot, np.zeros(3, dtype=complex), noise, 0.1)
+        dl_observe(psi, np.zeros((3, 3), dtype=complex), noise, 0.1)  # width != M'
     with pytest.raises(InvalidArgumentError):
-        dl_observe(pilot, bh, np.zeros(3, dtype=complex), 0.1)
+        dl_observe(psi, bh, np.zeros((3, 3), dtype=complex), 0.1)     # width != T_dl
+    with pytest.raises(InvalidArgumentError):
+        dl_observe(psi, bh, noise[:2], 0.1)                          # one draw per user
+    with pytest.raises(InvalidArgumentError):
+        dl_observe(psi, bh[0], noise[0], 0.1)                        # not a stack
 
 
 # ----------------------------------------------------------------------- MMSE
@@ -85,25 +88,24 @@ def _prior(m_prime, support, variances):
 
 def test_mmse_scalar_closed_form():
     psi = np.array([[0.7 + 0.2j]])
-    pilot = PilotMatrix(psi=psi, p_dl=float(abs(psi[0, 0]) ** 2))
     lam, n0 = 1.7, 0.3
     y = np.array([[0.9 - 0.4j]])
     expected = lam * psi[0, 0].conj() * y[0, 0] / (abs(psi[0, 0]) ** 2 * lam + n0)
-    np.testing.assert_allclose(mmse_effective(y, pilot, [[lam]], n0), [[expected]],
+    np.testing.assert_allclose(mmse_effective(y, psi, [[lam]], n0), [[expected]],
                                atol=1e-12)
 
 
 def test_mmse_huge_noise_shrinks_to_zero():
-    pilot = make_pilot(3, 6, 1.0, 44, 0)
+    psi = make_pilot(3, 6, 44, 0)
     y = gaussian_complex(3, 44, 1)[None, :]
-    h_hat = mmse_effective(y, pilot, [_prior(6, [0, 3], [1.0, 2.0])], 1e12)
+    h_hat = mmse_effective(y, psi, [_prior(6, [0, 3], [1.0, 2.0])], 1e12)
     assert np.linalg.norm(h_hat) < 1e-9
 
 
 def test_mmse_zero_outside_support():
-    pilot = make_pilot(4, 8, 1.0, 45, 0)
+    psi = make_pilot(4, 8, 45, 0)
     y = gaussian_complex(4, 45, 1)[None, :]
-    h_hat = mmse_effective(y, pilot, [_prior(8, [1, 5], [1.0, 1.0])], 0.1)[0]
+    h_hat = mmse_effective(y, psi, [_prior(8, [1, 5], [1.0, 1.0])], 0.1)[0]
     off = [i for i in range(8) if i not in (1, 5)]
     np.testing.assert_array_equal(h_hat[off], np.zeros(6))
 
@@ -112,12 +114,11 @@ def test_mmse_batch_matches_per_user_formula():
     """Each row of the batched estimate is Lam Psi^H (Psi Lam Psi^H + N0 I)^-1 y
     of its own user, formed one user at a time."""
     rng = rng_stream(50, 0)
-    pilot = make_pilot(5, 9, 3.0, 50, 1)
-    psi = pilot.psi
+    psi = np.sqrt(3.0) * make_pilot(5, 9, 50, 1)
     n_users, n0 = 6, 0.4
     lam = rng.random((n_users, 9)) * (rng.random((n_users, 9)) < 0.6)
     y = gaussian_complex(n_users * 5, rng).reshape(n_users, 5)
-    got = mmse_effective(y, pilot, lam, n0)
+    got = mmse_effective(y, psi, lam, n0)
     assert got.shape == (n_users, 9)
     for i in range(n_users):
         inner = psi @ np.diag(lam[i]) @ psi.conj().T + n0 * np.eye(5)
@@ -126,12 +127,12 @@ def test_mmse_batch_matches_per_user_formula():
 
 
 def test_mmse_numerical_failures_raise():
-    pilot = make_pilot(3, 6, 1.0, 51, 0)
+    psi = make_pilot(3, 6, 51, 0)
     y = gaussian_complex(3, 51, 1)[None, :]
     with pytest.raises(NumericalError, match="singular"):
-        mmse_effective(y, pilot, np.zeros((1, 6)), 0.0)  # zero prior, no noise
+        mmse_effective(y, psi, np.zeros((1, 6)), 0.0)  # zero prior, no noise
     with pytest.raises(NumericalError, match="non-finite"):
-        mmse_effective(np.full((1, 3), np.inf + 0j), pilot, np.ones((1, 6)), 0.1)
+        mmse_effective(np.full((1, 3), np.inf + 0j), psi, np.ones((1, 6)), 0.1)
 
 
 def test_mmse_empirical_matches_oracle():
@@ -140,39 +141,37 @@ def test_mmse_empirical_matches_oracle():
 
 
 def test_mmse_rejects_mismatched_dims():
-    pilot = make_pilot(3, 6, 1.0, 46, 0)
+    psi = make_pilot(3, 6, 46, 0)
     y = gaussian_complex(3, 46, 1)[None, :]
     with pytest.raises(InvalidArgumentError):
-        mmse_effective(y, pilot, np.ones((1, 5)), 0.1)   # prior length != M'
+        mmse_effective(y, psi, np.ones((1, 5)), 0.1)   # prior length != M'
     with pytest.raises(InvalidArgumentError):
-        mmse_effective(y, pilot, np.ones((2, 6)), 0.1)   # one prior per observation
+        mmse_effective(y, psi, np.ones((2, 6)), 0.1)   # one prior per observation
     with pytest.raises(InvalidArgumentError):
-        mmse_effective(y[:, :2], pilot, np.ones((1, 6)), 0.1)
+        mmse_effective(y[:, :2], psi, np.ones((1, 6)), 0.1)
     with pytest.raises(InvalidArgumentError):
-        mmse_effective(y[0], pilot, np.ones((1, 6)), 0.1)  # not a stack
+        mmse_effective(y[0], psi, np.ones((1, 6)), 0.1)  # not a stack
     with pytest.raises(InvalidArgumentError):
-        mmse_effective(y, pilot, -np.ones((1, 6)), 0.1)
+        mmse_effective(y, psi, -np.ones((1, 6)), 0.1)
     with pytest.raises(InvalidArgumentError):
-        mmse_effective(y, pilot, np.ones((1, 6)), -0.1)
+        mmse_effective(y, psi, np.ones((1, 6)), -0.1)
 
 
 # ----------------------------------------------------------------- error trace
 
 def test_error_trace_huge_noise_limit():
-    pilot = make_pilot(4, 8, 1.0, 47, 0)
+    psi = make_pilot(4, 8, 47, 0)
     f_s = dft_matrix(8)[:, [0, 2, 5]]
-    val = error_trace_oracle(pilot, f_s, np.ones(3), 1e14)
+    val = error_trace_oracle(psi, f_s, np.ones(3), 1e14)
     assert abs(val - 3.0) < 1e-6
 
 
 def test_error_trace_vanishes_with_noise_when_covered():
     """Pilot dimension >= sparsity: error is O(N0) with a converging ratio."""
-    pre = SparsifyingPrecoder(beams=[0, 2, 5], m=8)
-    small = make_pilot(3, 3, 1.0, 48, 0)
-    pilot = PilotMatrix(psi=small.psi @ pre.matrix(), p_dl=1.0)
     f_s = dft_matrix(8)[:, [0, 2, 5]]
+    psi = make_pilot(3, 3, 48, 0) @ f_s.conj().T  # probes through beams 0, 2, 5
     n0s = [1e-4, 1e-6, 1e-8]
-    vals = [error_trace_oracle(pilot, f_s, np.ones(3), n0) for n0 in n0s]
+    vals = [error_trace_oracle(psi, f_s, np.ones(3), n0) for n0 in n0s]
     assert vals[-1] < 1e-7
     ratios = [v / n0 for v, n0 in zip(vals, n0s)]
     assert abs(ratios[1] - ratios[2]) / ratios[2] < 0.01
@@ -183,6 +182,6 @@ def test_error_trace_floor_when_undersampled():
     rng = rng_stream(49, 0)
     s, t_dl, m = 5, 3, 12
     cols = np.linalg.qr(gaussian_complex(m * s, rng).reshape(m, s))[0]
-    pilot = make_pilot(t_dl, m, 1.0, 49, 1)
-    val = error_trace_oracle(pilot, cols, np.ones(s), 1e-12)
+    psi = make_pilot(t_dl, m, 49, 1)
+    val = error_trace_oracle(psi, cols, np.ones(s), 1e-12)
     assert abs(val - (s - t_dl)) < 1e-6

@@ -10,12 +10,11 @@ from fddsim.channel import ArrayConfig, true_covariance
 from fddsim.config import ExperimentConfig
 from fddsim.covariance import circulant_eigenvalues
 from fddsim.errors import InvalidArgumentError, NumericalError
-from fddsim.evaluation import run_trial
-from fddsim.numerics import rng_stream
-from fddsim.sparsifier import (BeamGraph, SparsificationPlan, SparsifyingPrecoder,
-                               _validate_plan, beam_classes, build_beam_graph,
-                               formulate_milp, milp_solve, solve_sparsification,
-                               sparsifying_precoder)
+from fddsim.evaluation import normalized_error, run_trial
+from fddsim.numerics import dft_matrix, rng_stream
+from fddsim.sparsifier import (BeamGraph, SparsificationPlan, _validate_plan,
+                               beam_classes, beam_coefficients, build_beam_graph,
+                               formulate_milp, milp_solve, solve_sparsification)
 from fddsim.validate import (brute_force_sparsify, fixed_selector_deviations,
                              random_beam_graph)
 
@@ -475,55 +474,35 @@ def test_brute_force_guard():
 # -------------------------------------------------------------------- precoder
 
 def test_precoder_all_beams_is_dft_adjoint():
-    from fddsim.numerics import dft_matrix
-    pre = SparsifyingPrecoder(beams=list(range(6)), m=6)
-    np.testing.assert_allclose(pre.matrix(), dft_matrix(6).conj().T, atol=1e-14)
-
-
-def test_precoder_matrix_is_read_only_selected_dft_rows():
-    from fddsim.numerics import dft_matrix
-    pre = SparsifyingPrecoder(beams=[5, 1, 6], m=8)
-    b = pre.matrix()
-    assert np.array_equal(b, dft_matrix(8)[:, [5, 1, 6]].conj().T)
-    assert pre.matrix() is b
-    with pytest.raises(ValueError):
-        b[0, 0] = 0.0
+    np.testing.assert_allclose(beam_coefficients(np.eye(6)), dft_matrix(6).conj().T,
+                               atol=1e-14)
 
 
 def test_precoder_single_beam():
-    from fddsim.numerics import dft_matrix
     rng = rng_stream(65, 0)
     h = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    pre = SparsifyingPrecoder(beams=[3], m=8)
     f = dft_matrix(8)
-    np.testing.assert_allclose(pre.apply(h), [f[:, 3].conj() @ h], atol=1e-12)
+    np.testing.assert_allclose(beam_coefficients(h)[[3]], [f[:, 3].conj() @ h], atol=1e-12)
 
 
 def test_precoder_rows_orthonormal_and_projection():
-    pre = SparsifyingPrecoder(beams=[1, 4, 6], m=8)
-    b = pre.matrix()
+    """Rows [1, 4, 6] of F^H: orthonormal, a projection, and by Parseval the
+    antenna-domain error ||h - B^H h_hat|| equals the zero-filled
+    beam-domain error that run_trial records."""
+    beams = [1, 4, 6]
+    f_h = dft_matrix(8).conj().T
+    b = beam_coefficients(np.eye(8))[beams]
+    np.testing.assert_allclose(b, f_h[beams], atol=1e-14)
     np.testing.assert_allclose(b @ b.conj().T, np.eye(3), atol=1e-12)
     rng = rng_stream(66, 0)
-    h = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    assert np.linalg.norm(pre.apply(h)) <= np.linalg.norm(h) + 1e-12
+    h = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
+    assert np.all(np.linalg.norm(beam_coefficients(h)[beams], axis=0)
+                  <= np.linalg.norm(h, axis=0) + 1e-12)
     # equality iff h lies in the span of the selected columns
-    from fddsim.numerics import dft_matrix
-    h_in = dft_matrix(8)[:, [1, 4, 6]] @ (rng.standard_normal(3) + 0j)
-    assert abs(np.linalg.norm(pre.apply(h_in)) - np.linalg.norm(h_in)) < 1e-12
-    # expand is the adjoint embedding
-    np.testing.assert_allclose(pre.apply(pre.expand(np.eye(3)[:, 0] + 0j)),
-                               np.eye(3)[:, 0], atol=1e-12)
-
-
-def test_sparsifying_precoder_from_plan():
-    g = graph_from_matrix(np.eye(3))
-    plan = solve_sparsification(g, t_dl=1)
-    pre = sparsifying_precoder(plan, 3)
-    assert pre.m_prime == 3
-
-
-def test_precoder_rejects_empty_or_bad():
-    with pytest.raises(InvalidArgumentError):
-        SparsifyingPrecoder(beams=[], m=4)
-    with pytest.raises(InvalidArgumentError):
-        SparsifyingPrecoder(beams=[7], m=4)
+    h_in = f_h[beams].conj().T @ (rng.standard_normal(3) + 0j)
+    assert abs(np.linalg.norm(beam_coefficients(h_in)[beams]) - np.linalg.norm(h_in)) < 1e-12
+    h_hat = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    h_hat_beam = np.zeros((8, 2), dtype=complex)
+    h_hat_beam[beams] = h_hat
+    assert normalized_error(beam_coefficients(h), h_hat_beam) == pytest.approx(
+        normalized_error(h, f_h[beams].conj().T @ h_hat), rel=1e-12)
