@@ -5,9 +5,8 @@ and zero-forcing sum-rate evaluation."""
 from .channel import (AngularScatteringFunction, ArrayConfig, UserGeometry,
                       make_scenario, sample_channels, true_covariance)
 from .config import ConfigError, ExperimentConfig, parse_config
-from .covariance import (AsfEstimate, ToeplitzCovariance, asf_grid,
-                         circulant_eigenvalues, estimate_asf, extrapolate_dl,
-                         sample_covariance)
+from .covariance import (asf_grid, circulant_eigenvalues, estimate_asf,
+                         extrapolate_dl, sample_covariance)
 from .errors import FddsimError, InvalidArgumentError, NumericalError
 from .evaluation import (ExperimentRecord, effective_gains,
                          greedy_user_selection, normalized_error,

@@ -3,7 +3,9 @@
 The geometry is defined in the normalized angle xi in [-1, 1) alone. An
 angular scattering function is a union of weighted xi-intervals plus
 optional point masses; UL and DL share the same scattering function but
-see array responses whose phases differ by the carrier ratio alpha.
+see array responses whose phases differ by the carrier ratio alpha. A
+covariance is returned as the complex first column of its Hermitian
+Toeplitz matrix.
 """
 
 from __future__ import annotations
@@ -12,9 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import ToeplitzCovariance
 from .errors import InvalidArgumentError
-from .numerics import gaussian_complex, hermitian_eig, rng_stream
+from .numerics import gaussian_complex, hermitian_eig, rng_stream, toeplitz_from_column
 
 DEFAULT_ALPHA = 2140.0 / 1950.0  # LTE-IMT UL/DL carrier pair
 
@@ -83,14 +84,13 @@ class UserGeometry:
 
 
 def true_covariance(cfg: ArrayConfig, asf: AngularScatteringFunction,
-                    band: str) -> ToeplitzCovariance:
-    """Exact covariance: first column is the ASF transform sampled at
+                    band: str) -> np.ndarray:
+    """First column of the exact covariance: the ASF transform sampled at
     {m} (UL) or {alpha*m} (DL)."""
     if band not in ("ul", "dl"):
         raise InvalidArgumentError(f"band must be 'ul' or 'dl', got {band!r}")
     scale = 1.0 if band == "ul" else cfg.alpha
-    col = asf.fourier(scale * np.arange(cfg.m))
-    return ToeplitzCovariance(first_column=col)
+    return asf.fourier(scale * np.arange(cfg.m))
 
 
 def sample_channels(cfg: ArrayConfig, asf: AngularScatteringFunction,
@@ -99,11 +99,9 @@ def sample_channels(cfg: ArrayConfig, asf: AngularScatteringFunction,
     covariance of the given ASF (Karhunen-Loeve coloring)."""
     if n < 1:
         raise InvalidArgumentError("sample_channels: n must be >= 1")
-    cov = true_covariance(cfg, asf, band)
-    eig = hermitian_eig(cov.matrix())
-    lam = np.maximum(eig.eigenvalues, 0.0)
+    w, u = hermitian_eig(toeplitz_from_column(true_covariance(cfg, asf, band)))
     g = gaussian_complex(cfg.m * n, seed, *path).reshape(cfg.m, n)
-    return eig.eigenvectors @ (np.sqrt(lam)[:, None] * g)
+    return u @ (np.sqrt(np.maximum(w, 0.0))[:, None] * g)
 
 
 def make_scenario(n_clusters: int, cluster_width: float, k: int, seed,

@@ -6,7 +6,8 @@ Subcommands:
   sparsify     solve beam/user selection for a beam-power matrix
   validate     run the self-check suites
 
-Exit codes: 0 success, 1 validation/solver failure, 2 bad configuration.
+Exit codes: 0 success, 1 validation/solver failure, 2 bad configuration
+or an output path that cannot be written.
 """
 
 from __future__ import annotations
@@ -14,12 +15,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
 from .config import ConfigError, parse_config
-from .covariance import (ToeplitzCovariance, export_covariance_csv,
-                         export_spectrum_csv, grid_matrix)
+from .covariance import (asf_grid, export_covariance_csv, export_spectrum_csv,
+                         grid_matrix)
 from .errors import FddsimError, InvalidArgumentError
 from .evaluation import (estimate_user_pipeline, run_experiment, summarize,
                          trial_scenario, write_records_csv, write_summary_json)
@@ -28,14 +30,26 @@ from .sparsifier import (DEFAULT_TH_REL, build_beam_graph, formulate_milp,
 from .validate import run_suites, SUITES
 
 
+@contextmanager
+def _writing(path):
+    """Report an output write that fails as bad input (exit 2), in one line."""
+    try:
+        yield
+    except OSError as exc:
+        raise InvalidArgumentError(
+            f"cannot write {exc.filename or path}: {exc.strerror or exc}") from None
+
+
 def _cmd_simulate(args) -> int:
     cfg = parse_config(args.config)
     records = run_experiment(cfg, threads=args.threads)
     out = args.output or cfg.output_path or "results.csv"
-    write_records_csv(records, out)
+    with _writing(out):
+        write_records_csv(records, out)
     print(f"wrote {len(records)} records to {out}")
     if args.summary:
-        write_summary_json(records, args.summary)
+        with _writing(args.summary):
+            write_summary_json(records, args.summary)
         print(f"wrote summary to {args.summary}")
     for row in summarize(records)["grid"]:
         print(f"  Tdl={row['tdl']:<4d} snr={row['snr_db']:<6g} "
@@ -55,14 +69,15 @@ def _cmd_extrapolate(args) -> int:
         raise InvalidArgumentError(f"--user {args.user} is not a user index "
                                    f"of the experiment (K = {cfg.k})")
     arr, users = trial_scenario(cfg, 0)
-    est, c_dl, lam = estimate_user_pipeline(cfg, arr, users[args.user].asf, 0, args.user)
+    z, c_dl, lam = estimate_user_pipeline(cfg, arr, users[args.user].asf, 0, args.user)
     # the UL covariance of the fitted angular measure
-    c_ul = ToeplitzCovariance(first_column=grid_matrix(est.m, est.xi) @ est.weights)
+    c_ul = grid_matrix(arr.m, asf_grid(z.size)) @ z
 
-    os.makedirs(args.outdir, exist_ok=True)
-    export_covariance_csv(c_ul, os.path.join(args.outdir, "c_ul_hat.csv"))
-    export_covariance_csv(c_dl, os.path.join(args.outdir, "c_dl_hat.csv"))
-    export_spectrum_csv(lam, os.path.join(args.outdir, "spectrum.csv"))
+    with _writing(args.outdir):
+        os.makedirs(args.outdir, exist_ok=True)
+        export_covariance_csv(c_ul, os.path.join(args.outdir, "c_ul_hat.csv"))
+        export_covariance_csv(c_dl, os.path.join(args.outdir, "c_dl_hat.csv"))
+        export_spectrum_csv(lam, os.path.join(args.outdir, "spectrum.csv"))
     print(f"wrote c_ul_hat.csv, c_dl_hat.csv, spectrum.csv to {args.outdir}")
     return 0
 
@@ -75,12 +90,12 @@ def _cmd_sparsify(args) -> int:
     graph = build_beam_graph(w, th_rel=args.th_rel)
     if args.dump_milp:
         mip = formulate_milp(graph, args.tdl, args.p0)
-        with open(args.dump_milp, "w") as fh:
+        with _writing(args.dump_milp), open(args.dump_milp, "w") as fh:
             fh.write(mip.to_debug_text())
     plan = solve_sparsification(graph, args.tdl, p0=args.p0)
     text = plan.to_json()
     if args.output:
-        with open(args.output, "w") as fh:
+        with _writing(args.output), open(args.output, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)

@@ -1,45 +1,23 @@
 """Covariance pipeline: UL sample covariance, angular power estimation by
 weighted NNLS (SciPy's Lawson-Hanson), and UL-to-DL extrapolation.
 
-The covariance of a uniform linear array is Hermitian Toeplitz, so it is
-carried around as its first column. The DL covariance is PSD by
-construction and its beam spectrum is one FFT of that column.
+Everything is a plain array. The covariance of a uniform linear array is
+Hermitian Toeplitz, so it is carried as its complex first column
+(``numerics.toeplitz_from_column`` builds the matrix where one is needed).
+The angular estimate is the vector z of NNLS weights on the grid
+``asf_grid(z.size)``. The DL covariance is PSD by construction and its
+beam spectrum is one FFT of its column.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import nnls as _scipy_nnls
 
 from .errors import InvalidArgumentError, NumericalError
-from .numerics import toeplitz_from_column
-
-
-@dataclass
-class ToeplitzCovariance:
-    """Hermitian PSD Toeplitz covariance, stored as its first column."""
-
-    first_column: np.ndarray
-
-    def __post_init__(self):
-        self.first_column = np.asarray(self.first_column, dtype=complex)
-        if self.first_column.real[0] < -1e-12 * max(abs(self.first_column[0]), 1.0):
-            raise InvalidArgumentError("covariance diagonal entry must be nonnegative")
-
-    @property
-    def m(self) -> int:
-        return self.first_column.size
-
-    @property
-    def trace(self) -> float:
-        return float(self.first_column[0].real * self.m)
-
-    def matrix(self) -> np.ndarray:
-        return toeplitz_from_column(self.first_column)
 
 
 def sample_covariance(y: np.ndarray, sigma2: float) -> np.ndarray:
@@ -57,20 +35,6 @@ def sample_covariance(y: np.ndarray, sigma2: float) -> np.ndarray:
     return c - sigma2 * np.eye(y.shape[0])
 
 
-@dataclass
-class AsfEstimate:
-    """Discrete angular power estimate on a uniform grid in the normalized angle xi."""
-
-    xi: np.ndarray       # grid points, strictly increasing in [-1, 1)
-    weights: np.ndarray  # NNLS solution w.r.t. the 1/sqrt(M)-normalized grid matrix
-    m: int               # antenna count of the originating array
-
-    @property
-    def measure_weights(self) -> np.ndarray:
-        """Point masses of the estimated angular measure."""
-        return self.weights / np.sqrt(self.m)
-
-
 def asf_grid(g: int) -> np.ndarray:
     """Uniform xi grid of size g."""
     return -1.0 + 2.0 * np.arange(g) / g
@@ -81,8 +45,9 @@ def grid_matrix(m: int, xi: np.ndarray) -> np.ndarray:
     return np.exp(1j * np.pi * np.outer(np.arange(m), xi)) / np.sqrt(m)
 
 
-def estimate_asf(c_ul: np.ndarray, grid_size: int | None = None) -> AsfEstimate:
-    """Nonnegative grid weights whose UL covariance column best matches c_ul.
+def estimate_asf(c_ul: np.ndarray, grid_size: int | None = None) -> np.ndarray:
+    """Nonnegative weights z on ``asf_grid(G)`` whose UL covariance column
+    ``grid_matrix(M, asf_grid(G)) @ z`` best matches c_ul.
 
     Solves min sum_d n_d |(G z)_d - c_ul[d]|^2 over z >= 0, with
     n_0 = M and n_d = 2(M - d) the number of entries on diagonal offset
@@ -90,18 +55,17 @@ def estimate_asf(c_ul: np.ndarray, grid_size: int | None = None) -> AsfEstimate:
     Given the Toeplitz average of a sample covariance S this is, up to a
     constant, the projection of S onto the Toeplitz-PSD cone restricted
     to the grid's nonnegative measures. The complex system is stacked
-    into real form. Default grid size is 4*M.
+    into real form. Default grid size is 4*M. The point masses of the
+    estimated angular measure are z / sqrt(M).
     """
     c_ul = np.asarray(c_ul, dtype=complex)
     m = c_ul.size
     g = 4 * m if grid_size is None else int(grid_size)
     if g < m:
         raise InvalidArgumentError(f"grid size {g} must be at least M={m}")
-    xi = asf_grid(g)
-    a, row_w = _asf_system(m, xi.tobytes())
+    a, row_w = _asf_system(m, g)
     b = np.concatenate([c_ul.real, c_ul.imag]) * row_w
-    z = nnls(a, b)
-    return AsfEstimate(xi=xi, weights=z, m=m)
+    return nnls(a, b)
 
 
 def nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -127,13 +91,12 @@ def nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 # The estimator's fixed matrices depend only on the array size, the grid
-# (passed as its raw float64 bytes, so it can be a cache key) and alpha.
-# Each is built once per process and shared read-only.
+# size and alpha. Each is built once per process and shared read-only.
 
 @functools.lru_cache(maxsize=4)
-def _asf_system(m: int, xi: bytes) -> tuple[np.ndarray, np.ndarray]:
+def _asf_system(m: int, g: int) -> tuple[np.ndarray, np.ndarray]:
     """estimate_asf's weighted real design matrix and its row weights."""
-    gm = grid_matrix(m, np.frombuffer(xi))
+    gm = grid_matrix(m, asf_grid(g))
     n_d = 2.0 * (m - np.arange(m))
     n_d[0] = m
     row_w = np.tile(np.sqrt(n_d), 2)
@@ -143,39 +106,42 @@ def _asf_system(m: int, xi: bytes) -> tuple[np.ndarray, np.ndarray]:
     return a, row_w
 
 
-def extrapolate_dl(asf: AsfEstimate, cfg) -> ToeplitzCovariance:
-    """Resample the Fourier transform of the estimated angular measure on
-    the scaled grid {alpha*m} to get the DL covariance first column; it is
-    PSD because the measure weights are nonnegative, which is checked."""
-    w = asf.measure_weights
+def extrapolate_dl(z: np.ndarray, cfg) -> np.ndarray:
+    """DL covariance first column of the angular estimate z (grid
+    ``asf_grid(z.size)``) on an array of ``cfg.m`` antennas: the Fourier
+    transform of the measure z / sqrt(M) resampled on the scaled grid
+    {alpha*m}, alpha = ``cfg.alpha``. It is PSD because the measure
+    weights are nonnegative, which is checked."""
+    w = np.asarray(z, dtype=float) / np.sqrt(cfg.m)
     if np.any(w < 0.0):
         raise InvalidArgumentError("extrapolate_dl: angular measure weights must be nonnegative")
-    exps = _dl_resampling(asf.m, np.ascontiguousarray(asf.xi, dtype=float).tobytes(),
-                          cfg.alpha)
-    return ToeplitzCovariance(first_column=exps @ w.astype(complex))
+    return _dl_resampling(cfg.m, w.size, cfg.alpha) @ w.astype(complex)
 
 
 @functools.lru_cache(maxsize=4)
-def _dl_resampling(m: int, xi: bytes, alpha: float) -> np.ndarray:
+def _dl_resampling(m: int, g: int, alpha: float) -> np.ndarray:
     """extrapolate_dl's M x G resampling matrix exp(j pi alpha d xi_i)."""
-    exps = np.exp(1j * np.pi * alpha * np.outer(np.arange(m), np.frombuffer(xi)))
+    exps = np.exp(1j * np.pi * alpha * np.outer(np.arange(m), asf_grid(g)))
     exps.flags.writeable = False
     return exps
 
 
-def circulant_eigenvalues(cov: ToeplitzCovariance) -> np.ndarray:
-    """Beam-space powers diag(F^H C F), real with negative round-off clipped:
+def circulant_eigenvalues(col: np.ndarray) -> np.ndarray:
+    """Beam-space powers diag(F^H C F) of the Hermitian Toeplitz C with
+    first column c, real with negative round-off clipped:
     lambda_m = 2 Re(sum_d (1 - d/M) c_d e^{j 2 pi d m/M}) - c_0, one FFT."""
-    m, c = cov.m, cov.first_column
+    c = np.asarray(col, dtype=complex)
+    m = c.size
     lam = 2.0 * (m * np.fft.ifft((1.0 - np.arange(m) / m) * c)).real - c[0].real
     return np.maximum(lam, 0.0)
 
 
-def export_covariance_csv(cov: ToeplitzCovariance, path) -> None:
+def export_covariance_csv(col: np.ndarray, path) -> None:
+    """A covariance first column as index, real, imag rows."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["index", "real", "imag"])
-        for i, v in enumerate(cov.first_column):
+        for i, v in enumerate(col):
             w.writerow([i, f"{v.real:.12g}", f"{v.imag:.12g}"])
 
 

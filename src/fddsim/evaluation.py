@@ -20,8 +20,8 @@ import numpy as np
 
 from .channel import ArrayConfig, make_scenario, sample_channels, true_covariance
 from .config import ExperimentConfig
-from .covariance import (AsfEstimate, ToeplitzCovariance, circulant_eigenvalues,
-                         estimate_asf, extrapolate_dl, sample_covariance)
+from .covariance import (circulant_eigenvalues, estimate_asf, extrapolate_dl,
+                         sample_covariance)
 from .errors import FddsimError, InvalidArgumentError, NumericalError
 from .numerics import gaussian_complex, hermitian_eig, toeplitz_average
 from .probing import dl_observe, make_pilot, mmse_effective
@@ -43,7 +43,7 @@ def zf_precoder(h_hat_eff: np.ndarray) -> np.ndarray:
     if h.shape[1] > h.shape[0]:
         raise InvalidArgumentError("zf_precoder: more streams than beams")
     gram = h.conj().T @ h
-    w = hermitian_eig(gram).eigenvalues
+    w, _ = hermitian_eig(gram)
     if w[0] <= ZF_COND_TOL * max(w[-1], 1e-300):
         raise NumericalError("zf_precoder: estimated channel matrix is rank deficient")
     pinv_t = h @ np.linalg.inv(gram)
@@ -147,24 +147,25 @@ CSV_HEADER = "trial,Tdl,snr_db,served,matching_size,err_norm,sum_rate_bits"
 
 def estimate_user_pipeline(cfg: ExperimentConfig, arr: ArrayConfig, user_asf,
                            trial: int, k: int
-                           ) -> tuple[AsfEstimate, ToeplitzCovariance, np.ndarray]:
+                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """UL covariance -> angular estimate -> DL covariance -> beam powers.
 
     The angular measure is fitted to the Toeplitz average of the sample
     covariance of user k's UL pilots in the given trial (or to the true UL
-    covariance with ``exact_covariance``). Returns the angular estimate,
-    the DL covariance and its beam-space spectrum.
+    covariance with ``exact_covariance``). Returns the angular estimate's
+    grid weights, the DL covariance first column and its beam-space
+    spectrum.
     """
     if cfg.exact_covariance:
-        c_ul_hat = true_covariance(arr, user_asf, "ul").first_column
+        c_ul_hat = true_covariance(arr, user_asf, "ul")
     else:
         h_ul = sample_channels(arr, user_asf, "ul", cfg.n_ul, cfg.seed, trial, k, _UL_CHAN)
         noise = np.sqrt(cfg.ul_sigma2) * gaussian_complex(
             arr.m * cfg.n_ul, cfg.seed, trial, k, _UL_NOISE).reshape(arr.m, cfg.n_ul)
         c_ul_hat = toeplitz_average(sample_covariance(h_ul + noise, cfg.ul_sigma2))
-    asf_est = estimate_asf(c_ul_hat, grid_size=cfg.grid_factor * arr.m)
-    c_dl_hat = extrapolate_dl(asf_est, arr)
-    return asf_est, c_dl_hat, circulant_eigenvalues(c_dl_hat)
+    z = estimate_asf(c_ul_hat, grid_size=cfg.grid_factor * arr.m)
+    c_dl_hat = extrapolate_dl(z, arr)
+    return z, c_dl_hat, circulant_eigenvalues(c_dl_hat)
 
 
 def trial_scenario(cfg: ExperimentConfig, trial: int) -> tuple[ArrayConfig, list]:

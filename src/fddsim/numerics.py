@@ -1,14 +1,14 @@
 """Dense complex linear algebra and seeded random sampling.
 
-Everything here is a pure function of its inputs.  Random draws are
-reproducible: a stream is identified by the master seed plus an arbitrary
-path of integers (e.g. ``(trial, user, purpose)``), and the same stream id
-always yields the same values, independent of call order or thread count.
+Everything here is a pure function of its inputs and returns plain
+arrays; ``hermitian_eig`` returns the pair (w, u) in the order of
+``np.linalg.eigh``.  Random draws are reproducible: a stream is identified
+by the master seed plus an arbitrary path of integers (e.g.
+``(trial, user, purpose)``), and the same stream id always yields the same
+values, independent of call order or thread count.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,16 +65,9 @@ def _check_hermitian(a: np.ndarray, what: str) -> np.ndarray:
     return a
 
 
-@dataclass
-class HermitianEig:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # unitary, columns are eigenvectors
-
-
-def hermitian_eig(a: np.ndarray) -> HermitianEig:
-    """Eigendecomposition of a Hermitian matrix (ascending eigenvalues)."""
+def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues w (ascending) and unitary eigenvectors u (columns) of a
+    Hermitian matrix, as ``np.linalg.eigh`` returns them."""
     a = _check_hermitian(a, "hermitian_eig")
     # Symmetrize first so round-off in the input cannot leak into LAPACK.
     h = 0.5 * (a + a.conj().T)
@@ -82,7 +75,7 @@ def hermitian_eig(a: np.ndarray) -> HermitianEig:
         w, u = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh rarely fails
         raise NumericalError(f"hermitian_eig did not converge: {exc}") from exc
-    return HermitianEig(eigenvalues=w, eigenvectors=u)
+    return w, u
 
 
 def toeplitz_average(a: np.ndarray) -> np.ndarray:
@@ -117,7 +110,7 @@ def numerical_rank(a: np.ndarray) -> int:
     """Scale-invariant rank: eigenvalues of A^H A above max eigenvalue * 1e-10."""
     a = np.asarray(a, dtype=complex)
     gram = a.conj().T @ a
-    w = hermitian_eig(gram).eigenvalues
+    w, _ = hermitian_eig(gram)
     top = w[-1] if w.size else 0.0
     if top <= 0.0:
         return 0

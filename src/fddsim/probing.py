@@ -86,7 +86,7 @@ def error_trace_oracle(psi: np.ndarray, support_columns: np.ndarray,
     half = np.sqrt(variances)
     pf = psi @ f_s
     a = (half[:, None] * (pf.conj().T @ pf) * half[None, :])
-    mu = np.maximum(hermitian_eig(a).eigenvalues, 0.0)
+    mu = np.maximum(hermitian_eig(a)[0], 0.0)
     denom = n0 + mu
     ratio = np.divide(mu, denom, out=np.zeros_like(mu), where=denom > 0)
     return float(s - np.sum(ratio))

@@ -59,8 +59,9 @@ def build_beam_graph(spectra, th_rel: float = DEFAULT_TH_REL) -> BeamGraph:
         raise InvalidArgumentError("build_beam_graph: spectra must be finite")
     if np.any(w < 0):
         raise InvalidArgumentError("build_beam_graph: spectra must be nonnegative")
-    if not th_rel >= 0:
-        raise InvalidArgumentError(f"build_beam_graph: th_rel {th_rel} must be nonnegative")
+    if not 0 <= th_rel < np.inf:  # NaN fails too
+        raise InvalidArgumentError(
+            f"build_beam_graph: th_rel {th_rel} must be finite and nonnegative")
     th = th_rel * float(w.max()) if w.size else 0.0
     return BeamGraph(weights=w, adjacency=w > th)
 
@@ -141,8 +142,8 @@ def _checked_epsilon(m: int, t_dl: int, p0: float, epsilon: float | None) -> flo
     form; return epsilon, which defaults to DEFAULT_EPSILON_FACTOR / M."""
     if t_dl < 1:
         raise InvalidArgumentError(f"T_dl {t_dl} must be at least 1")
-    if not p0 >= 0:
-        raise InvalidArgumentError(f"P0 {p0} must be nonnegative")
+    if not 0 <= p0 < np.inf:  # NaN fails too
+        raise InvalidArgumentError(f"P0 {p0} must be finite and nonnegative")
     if epsilon is None:
         epsilon = DEFAULT_EPSILON_FACTOR / max(m, 1)
     if not epsilon < 1.0 / max(m, 1):  # also rejects NaN

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .channel import AngularScatteringFunction, ArrayConfig, true_covariance
-from .covariance import ToeplitzCovariance, circulant_eigenvalues, nnls
+from .covariance import circulant_eigenvalues, nnls
 from .errors import InvalidArgumentError
 from .numerics import (dft_matrix, gaussian_complex, hermitian_eig,
                        numerical_rank, rng_stream, toeplitz_average,
@@ -260,9 +260,9 @@ def szego_errors(m_values=(16, 32, 64, 128)) -> list:
     errs = []
     for m in m_values:
         arr = ArrayConfig(m=m)
-        cov = true_covariance(arr, asf, "ul")
-        lam_circ = np.sort(circulant_eigenvalues(cov))[::-1]
-        lam_true = np.sort(hermitian_eig(cov.matrix()).eigenvalues)[::-1]
+        col = true_covariance(arr, asf, "ul")
+        lam_circ = np.sort(circulant_eigenvalues(col))[::-1]
+        lam_true = np.sort(hermitian_eig(toeplitz_from_column(col))[0])[::-1]
         errs.append(float(np.linalg.norm(lam_circ - lam_true)
                           / np.linalg.norm(lam_true)))
     return errs
@@ -277,16 +277,15 @@ def suite_szego(m_values=(16, 32, 64, 128)) -> SuiteResult:
 
 def psd_project(a: np.ndarray) -> np.ndarray:
     """Frobenius-nearest PSD matrix: clip negative eigenvalues at zero."""
-    eig = hermitian_eig(a)
-    w = np.maximum(eig.eigenvalues, 0.0)
-    u = eig.eigenvectors
-    out = (u * w) @ u.conj().T
+    w, u = hermitian_eig(a)
+    out = (u * np.maximum(w, 0.0)) @ u.conj().T
     return 0.5 * (out + out.conj().T)
 
 
 def project_toeplitz_psd(a: np.ndarray, tol: float = DYKSTRA_TOL,
-                         max_iter: int = DYKSTRA_MAX_ITER) -> ToeplitzCovariance:
-    """Frobenius projection onto the Toeplitz Hermitian PSD cone.
+                         max_iter: int = DYKSTRA_MAX_ITER) -> np.ndarray:
+    """Frobenius projection onto the Toeplitz Hermitian PSD cone, returned
+    as the first column of the projected matrix.
 
     Dykstra's alternating projections between the Hermitian Toeplitz
     subspace and the PSD cone; this converges to the exact projection onto
@@ -315,7 +314,7 @@ def project_toeplitz_psd(a: np.ndarray, tol: float = DYKSTRA_TOL,
                       RuntimeWarning)
     col = toeplitz_average(x)
     col[0] = max(col[0].real, 0.0)
-    return ToeplitzCovariance(first_column=col)
+    return col
 
 
 def _random_cone_columns(rng: np.random.Generator, m: int, n_samples: int,
@@ -360,7 +359,7 @@ def suite_projection(n_inputs: int = 50, n_samples: int = 10**4,
             # cap is expected and the capped iterate is still tested below.
             warnings.simplefilter("ignore", RuntimeWarning)
             proj = project_toeplitz_psd(a)
-        d_proj = np.linalg.norm(a - proj.matrix())
+        d_proj = np.linalg.norm(a - toeplitz_from_column(proj))
         scale = max(float(np.trace(a).real) / size, 0.5)
         cols = _random_cone_columns(rng, size, n_samples, scale)
         d_samples = np.sqrt(np.maximum(_toeplitz_distance_sq(a, cols), 0.0))

@@ -63,16 +63,44 @@ def test_simulate_bad_key_exits_2(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+# `extrapolate` outputs for SMALL_CFG, user 0, as written (12 significant
+# digits): one row per index of c_ul_hat.csv, c_dl_hat.csv and spectrum.csv.
+GOLDEN_EXTRAPOLATE = [  # (c_ul_hat, c_dl_hat, lambda)
+    (1.02007383724+0j, 1.02007383724+0j, 0.0608340094412),
+    (0.0604409526067+0.0671114583508j, -0.0836855107789+0.097580602957j, 0.0585651564622),
+    (-0.879377614687+0.376493231457j, -0.84817211425+0.378662026913j, 0.0743783031134),
+    (-0.139998091122+0.010973636027j, 0.167779669188-0.211591289194j, 0.141867936255),
+    (0.536881186324-0.567970657245j, 0.459686984524-0.515471703127j, 2.15748567456),
+    (0.12951092548-0.101738459318j, -0.097405623356+0.29308043927j, 4.09575022361),
+    (-0.176445697226+0.506929158717j, -0.113504071623+0.377831925545j, 0.786052136797),
+    (-0.0530121852146+0.129947810012j, -0.0260992744254-0.221662720572j, 0.14763639209),
+    (-0.0366232589335-0.275894417236j, -0.0325701386641-0.137611611419j, 0.0876429789433),
+    (-0.0162735557929-0.0739459421763j, 0.0520596867424+0.041540416384j, 0.0876550942572),
+    (0.0549823758244+0.0367711794834j, 0.0224051992397-0.0186683233812j, 0.144149570193),
+    (0.0214825534649-0.0181280963376j, 0.0463200606722+0.0909879998246j, 0.644962833148),
+    (0.0424390540432+0.08369812805j, 0.00502309751333+0.0497579988817j, 4.41222023354),
+    (0.0279199457688+0.073738917589j, -0.145089322009-0.0826270999576j, 3.16095164582),
+    (-0.127771430787-0.0669185775281j, 0.0162806404313-0.0393213550038j, 0.177266682035),
+    (-0.0664718609708-0.0627559833184j, 0.112516266442+0.00226850075291j, 0.0837625256069),
+]
+
+
 def test_extrapolate_outputs(cfg_path, tmp_path):
     outdir = tmp_path / "extrap"
     rc = main(["extrapolate", cfg_path, "--outdir", str(outdir)])
     assert rc == 0
-    for name in ("c_ul_hat.csv", "c_dl_hat.csv", "spectrum.csv"):
-        text = (outdir / name).read_text().strip().split("\n")
-        assert len(text) == 1 + 16
-    lam = [float(line.split(",")[1]) for line in
-           (outdir / "spectrum.csv").read_text().strip().split("\n")[1:]]
-    assert all(v >= 0 for v in lam)
+
+    def column(name):
+        lines = (outdir / name).read_text().strip().split("\n")
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        assert [r[0] for r in rows] == list(range(16))
+        return np.array([r[1] + 1j * r[2] if len(r) == 3 else r[1] for r in rows])
+
+    want = np.array(GOLDEN_EXTRAPOLATE).T
+    got = [column(name) for name in ("c_ul_hat.csv", "c_dl_hat.csv", "spectrum.csv")]
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=1e-9, atol=1e-9 * np.abs(w).max())
+    assert np.all(got[2].real >= 0)
 
 
 # Byte-exact `sparsify --tdl 2 --dump-milp` text of the 3 x 2 matrix below
@@ -160,11 +188,15 @@ def test_sparsify_bad_file_exits_2(capsys):
     (0.0, ["--tdl", "-1"]),
     (0.0, ["--tdl", "2", "--p0", "-5"]),
     (0.0, ["--tdl", "2", "--th-rel", "-1"]),
+    (0.0, ["--tdl", "2", "--th-rel", "inf"]),
+    (0.0, ["--tdl", "2", "--p0", "inf"]),
     (float("nan"), ["--tdl", "2"]),
     # every beam reaches both users: one beam class, solved in closed form
     ("one class", ["--tdl", "0"]),
     ("one class", ["--tdl", "2", "--p0", "-5"]),
     ("one class", ["--tdl", "2", "--p0", "nan"]),
+    ("one class", ["--tdl", "2", "--p0", "inf"]),
+    ("one class", ["--tdl", "2", "--th-rel", "inf"]),
 ])
 def test_sparsify_out_of_range_input_exits_2(tmp_path, capsys, entry, flags):
     spectra = tmp_path / "w.csv"
@@ -175,6 +207,28 @@ def test_sparsify_out_of_range_input_exits_2(tmp_path, capsys, entry, flags):
     assert main(["sparsify", str(spectra), *flags, "-o", str(plan_path)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not plan_path.exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("simulate", "-o"), ("simulate", "--summary"), ("extrapolate", "--outdir"),
+    ("sparsify", "-o"), ("sparsify", "--dump-milp"),
+])
+def test_unwritable_output_exits_2(cfg_path, tmp_path, capsys, command, flag):
+    """An output path under a regular file fails in one line, exit 2."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    target = str(blocker / "out")
+    if command == "sparsify":
+        spectra = tmp_path / "w.csv"
+        np.savetxt(spectra, np.array([[1.0, 0.0], [0.8, 0.9]]), delimiter=",")
+        argv = ["sparsify", str(spectra), "--tdl", "2", flag, target]
+    else:
+        argv = [command, cfg_path, flag, target]
+    if flag == "--summary":
+        argv += ["-o", str(tmp_path / "records.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {target}: ")
 
 
 def test_validate_single_suite(capsys):

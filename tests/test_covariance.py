@@ -10,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 from fddsim import covariance, evaluation
 from fddsim.channel import AngularScatteringFunction, ArrayConfig, true_covariance
 from fddsim.config import ExperimentConfig
-from fddsim.covariance import (ToeplitzCovariance, asf_grid,
-                               circulant_eigenvalues, estimate_asf,
+from fddsim.covariance import (asf_grid, circulant_eigenvalues, estimate_asf,
                                export_covariance_csv, export_spectrum_csv,
                                extrapolate_dl, grid_matrix, nnls,
                                sample_covariance)
@@ -55,14 +54,14 @@ def test_sample_covariance_rejects_bad_input():
 # -------------------------------------------------------- Toeplitz-PSD project
 
 def test_project_fixed_point():
-    cov = true_covariance(ArrayConfig(m=6), TWO_CLUSTER, "ul")
-    out = project_toeplitz_psd(cov.matrix())
-    np.testing.assert_allclose(out.first_column, cov.first_column, atol=1e-9)
+    col = true_covariance(ArrayConfig(m=6), TWO_CLUSTER, "ul")
+    out = project_toeplitz_psd(toeplitz_from_column(col))
+    np.testing.assert_allclose(out, col, atol=1e-9)
 
 
 def test_project_2x2_against_grid_oracle():
     a = np.array([[1.0, 0.0], [0.0, -1.0]])
-    out = project_toeplitz_psd(a).matrix()
+    out = toeplitz_from_column(project_toeplitz_psd(a))
     # Oracle: 2x2 Hermitian Toeplitz PSD is [[c0, conj(c1)], [c1, c0]] with
     # c0 >= |c1|; minimize distance by grid search then local refinement.
     best, best_d = None, np.inf
@@ -85,11 +84,9 @@ def test_project_output_in_cone():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         out = project_toeplitz_psd(a)
-    mat = out.matrix()
+    assert out.shape == (8,)
     # PSD up to the Dykstra stopping tolerance (1e-8 relative to ||A||).
-    assert np.linalg.eigvalsh(mat)[0] >= -1e-7 * np.linalg.norm(a)
-    # Toeplitz structure holds by construction of the returned column.
-    np.testing.assert_allclose(mat, toeplitz_from_column(out.first_column))
+    assert np.linalg.eigvalsh(toeplitz_from_column(out))[0] >= -1e-7 * np.linalg.norm(a)
 
 
 def test_project_variational_characterization():
@@ -99,7 +96,7 @@ def test_project_variational_characterization():
     a = 0.5 * (g + g.conj().T)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        p = project_toeplitz_psd(a).matrix()
+        p = toeplitz_from_column(project_toeplitz_psd(a))
     for _ in range(200):
         xi = rng.uniform(-1, 1, size=4)
         w = rng.random(4) * 2.0
@@ -109,30 +106,24 @@ def test_project_variational_characterization():
         assert inner <= 1e-6 * max(np.linalg.norm(a - p) * np.linalg.norm(x - p), 1.0)
 
 
-def test_toeplitz_covariance_invariants():
-    with pytest.raises(InvalidArgumentError):
-        ToeplitzCovariance(first_column=np.array([-1.0, 0.0]))
-    cov = ToeplitzCovariance(first_column=np.array([2.0, 1.0]))
-    assert cov.m == 2 and abs(cov.trace - 4.0) < 1e-14
-
-
 # --------------------------------------------------------------- ASF estimation
 
 def test_estimate_asf_point_source_at_zero():
     c_ul = np.ones(16, dtype=complex)  # point source at xi = 0
-    est = estimate_asf(c_ul)
-    total = est.measure_weights.sum()
-    center = np.argmin(np.abs(est.xi))
-    window = est.measure_weights[max(0, center - 2):center + 3].sum()
+    z = estimate_asf(c_ul)
+    assert z.shape == (4 * 16,)
+    center = np.argmin(np.abs(asf_grid(z.size)))
+    total = z.sum()
+    window = z[max(0, center - 2):center + 3].sum()
     assert window >= 0.9 * total > 0
 
 
 def test_estimate_asf_uniform_residual():
     c_ul = np.zeros(12, dtype=complex)
     c_ul[0] = 1.0
-    est = estimate_asf(c_ul)
-    gm = grid_matrix(12, est.xi)
-    assert np.linalg.norm(gm @ est.weights - c_ul) <= 1e-6
+    z = estimate_asf(c_ul)
+    gm = grid_matrix(12, asf_grid(z.size))
+    assert np.linalg.norm(gm @ z - c_ul) <= 1e-6
 
 
 def test_estimate_asf_grid_too_small():
@@ -142,12 +133,12 @@ def test_estimate_asf_grid_too_small():
 
 def test_estimate_asf_residual_decreases_with_grid():
     cfg = ArrayConfig(m=16)
-    c_ul = true_covariance(cfg, TWO_CLUSTER, "ul").first_column
+    c_ul = true_covariance(cfg, TWO_CLUSTER, "ul")
     residuals = []
     for factor in (2, 4, 8):
-        est = estimate_asf(c_ul, grid_size=factor * 16)
-        gm = grid_matrix(16, est.xi)
-        residuals.append(np.linalg.norm(gm @ est.weights - c_ul))
+        z = estimate_asf(c_ul, grid_size=factor * 16)
+        gm = grid_matrix(16, asf_grid(factor * 16))
+        residuals.append(np.linalg.norm(gm @ z - c_ul))
     assert residuals[0] >= residuals[1] - 1e-12
     assert residuals[1] >= residuals[2] - 1e-12
 
@@ -170,8 +161,8 @@ def test_fused_estimator_matches_dykstra_path(m, seed, monkeypatch):
     arr, users = trial_scenario(cfg, 0)
     _, _, fused = estimate_user_pipeline(cfg, arr, users[0].asf, 0, 0)
     monkeypatch.setattr(evaluation, "sample_covariance",
-                        lambda y, sigma2: project_toeplitz_psd(
-                            sample_covariance(y, sigma2)).matrix())
+                        lambda y, sigma2: toeplitz_from_column(project_toeplitz_psd(
+                            sample_covariance(y, sigma2))))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)  # no Dykstra cap hit
         _, _, ref = estimate_user_pipeline(cfg, arr, users[0].asf, 0, 0)
@@ -199,62 +190,56 @@ def test_cached_estimator_matches_uncached_across_sizes():
              for m, alpha, g in [(8, 1.1, 32), (12, 1.1, 48), (8, 1.3, 24), (12, 1.1, 48)]]
     for _ in range(3):
         for cfg, g in cases:
-            c_ul = true_covariance(cfg, TWO_CLUSTER, "ul").first_column
-            z, c_dl = _uncached_estimate(c_ul, cfg, g)
-            est = estimate_asf(c_ul, grid_size=g)
-            np.testing.assert_array_equal(est.weights, z)
-            np.testing.assert_array_equal(extrapolate_dl(est, cfg).first_column, c_dl)
+            c_ul = true_covariance(cfg, TWO_CLUSTER, "ul")
+            z_ref, c_dl = _uncached_estimate(c_ul, cfg, g)
+            z = estimate_asf(c_ul, grid_size=g)
+            np.testing.assert_array_equal(z, z_ref)
+            np.testing.assert_array_equal(extrapolate_dl(z, cfg), c_dl)
 
 
 def test_cached_estimator_matrices_are_read_only():
     cfg = ArrayConfig(m=8)
-    est = estimate_asf(np.ones(8, dtype=complex))
-    extrapolate_dl(est, cfg)
-    a, row_w = covariance._asf_system(8, est.xi.tobytes())
-    exps = covariance._dl_resampling(8, est.xi.tobytes(), cfg.alpha)
+    extrapolate_dl(estimate_asf(np.ones(8, dtype=complex)), cfg)
+    a, row_w = covariance._asf_system(8, 32)
+    exps = covariance._dl_resampling(8, 32, cfg.alpha)
     for arr in (a, row_w, exps):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
-    assert covariance._asf_system(8, est.xi.tobytes())[0] is a
+    assert covariance._asf_system(8, 32)[0] is a
 
 
 # ----------------------------------------------------------------- extrapolation
 
 def test_extrapolate_alpha_one_reproduces_fit():
     cfg = ArrayConfig(m=24, alpha=1.0)
-    c_ul = true_covariance(cfg, TWO_CLUSTER, "ul").first_column
-    est = estimate_asf(c_ul)
-    gm = grid_matrix(24, est.xi)
-    fit = gm @ est.weights
-    out = extrapolate_dl(est, cfg)
-    np.testing.assert_allclose(out.first_column, fit, atol=1e-10)
+    z = estimate_asf(true_covariance(cfg, TWO_CLUSTER, "ul"))
+    fit = grid_matrix(24, asf_grid(z.size)) @ z
+    np.testing.assert_allclose(extrapolate_dl(z, cfg), fit, atol=1e-10)
 
 
 def test_extrapolate_point_mass_at_zero():
     cfg = ArrayConfig(m=8, alpha=1.2)
     c_ul = np.ones(8, dtype=complex)
-    est = estimate_asf(c_ul)
-    out = extrapolate_dl(est, cfg)
-    vals = out.first_column
+    vals = extrapolate_dl(estimate_asf(c_ul), cfg)
     assert np.all(vals.real > 0.5)
     assert np.max(np.abs(vals - vals[0])) < 0.05  # zero-phase resampling
 
 
 def test_extrapolate_two_cluster_accuracy():
     cfg = ArrayConfig(m=64, alpha=1.1)
-    c_ul = true_covariance(cfg, TWO_CLUSTER, "ul").first_column
-    c_dl = true_covariance(cfg, TWO_CLUSTER, "dl").matrix()
-    est = estimate_asf(c_ul, grid_size=8 * 64)
-    out = extrapolate_dl(est, cfg).matrix()
+    c_ul = true_covariance(cfg, TWO_CLUSTER, "ul")
+    c_dl = toeplitz_from_column(true_covariance(cfg, TWO_CLUSTER, "dl"))
+    z = estimate_asf(c_ul, grid_size=8 * 64)
+    out = toeplitz_from_column(extrapolate_dl(z, cfg))
     assert np.linalg.norm(out - c_dl) / np.linalg.norm(c_dl) <= 0.05
 
 
 def test_extrapolate_rejects_negative_weight():
-    est = estimate_asf(np.ones(8, dtype=complex))
-    est.weights[3] = -1e-9
+    z = estimate_asf(np.ones(8, dtype=complex))
+    z[3] = -1e-9
     with pytest.raises(InvalidArgumentError):
-        extrapolate_dl(est, ArrayConfig(m=8, alpha=1.1))
+        extrapolate_dl(z, ArrayConfig(m=8, alpha=1.1))
 
 
 def test_estimator_path_does_no_eigendecomposition(monkeypatch):
@@ -268,14 +253,13 @@ def test_estimator_path_does_no_eigendecomposition(monkeypatch):
     arr, users = trial_scenario(cfg, 0)
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
     _, c_dl, lam = estimate_user_pipeline(cfg, arr, users[0].asf, 0, 0)
-    assert c_dl.m == 16 and np.all(lam >= 0.0) and lam.sum() > 0.0
+    assert c_dl.shape == (16,) and np.all(lam >= 0.0) and lam.sum() > 0.0
 
 
 def test_extrapolate_output_psd():
     cfg = ArrayConfig(m=16, alpha=1.15)
-    c_ul = true_covariance(cfg, TWO_CLUSTER, "ul").first_column
-    out = extrapolate_dl(estimate_asf(c_ul), cfg)
-    assert np.linalg.eigvalsh(out.matrix())[0] >= -1e-10
+    out = extrapolate_dl(estimate_asf(true_covariance(cfg, TWO_CLUSTER, "ul")), cfg)
+    assert np.linalg.eigvalsh(toeplitz_from_column(out))[0] >= -1e-10
 
 
 # ------------------------------------------------------- estimator properties
@@ -306,7 +290,7 @@ PROPERTY = settings(max_examples=75, deadline=None, derandomize=True, database=N
 def test_extrapolate_psd_property(data):
     cfg, c_ul = _atomic_ul_case(data)
     out = extrapolate_dl(estimate_asf(c_ul), cfg)
-    assert np.linalg.eigvalsh(out.matrix())[0] >= -1e-12 * out.trace
+    assert np.linalg.eigvalsh(toeplitz_from_column(out))[0] >= -1e-12 * cfg.m * out[0].real
 
 
 @PROPERTY
@@ -315,8 +299,9 @@ def test_spectrum_nonnegative_and_sums_to_trace_property(data):
     cfg, c_ul = _atomic_ul_case(data)
     out = extrapolate_dl(estimate_asf(c_ul), cfg)
     lam = circulant_eigenvalues(out)
+    trace = cfg.m * out[0].real
     assert np.all(lam >= 0.0)
-    assert abs(lam.sum() - out.trace) <= 1e-12 * out.trace
+    assert abs(lam.sum() - trace) <= 1e-12 * trace
 
 
 @PROPERTY
@@ -324,10 +309,9 @@ def test_spectrum_nonnegative_and_sums_to_trace_property(data):
 def test_extrapolate_alpha_one_returns_fit_property(data):
     cfg, c_ul = _atomic_ul_case(data)
     cfg = ArrayConfig(m=cfg.m, alpha=1.0)
-    est = estimate_asf(c_ul)
-    fit = grid_matrix(cfg.m, est.xi) @ est.weights
-    np.testing.assert_allclose(extrapolate_dl(est, cfg).first_column, fit,
-                               rtol=0, atol=1e-12)
+    z = estimate_asf(c_ul)
+    fit = grid_matrix(cfg.m, asf_grid(z.size)) @ z
+    np.testing.assert_allclose(extrapolate_dl(z, cfg), fit, rtol=0, atol=1e-12)
 
 
 @PROPERTY
@@ -335,16 +319,16 @@ def test_extrapolate_alpha_one_returns_fit_property(data):
 def test_estimate_asf_scale_equivariant_property(data, log_s):
     cfg, c_ul = _atomic_ul_case(data)
     s = 10.0 ** log_s
-    w = estimate_asf(c_ul).weights
-    w_s = estimate_asf(s * c_ul).weights
+    w = estimate_asf(c_ul)
+    w_s = estimate_asf(s * c_ul)
     assert np.abs(w_s - s * w).max() <= 1e-10 * s * w.max()
 
 
 # ----------------------------------------------------------- beam-space spectrum
 
 def test_circulant_eigenvalues_identity():
-    cov = ToeplitzCovariance(first_column=np.eye(6)[:, 0].astype(complex))
-    np.testing.assert_allclose(circulant_eigenvalues(cov), np.ones(6), atol=1e-12)
+    np.testing.assert_allclose(circulant_eigenvalues(np.eye(6)[:, 0]), np.ones(6),
+                               atol=1e-12)
 
 
 def test_circulant_eigenvalues_recover_circulant():
@@ -352,30 +336,29 @@ def test_circulant_eigenvalues_recover_circulant():
     f = dft_matrix(m)
     lam = np.arange(1.0, m + 1.0)
     c = (f * lam) @ f.conj().T
-    cov = ToeplitzCovariance(first_column=c[:, 0])
-    np.testing.assert_allclose(circulant_eigenvalues(cov), lam, atol=1e-10)
+    np.testing.assert_allclose(circulant_eigenvalues(c[:, 0]), lam, atol=1e-10)
 
 
 @pytest.mark.parametrize("m", [1, 2, 7, 10, 64, 256])
 def test_circulant_eigenvalues_match_direct_diagonal(m):
-    cov = true_covariance(ArrayConfig(m=m), TWO_CLUSTER, "ul")
+    col = true_covariance(ArrayConfig(m=m), TWO_CLUSTER, "ul")
     f = dft_matrix(m)
-    direct = np.maximum(np.real(np.diag(f.conj().T @ cov.matrix() @ f)), 0.0)
+    direct = np.maximum(np.real(np.diag(f.conj().T @ toeplitz_from_column(col) @ f)), 0.0)
     atol = 1e-12 if m == 10 else 1e-12 * direct.max()
-    np.testing.assert_allclose(circulant_eigenvalues(cov), direct, atol=atol)
+    np.testing.assert_allclose(circulant_eigenvalues(col), direct, atol=atol)
 
 
 # ------------------------------------------------------------------ CSV exports
 
 def test_export_covariance_csv_roundtrip(tmp_path):
-    cov = true_covariance(ArrayConfig(m=5), TWO_CLUSTER, "ul")
+    col = true_covariance(ArrayConfig(m=5), TWO_CLUSTER, "ul")
     path = tmp_path / "c.csv"
-    export_covariance_csv(cov, path)
+    export_covariance_csv(col, path)
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 5
     back = np.array([float(r["real"]) + 1j * float(r["imag"]) for r in rows])
-    np.testing.assert_allclose(back, cov.first_column, rtol=1e-10)
+    np.testing.assert_allclose(back, col, rtol=1e-10)
 
 
 def test_export_spectrum_csv_roundtrip(tmp_path):
