@@ -188,13 +188,14 @@ def test_sparsify_bad_file_exits_2(capsys):
     (0.0, ["--tdl", "-1"]),
     (0.0, ["--tdl", "2", "--p0", "-5"]),
     (0.0, ["--tdl", "2", "--th-rel", "-1"]),
-    (0.0, ["--tdl", "2", "--th-rel", "inf"]),
-    (0.0, ["--tdl", "2", "--p0", "inf"]),
     (float("nan"), ["--tdl", "2"]),
     # every beam reaches both users: one beam class, solved in closed form
     ("one class", ["--tdl", "0"]),
     ("one class", ["--tdl", "2", "--p0", "-5"]),
     ("one class", ["--tdl", "2", "--p0", "nan"]),
+    # non-finite thresholds and budgets
+    (0.0, ["--tdl", "2", "--th-rel", "inf"]),
+    (0.0, ["--tdl", "2", "--p0", "inf"]),
     ("one class", ["--tdl", "2", "--p0", "inf"]),
     ("one class", ["--tdl", "2", "--th-rel", "inf"]),
 ])
