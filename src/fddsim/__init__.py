@@ -13,7 +13,7 @@ from .evaluation import (ExperimentRecord, effective_gains,
                          run_experiment, run_trial, sum_rate, summarize,
                          write_records_csv, write_summary_json, zf_precoder)
 from .probing import dl_observe, error_trace_oracle, make_pilot, mmse_effective
-from .sparsifier import (BeamGraph, SparsificationPlan, beam_coefficients,
-                         build_beam_graph, formulate_milp, solve_sparsification)
+from .sparsifier import (SparsificationPlan, beam_coefficients, build_beam_graph,
+                         formulate_milp, solve_sparsification)
 
 __version__ = "0.1.0"

@@ -43,10 +43,9 @@ def _writing(path):
 def _cmd_simulate(args) -> int:
     cfg = parse_config(args.config)
     records = run_experiment(cfg, threads=args.threads)
-    out = args.output or cfg.output_path or "results.csv"
-    with _writing(out):
-        write_records_csv(records, out)
-    print(f"wrote {len(records)} records to {out}")
+    with _writing(args.output):
+        write_records_csv(records, args.output)
+    print(f"wrote {len(records)} records to {args.output}")
     if args.summary:
         with _writing(args.summary):
             write_summary_json(records, args.summary)
@@ -106,7 +105,7 @@ def _cmd_sparsify(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    results = run_suites(args.suite or None, inject_fault=args.inject_fault)
+    results = run_suites(args.suite or None)
     failed = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -122,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run the Monte Carlo experiment")
     p.add_argument("config", help="experiment config file (key = value lines)")
-    p.add_argument("-o", "--output", default=None, help="records CSV path")
+    p.add_argument("-o", "--output", default="results.csv", help="records CSV path")
     p.add_argument("--summary", default=None, help="also write a summary JSON")
     p.add_argument("--threads", type=int, default=1,
                    help="worker processes, at most one per trial; results are "
@@ -149,7 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="run self-check suites")
     p.add_argument("--suite", action="append", choices=sorted(SUITES),
                    help="run only this suite (repeatable; default: all)")
-    p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_validate)
     return parser
 

@@ -45,16 +45,22 @@ class ExperimentConfig:
     p0: float = 0.0
     epsilon_factor: float = DEFAULT_EPSILON_FACTOR
     ul_sigma2: float = 0.01
-    output_path: str | None = None
     exact_covariance: bool = False
 
     def __post_init__(self):
-        for key in ("m", "k", "t", "n_ul", "grid_factor", "n_clusters"):
+        for key in ("m", "k", "t", "n_ul", "grid_factor"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{_KEY_NAMES[key]}: must be >= 1")
         for key in _FLOAT_FIELDS:
             if not math.isfinite(getattr(self, key)):
                 raise ConfigError(f"{_KEY_NAMES[key]}: must be finite")
+        # the array and scenario checks, reported by key before any trial runs
+        if self.alpha < 1.0:
+            raise ConfigError("alpha: must be >= 1")
+        if self.n_clusters < 2:
+            raise ConfigError("n_clusters: must be >= 2 (each user takes two clusters)")
+        if self.cluster_width <= 0:
+            raise ConfigError("cluster_width: must be positive")
         if not all(math.isfinite(snr) for snr in self.snr_db_list):
             raise ConfigError("snr_db_list: entries must be finite")
         if self.n_trials < 0:
@@ -112,7 +118,6 @@ _SCHEMA = {
     "epsilon_factor": ("epsilon_factor", float),
     "ul_sigma2": ("ul_sigma2", float),
     "seed": ("seed", int),
-    "output_path": ("output_path", str),
     "exact_covariance": ("exact_covariance", _bool),
 }
 _KEY_NAMES = {fld: key for key, (fld, _) in _SCHEMA.items()}

@@ -180,10 +180,10 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> list:
     """All grid-point records for one Monte Carlo trial."""
     arr, users = trial_scenario(cfg, trial)
 
-    spectra = []
+    spectra = np.empty((cfg.m, cfg.k))
     h_true = np.empty((cfg.m, cfg.k), dtype=complex)
     for k, user in enumerate(users):
-        spectra.append(estimate_user_pipeline(cfg, arr, user.asf, trial, k)[2])
+        spectra[:, k] = estimate_user_pipeline(cfg, arr, user.asf, trial, k)[2]
         h_true[:, k] = sample_channels(arr, user.asf, "dl", 1,
                                        cfg.seed, trial, k, _DL_CHAN)[:, 0]
     # F^H h for every user: the probing input, the true effective channels
@@ -213,7 +213,7 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> list:
         h_eff = h_beam[np.ix_(plan.beams, plan.users)]
         noise = np.stack([gaussian_complex(t_eff, cfg.seed, trial, k, _OBS_NOISE, i_tdl)
                           for k in plan.users])
-        prior = (graph.weights * graph.adjacency)[np.ix_(plan.beams, plan.users)].T
+        prior = graph[np.ix_(plan.beams, plan.users)].T
 
         for snr_db in cfg.snr_db_list:
             try:

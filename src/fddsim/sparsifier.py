@@ -4,9 +4,11 @@ From per-user beam-space power vectors, build a beam-user bipartite graph
 and select a beam subset plus a user subset such that every selected user
 keeps at most T_dl selected beams and at least P0 selected power, while
 the matching size of the selected subgraph (= effective channel rank with
-probability 1) is maximized. The selection is solved exactly as a MILP
-with one integer count per class of interchangeable beams, binary user
-indicators and a continuous matching block that is integral by total
+probability 1) is maximized. The graph is one M x K array of edge powers:
+a beam's power for a user where it exceeds the threshold and 0 elsewhere,
+so its edges are the positive entries. The selection is solved exactly as
+a MILP with one integer count per class of interchangeable beams, binary
+user indicators and a continuous matching block that is integral by total
 unimodularity of bipartite b-matching, by SciPy's HiGHS; the plan takes
 the strongest beams of each class, and SciPy's maximum bipartite matching
 certifies its size. With at most one class, as on a complete graph with
@@ -33,26 +35,11 @@ DEFAULT_TH_REL = 1e-2
 DEFAULT_EPSILON_FACTOR = 0.5  # epsilon = factor / n_beams, must stay below 1
 
 
-@dataclass
-class BeamGraph:
-    """M x K bipartite graph: adjacency from thresholding beam powers."""
-
-    weights: np.ndarray    # nonnegative, weights[m, k] = beam power of user k
-    adjacency: np.ndarray  # boolean, weights > th_rel * max(weights)
-
-    @property
-    def n_beams(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def n_users(self) -> int:
-        return self.weights.shape[1]
-
-
-def build_beam_graph(spectra, th_rel: float = DEFAULT_TH_REL) -> BeamGraph:
-    """Threshold per-user spectra at th_rel times the largest entry."""
-    w = np.column_stack([np.asarray(s, dtype=float) for s in spectra]) \
-        if not isinstance(spectra, np.ndarray) else np.asarray(spectra, dtype=float)
+def build_beam_graph(w, th_rel: float = DEFAULT_TH_REL) -> np.ndarray:
+    """The beam-user graph of an M x K beam-power array: its edge powers,
+    w where w > th_rel times the largest entry and 0 elsewhere. The edges
+    are exactly the positive entries."""
+    w = np.asarray(w, dtype=float)
     if w.ndim != 2:
         raise InvalidArgumentError("build_beam_graph: spectra must form an M x K array")
     if not np.all(np.isfinite(w)):
@@ -63,7 +50,7 @@ def build_beam_graph(spectra, th_rel: float = DEFAULT_TH_REL) -> BeamGraph:
         raise InvalidArgumentError(
             f"build_beam_graph: th_rel {th_rel} must be finite and nonnegative")
     th = th_rel * float(w.max()) if w.size else 0.0
-    return BeamGraph(weights=w, adjacency=w > th)
+    return np.where(w > th, w, 0.0)
 
 
 @dataclass
@@ -89,19 +76,19 @@ class SparsificationPlan:
         }, indent=2)
 
 
-def beam_classes(g: BeamGraph, p0: float) -> list:
-    """Classes of interchangeable beams, as ascending index arrays ordered
-    by their lowest beam.
+def beam_classes(g: np.ndarray, p0: float) -> list:
+    """Classes of interchangeable beams of the edge-power array g, as
+    ascending index arrays ordered by their lowest beam.
 
     Only active beams (those with an edge) are classed. Two beams fall in
-    one class when their adjacency rows are equal and, with P0 > 0, so are
-    their rows of ``weights * adjacency``: swapping them then changes no
-    row and no objective term of the selection MILP.
+    one class when their adjacency rows (g > 0) are equal and, with P0 > 0,
+    so are their rows of g: swapping them then changes no row and no
+    objective term of the selection MILP.
     """
-    active = np.flatnonzero(g.adjacency.any(axis=1))
-    key = g.adjacency[active].astype(float)
+    active = np.flatnonzero(g.any(axis=1))
+    key = (g[active] > 0).astype(float)
     if p0 > 0:
-        key = np.hstack([key, g.weights[active] * key])
+        key = np.hstack([key, g[active]])
     _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
     rank = np.argsort(np.argsort(first))  # class id by lowest member
     return [active[rank[inverse.ravel()] == c] for c in range(first.size)]
@@ -153,8 +140,8 @@ def _checked_epsilon(m: int, t_dl: int, p0: float, epsilon: float | None) -> flo
     return epsilon
 
 
-def formulate_milp(g: BeamGraph, t_dl: int, p0: float, epsilon: float | None = None,
-                   *, classes: list | None = None) -> SelectionMilp:
+def formulate_milp(g: np.ndarray, t_dl: int, p0: float,
+                   epsilon: float | None = None) -> SelectionMilp:
     """MILP with an integer beam count x_c in [0, n_c] per beam class c
     (see ``beam_classes``), binary user selectors y and a continuous
     matching block z_ck in [0, A_ck]; objective sum(z) + epsilon * sum(x).
@@ -166,19 +153,17 @@ def formulate_milp(g: BeamGraph, t_dl: int, p0: float, epsilon: float | None = N
     selected beam has a selected neighbor user.
 
     Variables are ordered x (C), y (K), then z with z_ck at C + K + c K + k.
-    ``epsilon`` defaults to DEFAULT_EPSILON_FACTOR / M. ``classes`` are
-    ``beam_classes(g, p0)``, for a caller that already has them.
+    ``g`` is the M x K edge-power array of ``build_beam_graph``, with edges
+    A = g > 0 and W = g. ``epsilon`` defaults to DEFAULT_EPSILON_FACTOR / M.
     """
-    k = g.n_users
-    epsilon = _checked_epsilon(g.n_beams, t_dl, p0, epsilon)
-    if classes is None:
-        classes = beam_classes(g, p0)
+    m, k = g.shape
+    epsilon = _checked_epsilon(m, t_dl, p0, epsilon)
+    classes = beam_classes(g, p0)
     n_cls = len(classes)
     size = np.array([len(cls) for cls in classes], dtype=float)
-    weighted = g.weights * g.adjacency
-    a_ck = g.adjacency[[cls[0] for cls in classes]]
-    w_ck = np.array([weighted[cls].min(axis=0) for cls in classes]).reshape(n_cls, k)
-    degree = g.adjacency.sum(axis=0).astype(float)
+    a_ck = g[[cls[0] for cls in classes]] > 0
+    w_ck = np.array([g[cls].min(axis=0) for cls in classes]).reshape(n_cls, k)
+    degree = (g > 0).sum(axis=0).astype(float)
 
     a = a_ck.astype(float).ravel()               # entry c K + k is A_ck
     cc, uk = np.divmod(np.arange(n_cls * k), k)  # class and user of each z
@@ -249,7 +234,7 @@ def max_matching(adjacency: np.ndarray) -> int:
     return int(np.count_nonzero(match >= 0))
 
 
-def _one_class_optimum(g: BeamGraph, classes: list, t_dl: int, p0: float, epsilon: float):
+def _one_class_optimum(g: np.ndarray, classes: list, t_dl: int, p0: float, epsilon: float):
     """(class counts, selected users, matching size, objective) of the
     selection program with at most one beam class, in closed form.
 
@@ -262,16 +247,16 @@ def _one_class_optimum(g: BeamGraph, classes: list, t_dl: int, p0: float, epsilo
     if not classes:
         return [], np.zeros(0, dtype=int), 0, 0.0
     cls = classes[0]
-    w_ck = (g.weights * g.adjacency)[cls].min(axis=0)
+    w_ck = g[cls].min(axis=0)
     count = min(cls.size, t_dl)
-    users = np.flatnonzero(g.adjacency[cls[0]] & (count * w_ck >= p0))
+    users = np.flatnonzero((g[cls[0]] > 0) & (count * w_ck >= p0))
     if users.size == 0:
         count = 0
     size = min(count, users.size)
     return [count], users, size, float(size + epsilon * count)
 
 
-def solve_sparsification(g: BeamGraph, t_dl: int, p0: float = 0.0,
+def solve_sparsification(g: np.ndarray, t_dl: int, p0: float = 0.0,
                          epsilon: float | None = None) -> SparsificationPlan:
     """Solve the beam/user selection program, take the strongest beams of
     each class and certify the matching size with an independent maximum
@@ -283,21 +268,21 @@ def solve_sparsification(g: BeamGraph, t_dl: int, p0: float = 0.0,
     the most power sum_k W_mk over the selected users; ties go to the
     lowest index.
     """
-    k = g.n_users
-    epsilon = _checked_epsilon(g.n_beams, t_dl, p0, epsilon)
+    m, k = g.shape
+    epsilon = _checked_epsilon(m, t_dl, p0, epsilon)
     classes = beam_classes(g, p0)
     n_cls = len(classes)
     if n_cls <= 1:
         counts, users, size, objective = _one_class_optimum(g, classes, t_dl, p0, epsilon)
         node_count, gap = 0, 0.0
     else:
-        mip = formulate_milp(g, t_dl, p0, epsilon, classes=classes)
+        mip = formulate_milp(g, t_dl, p0, epsilon)
         x, node_count, gap = milp_solve(mip)
         counts = x[:n_cls].astype(int)
         users = np.flatnonzero(x[n_cls:n_cls + k] > 0.5)
         size, objective = x[n_cls + k:].sum(), mip.c @ x
 
-    power = (g.weights * g.adjacency)[:, users].sum(axis=1)
+    power = g[:, users].sum(axis=1)
     beams = np.sort(np.concatenate(
         [np.zeros(0, dtype=int)]
         + [cls[np.argsort(-power[cls], kind="stable")[:count]]
@@ -305,7 +290,7 @@ def solve_sparsification(g: BeamGraph, t_dl: int, p0: float = 0.0,
     # A user selected with no selected incident beam contributes nothing
     # (possible when P0 = 0); drop it so downstream probing never touches it,
     # then the beams left without a selected user.
-    sub = g.adjacency[np.ix_(beams, users)]
+    sub = g[np.ix_(beams, users)] > 0
     has_user, has_beam = sub.any(axis=1), sub.any(axis=0)
     beams, users = beams[has_user], users[has_beam]
     matched = max_matching(sub[np.ix_(has_user, has_beam)])
@@ -320,12 +305,12 @@ def solve_sparsification(g: BeamGraph, t_dl: int, p0: float = 0.0,
     return plan
 
 
-def _validate_plan(g: BeamGraph, plan: SparsificationPlan, t_dl: int, p0: float):
+def _validate_plan(g: np.ndarray, plan: SparsificationPlan, t_dl: int, p0: float):
     beams = np.asarray(plan.beams, dtype=int)
     users = np.asarray(plan.users, dtype=int)
-    sub = g.adjacency[np.ix_(beams, users)]
-    degree = sub.sum(axis=0)
-    power = np.where(sub, g.weights[np.ix_(beams, users)], 0.0).sum(axis=0)
+    sub = g[np.ix_(beams, users)]
+    degree = (sub > 0).sum(axis=0)
+    power = sub.sum(axis=0)
     bad = (degree > t_dl) | (power < p0 - 1e-9)
     if bad.any():
         uk = int(np.argmax(bad))

@@ -22,7 +22,7 @@ from .numerics import (dft_matrix, gaussian_complex, hermitian_eig,
                        numerical_rank, rng_stream, toeplitz_average,
                        toeplitz_from_column)
 from .probing import error_trace_oracle, make_pilot, mmse_effective
-from .sparsifier import (BeamGraph, SparsificationPlan, formulate_milp, max_matching,
+from .sparsifier import (SparsificationPlan, formulate_milp, max_matching,
                          solve_sparsification)
 
 DYKSTRA_TOL = 1e-8
@@ -37,10 +37,10 @@ class SuiteResult:
 
 
 def random_beam_graph(rng: np.random.Generator, n_beams: int, n_users: int,
-                      edge_prob: float = 0.5) -> BeamGraph:
-    adjacency = rng.random((n_beams, n_users)) < edge_prob
-    weights = np.where(adjacency, rng.random((n_beams, n_users)) + 0.05, 0.0)
-    return BeamGraph(weights=weights, adjacency=adjacency)
+                      edge_prob: float = 0.5) -> np.ndarray:
+    """Edge-power array with each edge present with ``edge_prob``."""
+    edges = rng.random((n_beams, n_users)) < edge_prob
+    return np.where(edges, rng.random((n_beams, n_users)) + 0.05, 0.0)
 
 
 def suite_rank_matching(n_trials: int = 1000, size: int = 8, seed: int = 2024) -> SuiteResult:
@@ -57,27 +57,26 @@ def suite_rank_matching(n_trials: int = 1000, size: int = 8, seed: int = 2024) -
                        f"{hits}/{n_trials} masked matrices with rank == matching")
 
 
-def brute_force_sparsify(g: BeamGraph, t_dl: int, p0: float = 0.0) -> SparsificationPlan:
+def brute_force_sparsify(g: np.ndarray, t_dl: int, p0: float = 0.0) -> SparsificationPlan:
     """Exact optimum by enumeration; test oracle for small instances.
 
     For each beam subset, the best user set is exactly the set of users
     that are individually feasible (degree and power are per-user), so only
     beam subsets need enumeration.
     """
-    m, k = g.n_beams, g.n_users
-    active = [bm for bm in range(m) if g.adjacency[bm].any()]
+    m, k = g.shape
+    a = g > 0
+    active = [bm for bm in range(m) if a[bm].any()]
     if len(active) + k > 14:
         raise InvalidArgumentError("brute_force_sparsify: instance too large")
-    a = g.adjacency
-    w = g.weights
     best = SparsificationPlan(beams=[], users=[], matching_size=0,
                               objective=0.0, node_count=0)
     for mask in range(1 << len(active)):
         beams = [active[i] for i in range(len(active)) if mask >> i & 1]
         sel = np.zeros(m, dtype=bool)
         sel[beams] = True
-        deg = (a & sel[:, None]).sum(axis=0)
-        power = (w * (a & sel[:, None])).sum(axis=0)
+        deg = a[sel].sum(axis=0)
+        power = (g * sel[:, None]).sum(axis=0)
         users = [uk for uk in range(k)
                  if 1 <= deg[uk] <= t_dl and power[uk] >= p0]
         sub = a[np.ix_(beams, users)]
@@ -97,36 +96,36 @@ def _random_selection_instances(n_instances: int, seed: int):
         n_users = int(rng.integers(1, 6))
         g = random_beam_graph(rng, n_beams, n_users)
         t_dl = int(rng.integers(1, 5))
-        if rng.random() < 0.5 or not g.adjacency.any():
+        if rng.random() < 0.5 or not g.any():
             p0 = 0.0
         else:
-            p0 = float(np.median(g.weights[g.adjacency]))
+            p0 = float(np.median(g[g > 0]))
         yield g, t_dl, p0
 
 
-def _selector_points(g: BeamGraph, t_dl: int, p0: float, plan, rng: np.random.Generator,
+def _selector_points(g: np.ndarray, t_dl: int, p0: float, plan, rng: np.random.Generator,
                      n_random: int):
     """Beam and user selections (boolean masks) that satisfy every selection
     row: the plan's own and ``n_random`` random ones. A random point takes a
     random beam subset, a random subset of the users within the degree cap
     and the power floor on it, and then keeps only beams next to a kept
     user."""
-    m, k = g.n_beams, g.n_users
-    a, w = g.adjacency, g.weights
+    m, k = g.shape
+    a = g > 0
     beams, users = np.zeros(m, dtype=bool), np.zeros(k, dtype=bool)
     beams[plan.beams] = True
     users[plan.users] = True
     yield beams, users
     for _ in range(n_random):
         beams = rng.random(m) < 0.5
-        deg = (a & beams[:, None]).sum(axis=0)
-        power = (w * (a & beams[:, None])).sum(axis=0)
+        deg = a[beams].sum(axis=0)
+        power = (g * beams[:, None]).sum(axis=0)
         users = (deg <= t_dl) & (power >= p0) & (rng.random(k) < 0.5)
         beams &= (a & users[None, :]).any(axis=1)
         yield beams, users
 
 
-def fixed_selector_deviations(g: BeamGraph, t_dl: int, p0: float, plan,
+def fixed_selector_deviations(g: np.ndarray, t_dl: int, p0: float, plan,
                               rng: np.random.Generator, n_random: int = 2) -> list:
     """Matching-block deviation from binary of the selection MILP's LP
     relaxation with the class counts and user selectors fixed at integer
@@ -138,7 +137,7 @@ def fixed_selector_deviations(g: BeamGraph, t_dl: int, p0: float, plan,
     b-matching polytope, whose vertices are integral.
     """
     mip = formulate_milp(g, t_dl, p0)
-    nz = len(mip.classes) + g.n_users
+    nz = len(mip.classes) + g.shape[1]
     devs = []
     for beams, users in _selector_points(g, t_dl, p0, plan, rng, n_random):
         counts = np.array([beams[cls].sum() for cls in mip.classes], dtype=float)
@@ -154,9 +153,12 @@ def fixed_selector_deviations(g: BeamGraph, t_dl: int, p0: float, plan,
     return devs
 
 
-def _milp_oracle(n_instances: int, seed: int, collect_z: bool):
-    """(instances matching the enumeration oracle, max fixed-selector
-    matching-block deviation, fixed-selector LPs solved)."""
+def milp_oracle(n_instances: int, seed: int, collect_z: bool):
+    """(instances whose MILP matching size equals the enumeration oracle's,
+    max fixed-selector matching-block deviation from binary, fixed-selector
+    LPs solved), over ``n_instances`` random selection instances. The LPs
+    (see ``fixed_selector_deviations``) run only with ``collect_z``;
+    without it the last two entries are 0."""
     hits, z_dev, n_lps = 0, 0.0, 0
     rng = rng_stream(seed, 43)
     for g, t_dl, p0 in _random_selection_instances(n_instances, seed):
@@ -169,24 +171,18 @@ def _milp_oracle(n_instances: int, seed: int, collect_z: bool):
     return hits, z_dev, n_lps
 
 
-def suite_milp_vs_bruteforce(n_instances: int = 200, seed: int = 77,
-                             collect_z: bool = False):
-    """MILP matching size equals exhaustive subgraph enumeration. With
-    ``collect_z`` also returns the max fixed-selector matching-block
-    deviation from binary (see ``fixed_selector_deviations``)."""
-    hits, z_dev, n_lps = _milp_oracle(n_instances, seed, collect_z)
-    detail = f"{hits}/{n_instances} instances match the enumeration oracle"
-    if collect_z:
-        detail += f"; {n_lps} fixed-selector LPs solved"
-    res = SuiteResult("milp-vs-bruteforce", hits == n_instances, detail)
-    return (res, z_dev) if collect_z else res
+def suite_milp_vs_bruteforce(n_instances: int = 200, seed: int = 77) -> SuiteResult:
+    """MILP matching size equals exhaustive subgraph enumeration."""
+    hits, _, _ = milp_oracle(n_instances, seed, collect_z=False)
+    return SuiteResult("milp-vs-bruteforce", hits == n_instances,
+                       f"{hits}/{n_instances} instances match the enumeration oracle")
 
 
 def suite_node_lp_integrality(n_instances: int = 200, seed: int = 77,
                               tol: float = 1e-6) -> SuiteResult:
     """Matching variables stay binary in the LP relaxation whenever the
     class counts and user selectors are fixed at integer points."""
-    _, z_dev, n_lps = _milp_oracle(n_instances, seed, collect_z=True)
+    _, z_dev, n_lps = milp_oracle(n_instances, seed, collect_z=True)
     return SuiteResult("node-lp-integrality", z_dev <= tol,
                        f"max matching-variable deviation from binary over {n_lps} "
                        f"fixed-selector LPs: {z_dev:.3g}")
@@ -407,16 +403,12 @@ SUITES = {
 }
 
 
-def run_suites(names=None, inject_fault: bool = False) -> list:
-    """Run the requested suites (all by default). ``inject_fault`` flips the
-    NNLS tolerance to an impossible value; used to self-test the harness."""
+def run_suites(names=None) -> list:
+    """Run the requested suites (all by default)."""
     selected = list(SUITES) if names is None else list(names)
     results = []
     for name in selected:
         if name not in SUITES:
             raise KeyError(f"unknown suite {name!r}; known: {', '.join(SUITES)}")
-        if name == "nnls" and inject_fault:
-            results.append(suite_nnls(tol=-1.0))
-        else:
-            results.append(SUITES[name]())
+        results.append(SUITES[name]())
     return results

@@ -179,6 +179,21 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys, command, line):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line", [
+    "alpha = 0.5", "n_clusters = 1", "cluster_width = 0", "cluster_width = -0.1",
+])
+def test_scenario_config_value_exits_2_without_trials(tmp_path, capsys, line):
+    """Values the array or the scenario would reject fail at parse time,
+    naming the key, even when no trial runs."""
+    key = line.split("=")[0].strip()
+    path = tmp_path / "bad.cfg"
+    path.write_text(SMALL_CFG.replace("n_trials = 2", "n_trials = 0") + line + "\n")
+    out = tmp_path / "out.csv"
+    assert main(["simulate", str(path), "-o", str(out)]) == 2
+    assert f"config error: {key}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sparsify_bad_file_exits_2(capsys):
     assert main(["sparsify", "/no/such/w.csv", "--tdl", "2"]) == 2
 
@@ -240,8 +255,10 @@ def test_validate_single_suite(capsys):
     assert "1/1 suites passed" in out
 
 
-def test_validate_injected_fault_fails(capsys):
-    rc = main(["validate", "--suite", "nnls", "--inject-fault"])
+def test_validate_injected_fault_fails(capsys, monkeypatch):
+    import fddsim.validate as validate
+    monkeypatch.setitem(validate.SUITES, "nnls", lambda: validate.suite_nnls(tol=-1.0))
+    rc = main(["validate", "--suite", "nnls"])
     out = capsys.readouterr().out
     assert rc == 1
     assert "[FAIL]" in out

@@ -62,8 +62,9 @@ def test_tdl_above_t_rejected_with_key(tmp_path):
 
 
 def test_unknown_key_reports_line(tmp_path):
-    # theta_max_deg was a key once; the geometry is defined in xi alone
-    for key in ("bogus", "theta_max_deg"):
+    # theta_max_deg was a key once, the geometry is defined in xi alone;
+    # output_path was one too, simulate -o sets the records path
+    for key in ("bogus", "theta_max_deg", "output_path"):
         with pytest.raises(ConfigError, match=f":8: unknown key '{key}'"):
             parse_config(write(tmp_path, MINIMAL + f"{key} = 1\n"))
 
@@ -113,6 +114,12 @@ def test_invariants_enforced():
         ExperimentConfig(**{**base, "tdl_list": []})
     with pytest.raises(ConfigError):
         ExperimentConfig(**{**base, "cluster_width": 1.0})  # 3 clusters > 2
+    # what ArrayConfig and make_scenario reject, named by key at parse time
+    for key, bad in (("alpha", 0.99), ("n_clusters", 1), ("n_clusters", 0),
+                     ("cluster_width", 0.0), ("cluster_width", -0.1)):
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            ExperimentConfig(**{**base, key: bad})
+    ExperimentConfig(**{**base, "alpha": 1.0, "n_clusters": 2})  # the edge values are valid
     with pytest.raises(ConfigError):
         ExperimentConfig(**{**base, "epsilon_factor": 1.0})
     # a repeated grid entry would write every (trial, T_dl, SNR) row twice

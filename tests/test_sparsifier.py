@@ -12,16 +12,11 @@ from fddsim.covariance import circulant_eigenvalues
 from fddsim.errors import InvalidArgumentError, NumericalError
 from fddsim.evaluation import normalized_error, run_trial
 from fddsim.numerics import dft_matrix, rng_stream
-from fddsim.sparsifier import (BeamGraph, SparsificationPlan, _validate_plan,
-                               beam_classes, beam_coefficients, build_beam_graph,
-                               formulate_milp, milp_solve, solve_sparsification)
-from fddsim.validate import (brute_force_sparsify, fixed_selector_deviations,
-                             random_beam_graph)
-
-
-def graph_from_matrix(w, threshold=0.0):
-    w = np.asarray(w, dtype=float)
-    return BeamGraph(weights=w, adjacency=w > threshold)
+from fddsim.sparsifier import (SparsificationPlan, _validate_plan, beam_classes,
+                               beam_coefficients, build_beam_graph, formulate_milp,
+                               milp_solve, solve_sparsification)
+from fddsim.validate import (SuiteResult, brute_force_sparsify, fixed_selector_deviations,
+                             milp_oracle, random_beam_graph, suite_milp_vs_bruteforce)
 
 
 def repeated_row_graph(rng, n_beams, n_users):
@@ -34,62 +29,64 @@ def repeated_row_graph(rng, n_beams, n_users):
     weights = rng.integers(1, 17, (n_rows, n_users))[rng.integers(0, n_rows, n_beams)]
     fresh = rng.random(n_beams) < 0.5
     weights[fresh] = rng.integers(1, 17, (int(fresh.sum()), n_users))
-    return BeamGraph(weights=np.where(adjacency, weights / 16.0, 0.0), adjacency=adjacency)
+    return np.where(adjacency, weights / 16.0, 0.0)
 
 
 def assert_plan_feasible(g, plan, t_dl, p0):
     for uk in plan.users:
-        inc = [bm for bm in plan.beams if g.adjacency[bm, uk]]
+        inc = [bm for bm in plan.beams if g[bm, uk] > 0]
         assert 1 <= len(inc) <= t_dl
-        assert g.weights[inc, uk].sum() >= p0
+        assert g[inc, uk].sum() >= p0
     for bm in plan.beams:
-        assert any(g.adjacency[bm, uk] for uk in plan.users)
+        assert any(g[bm, uk] > 0 for uk in plan.users)
 
 
 # ------------------------------------------------------------------ beam graph
 
 def test_build_beam_graph_single_edge():
-    g = build_beam_graph([np.array([1.0, 0.0, 0.0])], th_rel=0.01)
-    assert g.n_beams == 3 and g.n_users == 1
-    assert np.argwhere(g.adjacency).tolist() == [[0, 0]]
+    g = build_beam_graph(np.column_stack([[1.0, 0.0, 0.0]]), th_rel=0.01)
+    assert g.shape == (3, 1)
+    assert np.argwhere(g > 0).tolist() == [[0, 0]]
 
 
 def test_build_beam_graph_threshold_is_relative():
-    g = build_beam_graph([np.array([1.0, 0.005, 0.02])], th_rel=0.01)
-    assert np.argwhere(g.adjacency).tolist() == [[0, 0], [2, 0]]
+    # the entry at exactly th_rel * max = 0.01 is not an edge and reads 0
+    g = build_beam_graph(np.column_stack([[1.0, 0.005, 0.02, 0.01]]), th_rel=0.01)
+    assert np.argwhere(g > 0).tolist() == [[0, 0], [2, 0]]
+    assert g[:, 0].tolist() == [1.0, 0.0, 0.02, 0.0]
 
 
 def test_build_beam_graph_all_zero():
-    g = build_beam_graph([np.zeros(4), np.zeros(4)])
-    assert np.argwhere(g.adjacency).size == 0
+    g = build_beam_graph(np.column_stack([np.zeros(4), np.zeros(4)]))
+    assert g.shape == (4, 2) and not g.any()
 
 
 def test_build_beam_graph_large_array_sparsity():
     from fddsim.channel import make_scenario
     cfg = ArrayConfig(m=128)
     _, users = make_scenario(3, 0.2, 4, 19, 0)
-    spectra = [circulant_eigenvalues(true_covariance(cfg, u.asf, "dl"))
-               for u in users]
+    spectra = np.column_stack([circulant_eigenvalues(true_covariance(cfg, u.asf, "dl"))
+                               for u in users])
     g = build_beam_graph(spectra, th_rel=0.01)
-    per_user = g.adjacency.sum(axis=0)
+    per_user = (g > 0).sum(axis=0)
     assert np.all(per_user >= 15) and np.all(per_user <= 60)
 
 
 def test_build_beam_graph_rejects_negative():
     with pytest.raises(InvalidArgumentError):
-        build_beam_graph([np.array([1.0, -0.1])])
+        build_beam_graph(np.column_stack([[1.0, -0.1]]))
     for bad in (np.nan, np.inf):
         with pytest.raises(InvalidArgumentError):
-            build_beam_graph([np.array([1.0, bad])])
+            build_beam_graph(np.column_stack([[1.0, bad]]))
     for th_rel in (-1.0, np.nan):
         with pytest.raises(InvalidArgumentError):
-            build_beam_graph([np.array([1.0, 0.0])], th_rel=th_rel)
+            build_beam_graph(np.column_stack([[1.0, 0.0]]), th_rel=th_rel)
 
 
 # ------------------------------------------------------------------ MILP shape
 
 def test_formulate_milp_epsilon_precondition():
-    g = graph_from_matrix([[1.0]])
+    g = np.array([[1.0]])
     for epsilon in (1.0, np.nan):
         with pytest.raises(InvalidArgumentError):
             formulate_milp(g, t_dl=1, p0=0.0, epsilon=epsilon)
@@ -99,7 +96,7 @@ def test_formulate_milp_epsilon_precondition():
 
 def test_formulate_milp_dimensions():
     # beams 1 and 2 share an adjacency row; beam 3 has no edge
-    g = graph_from_matrix([[1.0, 0.0], [0.5, 0.8], [0.4, 0.3], [0.0, 0.0]])
+    g = np.array([[1.0, 0.0], [0.5, 0.8], [0.4, 0.3], [0.0, 0.0]])
     mip = formulate_milp(g, t_dl=2, p0=0.0, epsilon=0.1)
     c, k = 2, 2
     assert [cls.tolist() for cls in mip.classes] == [[0], [1, 2]]
@@ -115,12 +112,12 @@ def test_formulate_milp_dimensions():
 def _class_program_by_loop(g, t_dl, p0):
     """(classes, dense rows, right-hand side, upper bounds) of the class
     program, built one beam, class and row at a time."""
-    m, k = g.n_beams, g.n_users
-    a, wa = g.adjacency, g.weights * g.adjacency
+    m, k = g.shape
+    a = g > 0
     by_key = {}
     for bm in range(m):
         if a[bm].any():
-            key = tuple(a[bm]) + (tuple(wa[bm]) if p0 > 0 else ())
+            key = tuple(a[bm]) + (tuple(g[bm]) if p0 > 0 else ())
             by_key.setdefault(key, []).append(bm)
     classes = list(by_key.values())  # insertion order: by lowest beam
     n = len(classes)
@@ -143,7 +140,7 @@ def _class_program_by_loop(g, t_dl, p0):
         row_of([(c, float(a[cls[0], uk])) for c, cls in enumerate(classes)]
                + [(n + uk, d - t_dl)], d)
     for uk in range(k):  # power floor, with the least power of each class
-        row_of([(c, -min(wa[bm, uk] for bm in cls)) for c, cls in enumerate(classes)]
+        row_of([(c, -min(g[bm, uk] for bm in cls)) for c, cls in enumerate(classes)]
                + [(n + uk, p0)], 0.0)
     for c, cls in enumerate(classes):  # a selected beam needs a selected neighbor user
         row_of([(c, 1.0)] + [(n + uk, -len(cls) * float(a[cls[0], uk])) for uk in range(k)],
@@ -177,7 +174,7 @@ def test_formulate_milp_matches_row_loop():
 # ------------------------------------------------------------- solve: examples
 
 def test_solve_single_edge():
-    g = graph_from_matrix([[1.0]])
+    g = np.array([[1.0]])
     plan = solve_sparsification(g, t_dl=1, p0=0.5)
     assert plan.beams == [0] and plan.users == [0]
     assert plan.matching_size == 1
@@ -185,14 +182,14 @@ def test_solve_single_edge():
 
 
 def test_solve_power_floor_excludes_all():
-    g = graph_from_matrix([[0.2]])
+    g = np.array([[0.2]])
     plan = solve_sparsification(g, t_dl=1, p0=0.5)
     assert plan.beams == [] and plan.users == []
     assert plan.matching_size == 0
 
 
 def test_solve_identity_adjacency():
-    g = graph_from_matrix(np.eye(3))
+    g = np.eye(3)
     plan = solve_sparsification(g, t_dl=1, p0=0.0)
     assert plan.matching_size == 3
     assert plan.beams == [0, 1, 2] and plan.users == [0, 1, 2]
@@ -206,7 +203,7 @@ def test_certificate_mismatch_raises(monkeypatch):
     monkeypatch.setattr(sp, "max_matching", lambda a: true_size(a) + 1)
     for w in (np.eye(3), np.ones((3, 2))):
         with pytest.raises(InvalidArgumentError, match="certificate"):
-            solve_sparsification(graph_from_matrix(w), t_dl=1)
+            solve_sparsification(w, t_dl=1)
 
 
 # weights of the hand-made plans below: beams 1 and 2 reach only user 0,
@@ -220,7 +217,7 @@ _VALIDATE_W = [[1.0, 0.5], [0.5, 0.0], [0.5, 0.0], [0.0, 0.5]]
     ([0, 3], [0], 3, 0.0, "isolated beam 3"),
 ], ids=["degree cap", "power floor", "isolated beam"])
 def test_validate_plan_rejects_each_violation(beams, users, t_dl, p0, message):
-    g = graph_from_matrix(_VALIDATE_W)
+    g = np.array(_VALIDATE_W)
     plan = SparsificationPlan(beams=beams, users=users, matching_size=1, objective=1.0,
                               node_count=0)
     with pytest.raises(InvalidArgumentError, match=message):
@@ -234,18 +231,17 @@ def test_solve_disjoint_single_beam_users():
     w = np.zeros((6, 4))
     for k in range(4):
         w[k, k] = 1.0
-    plan = solve_sparsification(graph_from_matrix(w), t_dl=2, p0=0.0)
+    plan = solve_sparsification(w, t_dl=2, p0=0.0)
     assert plan.users == [0, 1, 2, 3]
     assert plan.matching_size == 4
 
 
 def test_solve_degree_cap_excludes_user():
     # User 0 needs both beams to reach the power floor but T_dl = 1.
-    w = np.array([[0.4, 0.0],
+    g = np.array([[0.4, 0.0],
                   [0.4, 0.0],
                   [0.0, 0.9],
                   [0.0, 0.0]])
-    g = graph_from_matrix(w)
     plan = solve_sparsification(g, t_dl=1, p0=0.7)
     ref = brute_force_sparsify(g, t_dl=1, p0=0.7)
     assert plan.users == [1] == ref.users
@@ -257,8 +253,7 @@ def test_solve_matches_bruteforce_random():
     for _ in range(60):
         g = random_beam_graph(rng, int(rng.integers(2, 8)), int(rng.integers(1, 6)))
         t_dl = int(rng.integers(1, 4))
-        p0 = 0.0 if rng.random() < 0.5 or not g.adjacency.any() \
-            else float(np.median(g.weights[g.adjacency]))
+        p0 = 0.0 if rng.random() < 0.5 or not g.any() else float(np.median(g[g > 0]))
         plan = solve_sparsification(g, t_dl, p0=p0)
         ref = brute_force_sparsify(g, t_dl, p0=p0)
         assert plan.matching_size == ref.matching_size
@@ -273,9 +268,9 @@ def test_class_program_matches_bruteforce_on_repeated_rows(floor):
     for _ in range(60):
         g = repeated_row_graph(rng, int(rng.integers(2, 9)), int(rng.integers(1, 5)))
         t_dl = int(rng.integers(1, 5))
-        p0 = float(np.median(g.weights[g.adjacency])) if floor and g.adjacency.any() else 0.0
+        p0 = float(np.median(g[g > 0])) if floor and g.any() else 0.0
         plan = solve_sparsification(g, t_dl, p0=p0)
-        merged += plan.n_classes < g.adjacency.any(axis=1).sum()
+        merged += plan.n_classes < g.any(axis=1).sum()
         assert plan.matching_size == brute_force_sparsify(g, t_dl, p0=p0).matching_size
         assert_plan_feasible(g, plan, t_dl, p0)
     assert merged >= 20  # most instances have a class of several beams
@@ -295,14 +290,14 @@ def test_solved_plan_respects_constraints():
     for _ in range(20):
         g = random_beam_graph(rng, 7, 5)
         t_dl = int(rng.integers(1, 4))
-        p0 = 0.0 if not g.adjacency.any() else float(np.median(g.weights[g.adjacency]))
+        p0 = 0.0 if not g.any() else float(np.median(g[g > 0]))
         plan = solve_sparsification(g, t_dl, p0=p0)
         for uk in plan.users:
-            inc = [bm for bm in plan.beams if g.adjacency[bm, uk]]
+            inc = [bm for bm in plan.beams if g[bm, uk] > 0]
             assert 1 <= len(inc) <= t_dl
-            assert sum(g.weights[bm, uk] for bm in inc) >= p0 - 1e-9
+            assert sum(g[bm, uk] for bm in inc) >= p0 - 1e-9
         for bm in plan.beams:
-            assert any(g.adjacency[bm, uk] for uk in plan.users)
+            assert any(g[bm, uk] > 0 for uk in plan.users)
         assert plan.n_classes == len(beam_classes(g, p0))
 
 
@@ -324,16 +319,15 @@ def test_solve_matches_bruteforce_property(data):
     power sums are exact."""
     m = data.draw(st.integers(1, 7), label="beams")
     k = data.draw(st.integers(1, 5), label="users")
-    w = np.array(data.draw(st.lists(st.integers(0, 16), min_size=m * k, max_size=m * k),
+    g = np.array(data.draw(st.lists(st.integers(0, 16), min_size=m * k, max_size=m * k),
                            label="weights"), dtype=float).reshape(m, k) / 16.0
     t_dl = data.draw(st.integers(1, m), label="t_dl")
     p0 = data.draw(st.integers(0, 32), label="p0") / 16.0
-    g = graph_from_matrix(w)
     plan = solve_sparsification(g, t_dl, p0=p0)
     for uk in plan.users:
-        inc = [bm for bm in plan.beams if g.adjacency[bm, uk]]
+        inc = [bm for bm in plan.beams if g[bm, uk] > 0]
         assert 1 <= len(inc) <= t_dl
-        assert g.weights[inc, uk].sum() >= p0
+        assert g[inc, uk].sum() >= p0
     assert plan.matching_size == brute_force_sparsify(g, t_dl, p0=p0).matching_size
 
 
@@ -352,10 +346,10 @@ def test_plan_takes_strongest_beams_of_each_class(data):
                      label="row of each beam")
     w = np.array(data.draw(st.lists(st.integers(1, 16), min_size=m * k, max_size=m * k),
                            label="weights"), dtype=float).reshape(m, k) / 16.0
-    g = graph_from_matrix(np.where(rows[pick], w, 0.0))
+    g = np.where(rows[pick], w, 0.0)
     t_dl = data.draw(st.integers(1, m), label="t_dl")
     plan = solve_sparsification(g, t_dl)
-    power = g.weights[:, plan.users].sum(axis=1)
+    power = g[:, plan.users].sum(axis=1)
     for cls in beam_classes(g, 0.0):
         taken = [bm for bm in cls if bm in plan.beams]
         strongest = sorted(cls, key=lambda bm: (-power[bm], bm))[:len(taken)]
@@ -379,7 +373,7 @@ def test_one_class_closed_form_matches_highs(data):
                                label="weight row"), dtype=float) / 16.0
     t_dl = data.draw(st.integers(1, m + 1), label="t_dl")
     p0 = data.draw(st.one_of(st.just(0), st.integers(1, 48)), label="p0") / 16.0
-    g = graph_from_matrix(np.where(member[:, None] & row, power, 0.0))
+    g = np.where(member[:, None] & row, power, 0.0)
     n_cls = len(beam_classes(g, p0))
     assert n_cls <= 1
 
@@ -402,13 +396,12 @@ def test_highs_runs_only_on_two_or_more_classes(monkeypatch):
 
     monkeypatch.setattr(sp, "formulate_milp", refuse)
     monkeypatch.setattr(sp, "milp_solve", refuse)
-    # (weights, P0, T_dl, classes, matching size); at T_dl = 1 one beam
+    # (graph, P0, T_dl, classes, matching size); at T_dl = 1 one beam
     # misses the floor, and the edgeless graph has no class
-    for w, p0, t_dl, n_cls, size in [(np.ones((3, 2)), 0.0, 2, 1, 2),
+    for g, p0, t_dl, n_cls, size in [(np.ones((3, 2)), 0.0, 2, 1, 2),
                                      (np.full((3, 2), 0.5), 0.75, 2, 1, 2),
                                      (np.full((3, 2), 0.5), 0.75, 1, 1, 0),
                                      (np.zeros((3, 2)), 0.0, 2, 0, 0)]:
-        g = graph_from_matrix(w)
         plan = solve_sparsification(g, t_dl, p0=p0)
         assert (plan.n_classes, plan.matching_size, plan.node_count) == (n_cls, size, 0)
         assert len(plan.beams) == (t_dl if size else 0)
@@ -416,7 +409,7 @@ def test_highs_runs_only_on_two_or_more_classes(monkeypatch):
     calls = []
     monkeypatch.setattr(sp, "formulate_milp", formulate_milp)
     monkeypatch.setattr(sp, "milp_solve", lambda mip: calls.append(mip) or milp_solve(mip))
-    two = graph_from_matrix([[1.0, 0.0], [0.0, 1.0]])
+    two = np.array([[1.0, 0.0], [0.0, 1.0]])
     assert len(beam_classes(two, 0.0)) == 2
     assert solve_sparsification(two, t_dl=1).matching_size == 2
     assert len(calls) == 1
@@ -428,7 +421,7 @@ def test_milp_solve_non_optimal_status_raises(monkeypatch):
     infeasibility (status 2) make milp_solve raise NumericalError, and
     run_trial records the failure against the sparsify step."""
     import fddsim.sparsifier as sp
-    two = formulate_milp(graph_from_matrix(np.eye(2)), t_dl=1, p0=0.0)
+    two = formulate_milp(np.eye(2), t_dl=1, p0=0.0)
     monkeypatch.setattr(sp, "milp", lambda **kw: milp(**kw, options={"time_limit": 1e-12}))
     with pytest.raises(NumericalError, match="Time limit reached"):
         milp_solve(two)
@@ -452,23 +445,30 @@ def test_milp_solve_non_optimal_status_raises(monkeypatch):
 def test_complete_64x8_plan_matches_highs(t_dl):
     """The acceptance-scale complete graph: the closed form gives HiGHS's
     plan, the count's strongest beams by power over the selected users."""
-    w = rng_stream(69, 0).uniform(0.5, 2.0, (64, 8))
-    g = graph_from_matrix(w)
+    g = rng_stream(69, 0).uniform(0.5, 2.0, (64, 8))
     plan = solve_sparsification(g, t_dl)
     mip = formulate_milp(g, t_dl, 0.0)
     x, _, _ = milp_solve(mip)
     count, users = int(x[0]), np.flatnonzero(x[1:9] > 0.5)
-    beams = np.sort(np.argsort(-w[:, users].sum(axis=1), kind="stable")[:count])
+    beams = np.sort(np.argsort(-g[:, users].sum(axis=1), kind="stable")[:count])
     assert plan.n_classes == 1 and plan.node_count == 0
     assert plan.beams == beams.tolist() and plan.users == users.tolist() == list(range(8))
     assert plan.matching_size == round(x[9:].sum()) == 8
     assert abs(plan.objective - mip.c @ x) <= 1e-9
 
 
+def test_milp_suite_and_oracle_agree():
+    """The suite returns one SuiteResult, built from milp_oracle's count;
+    without collect_z the oracle solves no fixed-selector LP."""
+    res = suite_milp_vs_bruteforce(20, seed=5)
+    assert isinstance(res, SuiteResult) and res.passed
+    assert res.detail == "20/20 instances match the enumeration oracle"
+    assert milp_oracle(20, 5, collect_z=False) == (20, 0.0, 0)
+
+
 def test_brute_force_guard():
-    g = graph_from_matrix(np.ones((16, 8)))
     with pytest.raises(InvalidArgumentError):
-        brute_force_sparsify(g, t_dl=2)
+        brute_force_sparsify(np.ones((16, 8)), t_dl=2)
 
 
 # -------------------------------------------------------------------- precoder
