@@ -101,7 +101,8 @@ def sample_channels(cfg: ArrayConfig, asf: AngularScatteringFunction,
         raise InvalidArgumentError("sample_channels: n must be >= 1")
     w, u = hermitian_eig(toeplitz_from_column(true_covariance(cfg, asf, band)))
     g = gaussian_complex(cfg.m * n, seed, *path).reshape(cfg.m, n)
-    return u @ (np.sqrt(np.maximum(w, 0.0))[:, None] * g)
+    g *= np.sqrt(np.maximum(w, 0.0))[:, None]  # in place: no M x n temporary
+    return u @ g
 
 
 def make_scenario(n_clusters: int, cluster_width: float, k: int, seed,

@@ -15,13 +15,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
 
 from .config import ConfigError, parse_config
-from .covariance import (asf_grid, export_covariance_csv, export_spectrum_csv,
-                         grid_matrix)
+from .covariance import export_covariance_csv, export_spectrum_csv, ul_grid_matrix
 from .errors import FddsimError, InvalidArgumentError
 from .evaluation import (estimate_user_pipeline, run_experiment, summarize,
                          trial_scenario, write_records_csv, write_summary_json)
@@ -70,7 +70,7 @@ def _cmd_extrapolate(args) -> int:
     arr, users = trial_scenario(cfg, 0)
     z, c_dl, lam = estimate_user_pipeline(cfg, arr, users[args.user].asf, 0, args.user)
     # the UL covariance of the fitted angular measure
-    c_ul = grid_matrix(arr.m, asf_grid(z.size)) @ z
+    c_ul = ul_grid_matrix(arr.m, z.size) @ z
 
     with _writing(args.outdir):
         os.makedirs(args.outdir, exist_ok=True)
@@ -83,8 +83,11 @@ def _cmd_extrapolate(args) -> int:
 
 def _cmd_sparsify(args) -> int:
     try:
-        w = np.loadtxt(args.spectra, delimiter=",", ndmin=2)
-    except (OSError, ValueError) as exc:
+        with warnings.catch_warnings():
+            # loadtxt warns, rather than raises, on an input without data
+            warnings.simplefilter("error", UserWarning)
+            w = np.loadtxt(args.spectra, delimiter=",", ndmin=2)
+    except (OSError, ValueError, UserWarning) as exc:
         raise ConfigError(f"could not read beam-power matrix {args.spectra!r}: {exc}")
     graph = build_beam_graph(w, th_rel=args.th_rel)
     if args.dump_milp:

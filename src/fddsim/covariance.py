@@ -11,7 +11,6 @@ beam spectrum is one FFT of its column.
 
 from __future__ import annotations
 
-import csv
 import functools
 
 import numpy as np
@@ -94,9 +93,18 @@ def nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # size and alpha. Each is built once per process and shared read-only.
 
 @functools.lru_cache(maxsize=4)
+def ul_grid_matrix(m: int, g: int) -> np.ndarray:
+    """``grid_matrix(m, asf_grid(g))``: ``ul_grid_matrix(M, z.size) @ z`` is
+    the UL covariance column of the angular estimate z."""
+    gm = grid_matrix(m, asf_grid(g))
+    gm.flags.writeable = False
+    return gm
+
+
+@functools.lru_cache(maxsize=4)
 def _asf_system(m: int, g: int) -> tuple[np.ndarray, np.ndarray]:
     """estimate_asf's weighted real design matrix and its row weights."""
-    gm = grid_matrix(m, asf_grid(g))
+    gm = ul_grid_matrix(m, g)
     n_d = 2.0 * (m - np.arange(m))
     n_d[0] = m
     row_w = np.tile(np.sqrt(n_d), 2)
@@ -137,17 +145,15 @@ def circulant_eigenvalues(col: np.ndarray) -> np.ndarray:
 
 
 def export_covariance_csv(col: np.ndarray, path) -> None:
-    """A covariance first column as index, real, imag rows."""
+    """A covariance first column as index, real, imag rows, CRLF-terminated
+    as the csv module writes them."""
+    rows = (f"{i},{v.real:.12g},{v.imag:.12g}\r\n"
+            for i, v in enumerate(np.asarray(col).tolist()))
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "real", "imag"])
-        for i, v in enumerate(col):
-            w.writerow([i, f"{v.real:.12g}", f"{v.imag:.12g}"])
+        fh.write("index,real,imag\r\n" + "".join(rows))
 
 
 def export_spectrum_csv(lam: np.ndarray, path) -> None:
+    rows = (f"{i},{v:.12g}\r\n" for i, v in enumerate(np.asarray(lam).tolist()))
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "lambda"])
-        for i, v in enumerate(lam):
-            w.writerow([i, f"{v:.12g}"])
+        fh.write("index,lambda\r\n" + "".join(rows))

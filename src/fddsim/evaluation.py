@@ -160,9 +160,12 @@ def estimate_user_pipeline(cfg: ExperimentConfig, arr: ArrayConfig, user_asf,
         c_ul_hat = true_covariance(arr, user_asf, "ul")
     else:
         h_ul = sample_channels(arr, user_asf, "ul", cfg.n_ul, cfg.seed, trial, k, _UL_CHAN)
-        noise = np.sqrt(cfg.ul_sigma2) * gaussian_complex(
-            arr.m * cfg.n_ul, cfg.seed, trial, k, _UL_NOISE).reshape(arr.m, cfg.n_ul)
-        c_ul_hat = toeplitz_average(sample_covariance(h_ul + noise, cfg.ul_sigma2))
+        # the pilots h_ul + noise, built in the noise draw's array
+        y = gaussian_complex(arr.m * cfg.n_ul, cfg.seed, trial, k,
+                             _UL_NOISE).reshape(arr.m, cfg.n_ul)
+        y *= np.sqrt(cfg.ul_sigma2)
+        y += h_ul
+        c_ul_hat = toeplitz_average(sample_covariance(y, cfg.ul_sigma2))
     z = estimate_asf(c_ul_hat, grid_size=cfg.grid_factor * arr.m)
     c_dl_hat = extrapolate_dl(z, arr)
     return z, c_dl_hat, circulant_eigenvalues(c_dl_hat)

@@ -11,6 +11,7 @@ values, independent of call order or thread count.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import toeplitz
 
 from .errors import InvalidArgumentError, NumericalError
 
@@ -101,8 +102,6 @@ def toeplitz_average(a: np.ndarray) -> np.ndarray:
 def toeplitz_from_column(col: np.ndarray) -> np.ndarray:
     """Hermitian Toeplitz matrix with the given first column."""
     col = np.asarray(col, dtype=complex)
-    from scipy.linalg import toeplitz
-
     return toeplitz(col, col.conj())
 
 

@@ -4,12 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import fddsim
-from fddsim.cli import main
+from fddsim.cli import build_parser, main
 
 SMALL_CFG = """\
 M = 16
@@ -225,6 +226,22 @@ def test_sparsify_out_of_range_input_exits_2(tmp_path, capsys, entry, flags):
     assert not plan_path.exists()
 
 
+@pytest.mark.parametrize("content", ["", "\n\n", "# beams x users\n"],
+                         ids=["empty", "blank-lines", "comment-only"])
+def test_sparsify_empty_spectra_exits_2(tmp_path, capsys, content):
+    """A spectra file without data is one config error, not a warning and
+    an empty plan."""
+    spectra = tmp_path / "w.csv"
+    spectra.write_text(content)
+    plan_path = tmp_path / "plan.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sparsify", str(spectra), "--tdl", "2", "-o", str(plan_path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert not plan_path.exists()
+
+
 @pytest.mark.parametrize("command, flag", [
     ("simulate", "-o"), ("simulate", "--summary"), ("extrapolate", "--outdir"),
     ("sparsify", "-o"), ("sparsify", "--dump-milp"),
@@ -297,3 +314,36 @@ def test_extrapolate_former_nnls_hang_input(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert len((outdir / "spectrum.csv").read_text().strip().split("\n")) == 1 + 64
+
+
+# -------------------------------------------------- repeated calls in one process
+
+def test_repeated_sparsify_forgets_dump_milp(tmp_path, capsys):
+    spectra = tmp_path / "w.csv"
+    np.savetxt(spectra, np.array([[1.0, 0.0], [0.8, 0.9], [0.6, 0.7]]), delimiter=",")
+    dump = tmp_path / "milp.txt"
+    plans = [tmp_path / "plan1.json", tmp_path / "plan2.json"]
+    assert main(["sparsify", str(spectra), "--tdl", "2", "-o", str(plans[0]),
+                 "--dump-milp", str(dump)]) == 0
+    dump.unlink()
+    assert main(["sparsify", str(spectra), "--tdl", "2", "-o", str(plans[1])]) == 0
+    assert not dump.exists()
+    assert plans[0].read_bytes() == plans[1].read_bytes()
+
+
+def test_repeated_validate_forgets_suite(capsys):
+    assert main(["validate", "--suite", "nnls"]) == 0
+    assert build_parser().parse_args(["validate"]).suite is None
+
+
+def test_repeated_extrapolate_is_byte_identical(cfg_path, tmp_path):
+    """Config A, then B (another array and grid size), then A again: the
+    cached estimator matrices carry nothing from one run into the next."""
+    other = tmp_path / "other.cfg"
+    other.write_text(SMALL_CFG.replace("M = 16", "M = 12").replace("seed = 7", "seed = 9"))
+    outdirs = [tmp_path / f"run{i}" for i in range(3)]
+    for config, outdir in zip([cfg_path, other, cfg_path], outdirs):
+        assert main(["extrapolate", str(config), "--outdir", str(outdir)]) == 0
+    for name in ("c_ul_hat.csv", "c_dl_hat.csv", "spectrum.csv"):
+        first, between, third = ((d / name).read_bytes() for d in outdirs)
+        assert third == first != between

@@ -202,11 +202,14 @@ def test_cached_estimator_matrices_are_read_only():
     extrapolate_dl(estimate_asf(np.ones(8, dtype=complex)), cfg)
     a, row_w = covariance._asf_system(8, 32)
     exps = covariance._dl_resampling(8, 32, cfg.alpha)
-    for arr in (a, row_w, exps):
+    gm = covariance.ul_grid_matrix(8, 32)
+    for arr in (a, row_w, exps, gm):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
     assert covariance._asf_system(8, 32)[0] is a
+    assert covariance.ul_grid_matrix(8, 32) is gm
+    np.testing.assert_array_equal(gm, grid_matrix(8, asf_grid(32)))
 
 
 # ----------------------------------------------------------------- extrapolation
@@ -368,3 +371,26 @@ def test_export_spectrum_csv_roundtrip(tmp_path):
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
     np.testing.assert_allclose([float(r["lambda"]) for r in rows], lam)
+
+
+# Exact bytes of both exports: header, CRLF terminators (as the csv module
+# writes them) and %.12g numbers, with a negative value, a zero and a
+# negative-zero imaginary part, and values that need exponent notation.
+GOLDEN_COVARIANCE_CSV = (b"index,real,imag\r\n"
+                         b"0,1.5,-2\r\n"
+                         b"1,-0.25,0\r\n"
+                         b"2,1.23456789012e-07,3e+20\r\n"
+                         b"3,2,-0\r\n")
+GOLDEN_SPECTRUM_CSV = (b"index,lambda\r\n"
+                       b"0,0.5\r\n"
+                       b"1,1e-13\r\n"
+                       b"2,1.23456789012e+14\r\n"
+                       b"3,0\r\n")
+
+
+def test_export_csv_golden_bytes(tmp_path):
+    col = np.array([1.5 - 2j, -0.25 + 0j, 1.23456789012345e-7 + 3e20j, complex(2.0, -0.0)])
+    export_covariance_csv(col, tmp_path / "c.csv")
+    assert (tmp_path / "c.csv").read_bytes() == GOLDEN_COVARIANCE_CSV
+    export_spectrum_csv(np.array([0.5, 1e-13, 123456789012345.0, 0.0]), tmp_path / "s.csv")
+    assert (tmp_path / "s.csv").read_bytes() == GOLDEN_SPECTRUM_CSV

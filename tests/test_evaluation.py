@@ -6,11 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from fddsim.channel import sample_channels
 from fddsim.config import ExperimentConfig
 from fddsim.errors import InvalidArgumentError, NumericalError
 from fddsim.evaluation import (CSV_HEADER, ExperimentRecord, effective_gains,
-                               greedy_user_selection, normalized_error,
-                               run_experiment, run_trial, sum_rate, summarize,
+                               estimate_user_pipeline, greedy_user_selection,
+                               normalized_error, run_experiment, run_trial,
+                               sum_rate, summarize, trial_scenario,
                                write_records_csv, zf_precoder)
 from fddsim.numerics import dft_matrix, gaussian_complex, rng_stream
 from fddsim.sparsifier import beam_coefficients
@@ -277,6 +279,25 @@ def test_run_experiment_caps_workers_at_trials(monkeypatch):
 def test_run_experiment_zero_trials():
     cfg = ExperimentConfig(**{**SMALL, "n_trials": 0})
     assert run_experiment(cfg) == []
+
+
+def test_pipeline_pilots_equal_reference_sum(monkeypatch):
+    """The UL pilots the estimator averages are bit for bit h_ul + noise of
+    the user's two streams in that trial."""
+    import fddsim.evaluation as ev
+
+    cfg = ExperimentConfig(**SMALL)
+    arr, users = trial_scenario(cfg, 1)
+    seen = []
+    covariance = ev.sample_covariance
+    monkeypatch.setattr(ev, "sample_covariance",
+                        lambda y, sigma2: seen.append(y.copy()) or covariance(y, sigma2))
+    estimate_user_pipeline(cfg, arr, users[2].asf, 1, 2)
+    h_ul = sample_channels(arr, users[2].asf, "ul", cfg.n_ul, cfg.seed, 1, 2, ev._UL_CHAN)
+    noise = np.sqrt(cfg.ul_sigma2) * gaussian_complex(
+        arr.m * cfg.n_ul, cfg.seed, 1, 2, ev._UL_NOISE).reshape(arr.m, cfg.n_ul)
+    assert len(seen) == 1
+    np.testing.assert_array_equal(seen[0], h_ul + noise)
 
 
 def test_run_trial_record_invariants():
