@@ -12,7 +12,7 @@ from .evaluation import (ExperimentRecord, effective_gains,
                          greedy_user_selection, normalized_error,
                          run_experiment, run_trial, sum_rate, summarize,
                          write_records_csv, write_summary_json, zf_precoder)
-from .probing import dl_observe, error_trace_oracle, make_pilot, mmse_effective
+from .probing import dl_observe, make_pilot, mmse_effective
 from .sparsifier import (SparsificationPlan, beam_coefficients, build_beam_graph,
                          formulate_milp, solve_sparsification)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .numerics import gaussian_complex, hermitian_eig, rng_stream, toeplitz_from_column
+from .numerics import gaussian_complex, rng_stream, toeplitz_from_column
 
 DEFAULT_ALPHA = 2140.0 / 1950.0  # LTE-IMT UL/DL carrier pair
 
@@ -99,19 +99,18 @@ def sample_channels(cfg: ArrayConfig, asf: AngularScatteringFunction,
     covariance of the given ASF (Karhunen-Loeve coloring)."""
     if n < 1:
         raise InvalidArgumentError("sample_channels: n must be >= 1")
-    w, u = hermitian_eig(toeplitz_from_column(true_covariance(cfg, asf, band)))
+    w, u = np.linalg.eigh(toeplitz_from_column(true_covariance(cfg, asf, band)))
     g = gaussian_complex(cfg.m * n, seed, *path).reshape(cfg.m, n)
     g *= np.sqrt(np.maximum(w, 0.0))[:, None]  # in place: no M x n temporary
     return u @ g
 
 
 def make_scenario(n_clusters: int, cluster_width: float, k: int, seed,
-                  *path: int, normalized: bool = True):
+                  *path: int):
     """Random non-overlapping clusters in xi plus per-user two-cluster ASFs.
 
-    Each user picks two distinct clusters uniformly at random. With
-    ``normalized`` the per-user ASF integrates to 1; otherwise the density
-    per cluster is held fixed so that wider scattering carries more power.
+    Each user picks two distinct clusters uniformly at random; its ASF has
+    uniform density on both and integrates to 1.
     """
     if n_clusters < 2:
         raise InvalidArgumentError("make_scenario: need at least 2 clusters")
@@ -126,13 +125,13 @@ def make_scenario(n_clusters: int, cluster_width: float, k: int, seed,
     left = -1.0 + np.cumsum(gaps[:-1]) + w * np.arange(n_clusters)
     clusters = [(float(a), float(min(a + w, 1.0))) for a in left]
 
+    density = 1.0 / (2.0 * w)
     users = []
     for _ in range(k):
         i1, i2 = rng.choice(n_clusters, size=2, replace=False)
-        density = 1.0 / (2.0 * w) if normalized else 1.0
         asf = AngularScatteringFunction(
             intervals=[clusters[i1] + (density,), clusters[i2] + (density,)],
-            normalized=normalized)
+            normalized=True)
         users.append(UserGeometry(cluster_indices=(int(i1), int(i2)), asf=asf))
     return clusters, users
 

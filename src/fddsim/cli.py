@@ -41,6 +41,8 @@ def _writing(path):
 
 
 def _cmd_simulate(args) -> int:
+    if args.threads < 1:
+        raise InvalidArgumentError(f"--threads {args.threads} must be at least 1")
     cfg = parse_config(args.config)
     records = run_experiment(cfg, threads=args.threads)
     with _writing(args.output):

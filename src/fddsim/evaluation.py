@@ -23,7 +23,7 @@ from .config import ExperimentConfig
 from .covariance import (circulant_eigenvalues, estimate_asf, extrapolate_dl,
                          sample_covariance)
 from .errors import FddsimError, InvalidArgumentError, NumericalError
-from .numerics import gaussian_complex, hermitian_eig, toeplitz_average
+from .numerics import gaussian_complex, toeplitz_average
 from .probing import dl_observe, make_pilot, mmse_effective
 from .sparsifier import beam_coefficients, build_beam_graph, solve_sparsification
 
@@ -43,7 +43,7 @@ def zf_precoder(h_hat_eff: np.ndarray) -> np.ndarray:
     if h.shape[1] > h.shape[0]:
         raise InvalidArgumentError("zf_precoder: more streams than beams")
     gram = h.conj().T @ h
-    w, _ = hermitian_eig(gram)
+    w = np.linalg.eigvalsh(gram)
     if w[0] <= ZF_COND_TOL * max(w[-1], 1e-300):
         raise NumericalError("zf_precoder: estimated channel matrix is rank deficient")
     pinv_t = h @ np.linalg.inv(gram)

@@ -1,6 +1,6 @@
 """Downlink channel probing in the beam domain: pilot design, observation
-model, linear MMSE estimation of effective channels, and the closed-form
-estimation-error trace used as an oracle in tests.
+model and linear MMSE estimation of effective channels. The closed-form
+estimation-error trace that checks the estimator is ``validate``'s oracle.
 
 A pilot is a plain T_dl x M' array Psi that acts on a user's effective
 channel B h, its coefficients on the M' selected beams (see
@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalError
-from .numerics import gaussian_complex, hermitian_eig
+from .numerics import gaussian_complex
 
 
 def make_pilot(t_dl: int, m_prime: int, seed, *path: int) -> np.ndarray:
@@ -70,23 +70,3 @@ def mmse_effective(y: np.ndarray, psi: np.ndarray, lam: np.ndarray,
         raise NumericalError("mmse_effective: non-finite solve result")
     return lam * (sol @ psi.conj())
 
-
-def error_trace_oracle(psi: np.ndarray, support_columns: np.ndarray,
-                       variances: np.ndarray, n0: float) -> float:
-    """Closed-form MMSE error trace for the unit-variance expansion
-    coefficients: s - sum_i mu_i / (N0 + mu_i), with mu_i the eigenvalues
-    of Lam^(1/2) F_S^H Psi^H Psi F_S Lam^(1/2)."""
-    f_s = np.asarray(support_columns, dtype=complex)
-    variances = np.asarray(variances, dtype=float)
-    s = f_s.shape[1]
-    if s < 1:
-        raise InvalidArgumentError("error_trace_oracle: empty support")
-    if variances.shape != (s,):
-        raise InvalidArgumentError("error_trace_oracle: one variance per support column")
-    half = np.sqrt(variances)
-    pf = psi @ f_s
-    a = (half[:, None] * (pf.conj().T @ pf) * half[None, :])
-    mu = np.maximum(hermitian_eig(a)[0], 0.0)
-    denom = n0 + mu
-    ratio = np.divide(mu, denom, out=np.zeros_like(mu), where=denom > 0)
-    return float(s - np.sum(ratio))

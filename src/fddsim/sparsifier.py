@@ -322,8 +322,9 @@ def _validate_plan(g: np.ndarray, plan: SparsificationPlan, t_dl: int, p0: float
 
 
 def beam_coefficients(h: np.ndarray) -> np.ndarray:
-    """F^H h along axis 0, with F the unitary DFT of ``numerics.dft_matrix``:
-    row b holds the coefficients of beam b, sqrt(M) ifft(h) by one FFT.
+    """F^H h along axis 0, with F the unitary DFT (entry (p, q) =
+    exp(-j 2 pi p q / M) / sqrt(M)): row b holds the coefficients of beam b,
+    sqrt(M) ifft(h) by one FFT.
 
     The sparsifying precoder B of a plan is rows ``plan.beams`` of F^H, so a
     user's effective channel B h is those rows of its beam coefficients.

@@ -297,6 +297,15 @@ def test_extrapolate_user_out_of_range_exits_2(cfg_path, tmp_path, user, capsys)
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_simulate_threads_below_one_exits_2(cfg_path, tmp_path, threads, capsys):
+    out = tmp_path / "out.csv"
+    assert main(["simulate", cfg_path, "-o", str(out), "--threads", threads]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --threads {threads} must be at least 1\n"
+    assert not out.exists()
+
+
 def test_extrapolate_former_nnls_hang_input(tmp_path):
     """User 0 of this M=64 scenario once made the in-repo active-set NNLS
     step by zero forever with single-threaded BLAS, so the command runs in

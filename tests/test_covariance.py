@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dykstra import project_toeplitz_psd
 from fddsim import covariance, evaluation
 from fddsim.channel import AngularScatteringFunction, ArrayConfig, true_covariance
 from fddsim.config import ExperimentConfig
@@ -16,9 +17,8 @@ from fddsim.covariance import (asf_grid, circulant_eigenvalues, estimate_asf,
                                sample_covariance)
 from fddsim.errors import InvalidArgumentError
 from fddsim.evaluation import estimate_user_pipeline, trial_scenario
-from fddsim.numerics import (dft_matrix, gaussian_complex, rng_stream,
-                             toeplitz_from_column)
-from fddsim.validate import project_toeplitz_psd
+from fddsim.numerics import gaussian_complex, rng_stream, toeplitz_from_column
+from fddsim.validate import dft_matrix, suite_projection
 
 TWO_CLUSTER = AngularScatteringFunction(
     intervals=[(-0.55, -0.35, 2.5), (0.25, 0.45, 2.5)], normalized=True)
@@ -167,6 +167,16 @@ def test_fused_estimator_matches_dykstra_path(m, seed, monkeypatch):
         warnings.simplefilter("error", RuntimeWarning)  # no Dykstra cap hit
         _, _, ref = estimate_user_pipeline(cfg, arr, users[0].asf, 0, 0)
     assert np.abs(fused - ref).sum() <= 5e-3 * np.abs(ref).sum()
+
+
+def test_projection_suite_catches_unweighted_fit(monkeypatch):
+    """The projection suite checks the estimator itself: with unit row
+    weights, i.e. the unweighted column fit, it fails."""
+    def unweighted(m, g):
+        gm = grid_matrix(m, asf_grid(g))
+        return np.vstack([gm.real, gm.imag]), np.ones(2 * m)
+    monkeypatch.setattr(covariance, "_asf_system", unweighted)
+    assert suite_projection().passed is False
 
 
 def _uncached_estimate(c_ul, cfg, g):

@@ -14,8 +14,9 @@ from fddsim.evaluation import (CSV_HEADER, ExperimentRecord, effective_gains,
                                normalized_error, run_experiment, run_trial,
                                sum_rate, summarize, trial_scenario,
                                write_records_csv, zf_precoder)
-from fddsim.numerics import dft_matrix, gaussian_complex, rng_stream
+from fddsim.numerics import gaussian_complex, rng_stream
 from fddsim.sparsifier import beam_coefficients
+from fddsim.validate import dft_matrix
 
 
 # ---------------------------------------------------------------- zf_precoder

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from dykstra import psd_project
 from fddsim.errors import InvalidArgumentError
-from fddsim.numerics import (dft_matrix, gaussian_complex, hermitian_eig,
-                             numerical_rank, rng_stream, toeplitz_average,
+from fddsim.numerics import (gaussian_complex, rng_stream, toeplitz_average,
                              toeplitz_from_column)
-from fddsim.validate import psd_project
+from fddsim.validate import dft_matrix, numerical_rank
 
 
 def random_hermitian(n, rng):
@@ -81,70 +81,6 @@ def test_dft_matrix_unitary():
 def test_dft_matrix_invalid():
     with pytest.raises(InvalidArgumentError):
         dft_matrix(0)
-
-
-# ---------------------------------------------------------- eigendecomposition
-
-def _char_poly_roots_bisect(a, lo, hi, n_grid=4000, tol=1e-11):
-    """Real eigenvalues of a Hermitian matrix by bisecting sign changes of
-    det(A - x I); independent of any eigensolver."""
-
-    def det(x):
-        sign, logdet = np.linalg.slogdet(a - x * np.eye(a.shape[0]))
-        return sign * np.exp(logdet) if sign != 0 else 0.0
-
-    xs = np.linspace(lo, hi, n_grid)
-    vals = [det(x) for x in xs]
-    roots = []
-    for i in range(n_grid - 1):
-        if vals[i] == 0.0:
-            roots.append(xs[i])
-            continue
-        if vals[i] * vals[i + 1] < 0:
-            a_, b_ = xs[i], xs[i + 1]
-            fa = vals[i]
-            while b_ - a_ > tol:
-                m = 0.5 * (a_ + b_)
-                fm = det(m)
-                if fa * fm <= 0:
-                    b_ = m
-                else:
-                    a_, fa = m, fm
-            roots.append(0.5 * (a_ + b_))
-    return np.array(roots)
-
-
-def test_hermitian_eig_identity():
-    w, _ = hermitian_eig(np.eye(3))
-    np.testing.assert_allclose(w, [1, 1, 1])
-
-
-def test_hermitian_eig_diagonal():
-    w, u = hermitian_eig(np.diag([3.0, -1.0]))
-    np.testing.assert_allclose(w, [-1.0, 3.0])
-    np.testing.assert_allclose(np.abs(u), [[0, 1], [1, 0]], atol=1e-14)
-
-
-def test_hermitian_eig_matches_char_poly_bisection():
-    rng = rng_stream(21, 0)
-    a = random_hermitian(6, rng)
-    w, _ = hermitian_eig(a)
-    bound = np.linalg.norm(a, 1) + 1.0
-    roots = _char_poly_roots_bisect(a, -bound, bound)
-    assert roots.size == 6
-    np.testing.assert_allclose(np.sort(w), np.sort(roots), atol=1e-8)
-
-
-def test_hermitian_eig_reconstruct():
-    rng = rng_stream(22, 0)
-    a = random_hermitian(5, rng)
-    w, u = hermitian_eig(a)
-    np.testing.assert_allclose((u * w) @ u.conj().T, a, atol=1e-12)
-
-
-def test_hermitian_eig_rejects_non_hermitian():
-    with pytest.raises(InvalidArgumentError):
-        hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 # ---------------------------------------------------------------- PSD project
