@@ -21,7 +21,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from .config import ConfigError, parse_config
-from .covariance import export_covariance_csv, export_spectrum_csv, ul_grid_matrix
+from .covariance import export_covariance_csv, export_spectrum_csv
 from .errors import FddsimError, InvalidArgumentError
 from .evaluation import (estimate_user_pipeline, run_experiment, summarize,
                          trial_scenario, write_records_csv, write_summary_json)
@@ -70,9 +70,7 @@ def _cmd_extrapolate(args) -> int:
         raise InvalidArgumentError(f"--user {args.user} is not a user index "
                                    f"of the experiment (K = {cfg.k})")
     arr, users = trial_scenario(cfg, 0)
-    z, c_dl, lam = estimate_user_pipeline(cfg, arr, users[args.user].asf, 0, args.user)
-    # the UL covariance of the fitted angular measure
-    c_ul = ul_grid_matrix(arr.m, z.size) @ z
+    c_ul, c_dl, lam = estimate_user_pipeline(cfg, arr, users[args.user].asf, 0, args.user)
 
     with _writing(args.outdir):
         os.makedirs(args.outdir, exist_ok=True)

@@ -16,9 +16,10 @@ List values are comma separated. Example::
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from .channel import DEFAULT_ALPHA
+from .covariance import DEFAULT_GRID_FACTOR
 from .errors import InvalidArgumentError
 from .sparsifier import DEFAULT_EPSILON_FACTOR, DEFAULT_TH_REL
 
@@ -29,15 +30,19 @@ class ConfigError(InvalidArgumentError):
 
 @dataclass
 class ExperimentConfig:
+    """One experiment. Each field is a config-file key of the same name
+    (``m``, ``k`` and ``t`` are written ``M``, ``K`` and ``T``), parsed by
+    its annotation; the fields without a default are the required keys."""
+
     m: int
     k: int
     t: int
-    tdl_list: list
-    snr_db_list: list
+    tdl_list: list[int]
+    snr_db_list: list[float]
     n_trials: int
     seed: int
     n_ul: int = 1000
-    grid_factor: int = 4
+    grid_factor: int = DEFAULT_GRID_FACTOR
     alpha: float = DEFAULT_ALPHA
     n_clusters: int = 3
     cluster_width: float = 0.2
@@ -83,7 +88,6 @@ class ExperimentConfig:
             raise ConfigError("ul_sigma2, p0 and th_rel must be nonnegative")
 
 
-# config-file key -> (dataclass field, parser)
 def _bool(s: str) -> bool:
     v = s.strip().lower()
     if v in ("true", "1", "yes"):
@@ -101,28 +105,15 @@ def _float_list(s: str) -> list:
     return [float(p) for p in s.replace("[", "").replace("]", "").split(",") if p.strip()]
 
 
-_SCHEMA = {
-    "M": ("m", int),
-    "K": ("k", int),
-    "T": ("t", int),
-    "tdl_list": ("tdl_list", _int_list),
-    "snr_db_list": ("snr_db_list", _float_list),
-    "n_ul": ("n_ul", int),
-    "n_trials": ("n_trials", int),
-    "grid_factor": ("grid_factor", int),
-    "alpha": ("alpha", float),
-    "n_clusters": ("n_clusters", int),
-    "cluster_width": ("cluster_width", float),
-    "th_rel": ("th_rel", float),
-    "p0": ("p0", float),
-    "epsilon_factor": ("epsilon_factor", float),
-    "ul_sigma2": ("ul_sigma2", float),
-    "seed": ("seed", int),
-    "exact_covariance": ("exact_covariance", _bool),
-}
+# field annotation -> value parser
+_PARSERS = {"int": int, "float": float, "bool": _bool,
+            "list[int]": _int_list, "list[float]": _float_list}
+# config-file key -> (dataclass field, parser), in field order
+_SCHEMA = {(f.name.upper() if f.name in ("m", "k", "t") else f.name): (f.name, _PARSERS[f.type])
+           for f in fields(ExperimentConfig)}
 _KEY_NAMES = {fld: key for key, (fld, _) in _SCHEMA.items()}
-_FLOAT_FIELDS = tuple(fld for fld, conv in _SCHEMA.values() if conv is float)
-_REQUIRED = ("M", "K", "T", "tdl_list", "snr_db_list", "n_trials", "seed")
+_FLOAT_FIELDS = tuple(f.name for f in fields(ExperimentConfig) if f.type == "float")
+_REQUIRED = tuple(_KEY_NAMES[f.name] for f in fields(ExperimentConfig) if f.default is MISSING)
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -153,9 +144,4 @@ def parse_config(path) -> ExperimentConfig:
     missing = [k for k in _REQUIRED if _SCHEMA[k][0] not in values]
     if missing:
         raise ConfigError(f"{path}: missing required keys: {', '.join(missing)}")
-    try:
-        return ExperimentConfig(**values)
-    except ConfigError:
-        raise
-    except TypeError as exc:  # pragma: no cover - schema and dataclass agree
-        raise ConfigError(f"{path}: {exc}") from exc
+    return ExperimentConfig(**values)

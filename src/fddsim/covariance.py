@@ -5,7 +5,9 @@ Everything is a plain array. The covariance of a uniform linear array is
 Hermitian Toeplitz, so it is carried as its complex first column
 (``numerics.toeplitz_from_column`` builds the matrix where one is needed).
 The angular estimate is the vector z of NNLS weights on the grid
-``asf_grid(z.size)``. The DL covariance is PSD by construction and its
+``asf_grid(z.size)``; its measure has point masses z / sqrt(M). One
+array-response table, ``steering``, maps that measure to its covariance
+column on either band. The DL covariance is PSD by construction and its
 beam spectrum is one FFT of its column.
 """
 
@@ -34,32 +36,42 @@ def sample_covariance(y: np.ndarray, sigma2: float) -> np.ndarray:
     return c - sigma2 * np.eye(y.shape[0])
 
 
+# default angle-grid points per antenna
+DEFAULT_GRID_FACTOR = 4
+
+
 def asf_grid(g: int) -> np.ndarray:
     """Uniform xi grid of size g."""
     return -1.0 + 2.0 * np.arange(g) / g
 
 
-def grid_matrix(m: int, xi: np.ndarray) -> np.ndarray:
-    """M x G matrix with columns a_ul(theta_i)/sqrt(M) expressed in xi."""
-    return np.exp(1j * np.pi * np.outer(np.arange(m), xi)) / np.sqrt(m)
+@functools.lru_cache(maxsize=8)
+def steering(m: int, g: int, alpha: float) -> np.ndarray:
+    """M x G array response exp(j pi alpha d xi_i), d = 0..M-1, on
+    ``asf_grid(g)``: the grid measure with point masses z / sqrt(M) has
+    the covariance first column ``steering(M, G, alpha) @ (z / sqrt(M))``
+    on the band of carrier ratio alpha (alpha = 1 is the UL). Built once
+    per (m, g, alpha) and shared read-only."""
+    exps = np.exp(1j * np.pi * alpha * np.outer(np.arange(m), asf_grid(g)))
+    exps.flags.writeable = False
+    return exps
 
 
 def estimate_asf(c_ul: np.ndarray, grid_size: int | None = None) -> np.ndarray:
     """Nonnegative weights z on ``asf_grid(G)`` whose UL covariance column
-    ``grid_matrix(M, asf_grid(G)) @ z`` best matches c_ul.
+    ``steering(M, G, 1) @ (z / sqrt(M))`` best matches c_ul.
 
-    Solves min sum_d n_d |(G z)_d - c_ul[d]|^2 over z >= 0, with
-    n_0 = M and n_d = 2(M - d) the number of entries on diagonal offset
-    +-d, so the fit is in the Frobenius norm of the Toeplitz matrices.
+    Solves min sum_d n_d |c(z)_d - c_ul[d]|^2 over z >= 0, with c(z) that
+    column and n_0 = M, n_d = 2(M - d) the number of entries on diagonal
+    offset +-d, so the fit is in the Frobenius norm of the Toeplitz matrices.
     Given the Toeplitz average of a sample covariance S this is, up to a
     constant, the projection of S onto the Toeplitz-PSD cone restricted
     to the grid's nonnegative measures. The complex system is stacked
-    into real form. Default grid size is 4*M. The point masses of the
-    estimated angular measure are z / sqrt(M).
+    into real form. Default grid size is DEFAULT_GRID_FACTOR * M.
     """
     c_ul = np.asarray(c_ul, dtype=complex)
     m = c_ul.size
-    g = 4 * m if grid_size is None else int(grid_size)
+    g = DEFAULT_GRID_FACTOR * m if grid_size is None else int(grid_size)
     if g < m:
         raise InvalidArgumentError(f"grid size {g} must be at least M={m}")
     a, row_w = _asf_system(m, g)
@@ -89,22 +101,11 @@ def nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return z
 
 
-# The estimator's fixed matrices depend only on the array size, the grid
-# size and alpha. Each is built once per process and shared read-only.
-
-@functools.lru_cache(maxsize=4)
-def ul_grid_matrix(m: int, g: int) -> np.ndarray:
-    """``grid_matrix(m, asf_grid(g))``: ``ul_grid_matrix(M, z.size) @ z`` is
-    the UL covariance column of the angular estimate z."""
-    gm = grid_matrix(m, asf_grid(g))
-    gm.flags.writeable = False
-    return gm
-
-
 @functools.lru_cache(maxsize=4)
 def _asf_system(m: int, g: int) -> tuple[np.ndarray, np.ndarray]:
-    """estimate_asf's weighted real design matrix and its row weights."""
-    gm = ul_grid_matrix(m, g)
+    """estimate_asf's weighted real design matrix and its row weights,
+    built once per (m, g) and shared read-only."""
+    gm = steering(m, g, 1.0) / np.sqrt(m)
     n_d = 2.0 * (m - np.arange(m))
     n_d[0] = m
     row_w = np.tile(np.sqrt(n_d), 2)
@@ -115,23 +116,15 @@ def _asf_system(m: int, g: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def extrapolate_dl(z: np.ndarray, cfg) -> np.ndarray:
-    """DL covariance first column of the angular estimate z (grid
-    ``asf_grid(z.size)``) on an array of ``cfg.m`` antennas: the Fourier
-    transform of the measure z / sqrt(M) resampled on the scaled grid
-    {alpha*m}, alpha = ``cfg.alpha``. It is PSD because the measure
-    weights are nonnegative, which is checked."""
+    """Covariance first column of the angular estimate z (grid
+    ``asf_grid(z.size)``) on an array of ``cfg.m`` antennas at carrier
+    ratio ``cfg.alpha``: ``steering(M, G, alpha) @ (z / sqrt(M))``, the
+    DL covariance, or at alpha = 1 the fitted UL one. It is PSD because
+    the measure weights are nonnegative, which is checked."""
     w = np.asarray(z, dtype=float) / np.sqrt(cfg.m)
     if np.any(w < 0.0):
         raise InvalidArgumentError("extrapolate_dl: angular measure weights must be nonnegative")
-    return _dl_resampling(cfg.m, w.size, cfg.alpha) @ w.astype(complex)
-
-
-@functools.lru_cache(maxsize=4)
-def _dl_resampling(m: int, g: int, alpha: float) -> np.ndarray:
-    """extrapolate_dl's M x G resampling matrix exp(j pi alpha d xi_i)."""
-    exps = np.exp(1j * np.pi * alpha * np.outer(np.arange(m), asf_grid(g)))
-    exps.flags.writeable = False
-    return exps
+    return steering(cfg.m, w.size, cfg.alpha) @ w.astype(complex)
 
 
 def circulant_eigenvalues(col: np.ndarray) -> np.ndarray:

@@ -152,9 +152,9 @@ def estimate_user_pipeline(cfg: ExperimentConfig, arr: ArrayConfig, user_asf,
 
     The angular measure is fitted to the Toeplitz average of the sample
     covariance of user k's UL pilots in the given trial (or to the true UL
-    covariance with ``exact_covariance``). Returns the angular estimate's
-    grid weights, the DL covariance first column and its beam-space
-    spectrum.
+    covariance with ``exact_covariance``). Returns the fitted measure's UL
+    covariance first column (its covariance at alpha = 1), its DL
+    covariance first column and the DL beam-space spectrum.
     """
     if cfg.exact_covariance:
         c_ul_hat = true_covariance(arr, user_asf, "ul")
@@ -168,7 +168,8 @@ def estimate_user_pipeline(cfg: ExperimentConfig, arr: ArrayConfig, user_asf,
         c_ul_hat = toeplitz_average(sample_covariance(y, cfg.ul_sigma2))
     z = estimate_asf(c_ul_hat, grid_size=cfg.grid_factor * arr.m)
     c_dl_hat = extrapolate_dl(z, arr)
-    return z, c_dl_hat, circulant_eigenvalues(c_dl_hat)
+    return (extrapolate_dl(z, ArrayConfig(m=arr.m, alpha=1.0)), c_dl_hat,
+            circulant_eigenvalues(c_dl_hat))
 
 
 def trial_scenario(cfg: ExperimentConfig, trial: int) -> tuple[ArrayConfig, list]:

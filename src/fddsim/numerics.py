@@ -36,12 +36,13 @@ def gaussian_complex(n: int, seed, *path: int) -> np.ndarray:
         rng = seed
     else:
         rng = rng_stream(seed, *path)
-    # built in place: the same draws and the same complex division as
-    # (x + 1j*y) / sqrt(2), without the temporaries
+    # built in place, with the values of (x + 1j*y) / sqrt(2): NumPy divides
+    # complex by real as a multiply by the reciprocal, done here on the
+    # float view without complex arithmetic
     out = np.empty(n, dtype=complex)
     out.real = rng.standard_normal(n)
     out.imag = rng.standard_normal(n)
-    out /= np.sqrt(2.0)
+    out.view(float)[...] *= 1.0 / np.sqrt(2.0)
     return out
 
 

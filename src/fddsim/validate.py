@@ -15,7 +15,8 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .channel import AngularScatteringFunction, ArrayConfig, true_covariance
-from .covariance import circulant_eigenvalues, estimate_asf, nnls, ul_grid_matrix
+from .covariance import (DEFAULT_GRID_FACTOR, circulant_eigenvalues, estimate_asf,
+                         nnls, steering)
 from .errors import InvalidArgumentError
 from .numerics import gaussian_complex, rng_stream, toeplitz_average, toeplitz_from_column
 from .probing import make_pilot, mmse_effective
@@ -331,8 +332,8 @@ def suite_projection(n_inputs: int = 50, n_samples: int = 10**4,
     perturbations max(z + delta, 0) of the fit z at step sizes over four
     decades."""
     rng = rng_stream(seed, 23)
-    g = 4 * size
-    gm = ul_grid_matrix(size, g)
+    g = DEFAULT_GRID_FACTOR * size
+    gm = steering(size, g, 1.0) / np.sqrt(size)
     n_atomic = n_samples // 2
     wins = 0
     for _ in range(n_inputs):

@@ -1,9 +1,12 @@
 """Tests for the experiment config parser."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from fddsim.channel import DEFAULT_ALPHA
-from fddsim.config import ConfigError, ExperimentConfig, parse_config
+from fddsim.config import _REQUIRED, _SCHEMA, ConfigError, ExperimentConfig, parse_config
 from fddsim.sparsifier import DEFAULT_EPSILON_FACTOR, DEFAULT_TH_REL
 
 MINIMAL = """\
@@ -128,3 +131,13 @@ def test_invariants_enforced():
     with pytest.raises(ConfigError, match="snr_db_list: entries must be distinct"):
         ExperimentConfig(**{**base, "snr_db_list": [10.0, 10.0]})
     ExperimentConfig(**{**base, "n_trials": 0})  # zero trials is allowed
+
+
+def test_readme_config_table_matches_schema():
+    """The README's config table lists the parser's keys, in its order,
+    with the same required/optional split."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Config file", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| (yes|no) \|", section, flags=re.MULTILINE)
+    assert [key for key, _ in rows] == list(_SCHEMA)
+    assert [key for key, req in rows if req == "yes"] == list(_REQUIRED)

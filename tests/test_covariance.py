@@ -9,12 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from dykstra import project_toeplitz_psd
 from fddsim import covariance, evaluation
-from fddsim.channel import AngularScatteringFunction, ArrayConfig, true_covariance
+from fddsim.channel import (DEFAULT_ALPHA, AngularScatteringFunction, ArrayConfig,
+                            true_covariance)
 from fddsim.config import ExperimentConfig
 from fddsim.covariance import (asf_grid, circulant_eigenvalues, estimate_asf,
                                export_covariance_csv, export_spectrum_csv,
-                               extrapolate_dl, grid_matrix, nnls,
-                               sample_covariance)
+                               extrapolate_dl, nnls, sample_covariance, steering)
 from fddsim.errors import InvalidArgumentError
 from fddsim.evaluation import estimate_user_pipeline, trial_scenario
 from fddsim.numerics import gaussian_complex, rng_stream, toeplitz_from_column
@@ -22,6 +22,12 @@ from fddsim.validate import dft_matrix, suite_projection
 
 TWO_CLUSTER = AngularScatteringFunction(
     intervals=[(-0.55, -0.35, 2.5), (0.25, 0.45, 2.5)], normalized=True)
+
+
+def _ul_response(m, g):
+    """a_ul(xi_i) / sqrt(M) on ``asf_grid(g)``, written out: the reference
+    for the cached ``steering`` table."""
+    return np.exp(1j * np.pi * np.outer(np.arange(m), asf_grid(g))) / np.sqrt(m)
 
 
 # ------------------------------------------------------------ sample covariance
@@ -122,8 +128,8 @@ def test_estimate_asf_uniform_residual():
     c_ul = np.zeros(12, dtype=complex)
     c_ul[0] = 1.0
     z = estimate_asf(c_ul)
-    gm = grid_matrix(12, asf_grid(z.size))
-    assert np.linalg.norm(gm @ z - c_ul) <= 1e-6
+    fit = extrapolate_dl(z, ArrayConfig(m=12, alpha=1.0))
+    assert np.linalg.norm(fit - c_ul) <= 1e-6
 
 
 def test_estimate_asf_grid_too_small():
@@ -137,8 +143,8 @@ def test_estimate_asf_residual_decreases_with_grid():
     residuals = []
     for factor in (2, 4, 8):
         z = estimate_asf(c_ul, grid_size=factor * 16)
-        gm = grid_matrix(16, asf_grid(factor * 16))
-        residuals.append(np.linalg.norm(gm @ z - c_ul))
+        fit = extrapolate_dl(z, ArrayConfig(m=16, alpha=1.0))
+        residuals.append(np.linalg.norm(fit - c_ul))
     assert residuals[0] >= residuals[1] - 1e-12
     assert residuals[1] >= residuals[2] - 1e-12
 
@@ -173,7 +179,7 @@ def test_projection_suite_catches_unweighted_fit(monkeypatch):
     """The projection suite checks the estimator itself: with unit row
     weights, i.e. the unweighted column fit, it fails."""
     def unweighted(m, g):
-        gm = grid_matrix(m, asf_grid(g))
+        gm = steering(m, g, 1.0) / np.sqrt(m)
         return np.vstack([gm.real, gm.imag]), np.ones(2 * m)
     monkeypatch.setattr(covariance, "_asf_system", unweighted)
     assert suite_projection().passed is False
@@ -182,14 +188,13 @@ def test_projection_suite_catches_unweighted_fit(monkeypatch):
 def _uncached_estimate(c_ul, cfg, g):
     """estimate_asf and extrapolate_dl with their fixed matrices rebuilt."""
     m = c_ul.size
-    xi = asf_grid(g)
-    gm = grid_matrix(m, xi)
+    gm = _ul_response(m, g)
     n_d = 2.0 * (m - np.arange(m))
     n_d[0] = m
     row_w = np.tile(np.sqrt(n_d), 2)
     z = nnls(np.vstack([gm.real, gm.imag]) * row_w[:, None],
              np.concatenate([c_ul.real, c_ul.imag]) * row_w)
-    exps = np.exp(1j * np.pi * cfg.alpha * np.outer(np.arange(m), xi))
+    exps = np.exp(1j * np.pi * cfg.alpha * np.outer(np.arange(m), asf_grid(g)))
     return z, exps @ (z / np.sqrt(m)).astype(complex)
 
 
@@ -211,15 +216,16 @@ def test_cached_estimator_matrices_are_read_only():
     cfg = ArrayConfig(m=8)
     extrapolate_dl(estimate_asf(np.ones(8, dtype=complex)), cfg)
     a, row_w = covariance._asf_system(8, 32)
-    exps = covariance._dl_resampling(8, 32, cfg.alpha)
-    gm = covariance.ul_grid_matrix(8, 32)
-    for arr in (a, row_w, exps, gm):
+    ul, dl = steering(8, 32, 1.0), steering(8, 32, cfg.alpha)
+    for arr in (a, row_w, ul, dl):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
     assert covariance._asf_system(8, 32)[0] is a
-    assert covariance.ul_grid_matrix(8, 32) is gm
-    np.testing.assert_array_equal(gm, grid_matrix(8, asf_grid(32)))
+    assert steering(8, 32, 1.0) is ul and steering(8, 32, cfg.alpha) is dl
+    np.testing.assert_array_equal(ul / np.sqrt(8), _ul_response(8, 32))
+    np.testing.assert_array_equal(
+        dl, np.exp(1j * np.pi * cfg.alpha * np.outer(np.arange(8), asf_grid(32))))
 
 
 # ----------------------------------------------------------------- extrapolation
@@ -227,8 +233,26 @@ def test_cached_estimator_matrices_are_read_only():
 def test_extrapolate_alpha_one_reproduces_fit():
     cfg = ArrayConfig(m=24, alpha=1.0)
     z = estimate_asf(true_covariance(cfg, TWO_CLUSTER, "ul"))
-    fit = grid_matrix(24, asf_grid(z.size)) @ z
+    fit = _ul_response(24, z.size) @ z
     np.testing.assert_allclose(extrapolate_dl(z, cfg), fit, atol=1e-10)
+
+
+@pytest.mark.parametrize("alpha", [1.0, DEFAULT_ALPHA])
+@pytest.mark.parametrize("m, g", [(8, 32), (16, 64), (64, 256)])
+def test_steering_matches_channel_model(m, g, alpha):
+    """The table's covariance column of a grid measure z / sqrt(M) is the
+    channel model's exact covariance of the same point masses, on the UL
+    (alpha = 1) and the DL band alike."""
+    rng = rng_stream(35, m)
+    cfg = ArrayConfig(m=m, alpha=alpha)
+    for n_atoms in (1, 3, g):
+        z = np.zeros(g)
+        z[rng.choice(g, size=n_atoms, replace=False)] = rng.random(n_atoms) + 0.1
+        measure = AngularScatteringFunction(
+            point_masses=list(zip(asf_grid(g), z / np.sqrt(m))))
+        exact = true_covariance(cfg, measure, "dl")
+        np.testing.assert_allclose(extrapolate_dl(z, cfg), exact,
+                                   rtol=0, atol=1e-12 * np.abs(exact).max())
 
 
 def test_extrapolate_point_mass_at_zero():
@@ -323,7 +347,7 @@ def test_extrapolate_alpha_one_returns_fit_property(data):
     cfg, c_ul = _atomic_ul_case(data)
     cfg = ArrayConfig(m=cfg.m, alpha=1.0)
     z = estimate_asf(c_ul)
-    fit = grid_matrix(cfg.m, asf_grid(z.size)) @ z
+    fit = _ul_response(cfg.m, z.size) @ z
     np.testing.assert_allclose(extrapolate_dl(z, cfg), fit, rtol=0, atol=1e-12)
 
 
