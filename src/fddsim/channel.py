@@ -21,18 +21,6 @@ DEFAULT_ALPHA = 2140.0 / 1950.0  # LTE-IMT UL/DL carrier pair
 
 
 @dataclass
-class ArrayConfig:
-    m: int
-    alpha: float = DEFAULT_ALPHA
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise InvalidArgumentError("ArrayConfig: M must be >= 1")
-        if not (1.0 <= self.alpha < np.inf):  # NaN fails too
-            raise InvalidArgumentError("ArrayConfig: alpha must be finite and >= 1")
-
-
-@dataclass
 class AngularScatteringFunction:
     """Density over xi as weighted intervals plus optional point masses."""
 
@@ -83,24 +71,23 @@ class UserGeometry:
             raise InvalidArgumentError("user cluster indices must be distinct")
 
 
-def true_covariance(cfg: ArrayConfig, asf: AngularScatteringFunction,
-                    band: str) -> np.ndarray:
-    """First column of the exact covariance: the ASF transform sampled at
-    {m} (UL) or {alpha*m} (DL)."""
-    if band not in ("ul", "dl"):
-        raise InvalidArgumentError(f"band must be 'ul' or 'dl', got {band!r}")
-    scale = 1.0 if band == "ul" else cfg.alpha
-    return asf.fourier(scale * np.arange(cfg.m))
+def true_covariance(asf: AngularScatteringFunction, m: int,
+                    alpha: float) -> np.ndarray:
+    """First column of the exact covariance of an M-antenna array on the
+    band of carrier ratio alpha (1 for the UL): the ASF transform sampled
+    at {alpha*d}, d = 0..M-1."""
+    return asf.fourier(alpha * np.arange(m))
 
 
-def sample_channels(cfg: ArrayConfig, asf: AngularScatteringFunction,
-                    band: str, n: int, seed, *path: int) -> np.ndarray:
-    """M x n matrix of i.i.d. zero-mean Gaussian channels with the exact
-    covariance of the given ASF (Karhunen-Loeve coloring)."""
+def sample_channels(col: np.ndarray, n: int, seed, *path: int) -> np.ndarray:
+    """M x n matrix of i.i.d. zero-mean Gaussian channels whose covariance
+    is the Hermitian Toeplitz matrix of first column col, M = col.size
+    (Karhunen-Loeve coloring)."""
     if n < 1:
         raise InvalidArgumentError("sample_channels: n must be >= 1")
-    w, u = np.linalg.eigh(toeplitz_from_column(true_covariance(cfg, asf, band)))
-    g = gaussian_complex(cfg.m * n, seed, *path).reshape(cfg.m, n)
+    col = np.asarray(col, dtype=complex)
+    w, u = np.linalg.eigh(toeplitz_from_column(col))
+    g = gaussian_complex(col.size * n, seed, *path).reshape(col.size, n)
     g *= np.sqrt(np.maximum(w, 0.0))[:, None]  # in place: no M x n temporary
     return u @ g
 

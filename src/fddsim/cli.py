@@ -69,8 +69,8 @@ def _cmd_extrapolate(args) -> int:
     if not 0 <= args.user < cfg.k:
         raise InvalidArgumentError(f"--user {args.user} is not a user index "
                                    f"of the experiment (K = {cfg.k})")
-    arr, users = trial_scenario(cfg, 0)
-    c_ul, c_dl, lam = estimate_user_pipeline(cfg, arr, users[args.user].asf, 0, args.user)
+    users = trial_scenario(cfg, 0)
+    c_ul, c_dl, lam = estimate_user_pipeline(cfg, users[args.user].asf, 0, args.user)
 
     with _writing(args.outdir):
         os.makedirs(args.outdir, exist_ok=True)

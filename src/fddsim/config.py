@@ -59,7 +59,8 @@ class ExperimentConfig:
         for key in _FLOAT_FIELDS:
             if not math.isfinite(getattr(self, key)):
                 raise ConfigError(f"{_KEY_NAMES[key]}: must be finite")
-        # the array and scenario checks, reported by key before any trial runs
+        # the carrier-ratio and scenario checks, reported by key before any
+        # trial runs (alpha = 1 is the UL, so the DL ratio is at least 1)
         if self.alpha < 1.0:
             raise ConfigError("alpha: must be >= 1")
         if self.n_clusters < 2:
@@ -97,17 +98,16 @@ def _bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
-def _int_list(s: str) -> list:
-    return [int(p) for p in s.replace("[", "").replace("]", "").split(",") if p.strip()]
-
-
-def _float_list(s: str) -> list:
-    return [float(p) for p in s.replace("[", "").replace("]", "").split(",") if p.strip()]
+def _list(conv):
+    """Parser of a comma-separated list (optionally bracketed) of conv values."""
+    def parse(s: str) -> list:
+        return [conv(p) for p in s.replace("[", "").replace("]", "").split(",") if p.strip()]
+    return parse
 
 
 # field annotation -> value parser
 _PARSERS = {"int": int, "float": float, "bool": _bool,
-            "list[int]": _int_list, "list[float]": _float_list}
+            "list[int]": _list(int), "list[float]": _list(float)}
 # config-file key -> (dataclass field, parser), in field order
 _SCHEMA = {(f.name.upper() if f.name in ("m", "k", "t") else f.name): (f.name, _PARSERS[f.type])
            for f in fields(ExperimentConfig)}

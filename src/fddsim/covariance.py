@@ -115,16 +115,16 @@ def _asf_system(m: int, g: int) -> tuple[np.ndarray, np.ndarray]:
     return a, row_w
 
 
-def extrapolate_dl(z: np.ndarray, cfg) -> np.ndarray:
+def extrapolate_dl(z: np.ndarray, m: int, alpha: float) -> np.ndarray:
     """Covariance first column of the angular estimate z (grid
-    ``asf_grid(z.size)``) on an array of ``cfg.m`` antennas at carrier
-    ratio ``cfg.alpha``: ``steering(M, G, alpha) @ (z / sqrt(M))``, the
-    DL covariance, or at alpha = 1 the fitted UL one. It is PSD because
-    the measure weights are nonnegative, which is checked."""
-    w = np.asarray(z, dtype=float) / np.sqrt(cfg.m)
+    ``asf_grid(z.size)``) on an array of M antennas at carrier ratio
+    alpha: ``steering(M, G, alpha) @ (z / sqrt(M))``, the DL covariance,
+    or at alpha = 1 the fitted UL one. It is PSD because the measure
+    weights are nonnegative, which is checked."""
+    w = np.asarray(z, dtype=float) / np.sqrt(m)
     if np.any(w < 0.0):
         raise InvalidArgumentError("extrapolate_dl: angular measure weights must be nonnegative")
-    return steering(cfg.m, w.size, cfg.alpha) @ w.astype(complex)
+    return steering(m, w.size, alpha) @ w.astype(complex)
 
 
 def circulant_eigenvalues(col: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ArrayConfig, make_scenario, sample_channels, true_covariance
+from .channel import make_scenario, sample_channels, true_covariance
 from .config import ExperimentConfig
 from .covariance import (circulant_eigenvalues, estimate_asf, extrapolate_dl,
                          sample_covariance)
@@ -145,8 +145,7 @@ class ExperimentRecord:
 CSV_HEADER = "trial,Tdl,snr_db,served,matching_size,err_norm,sum_rate_bits"
 
 
-def estimate_user_pipeline(cfg: ExperimentConfig, arr: ArrayConfig, user_asf,
-                           trial: int, k: int
+def estimate_user_pipeline(cfg: ExperimentConfig, user_asf, trial: int, k: int
                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """UL covariance -> angular estimate -> DL covariance -> beam powers.
 
@@ -154,41 +153,39 @@ def estimate_user_pipeline(cfg: ExperimentConfig, arr: ArrayConfig, user_asf,
     covariance of user k's UL pilots in the given trial (or to the true UL
     covariance with ``exact_covariance``). Returns the fitted measure's UL
     covariance first column (its covariance at alpha = 1), its DL
-    covariance first column and the DL beam-space spectrum.
+    covariance first column (at ``cfg.alpha``) and the DL beam-space
+    spectrum.
     """
-    if cfg.exact_covariance:
-        c_ul_hat = true_covariance(arr, user_asf, "ul")
-    else:
-        h_ul = sample_channels(arr, user_asf, "ul", cfg.n_ul, cfg.seed, trial, k, _UL_CHAN)
+    c_ul = true_covariance(user_asf, cfg.m, 1.0)
+    if not cfg.exact_covariance:
+        h_ul = sample_channels(c_ul, cfg.n_ul, cfg.seed, trial, k, _UL_CHAN)
         # the pilots h_ul + noise, built in the noise draw's array
-        y = gaussian_complex(arr.m * cfg.n_ul, cfg.seed, trial, k,
-                             _UL_NOISE).reshape(arr.m, cfg.n_ul)
+        y = gaussian_complex(cfg.m * cfg.n_ul, cfg.seed, trial, k,
+                             _UL_NOISE).reshape(cfg.m, cfg.n_ul)
         y *= np.sqrt(cfg.ul_sigma2)
         y += h_ul
-        c_ul_hat = toeplitz_average(sample_covariance(y, cfg.ul_sigma2))
-    z = estimate_asf(c_ul_hat, grid_size=cfg.grid_factor * arr.m)
-    c_dl_hat = extrapolate_dl(z, arr)
-    return (extrapolate_dl(z, ArrayConfig(m=arr.m, alpha=1.0)), c_dl_hat,
+        c_ul = toeplitz_average(sample_covariance(y, cfg.ul_sigma2))
+    z = estimate_asf(c_ul, grid_size=cfg.grid_factor * cfg.m)
+    c_dl_hat = extrapolate_dl(z, cfg.m, cfg.alpha)
+    return (extrapolate_dl(z, cfg.m, 1.0), c_dl_hat,
             circulant_eigenvalues(c_dl_hat))
 
 
-def trial_scenario(cfg: ExperimentConfig, trial: int) -> tuple[ArrayConfig, list]:
-    """The array and the K users of one trial."""
-    arr = ArrayConfig(m=cfg.m, alpha=cfg.alpha)
-    _, users = make_scenario(cfg.n_clusters, cfg.cluster_width, cfg.k,
-                             cfg.seed, trial, _SCENARIO)
-    return arr, users
+def trial_scenario(cfg: ExperimentConfig, trial: int) -> list:
+    """The K users of one trial."""
+    return make_scenario(cfg.n_clusters, cfg.cluster_width, cfg.k,
+                         cfg.seed, trial, _SCENARIO)[1]
 
 
 def run_trial(cfg: ExperimentConfig, trial: int) -> list:
     """All grid-point records for one Monte Carlo trial."""
-    arr, users = trial_scenario(cfg, trial)
+    users = trial_scenario(cfg, trial)
 
     spectra = np.empty((cfg.m, cfg.k))
     h_true = np.empty((cfg.m, cfg.k), dtype=complex)
     for k, user in enumerate(users):
-        spectra[:, k] = estimate_user_pipeline(cfg, arr, user.asf, trial, k)[2]
-        h_true[:, k] = sample_channels(arr, user.asf, "dl", 1,
+        spectra[:, k] = estimate_user_pipeline(cfg, user.asf, trial, k)[2]
+        h_true[:, k] = sample_channels(true_covariance(user.asf, cfg.m, cfg.alpha), 1,
                                        cfg.seed, trial, k, _DL_CHAN)[:, 0]
     # F^H h for every user: the probing input, the true effective channels
     # and (by Parseval) the estimation error all read rows of it

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .channel import AngularScatteringFunction, ArrayConfig, true_covariance
+from .channel import AngularScatteringFunction, true_covariance
 from .covariance import (DEFAULT_GRID_FACTOR, circulant_eigenvalues, estimate_asf,
                          nnls, steering)
 from .errors import InvalidArgumentError
@@ -291,8 +291,7 @@ def szego_errors(m_values=(16, 32, 64, 128)) -> list:
         intervals=[(-0.7, -0.5, 2.5), (0.1, 0.3, 2.5)], normalized=True)
     errs = []
     for m in m_values:
-        arr = ArrayConfig(m=m)
-        col = true_covariance(arr, asf, "ul")
+        col = true_covariance(asf, m, 1.0)
         lam_circ = np.sort(circulant_eigenvalues(col))[::-1]
         lam_true = np.sort(np.linalg.eigvalsh(toeplitz_from_column(col)))[::-1]
         errs.append(float(np.linalg.norm(lam_circ - lam_true)

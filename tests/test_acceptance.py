@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from fddsim.channel import AngularScatteringFunction, ArrayConfig, true_covariance
+from fddsim.channel import AngularScatteringFunction, true_covariance
 from fddsim.cli import main
 from fddsim.config import ExperimentConfig
 from fddsim.covariance import estimate_asf, extrapolate_dl
@@ -91,12 +91,11 @@ def test_acceptance_04_estimation_stability():
 
 
 def test_acceptance_05_dl_extrapolation_fidelity():
-    arr = ArrayConfig(m=64, alpha=1.1)
     asf = AngularScatteringFunction(
         intervals=[(-0.55, -0.35, 2.5), (0.25, 0.45, 2.5)], normalized=True)
-    z = estimate_asf(true_covariance(arr, asf, "ul"), grid_size=8 * arr.m)
-    c_dl_hat = toeplitz_from_column(extrapolate_dl(z, arr))
-    c_dl = toeplitz_from_column(true_covariance(arr, asf, "dl"))
+    z = estimate_asf(true_covariance(asf, 64, 1.0), grid_size=8 * 64)
+    c_dl_hat = toeplitz_from_column(extrapolate_dl(z, 64, 1.1))
+    c_dl = toeplitz_from_column(true_covariance(asf, 64, 1.1))
     rel = float(np.linalg.norm(c_dl_hat - c_dl) / np.linalg.norm(c_dl))
     _report(5, "DL extrapolation fidelity", rel <= 0.05,
             f"relative Frobenius error {rel:.2e} (limit 0.05)")

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from fddsim.channel import (AngularScatteringFunction, ArrayConfig,
-                            UserGeometry, make_scenario, sample_channels,
-                            true_covariance)
+from fddsim.channel import (AngularScatteringFunction, UserGeometry,
+                            make_scenario, sample_channels, true_covariance)
 from fddsim.covariance import circulant_eigenvalues
 from fddsim.errors import InvalidArgumentError
 from fddsim.numerics import gaussian_complex, toeplitz_from_column
@@ -63,17 +62,15 @@ def test_asf_fourier_point_mass():
 # ------------------------------------------------------------- true covariance
 
 def test_true_covariance_uniform_is_identity():
-    cfg = ArrayConfig(m=8)
     asf = AngularScatteringFunction(intervals=[(-1.0, 1.0, 0.5)], normalized=True)
-    np.testing.assert_allclose(toeplitz_from_column(true_covariance(cfg, asf, "ul")),
+    np.testing.assert_allclose(toeplitz_from_column(true_covariance(asf, 8, 1.0)),
                                np.eye(8), atol=1e-12)
 
 
 def test_true_covariance_point_mass_rank_one():
-    cfg = ArrayConfig(m=8)
     xi0 = 0.4
     asf = AngularScatteringFunction(point_masses=[(xi0, 1.0)], normalized=True)
-    col = true_covariance(cfg, asf, "ul")
+    col = true_covariance(asf, 8, 1.0)
     a = np.exp(1j * np.pi * xi0 * np.arange(8))
     np.testing.assert_allclose(toeplitz_from_column(col), np.outer(a, a.conj()), atol=1e-12)
     np.testing.assert_allclose(col,
@@ -82,19 +79,17 @@ def test_true_covariance_point_mass_rank_one():
 
 
 def test_true_covariance_matches_quadrature():
-    cfg = ArrayConfig(m=16, alpha=1.1)
     asf = AngularScatteringFunction(
         intervals=[(-0.5, -0.3, 2.5), (0.1, 0.3, 2.5)], normalized=True)
-    for band, scale in (("ul", 1.0), ("dl", cfg.alpha)):
-        col = true_covariance(cfg, asf, band)
-        ref = np.array([riemann_fourier(asf, scale * m) for m in range(16)])
+    for alpha in (1.0, 1.1):
+        col = true_covariance(asf, 16, alpha)
+        ref = np.array([riemann_fourier(asf, alpha * m) for m in range(16)])
         np.testing.assert_allclose(col, ref, atol=1e-6)
 
 
 def test_true_covariance_psd_and_trace():
-    cfg = ArrayConfig(m=12)
     asf = AngularScatteringFunction(intervals=[(-0.4, 0.0, 1.5)])
-    col = true_covariance(cfg, asf, "ul")
+    col = true_covariance(asf, 12, 1.0)
     w = np.linalg.eigvalsh(toeplitz_from_column(col))
     assert w[0] > -1e-10
     assert abs(12 * col[0].real - 12 * asf.total_mass()) < 1e-10
@@ -103,24 +98,21 @@ def test_true_covariance_psd_and_trace():
 # -------------------------------------------------------------------- sampling
 
 def test_sample_channels_zero_asf():
-    cfg = ArrayConfig(m=4)
     asf = AngularScatteringFunction(intervals=[(-0.5, 0.5, 0.0)])
-    h = sample_channels(cfg, asf, "ul", 3, 1)
+    h = sample_channels(true_covariance(asf, 4, 1.0), 3, 1)
     np.testing.assert_array_equal(h, np.zeros((4, 3)))
 
 
 def test_sample_channels_identity_covariance():
-    cfg = ArrayConfig(m=6)
     asf = AngularScatteringFunction(intervals=[(-1.0, 1.0, 0.5)], normalized=True)
-    h = sample_channels(cfg, asf, "ul", 10**4, 2)
+    h = sample_channels(true_covariance(asf, 6, 1.0), 10**4, 2)
     c = h @ h.conj().T / 10**4
     assert np.linalg.norm(c - np.eye(6)) / np.linalg.norm(np.eye(6)) < 0.05
 
 
 def test_sample_channels_point_mass_rank_one():
-    cfg = ArrayConfig(m=8)
     asf = AngularScatteringFunction(point_masses=[(0.2, 1.0)], normalized=True)
-    h = sample_channels(cfg, asf, "ul", 5, 3)
+    h = sample_channels(true_covariance(asf, 8, 1.0), 5, 3)
     a = np.exp(1j * np.pi * 0.2 * np.arange(8))
     for col in h.T:
         ratio = col / a
@@ -128,20 +120,19 @@ def test_sample_channels_point_mass_rank_one():
 
 
 def test_sample_channels_deterministic():
-    cfg = ArrayConfig(m=4)
-    asf = AngularScatteringFunction(intervals=[(-0.3, 0.3, 1.0)])
-    np.testing.assert_array_equal(sample_channels(cfg, asf, "ul", 2, 9, 1, 2),
-                                  sample_channels(cfg, asf, "ul", 2, 9, 1, 2))
+    col = true_covariance(AngularScatteringFunction(intervals=[(-0.3, 0.3, 1.0)]), 4, 1.0)
+    np.testing.assert_array_equal(sample_channels(col, 2, 9, 1, 2),
+                                  sample_channels(col, 2, 9, 1, 2))
 
 
 def test_sample_channels_equals_reference_coloring():
     """Bit for bit the Karhunen-Loeve product u @ (sqrt(w) * g) of the
     stream's draws, with no array of it modified in place."""
-    cfg = ArrayConfig(m=8)
     asf = AngularScatteringFunction(intervals=[(-0.3, 0.3, 1.0), (0.5, 0.6, 2.0)])
-    w, u = np.linalg.eigh(toeplitz_from_column(true_covariance(cfg, asf, "ul")))
+    col = true_covariance(asf, 8, 1.0)
+    w, u = np.linalg.eigh(toeplitz_from_column(col))
     g = gaussian_complex(8 * 5, 9, 1, 2).reshape(8, 5)
-    np.testing.assert_array_equal(sample_channels(cfg, asf, "ul", 5, 9, 1, 2),
+    np.testing.assert_array_equal(sample_channels(col, 5, 9, 1, 2),
                                   u @ (np.sqrt(np.maximum(w, 0.0))[:, None] * g))
 
 
@@ -169,19 +160,17 @@ def test_make_scenario_deterministic():
 
 def test_make_scenario_full_coverage_identity():
     # Two width-1 clusters tile [-1,1]; every two-cluster user sees C = I.
-    cfg = ArrayConfig(m=8)
     _, users = make_scenario(2, 1.0, 2, 11, 0)
     for u in users:
-        np.testing.assert_allclose(toeplitz_from_column(true_covariance(cfg, u.asf, "ul")),
+        np.testing.assert_allclose(toeplitz_from_column(true_covariance(u.asf, 8, 1.0)),
                                    np.eye(8), atol=1e-9)
 
 
 def test_make_scenario_sparsity_scale():
     # Width-0.2 two-cluster users at M=128 occupy roughly 0.2*M = 26 beams.
-    cfg = ArrayConfig(m=128)
     _, users = make_scenario(3, 0.2, 4, 13, 0)
     for u in users:
-        lam = np.sort(circulant_eigenvalues(true_covariance(cfg, u.asf, "ul")))[::-1]
+        lam = np.sort(circulant_eigenvalues(true_covariance(u.asf, 128, 1.0)))[::-1]
         cum = np.cumsum(lam) / lam.sum()
         s95 = int(np.searchsorted(cum, 0.95) + 1)  # beams holding 95% energy
         assert 22 <= s95 <= 30
@@ -198,10 +187,3 @@ def test_user_geometry_distinct_clusters():
     asf = AngularScatteringFunction(intervals=[(-0.1, 0.1, 1.0)])
     with pytest.raises(InvalidArgumentError):
         UserGeometry(cluster_indices=(1, 1), asf=asf)
-
-
-def test_array_config_rejects_non_finite_or_small_alpha():
-    for bad in (float("nan"), float("inf"), 0.9):
-        with pytest.raises(InvalidArgumentError):
-            ArrayConfig(m=8, alpha=bad)
-    ArrayConfig(m=8, alpha=1.0)

@@ -1,4 +1,5 @@
-"""Tests for the experiment config parser."""
+"""Tests for the experiment config parser, and for the README sections that
+must follow the code: the config table and the library layout."""
 
 import re
 from pathlib import Path
@@ -117,7 +118,8 @@ def test_invariants_enforced():
         ExperimentConfig(**{**base, "tdl_list": []})
     with pytest.raises(ConfigError):
         ExperimentConfig(**{**base, "cluster_width": 1.0})  # 3 clusters > 2
-    # what ArrayConfig and make_scenario reject, named by key at parse time
+    # what make_scenario rejects, and alpha < 1 (a band is its carrier ratio,
+    # 1 for the UL), named by key at parse time
     for key, bad in (("alpha", 0.99), ("n_clusters", 1), ("n_clusters", 0),
                      ("cluster_width", 0.0), ("cluster_width", -0.1)):
         with pytest.raises(ConfigError, match=f"^{key}: "):
@@ -141,3 +143,14 @@ def test_readme_config_table_matches_schema():
     rows = re.findall(r"^\| `(\w+)` \| (yes|no) \|", section, flags=re.MULTILINE)
     assert [key for key, _ in rows] == list(_SCHEMA)
     assert [key for key, req in rows if req == "yes"] == list(_REQUIRED)
+
+
+def test_readme_layout_names_every_module():
+    """The README's library layout names exactly the package's modules."""
+    root = Path(__file__).resolve().parents[1]
+    block = (root / "README.md").read_text().split("## Library layout", 1)[1]
+    block = block.split("src/fddsim/\n", 1)[1].split("\ntests/", 1)[0]
+    named = re.findall(r"^  (\w+\.py) ", block, flags=re.MULTILINE)
+    modules = sorted(p.name for p in (root / "src" / "fddsim").glob("*.py")
+                     if p.name != "__init__.py")
+    assert sorted(named) == modules and len(named) == len(set(named))

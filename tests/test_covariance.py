@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from dykstra import project_toeplitz_psd
 from fddsim import covariance, evaluation
-from fddsim.channel import (DEFAULT_ALPHA, AngularScatteringFunction, ArrayConfig,
-                            true_covariance)
+from fddsim.channel import DEFAULT_ALPHA, AngularScatteringFunction, true_covariance
 from fddsim.config import ExperimentConfig
 from fddsim.covariance import (asf_grid, circulant_eigenvalues, estimate_asf,
                                export_covariance_csv, export_spectrum_csv,
@@ -60,7 +59,7 @@ def test_sample_covariance_rejects_bad_input():
 # -------------------------------------------------------- Toeplitz-PSD project
 
 def test_project_fixed_point():
-    col = true_covariance(ArrayConfig(m=6), TWO_CLUSTER, "ul")
+    col = true_covariance(TWO_CLUSTER, 6, 1.0)
     out = project_toeplitz_psd(toeplitz_from_column(col))
     np.testing.assert_allclose(out, col, atol=1e-9)
 
@@ -128,7 +127,7 @@ def test_estimate_asf_uniform_residual():
     c_ul = np.zeros(12, dtype=complex)
     c_ul[0] = 1.0
     z = estimate_asf(c_ul)
-    fit = extrapolate_dl(z, ArrayConfig(m=12, alpha=1.0))
+    fit = extrapolate_dl(z, 12, 1.0)
     assert np.linalg.norm(fit - c_ul) <= 1e-6
 
 
@@ -138,12 +137,11 @@ def test_estimate_asf_grid_too_small():
 
 
 def test_estimate_asf_residual_decreases_with_grid():
-    cfg = ArrayConfig(m=16)
-    c_ul = true_covariance(cfg, TWO_CLUSTER, "ul")
+    c_ul = true_covariance(TWO_CLUSTER, 16, 1.0)
     residuals = []
     for factor in (2, 4, 8):
         z = estimate_asf(c_ul, grid_size=factor * 16)
-        fit = extrapolate_dl(z, ArrayConfig(m=16, alpha=1.0))
+        fit = extrapolate_dl(z, 16, 1.0)
         residuals.append(np.linalg.norm(fit - c_ul))
     assert residuals[0] >= residuals[1] - 1e-12
     assert residuals[1] >= residuals[2] - 1e-12
@@ -164,14 +162,14 @@ def test_fused_estimator_matches_dykstra_path(m, seed, monkeypatch):
     4.7e-4)."""
     cfg = ExperimentConfig(m=m, k=1, t=32, tdl_list=[8], snr_db_list=[20.0],
                            n_trials=1, seed=seed, n_ul=500)
-    arr, users = trial_scenario(cfg, 0)
-    _, _, fused = estimate_user_pipeline(cfg, arr, users[0].asf, 0, 0)
+    users = trial_scenario(cfg, 0)
+    _, _, fused = estimate_user_pipeline(cfg, users[0].asf, 0, 0)
     monkeypatch.setattr(evaluation, "sample_covariance",
                         lambda y, sigma2: toeplitz_from_column(project_toeplitz_psd(
                             sample_covariance(y, sigma2))))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)  # no Dykstra cap hit
-        _, _, ref = estimate_user_pipeline(cfg, arr, users[0].asf, 0, 0)
+        _, _, ref = estimate_user_pipeline(cfg, users[0].asf, 0, 0)
     assert np.abs(fused - ref).sum() <= 5e-3 * np.abs(ref).sum()
 
 
@@ -185,7 +183,7 @@ def test_projection_suite_catches_unweighted_fit(monkeypatch):
     assert suite_projection().passed is False
 
 
-def _uncached_estimate(c_ul, cfg, g):
+def _uncached_estimate(c_ul, alpha, g):
     """estimate_asf and extrapolate_dl with their fixed matrices rebuilt."""
     m = c_ul.size
     gm = _ul_response(m, g)
@@ -194,47 +192,44 @@ def _uncached_estimate(c_ul, cfg, g):
     row_w = np.tile(np.sqrt(n_d), 2)
     z = nnls(np.vstack([gm.real, gm.imag]) * row_w[:, None],
              np.concatenate([c_ul.real, c_ul.imag]) * row_w)
-    exps = np.exp(1j * np.pi * cfg.alpha * np.outer(np.arange(m), asf_grid(g)))
+    exps = np.exp(1j * np.pi * alpha * np.outer(np.arange(m), asf_grid(g)))
     return z, exps @ (z / np.sqrt(m)).astype(complex)
 
 
 def test_cached_estimator_matches_uncached_across_sizes():
     """Alternating array sizes and grids hit and miss the caches; every
     result equals a from-scratch computation bit for bit."""
-    cases = [(ArrayConfig(m=m, alpha=alpha), g)
-             for m, alpha, g in [(8, 1.1, 32), (12, 1.1, 48), (8, 1.3, 24), (12, 1.1, 48)]]
+    cases = [(8, 1.1, 32), (12, 1.1, 48), (8, 1.3, 24), (12, 1.1, 48)]
     for _ in range(3):
-        for cfg, g in cases:
-            c_ul = true_covariance(cfg, TWO_CLUSTER, "ul")
-            z_ref, c_dl = _uncached_estimate(c_ul, cfg, g)
+        for m, alpha, g in cases:
+            c_ul = true_covariance(TWO_CLUSTER, m, 1.0)
+            z_ref, c_dl = _uncached_estimate(c_ul, alpha, g)
             z = estimate_asf(c_ul, grid_size=g)
             np.testing.assert_array_equal(z, z_ref)
-            np.testing.assert_array_equal(extrapolate_dl(z, cfg), c_dl)
+            np.testing.assert_array_equal(extrapolate_dl(z, m, alpha), c_dl)
 
 
 def test_cached_estimator_matrices_are_read_only():
-    cfg = ArrayConfig(m=8)
-    extrapolate_dl(estimate_asf(np.ones(8, dtype=complex)), cfg)
+    extrapolate_dl(estimate_asf(np.ones(8, dtype=complex)), 8, DEFAULT_ALPHA)
     a, row_w = covariance._asf_system(8, 32)
-    ul, dl = steering(8, 32, 1.0), steering(8, 32, cfg.alpha)
+    ul, dl = steering(8, 32, 1.0), steering(8, 32, DEFAULT_ALPHA)
     for arr in (a, row_w, ul, dl):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
     assert covariance._asf_system(8, 32)[0] is a
-    assert steering(8, 32, 1.0) is ul and steering(8, 32, cfg.alpha) is dl
+    assert steering(8, 32, 1.0) is ul and steering(8, 32, DEFAULT_ALPHA) is dl
     np.testing.assert_array_equal(ul / np.sqrt(8), _ul_response(8, 32))
     np.testing.assert_array_equal(
-        dl, np.exp(1j * np.pi * cfg.alpha * np.outer(np.arange(8), asf_grid(32))))
+        dl, np.exp(1j * np.pi * DEFAULT_ALPHA * np.outer(np.arange(8), asf_grid(32))))
 
 
 # ----------------------------------------------------------------- extrapolation
 
 def test_extrapolate_alpha_one_reproduces_fit():
-    cfg = ArrayConfig(m=24, alpha=1.0)
-    z = estimate_asf(true_covariance(cfg, TWO_CLUSTER, "ul"))
+    z = estimate_asf(true_covariance(TWO_CLUSTER, 24, 1.0))
     fit = _ul_response(24, z.size) @ z
-    np.testing.assert_allclose(extrapolate_dl(z, cfg), fit, atol=1e-10)
+    np.testing.assert_allclose(extrapolate_dl(z, 24, 1.0), fit, atol=1e-10)
 
 
 @pytest.mark.parametrize("alpha", [1.0, DEFAULT_ALPHA])
@@ -244,31 +239,28 @@ def test_steering_matches_channel_model(m, g, alpha):
     channel model's exact covariance of the same point masses, on the UL
     (alpha = 1) and the DL band alike."""
     rng = rng_stream(35, m)
-    cfg = ArrayConfig(m=m, alpha=alpha)
     for n_atoms in (1, 3, g):
         z = np.zeros(g)
         z[rng.choice(g, size=n_atoms, replace=False)] = rng.random(n_atoms) + 0.1
         measure = AngularScatteringFunction(
             point_masses=list(zip(asf_grid(g), z / np.sqrt(m))))
-        exact = true_covariance(cfg, measure, "dl")
-        np.testing.assert_allclose(extrapolate_dl(z, cfg), exact,
+        exact = true_covariance(measure, m, alpha)
+        np.testing.assert_allclose(extrapolate_dl(z, m, alpha), exact,
                                    rtol=0, atol=1e-12 * np.abs(exact).max())
 
 
 def test_extrapolate_point_mass_at_zero():
-    cfg = ArrayConfig(m=8, alpha=1.2)
     c_ul = np.ones(8, dtype=complex)
-    vals = extrapolate_dl(estimate_asf(c_ul), cfg)
+    vals = extrapolate_dl(estimate_asf(c_ul), 8, 1.2)
     assert np.all(vals.real > 0.5)
     assert np.max(np.abs(vals - vals[0])) < 0.05  # zero-phase resampling
 
 
 def test_extrapolate_two_cluster_accuracy():
-    cfg = ArrayConfig(m=64, alpha=1.1)
-    c_ul = true_covariance(cfg, TWO_CLUSTER, "ul")
-    c_dl = toeplitz_from_column(true_covariance(cfg, TWO_CLUSTER, "dl"))
+    c_ul = true_covariance(TWO_CLUSTER, 64, 1.0)
+    c_dl = toeplitz_from_column(true_covariance(TWO_CLUSTER, 64, 1.1))
     z = estimate_asf(c_ul, grid_size=8 * 64)
-    out = toeplitz_from_column(extrapolate_dl(z, cfg))
+    out = toeplitz_from_column(extrapolate_dl(z, 64, 1.1))
     assert np.linalg.norm(out - c_dl) / np.linalg.norm(c_dl) <= 0.05
 
 
@@ -276,7 +268,7 @@ def test_extrapolate_rejects_negative_weight():
     z = estimate_asf(np.ones(8, dtype=complex))
     z[3] = -1e-9
     with pytest.raises(InvalidArgumentError):
-        extrapolate_dl(z, ArrayConfig(m=8, alpha=1.1))
+        extrapolate_dl(z, 8, 1.1)
 
 
 def test_estimator_path_does_no_eigendecomposition(monkeypatch):
@@ -287,15 +279,14 @@ def test_estimator_path_does_no_eigendecomposition(monkeypatch):
 
     cfg = ExperimentConfig(m=16, k=1, t=32, tdl_list=[8], snr_db_list=[20.0],
                            n_trials=1, seed=1, exact_covariance=True)
-    arr, users = trial_scenario(cfg, 0)
+    users = trial_scenario(cfg, 0)
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-    _, c_dl, lam = estimate_user_pipeline(cfg, arr, users[0].asf, 0, 0)
+    _, c_dl, lam = estimate_user_pipeline(cfg, users[0].asf, 0, 0)
     assert c_dl.shape == (16,) and np.all(lam >= 0.0) and lam.sum() > 0.0
 
 
 def test_extrapolate_output_psd():
-    cfg = ArrayConfig(m=16, alpha=1.15)
-    out = extrapolate_dl(estimate_asf(true_covariance(cfg, TWO_CLUSTER, "ul")), cfg)
+    out = extrapolate_dl(estimate_asf(true_covariance(TWO_CLUSTER, 16, 1.0)), 16, 1.15)
     assert np.linalg.eigvalsh(toeplitz_from_column(out))[0] >= -1e-10
 
 
@@ -316,7 +307,7 @@ def _atomic_ul_case(data):
         c_ul = c_ul + noise * gaussian_complex(m, data.draw(st.integers(0, 999), label="seed"))
         c_ul[0] = c_ul[0].real
     alpha = data.draw(st.floats(1.0, 1.2), label="alpha")
-    return ArrayConfig(m=m, alpha=alpha), c_ul
+    return m, alpha, c_ul
 
 
 PROPERTY = settings(max_examples=75, deadline=None, derandomize=True, database=None)
@@ -325,18 +316,18 @@ PROPERTY = settings(max_examples=75, deadline=None, derandomize=True, database=N
 @PROPERTY
 @given(data=st.data())
 def test_extrapolate_psd_property(data):
-    cfg, c_ul = _atomic_ul_case(data)
-    out = extrapolate_dl(estimate_asf(c_ul), cfg)
-    assert np.linalg.eigvalsh(toeplitz_from_column(out))[0] >= -1e-12 * cfg.m * out[0].real
+    m, alpha, c_ul = _atomic_ul_case(data)
+    out = extrapolate_dl(estimate_asf(c_ul), m, alpha)
+    assert np.linalg.eigvalsh(toeplitz_from_column(out))[0] >= -1e-12 * m * out[0].real
 
 
 @PROPERTY
 @given(data=st.data())
 def test_spectrum_nonnegative_and_sums_to_trace_property(data):
-    cfg, c_ul = _atomic_ul_case(data)
-    out = extrapolate_dl(estimate_asf(c_ul), cfg)
+    m, alpha, c_ul = _atomic_ul_case(data)
+    out = extrapolate_dl(estimate_asf(c_ul), m, alpha)
     lam = circulant_eigenvalues(out)
-    trace = cfg.m * out[0].real
+    trace = m * out[0].real
     assert np.all(lam >= 0.0)
     assert abs(lam.sum() - trace) <= 1e-12 * trace
 
@@ -344,17 +335,16 @@ def test_spectrum_nonnegative_and_sums_to_trace_property(data):
 @PROPERTY
 @given(data=st.data())
 def test_extrapolate_alpha_one_returns_fit_property(data):
-    cfg, c_ul = _atomic_ul_case(data)
-    cfg = ArrayConfig(m=cfg.m, alpha=1.0)
+    m, _, c_ul = _atomic_ul_case(data)
     z = estimate_asf(c_ul)
-    fit = _ul_response(cfg.m, z.size) @ z
-    np.testing.assert_allclose(extrapolate_dl(z, cfg), fit, rtol=0, atol=1e-12)
+    fit = _ul_response(m, z.size) @ z
+    np.testing.assert_allclose(extrapolate_dl(z, m, 1.0), fit, rtol=0, atol=1e-12)
 
 
 @PROPERTY
 @given(data=st.data(), log_s=st.floats(-3.0, 3.0))
 def test_estimate_asf_scale_equivariant_property(data, log_s):
-    cfg, c_ul = _atomic_ul_case(data)
+    _, _, c_ul = _atomic_ul_case(data)
     s = 10.0 ** log_s
     w = estimate_asf(c_ul)
     w_s = estimate_asf(s * c_ul)
@@ -378,7 +368,7 @@ def test_circulant_eigenvalues_recover_circulant():
 
 @pytest.mark.parametrize("m", [1, 2, 7, 10, 64, 256])
 def test_circulant_eigenvalues_match_direct_diagonal(m):
-    col = true_covariance(ArrayConfig(m=m), TWO_CLUSTER, "ul")
+    col = true_covariance(TWO_CLUSTER, m, 1.0)
     f = dft_matrix(m)
     direct = np.maximum(np.real(np.diag(f.conj().T @ toeplitz_from_column(col) @ f)), 0.0)
     atol = 1e-12 if m == 10 else 1e-12 * direct.max()
@@ -388,7 +378,7 @@ def test_circulant_eigenvalues_match_direct_diagonal(m):
 # ------------------------------------------------------------------ CSV exports
 
 def test_export_covariance_csv_roundtrip(tmp_path):
-    col = true_covariance(ArrayConfig(m=5), TWO_CLUSTER, "ul")
+    col = true_covariance(TWO_CLUSTER, 5, 1.0)
     path = tmp_path / "c.csv"
     export_covariance_csv(col, path)
     with open(path) as fh:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fddsim.channel import sample_channels
+from fddsim.channel import sample_channels, true_covariance
 from fddsim.config import ExperimentConfig
 from fddsim.errors import InvalidArgumentError, NumericalError
 from fddsim.evaluation import (CSV_HEADER, ExperimentRecord, effective_gains,
@@ -288,17 +288,38 @@ def test_pipeline_pilots_equal_reference_sum(monkeypatch):
     import fddsim.evaluation as ev
 
     cfg = ExperimentConfig(**SMALL)
-    arr, users = trial_scenario(cfg, 1)
+    users = trial_scenario(cfg, 1)
     seen = []
     covariance = ev.sample_covariance
     monkeypatch.setattr(ev, "sample_covariance",
                         lambda y, sigma2: seen.append(y.copy()) or covariance(y, sigma2))
-    estimate_user_pipeline(cfg, arr, users[2].asf, 1, 2)
-    h_ul = sample_channels(arr, users[2].asf, "ul", cfg.n_ul, cfg.seed, 1, 2, ev._UL_CHAN)
+    estimate_user_pipeline(cfg, users[2].asf, 1, 2)
+    h_ul = sample_channels(true_covariance(users[2].asf, cfg.m, 1.0), cfg.n_ul,
+                           cfg.seed, 1, 2, ev._UL_CHAN)
     noise = np.sqrt(cfg.ul_sigma2) * gaussian_complex(
-        arr.m * cfg.n_ul, cfg.seed, 1, 2, ev._UL_NOISE).reshape(arr.m, cfg.n_ul)
+        cfg.m * cfg.n_ul, cfg.seed, 1, 2, ev._UL_NOISE).reshape(cfg.m, cfg.n_ul)
     assert len(seen) == 1
     np.testing.assert_array_equal(seen[0], h_ul + noise)
+
+
+def test_run_trial_dl_channels_equal_reference_draw(monkeypatch):
+    """The true DL channels a trial evaluates against are bit for bit each
+    user's one draw from its DL covariance column (carrier ratio alpha) on
+    the user's DL channel stream."""
+    import fddsim.evaluation as ev
+
+    cfg = ExperimentConfig(**SMALL)
+    assert cfg.alpha > 1.0  # a UL-ratio draw would not match
+    seen = []
+    coefficients = ev.beam_coefficients
+    monkeypatch.setattr(ev, "beam_coefficients",
+                        lambda h: seen.append(h.copy()) or coefficients(h))
+    run_trial(cfg, 1)
+    assert len(seen) == 1 and seen[0].shape == (cfg.m, cfg.k)
+    for k, u in enumerate(trial_scenario(cfg, 1)):
+        ref = sample_channels(true_covariance(u.asf, cfg.m, cfg.alpha), 1,
+                              cfg.seed, 1, k, ev._DL_CHAN)[:, 0]
+        np.testing.assert_array_equal(seen[0][:, k], ref)
 
 
 def test_run_trial_record_invariants():

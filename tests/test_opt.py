@@ -11,6 +11,7 @@ from fddsim.covariance import nnls
 from fddsim.errors import InvalidArgumentError
 from fddsim.numerics import rng_stream
 from fddsim.sparsifier import SelectionMilp, max_matching, milp_solve
+from fddsim.validate import nnls_bruteforce_objective
 
 
 # -------------------------------------------------------------------- matching
@@ -82,17 +83,6 @@ def test_nnls_identity_clips():
                                atol=1e-12)
 
 
-def _nnls_best_by_enumeration(a, b):
-    n = a.shape[1]
-    best = float(np.linalg.norm(b))
-    for r in range(1, n + 1):
-        for cols in itertools.combinations(range(n), r):
-            sol, *_ = np.linalg.lstsq(a[:, cols], b, rcond=None)
-            if np.all(sol >= 0):
-                best = min(best, float(np.linalg.norm(a[:, cols] @ sol - b)))
-    return best
-
-
 def test_nnls_matches_enumeration():
     rng = rng_stream(53, 0)
     for _ in range(50):
@@ -101,7 +91,7 @@ def test_nnls_matches_enumeration():
         z = nnls(a, b)
         assert np.all(z >= 0)
         obj = float(np.linalg.norm(a @ z - b))
-        assert obj <= _nnls_best_by_enumeration(a, b) + 1e-8
+        assert obj <= nnls_bruteforce_objective(a, b) + 1e-8
 
 
 # ------------------------------------------------------------------------ MILP

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import sparse
 from scipy.optimize import OptimizeResult, milp
 
-from fddsim.channel import ArrayConfig, true_covariance
+from fddsim.channel import DEFAULT_ALPHA, true_covariance
 from fddsim.config import ExperimentConfig
 from fddsim.covariance import circulant_eigenvalues
 from fddsim.errors import InvalidArgumentError, NumericalError
@@ -64,9 +64,8 @@ def test_build_beam_graph_all_zero():
 
 def test_build_beam_graph_large_array_sparsity():
     from fddsim.channel import make_scenario
-    cfg = ArrayConfig(m=128)
     _, users = make_scenario(3, 0.2, 4, 19, 0)
-    spectra = np.column_stack([circulant_eigenvalues(true_covariance(cfg, u.asf, "dl"))
+    spectra = np.column_stack([circulant_eigenvalues(true_covariance(u.asf, 128, DEFAULT_ALPHA))
                                for u in users])
     g = build_beam_graph(spectra, th_rel=0.01)
     per_user = (g > 0).sum(axis=0)
