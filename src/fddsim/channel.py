@@ -92,7 +92,7 @@ def sample_channels(col: np.ndarray, n: int, seed, *path: int) -> np.ndarray:
     return u @ g
 
 
-def make_scenario(n_clusters: int, cluster_width: float, k: int, seed,
+def make_scenario(n_clusters: int, cluster_width: float, k: int, seed: int,
                   *path: int):
     """Random non-overlapping clusters in xi plus per-user two-cluster ASFs.
 
@@ -103,7 +103,7 @@ def make_scenario(n_clusters: int, cluster_width: float, k: int, seed,
         raise InvalidArgumentError("make_scenario: need at least 2 clusters")
     if cluster_width <= 0 or cluster_width * n_clusters > 2.0:
         raise InvalidArgumentError("make_scenario: clusters do not fit in [-1, 1]")
-    rng = seed if isinstance(seed, np.random.Generator) else rng_stream(seed, *path)
+    rng = rng_stream(seed, *path)
     w = cluster_width
     # Place non-overlapping clusters by distributing the free space among
     # the n+1 gaps; exact even when the clusters tile [-1, 1] completely.

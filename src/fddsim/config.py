@@ -19,9 +19,8 @@ import math
 from dataclasses import MISSING, dataclass, fields
 
 from .channel import DEFAULT_ALPHA
-from .covariance import DEFAULT_GRID_FACTOR
 from .errors import InvalidArgumentError
-from .sparsifier import DEFAULT_EPSILON_FACTOR, DEFAULT_TH_REL
+from .sparsifier import DEFAULT_TH_REL
 
 
 class ConfigError(InvalidArgumentError):
@@ -42,18 +41,16 @@ class ExperimentConfig:
     n_trials: int
     seed: int
     n_ul: int = 1000
-    grid_factor: int = DEFAULT_GRID_FACTOR
     alpha: float = DEFAULT_ALPHA
     n_clusters: int = 3
     cluster_width: float = 0.2
     th_rel: float = DEFAULT_TH_REL
     p0: float = 0.0
-    epsilon_factor: float = DEFAULT_EPSILON_FACTOR
     ul_sigma2: float = 0.01
     exact_covariance: bool = False
 
     def __post_init__(self):
-        for key in ("m", "k", "t", "n_ul", "grid_factor"):
+        for key in ("m", "k", "t", "n_ul"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{_KEY_NAMES[key]}: must be >= 1")
         for key in _FLOAT_FIELDS:
@@ -69,6 +66,12 @@ class ExperimentConfig:
             raise ConfigError("cluster_width: must be positive")
         if not all(math.isfinite(snr) for snr in self.snr_db_list):
             raise ConfigError("snr_db_list: entries must be finite")
+        for snr in self.snr_db_list:
+            try:
+                10.0 ** (snr / 10.0)  # the grid point's DL transmit power
+            except OverflowError:
+                raise ConfigError(f"snr_db_list: entry {snr:g} dB overflows the "
+                                  "transmit power 10^(SNR/10)") from None
         if self.n_trials < 0:
             raise ConfigError("n_trials: must be >= 0")
         if self.seed < 0:
@@ -83,8 +86,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{key}: entries must be distinct")
         if self.cluster_width * self.n_clusters > 2.0:
             raise ConfigError("cluster_width: clusters do not fit in [-1, 1]")
-        if not (0.0 < self.epsilon_factor < 1.0):
-            raise ConfigError("epsilon_factor: must be in (0, 1)")
         if not (self.ul_sigma2 >= 0 and self.p0 >= 0 and self.th_rel >= 0):  # NaN fails too
             raise ConfigError("ul_sigma2, p0 and th_rel must be nonnegative")
 

@@ -165,7 +165,7 @@ def estimate_user_pipeline(cfg: ExperimentConfig, user_asf, trial: int, k: int
         y *= np.sqrt(cfg.ul_sigma2)
         y += h_ul
         c_ul = toeplitz_average(sample_covariance(y, cfg.ul_sigma2))
-    z = estimate_asf(c_ul, grid_size=cfg.grid_factor * cfg.m)
+    z = estimate_asf(c_ul)
     c_dl_hat = extrapolate_dl(z, cfg.m, cfg.alpha)
     return (extrapolate_dl(z, cfg.m, 1.0), c_dl_hat,
             circulant_eigenvalues(c_dl_hat))
@@ -196,8 +196,7 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> list:
     for i_tdl, t_dl in enumerate(cfg.tdl_list):
         failure = ""
         try:
-            plan = solve_sparsification(graph, t_dl, p0=cfg.p0,
-                                        epsilon=cfg.epsilon_factor / cfg.m)
+            plan = solve_sparsification(graph, t_dl, p0=cfg.p0)
         except FddsimError as exc:
             plan, failure = None, _failure("sparsify", exc)
         if plan is None or not plan.beams or not plan.users:

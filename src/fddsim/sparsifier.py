@@ -32,7 +32,9 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 from .errors import InvalidArgumentError, NumericalError
 
 DEFAULT_TH_REL = 1e-2
-DEFAULT_EPSILON_FACTOR = 0.5  # epsilon = factor / n_beams, must stay below 1
+# beam reward epsilon = EPSILON_FACTOR / M: below 1/M, it breaks ties towards
+# more selected beams and never changes the matching size
+EPSILON_FACTOR = 0.5
 
 
 def build_beam_graph(w, th_rel: float = DEFAULT_TH_REL) -> np.ndarray:
@@ -124,24 +126,15 @@ class SelectionMilp:
         return "\n".join(lines)
 
 
-def _checked_epsilon(m: int, t_dl: int, p0: float, epsilon: float | None) -> float:
-    """Check the selection arguments shared by the program and its closed
-    form; return epsilon, which defaults to DEFAULT_EPSILON_FACTOR / M."""
+def _check_selection_args(t_dl: int, p0: float) -> None:
+    """Check the selection arguments shared by the program and its closed form."""
     if t_dl < 1:
         raise InvalidArgumentError(f"T_dl {t_dl} must be at least 1")
     if not 0 <= p0 < np.inf:  # NaN fails too
         raise InvalidArgumentError(f"P0 {p0} must be finite and nonnegative")
-    if epsilon is None:
-        epsilon = DEFAULT_EPSILON_FACTOR / max(m, 1)
-    if not epsilon < 1.0 / max(m, 1):  # also rejects NaN
-        raise InvalidArgumentError(
-            f"epsilon {epsilon} must be below 1/M = {1.0 / m} to keep the "
-            "matching size of the optimum unchanged")
-    return epsilon
 
 
-def formulate_milp(g: np.ndarray, t_dl: int, p0: float,
-                   epsilon: float | None = None) -> SelectionMilp:
+def formulate_milp(g: np.ndarray, t_dl: int, p0: float) -> SelectionMilp:
     """MILP with an integer beam count x_c in [0, n_c] per beam class c
     (see ``beam_classes``), binary user selectors y and a continuous
     matching block z_ck in [0, A_ck]; objective sum(z) + epsilon * sum(x).
@@ -154,10 +147,10 @@ def formulate_milp(g: np.ndarray, t_dl: int, p0: float,
 
     Variables are ordered x (C), y (K), then z with z_ck at C + K + c K + k.
     ``g`` is the M x K edge-power array of ``build_beam_graph``, with edges
-    A = g > 0 and W = g. ``epsilon`` defaults to DEFAULT_EPSILON_FACTOR / M.
+    A = g > 0 and W = g. The beam reward is epsilon = EPSILON_FACTOR / M.
     """
     m, k = g.shape
-    epsilon = _checked_epsilon(m, t_dl, p0, epsilon)
+    _check_selection_args(t_dl, p0)
     classes = beam_classes(g, p0)
     n_cls = len(classes)
     size = np.array([len(cls) for cls in classes], dtype=float)
@@ -188,7 +181,8 @@ def formulate_milp(g: np.ndarray, t_dl: int, p0: float,
     a_ub.eliminate_zeros()
     a_ub.sort_indices()
 
-    c = np.concatenate([np.full(n_cls, epsilon), np.zeros(k), np.ones(n_cls * k)])
+    c = np.concatenate([np.full(n_cls, EPSILON_FACTOR / max(m, 1)), np.zeros(k),
+                        np.ones(n_cls * k)])
     b = np.concatenate([np.zeros(n_cls + k), degree, np.zeros(k + n_cls)])
     upper = np.concatenate([size, np.ones(k), a])  # z <= A pins non-edges at 0
     return SelectionMilp(c=c, a=a_ub, b=b, upper=upper, n_int=n_cls + k, classes=classes)
@@ -234,7 +228,7 @@ def max_matching(adjacency: np.ndarray) -> int:
     return int(np.count_nonzero(match >= 0))
 
 
-def _one_class_optimum(g: np.ndarray, classes: list, t_dl: int, p0: float, epsilon: float):
+def _one_class_optimum(g: np.ndarray, classes: list, t_dl: int, p0: float):
     """(class counts, selected users, matching size, objective) of the
     selection program with at most one beam class, in closed form.
 
@@ -253,11 +247,10 @@ def _one_class_optimum(g: np.ndarray, classes: list, t_dl: int, p0: float, epsil
     if users.size == 0:
         count = 0
     size = min(count, users.size)
-    return [count], users, size, float(size + epsilon * count)
+    return [count], users, size, float(size + EPSILON_FACTOR / g.shape[0] * count)
 
 
-def solve_sparsification(g: np.ndarray, t_dl: int, p0: float = 0.0,
-                         epsilon: float | None = None) -> SparsificationPlan:
+def solve_sparsification(g: np.ndarray, t_dl: int, p0: float = 0.0) -> SparsificationPlan:
     """Solve the beam/user selection program, take the strongest beams of
     each class and certify the matching size with an independent maximum
     matching.
@@ -269,14 +262,14 @@ def solve_sparsification(g: np.ndarray, t_dl: int, p0: float = 0.0,
     lowest index.
     """
     m, k = g.shape
-    epsilon = _checked_epsilon(m, t_dl, p0, epsilon)
+    _check_selection_args(t_dl, p0)
     classes = beam_classes(g, p0)
     n_cls = len(classes)
     if n_cls <= 1:
-        counts, users, size, objective = _one_class_optimum(g, classes, t_dl, p0, epsilon)
+        counts, users, size, objective = _one_class_optimum(g, classes, t_dl, p0)
         node_count, gap = 0, 0.0
     else:
-        mip = formulate_milp(g, t_dl, p0, epsilon)
+        mip = formulate_milp(g, t_dl, p0)
         x, node_count, gap = milp_solve(mip)
         counts = x[:n_cls].astype(int)
         users = np.flatnonzero(x[n_cls:n_cls + k] > 0.5)

@@ -195,6 +195,21 @@ def test_scenario_config_value_exits_2_without_trials(tmp_path, capsys, line):
     assert not out.exists()
 
 
+def test_snr_beyond_float_power_exits_2(tmp_path, capsys):
+    """An SNR whose power 10^(SNR/10) overflows a float fails at parse time
+    in one line, writing no records; 3000 dB (P_dl = 1e300) still runs."""
+    path = tmp_path / "snr.cfg"
+    out = tmp_path / "out.csv"
+    path.write_text(SMALL_CFG.replace("snr_db_list = 10, 20", "snr_db_list = 4000"))
+    assert main(["simulate", str(path), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: snr_db_list: ") and err.count("\n") == 1
+    assert not out.exists()
+    path.write_text(SMALL_CFG.replace("snr_db_list = 10, 20", "snr_db_list = 3000"))
+    assert main(["simulate", str(path), "-o", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 2 * 2
+
+
 def test_sparsify_bad_file_exits_2(capsys):
     assert main(["sparsify", "/no/such/w.csv", "--tdl", "2"]) == 2
 

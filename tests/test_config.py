@@ -8,7 +8,7 @@ import pytest
 
 from fddsim.channel import DEFAULT_ALPHA
 from fddsim.config import _REQUIRED, _SCHEMA, ConfigError, ExperimentConfig, parse_config
-from fddsim.sparsifier import DEFAULT_EPSILON_FACTOR, DEFAULT_TH_REL
+from fddsim.sparsifier import DEFAULT_TH_REL
 
 MINIMAL = """\
 M = 16
@@ -32,9 +32,7 @@ def test_parse_minimal_with_defaults(tmp_path):
     assert cfg.m == 16 and cfg.k == 4 and cfg.t == 32
     assert cfg.tdl_list == [8] and cfg.snr_db_list == [20.0]
     assert cfg.alpha == DEFAULT_ALPHA
-    assert cfg.grid_factor == 4
     assert cfg.th_rel == DEFAULT_TH_REL == 0.01 and cfg.p0 == 0.0
-    assert cfg.epsilon_factor == DEFAULT_EPSILON_FACTOR == 0.5
     assert cfg.exact_covariance is False
 
 
@@ -67,8 +65,10 @@ def test_tdl_above_t_rejected_with_key(tmp_path):
 
 def test_unknown_key_reports_line(tmp_path):
     # theta_max_deg was a key once, the geometry is defined in xi alone;
-    # output_path was one too, simulate -o sets the records path
-    for key in ("bogus", "theta_max_deg", "output_path"):
+    # output_path was one too, simulate -o sets the records path;
+    # grid_factor and epsilon_factor were too, the angle grid (4M points)
+    # and the beam reward (0.5/M) are constants of the solvers
+    for key in ("bogus", "theta_max_deg", "output_path", "grid_factor", "epsilon_factor"):
         with pytest.raises(ConfigError, match=f":8: unknown key '{key}'"):
             parse_config(write(tmp_path, MINIMAL + f"{key} = 1\n"))
 
@@ -106,14 +106,17 @@ def test_invariants_enforced():
     for key in ("p0", "th_rel", "ul_sigma2"):
         with pytest.raises(ConfigError):
             ExperimentConfig(**{**base, key: float("nan")})
-    for key in ("alpha", "cluster_width", "th_rel", "p0",
-                "epsilon_factor", "ul_sigma2"):
+    for key in ("alpha", "cluster_width", "th_rel", "p0", "ul_sigma2"):
         for bad in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ConfigError, match="must be finite"):
                 ExperimentConfig(**{**base, key: bad})
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ConfigError, match="snr_db_list"):
             ExperimentConfig(**{**base, "snr_db_list": [20.0, bad]})
+    # P_dl = 10^(SNR/10) leaves the float range above about 3082.5 dB
+    with pytest.raises(ConfigError, match="^snr_db_list: entry 4000 dB"):
+        ExperimentConfig(**{**base, "snr_db_list": [20.0, 4000.0]})
+    ExperimentConfig(**{**base, "snr_db_list": [3000.0]})
     with pytest.raises(ConfigError):
         ExperimentConfig(**{**base, "tdl_list": []})
     with pytest.raises(ConfigError):
@@ -125,8 +128,6 @@ def test_invariants_enforced():
         with pytest.raises(ConfigError, match=f"^{key}: "):
             ExperimentConfig(**{**base, key: bad})
     ExperimentConfig(**{**base, "alpha": 1.0, "n_clusters": 2})  # the edge values are valid
-    with pytest.raises(ConfigError):
-        ExperimentConfig(**{**base, "epsilon_factor": 1.0})
     # a repeated grid entry would write every (trial, T_dl, SNR) row twice
     with pytest.raises(ConfigError, match="tdl_list: entries must be distinct"):
         ExperimentConfig(**{**base, "tdl_list": [8, 16, 8]})

@@ -85,19 +85,10 @@ def test_build_beam_graph_rejects_negative():
 
 # ------------------------------------------------------------------ MILP shape
 
-def test_formulate_milp_epsilon_precondition():
-    g = np.array([[1.0]])
-    for epsilon in (1.0, np.nan):
-        with pytest.raises(InvalidArgumentError):
-            formulate_milp(g, t_dl=1, p0=0.0, epsilon=epsilon)
-        with pytest.raises(InvalidArgumentError):
-            solve_sparsification(g, t_dl=1, epsilon=epsilon)
-
-
 def test_formulate_milp_dimensions():
     # beams 1 and 2 share an adjacency row; beam 3 has no edge
     g = np.array([[1.0, 0.0], [0.5, 0.8], [0.4, 0.3], [0.0, 0.0]])
-    mip = formulate_milp(g, t_dl=2, p0=0.0, epsilon=0.1)
+    mip = formulate_milp(g, t_dl=2, p0=0.0)
     c, k = 2, 2
     assert [cls.tolist() for cls in mip.classes] == [[0], [1, 2]]
     assert mip.c.size == c + k + c * k
@@ -157,7 +148,7 @@ def test_formulate_milp_matches_row_loop():
         g = random_beam_graph(rng, m, k) if i % 2 else repeated_row_graph(rng, m, k)
         t_dl = int(rng.integers(1, m + 1))  # includes T_dl = degree, a zero coefficient
         p0 = float(rng.choice([0.0, 0.3]))
-        mip = formulate_milp(g, t_dl, p0, epsilon=0.5 / m)
+        mip = formulate_milp(g, t_dl, p0)
         classes, rows, rhs, upper = _class_program_by_loop(g, t_dl, p0)
         assert [cls.tolist() for cls in mip.classes] == classes
         assert mip.a.has_canonical_format and not np.any(mip.a.data == 0.0)
@@ -186,6 +177,20 @@ def test_solve_power_floor_excludes_all():
     plan = solve_sparsification(g, t_dl=1, p0=0.5)
     assert plan.beams == [] and plan.users == []
     assert plan.matching_size == 0
+
+
+def test_zero_beam_graph():
+    """A graph with no beams (M = 0) gives the empty plan, and its program
+    holds only the K user selectors, with a zero objective."""
+    g = np.zeros((0, 3))
+    plan = solve_sparsification(g, 2)
+    assert plan.beams == [] and plan.users == []
+    assert plan.matching_size == 0 and plan.objective == 0.0
+    assert plan.n_classes == 0 and plan.node_count == 0
+    mip = formulate_milp(g, 2, 0.0)
+    assert mip.classes == [] and mip.n_int == 3
+    assert np.array_equal(mip.c, np.zeros(3)) and np.array_equal(mip.upper, np.ones(3))
+    assert mip.a.shape == (9, 3) and np.array_equal(mip.b, np.zeros(9))
 
 
 def test_solve_identity_adjacency():
@@ -274,15 +279,6 @@ def test_class_program_matches_bruteforce_on_repeated_rows(floor):
         assert plan.matching_size == brute_force_sparsify(g, t_dl, p0=p0).matching_size
         assert_plan_feasible(g, plan, t_dl, p0)
     assert merged >= 20  # most instances have a class of several beams
-
-
-def test_solve_matching_size_independent_of_epsilon():
-    rng = rng_stream(62, 0)
-    for _ in range(10):
-        g = random_beam_graph(rng, 6, 4)
-        sizes = {solve_sparsification(g, 2, epsilon=f / 6.0).matching_size
-                 for f in (0.05, 0.5, 0.95)}
-        assert len(sizes) == 1
 
 
 def test_solved_plan_respects_constraints():
