@@ -10,6 +10,7 @@ Toeplitz matrix.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,14 +83,28 @@ def true_covariance(asf: AngularScatteringFunction, m: int,
 def sample_channels(col: np.ndarray, n: int, seed, *path: int) -> np.ndarray:
     """M x n matrix of i.i.d. zero-mean Gaussian channels whose covariance
     is the Hermitian Toeplitz matrix of first column col, M = col.size
-    (Karhunen-Loeve coloring)."""
+    (Karhunen-Loeve coloring by the cached factor of that column)."""
     if n < 1:
         raise InvalidArgumentError("sample_channels: n must be >= 1")
     col = np.asarray(col, dtype=complex)
-    w, u = np.linalg.eigh(toeplitz_from_column(col))
+    scale, u = _kl_factor(col.tobytes())
     g = gaussian_complex(col.size * n, seed, *path).reshape(col.size, n)
-    g *= np.sqrt(np.maximum(w, 0.0))[:, None]  # in place: no M x n temporary
+    g *= scale[:, None]  # in place: no M x n temporary
     return u @ g
+
+
+@functools.lru_cache(maxsize=8)
+def _kl_factor(col: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Karhunen-Loeve factor (sqrt(max(w, 0)), U) of eigh(T(c)) for the
+    covariance column c given by its complex bytes. A covariance depends
+    only on the user's scattering function and the band, so the users of a
+    trial share a few columns: each is factored once and shared read-only
+    (8 entries cost 8 MB at M = 256)."""
+    w, u = np.linalg.eigh(toeplitz_from_column(np.frombuffer(col, dtype=complex)))
+    scale = np.sqrt(np.maximum(w, 0.0))
+    scale.flags.writeable = False
+    u.flags.writeable = False
+    return scale, u
 
 
 def make_scenario(n_clusters: int, cluster_width: float, k: int, seed: int,

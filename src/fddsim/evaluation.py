@@ -156,7 +156,15 @@ def estimate_user_pipeline(cfg: ExperimentConfig, user_asf, trial: int, k: int
     covariance first column (at ``cfg.alpha``) and the DL beam-space
     spectrum.
     """
-    c_ul = true_covariance(user_asf, cfg.m, 1.0)
+    z = _fit_angular_measure(cfg, true_covariance(user_asf, cfg.m, 1.0), trial, k)
+    c_dl_hat = extrapolate_dl(z, cfg.m, cfg.alpha)
+    return (extrapolate_dl(z, cfg.m, 1.0), c_dl_hat,
+            circulant_eigenvalues(c_dl_hat))
+
+
+def _fit_angular_measure(cfg: ExperimentConfig, c_ul: np.ndarray, trial: int,
+                         k: int) -> np.ndarray:
+    """Angular estimate of user k, whose true UL covariance column is c_ul."""
     if not cfg.exact_covariance:
         h_ul = sample_channels(c_ul, cfg.n_ul, cfg.seed, trial, k, _UL_CHAN)
         # the pilots h_ul + noise, built in the noise draw's array
@@ -165,10 +173,7 @@ def estimate_user_pipeline(cfg: ExperimentConfig, user_asf, trial: int, k: int
         y *= np.sqrt(cfg.ul_sigma2)
         y += h_ul
         c_ul = toeplitz_average(sample_covariance(y, cfg.ul_sigma2))
-    z = estimate_asf(c_ul)
-    c_dl_hat = extrapolate_dl(z, cfg.m, cfg.alpha)
-    return (extrapolate_dl(z, cfg.m, 1.0), c_dl_hat,
-            circulant_eigenvalues(c_dl_hat))
+    return estimate_asf(c_ul)
 
 
 def trial_scenario(cfg: ExperimentConfig, trial: int) -> list:
@@ -183,15 +188,22 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> list:
 
     spectra = np.empty((cfg.m, cfg.k))
     h_true = np.empty((cfg.m, cfg.k), dtype=complex)
+    columns = {}  # true (UL, DL) covariance columns per distinct cluster pair
     for k, user in enumerate(users):
-        spectra[:, k] = estimate_user_pipeline(cfg, user.asf, trial, k)[2]
-        h_true[:, k] = sample_channels(true_covariance(user.asf, cfg.m, cfg.alpha), 1,
-                                       cfg.seed, trial, k, _DL_CHAN)[:, 0]
+        pair = frozenset(user.cluster_indices)
+        if pair not in columns:
+            columns[pair] = (true_covariance(user.asf, cfg.m, 1.0),
+                             true_covariance(user.asf, cfg.m, cfg.alpha))
+        c_ul, c_dl = columns[pair]
+        z = _fit_angular_measure(cfg, c_ul, trial, k)
+        spectra[:, k] = circulant_eigenvalues(extrapolate_dl(z, cfg.m, cfg.alpha))
+        h_true[:, k] = sample_channels(c_dl, 1, cfg.seed, trial, k, _DL_CHAN)[:, 0]
     # F^H h for every user: the probing input, the true effective channels
     # and (by Parseval) the estimation error all read rows of it
     h_beam = beam_coefficients(h_true)
 
     graph = build_beam_graph(spectra, th_rel=cfg.th_rel)
+    powers = np.array([10.0 ** (snr_db / 10.0) for snr_db in cfg.snr_db_list])
     records = []
     for i_tdl, t_dl in enumerate(cfg.tdl_list):
         failure = ""
@@ -208,17 +220,25 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> list:
         # The pilot directions Q^H (unit power), and per selected user B h,
         # the unit observation-noise draw and the MMSE prior (its beam powers
         # on its edges; unit noise power), do not depend on the SNR: form
-        # them once per T_dl.
+        # them once per T_dl, observe at every SNR and estimate all together.
         q_h = make_pilot(t_eff, len(plan.beams), cfg.seed, trial, _PILOT, i_tdl)
         h_eff = h_beam[np.ix_(plan.beams, plan.users)]
         noise = np.stack([gaussian_complex(t_eff, cfg.seed, trial, k, _OBS_NOISE, i_tdl)
                           for k in plan.users])
         prior = graph[np.ix_(plan.beams, plan.users)].T
+        ys = np.stack([dl_observe(np.sqrt(p_dl) * q_h, h_eff.T, noise, 1.0)
+                       for p_dl in powers])
+        try:
+            h_hats = mmse_effective(ys, q_h, prior, powers, 1.0)
+        except FddsimError:
+            h_hats = None  # estimate each SNR alone, so a failure stays its own
 
-        for snr_db in cfg.snr_db_list:
+        for i, snr_db in enumerate(cfg.snr_db_list):
             try:
-                records.append(_grid_point(cfg, trial, t_dl, snr_db, plan, q_h,
-                                           (h_eff, noise, prior), h_beam))
+                h_hat = (h_hats[i] if h_hats is not None else
+                         mmse_effective(ys[i:i + 1], q_h, prior, powers[i:i + 1], 1.0)[0])
+                records.append(_grid_point(cfg, trial, t_dl, snr_db, powers[i], plan,
+                                           h_hat.T, h_eff, h_beam))
             except FddsimError as exc:
                 records.append(ExperimentRecord(trial, cfg.seed, t_dl, snr_db, 0,
                                                 plan.matching_size, float("nan"), 0.0,
@@ -230,15 +250,8 @@ def _failure(stage: str, exc: FddsimError) -> str:
     return f"{stage}: {type(exc).__name__}: {exc}"
 
 
-def _grid_point(cfg, trial, t_dl, snr_db, plan, q_h, probes,
+def _grid_point(cfg, trial, t_dl, snr_db, p_dl, plan, h_hat_eff, h_eff,
                 h_beam) -> ExperimentRecord:
-    p_dl = 10.0 ** (snr_db / 10.0)
-    psi = np.sqrt(p_dl) * q_h
-
-    h_eff, noise, prior = probes
-    y = dl_observe(psi, h_eff.T, noise, 1.0)
-    h_hat_eff = mmse_effective(y, psi, prior, 1.0).T
-
     order = greedy_user_selection(h_hat_eff, p_dl, t_dl, cfg.t)
     served_cols = sorted(order)
     if not served_cols:

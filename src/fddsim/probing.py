@@ -41,32 +41,42 @@ def dl_observe(psi: np.ndarray, bh: np.ndarray, noise: np.ndarray,
     return bh @ psi.T + np.sqrt(n0) * noise
 
 
-def mmse_effective(y: np.ndarray, psi: np.ndarray, lam: np.ndarray,
-                   n0: float) -> np.ndarray:
-    """Linear MMSE estimates Lam_i Psi^H (Psi Lam_i Psi^H + N0 I)^-1 y_i of
-    a stack of users probed by one T_dl x M' pilot Psi, by one batched solve.
+def mmse_effective(y: np.ndarray, q: np.ndarray, lam: np.ndarray,
+                   p_dl, n0: float) -> np.ndarray:
+    """Linear MMSE estimates of a stack of users probed by one pilot at
+    several powers, by one batched solve.
 
-    Row i of ``y`` (n x T_dl) is user i's observation and row i of ``lam``
-    (n x M') the diagonal of its beam-power prior; row i of the result is
-    its estimate, exactly zero where the prior is zero.
+    At power p the pilot is Psi = sqrt(p) Q, with Q the unit-power
+    T_dl x M' pilot. Row i of ``lam`` (n x M') is the diagonal Lam_i of
+    user i's beam-power prior, and ``y[j, i]`` (``y`` is P x n x T_dl) is
+    user i's observation at power ``p_dl[j]``. ``out[j, i]`` is its
+    estimate Lam_i Psi^H (Psi Lam_i Psi^H + N0 I)^-1 y, exactly zero where
+    the prior is zero. That is sqrt(p) Lam_i Q^H (p G_i + N0 I)^-1 y with
+    the prior Gram G_i = Q Lam_i Q^H, which does not depend on the power:
+    it is formed once for all powers.
     """
     y = np.asarray(y)
-    t_dl, m_prime = psi.shape
+    t_dl, m_prime = q.shape
     lam = np.asarray(lam, dtype=float)
-    if y.ndim != 2 or y.shape[1] != t_dl:
-        raise InvalidArgumentError("mmse_effective: observations must be n x T_dl")
-    if lam.shape != (y.shape[0], m_prime):
+    p_dl = np.asarray(p_dl, dtype=float)
+    if p_dl.ndim != 1 or y.ndim != 3 or y.shape[0] != p_dl.size or y.shape[2] != t_dl:
+        raise InvalidArgumentError("mmse_effective: observations must be P x n x T_dl, "
+                                   "one stack per pilot power")
+    if lam.shape != (y.shape[1], m_prime):
         raise InvalidArgumentError("mmse_effective: priors must be n x M', one per observation")
     if np.any(lam < 0):
         raise InvalidArgumentError("mmse_effective: prior variances must be nonnegative")
+    if not np.all(p_dl >= 0):
+        raise InvalidArgumentError("mmse_effective: pilot powers must be nonnegative")
     if not n0 >= 0:
         raise InvalidArgumentError("mmse_effective: noise level must be nonnegative")
-    inner = (psi * lam[:, None, :]) @ psi.conj().T + n0 * np.eye(t_dl)
+    gram = (q * lam[:, None, :]) @ q.conj().T
+    inner = p_dl[:, None, None, None] * gram
+    inner += n0 * np.eye(t_dl)
     try:
-        sol = np.linalg.solve(inner, y[:, :, None])[:, :, 0]
+        sol = np.linalg.solve(inner, y[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"mmse_effective: singular observation covariance: {exc}") from exc
     if not np.all(np.isfinite(sol)):
         raise NumericalError("mmse_effective: non-finite solve result")
-    return lam * (sol @ psi.conj())
-
+    return lam * (np.sqrt(p_dl)[:, None, None] * (sol @ q.conj()))

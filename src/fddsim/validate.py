@@ -279,7 +279,7 @@ def mmse_empirical_vs_oracle(n_draws: int = 2000, n0: float = 0.1):
         h_beam[support] = g
         noise = np.sqrt(n0) * gaussian_complex(eff_psi.shape[0], rng)
         y = eff_psi @ h_beam + noise
-        h_hat = mmse_effective(y[None, :], eff_psi, prior, n0)[0]
+        h_hat = mmse_effective(y[None, None, :], eff_psi, prior, [1.0], n0)[0, 0]
         total += float(np.linalg.norm(h_beam - h_hat) ** 2)
     return total / n_draws, error_trace_oracle(psi, f_s, lam, n0)
 

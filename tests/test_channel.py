@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fddsim import channel
 from fddsim.channel import (AngularScatteringFunction, UserGeometry,
                             make_scenario, sample_channels, true_covariance)
 from fddsim.covariance import circulant_eigenvalues
@@ -132,8 +133,22 @@ def test_sample_channels_equals_reference_coloring():
     col = true_covariance(asf, 8, 1.0)
     w, u = np.linalg.eigh(toeplitz_from_column(col))
     g = gaussian_complex(8 * 5, 9, 1, 2).reshape(8, 5)
-    np.testing.assert_array_equal(sample_channels(col, 5, 9, 1, 2),
-                                  u @ (np.sqrt(np.maximum(w, 0.0))[:, None] * g))
+    ref = u @ (np.sqrt(np.maximum(w, 0.0))[:, None] * g)
+    channel._kl_factor.cache_clear()
+    np.testing.assert_array_equal(sample_channels(col, 5, 9, 1, 2), ref)
+    # a second draw on the same column takes its factor from the cache
+    np.testing.assert_array_equal(sample_channels(col.copy(), 5, 9, 1, 2), ref)
+    info = channel._kl_factor.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+
+
+def test_sample_channels_factor_cache_read_only():
+    col = true_covariance(AngularScatteringFunction(intervals=[(-0.3, 0.3, 1.0)]), 6, 1.0)
+    sample_channels(col, 1, 9)
+    for arr in channel._kl_factor(col.tobytes()):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 # -------------------------------------------------------------------- scenario

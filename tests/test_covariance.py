@@ -173,6 +173,38 @@ def test_fused_estimator_matches_dykstra_path(m, seed, monkeypatch):
     assert np.abs(fused - ref).sum() <= 5e-3 * np.abs(ref).sum()
 
 
+@pytest.mark.parametrize("seed", [1, 8])
+def test_nnls_kkt_on_pipeline_inputs(seed, monkeypatch):
+    """The angular fit of every user of trial 0 (M=64, n_ul=500) meets the
+    NNLS optimality conditions on the Toeplitz average it is given: with
+    the gradient w = A^T (b - A z) of estimate_asf's weighted system,
+    z >= 0, w <= tau where z = 0 and |w| <= tau where z > 0, for
+    tau = 1e-12 ||A|| ||b|| (observed: |w| <= 2e-16 ||A|| ||b|| on the
+    support, w < 0 off it)."""
+    cfg = ExperimentConfig(m=64, k=8, t=64, tdl_list=[8], snr_db_list=[20.0],
+                           n_trials=1, seed=seed, n_ul=500)
+    fitted = []
+
+    def fit(c_ul):
+        z = estimate_asf(c_ul)
+        fitted.append((c_ul, z))
+        return z
+
+    monkeypatch.setattr(evaluation, "estimate_asf", fit)
+    for k, user in enumerate(trial_scenario(cfg, 0)):
+        estimate_user_pipeline(cfg, user.asf, 0, k)
+    assert len(fitted) == cfg.k
+    a, row_w = covariance._asf_system(cfg.m, covariance.DEFAULT_GRID_FACTOR * cfg.m)
+    norm_a = np.linalg.norm(a, 2)
+    for c_ul, z in fitted:
+        b = np.concatenate([c_ul.real, c_ul.imag]) * row_w
+        w = a.T @ (b - a @ z)
+        tau = 1e-12 * norm_a * np.linalg.norm(b)
+        assert np.all(z >= 0)
+        assert np.all(w[z == 0] <= tau)
+        assert np.all(np.abs(w[z > 0]) <= tau)
+
+
 def test_projection_suite_catches_unweighted_fit(monkeypatch):
     """The projection suite checks the estimator itself: with unit row
     weights, i.e. the unweighted column fit, it fails."""

@@ -322,6 +322,42 @@ def test_run_trial_dl_channels_equal_reference_draw(monkeypatch):
         np.testing.assert_array_equal(seen[0][:, k], ref)
 
 
+def test_run_trial_factors_each_distinct_column_once(monkeypatch):
+    """Trial 0 of the acceptance config (seed 1) gives its 8 users 3
+    distinct cluster pairs, so its 16 channel draws (UL and DL per user)
+    come from 6 distinct covariance columns: one eigendecomposition each."""
+    from fddsim import channel
+
+    cfg = ExperimentConfig(m=64, k=8, t=64, tdl_list=[8, 16, 24, 32, 48],
+                           snr_db_list=[10.0, 20.0, 30.0], n_trials=1, seed=1,
+                           n_ul=500, th_rel=1e-3)
+    assert len({frozenset(u.cluster_indices) for u in trial_scenario(cfg, 0)}) == 3
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a, *args: calls.append(a.shape) or eigh(a, *args))
+    channel._kl_factor.cache_clear()
+    run_trial(cfg, 0)
+    assert calls == [(64, 64)] * 6
+
+
+def test_failed_snr_keeps_its_own_record():
+    """An estimate that overflows at one SNR fails that grid point alone:
+    the other SNRs of its T_dl keep the records they have without it."""
+    cfg = ExperimentConfig(**{**SMALL, "snr_db_list": [10.0, 3080.0]})
+    with np.errstate(over="ignore", invalid="ignore"):
+        records = run_trial(cfg, 0)
+    ok = [r for r in records if r.snr_db == 10.0]
+    ref = [r for r in run_trial(ExperimentConfig(**SMALL), 0) if r.snr_db == 10.0]
+    assert [r.csv_row() for r in ok] == [r.csv_row() for r in ref]
+    assert all(not r.failure for r in ok)
+    failed = [r for r in records if r.snr_db == 3080.0]
+    assert len(failed) == len(cfg.tdl_list)
+    for rec in failed:
+        assert rec.failure == "grid point: NumericalError: mmse_effective: non-finite solve result"
+        assert (rec.served, rec.sum_rate_bits) == (0, 0.0)
+
+
 def test_run_trial_record_invariants():
     cfg = ExperimentConfig(**SMALL)
     for rec in run_trial(cfg, 0):

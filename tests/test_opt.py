@@ -1,5 +1,6 @@
-"""Tests for the SciPy solver wrappers: maximum matching, NNLS and the
-HiGHS call of the selection MILP."""
+"""Tests for the SciPy solver wrappers: ``sparsifier.max_matching``,
+``covariance.nnls`` and ``sparsifier.milp_solve``, the HiGHS call of the
+selection MILP."""
 
 import itertools
 
@@ -103,19 +104,19 @@ def _binary_mip(c, a, b):
                          b=np.asarray(b, dtype=float), upper=np.ones(n), n_int=n, classes=[])
 
 
-def test_bnb_integral_root_single_node():
+def test_milp_solve_integral_root_single_node():
     # LP optimum already binary: x = (1, 1) under sum <= 2.
     x, node_count, gap = milp_solve(_binary_mip([1.0, 1.0], [[1.0, 1.0]], [2.0]))
     assert node_count <= 1 and gap == 0.0
     np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-9)
 
 
-def test_bnb_knapsack():
+def test_milp_solve_knapsack():
     x, _, _ = milp_solve(_binary_mip([2.0, 3.0, 4.0], [[1.0, 2.0, 3.0]], [3.0]))
     np.testing.assert_allclose(x, [1.0, 1.0, 0.0], atol=1e-6)
 
 
-def test_bnb_random_binary_vs_enumeration():
+def test_milp_solve_random_binary_vs_enumeration():
     rng = rng_stream(55, 0)
     for _ in range(30):
         n = 6

@@ -86,53 +86,66 @@ def _prior(m_prime, support, variances):
     return lam
 
 
+def _mmse_one(y, q, lam, p_dl, n0):
+    """One user's estimate at one pilot power."""
+    return mmse_effective(np.asarray(y)[None, None, :], q, [lam], [p_dl], n0)[0, 0]
+
+
 def test_mmse_scalar_closed_form():
     psi = np.array([[0.7 + 0.2j]])
     lam, n0 = 1.7, 0.3
-    y = np.array([[0.9 - 0.4j]])
-    expected = lam * psi[0, 0].conj() * y[0, 0] / (abs(psi[0, 0]) ** 2 * lam + n0)
-    np.testing.assert_allclose(mmse_effective(y, psi, [[lam]], n0), [[expected]],
-                               atol=1e-12)
+    y = np.array([0.9 - 0.4j])
+    expected = lam * psi[0, 0].conj() * y[0] / (abs(psi[0, 0]) ** 2 * lam + n0)
+    np.testing.assert_allclose(_mmse_one(y, psi, [lam], 1.0, n0), [expected], atol=1e-12)
+    # the same pilot as sqrt(p) times a unit one
+    np.testing.assert_allclose(_mmse_one(y, psi / 2.0, [lam], 4.0, n0), [expected],
+                               rtol=1e-14, atol=0.0)
 
 
 def test_mmse_huge_noise_shrinks_to_zero():
     psi = make_pilot(3, 6, 44, 0)
-    y = gaussian_complex(3, 44, 1)[None, :]
-    h_hat = mmse_effective(y, psi, [_prior(6, [0, 3], [1.0, 2.0])], 1e12)
+    y = gaussian_complex(3, 44, 1)
+    h_hat = _mmse_one(y, psi, _prior(6, [0, 3], [1.0, 2.0]), 1.0, 1e12)
     assert np.linalg.norm(h_hat) < 1e-9
 
 
 def test_mmse_zero_outside_support():
     psi = make_pilot(4, 8, 45, 0)
-    y = gaussian_complex(4, 45, 1)[None, :]
-    h_hat = mmse_effective(y, psi, [_prior(8, [1, 5], [1.0, 1.0])], 0.1)[0]
+    y = gaussian_complex(4, 45, 1)
+    h_hat = _mmse_one(y, psi, _prior(8, [1, 5], [1.0, 1.0]), 1.0, 0.1)
     off = [i for i in range(8) if i not in (1, 5)]
     np.testing.assert_array_equal(h_hat[off], np.zeros(6))
 
 
 def test_mmse_batch_matches_per_user_formula():
-    """Each row of the batched estimate is Lam Psi^H (Psi Lam Psi^H + N0 I)^-1 y
-    of its own user, formed one user at a time."""
+    """Entry (j, i) of the batched estimate is the dense LMMSE
+    Lam Psi^H (Psi Lam Psi^H + N0 I)^-1 y of user i's observation at pilot
+    power p_j, Psi = sqrt(p_j) Q, formed one user and one power at a time;
+    entries with zero prior are exactly zero."""
     rng = rng_stream(50, 0)
-    psi = np.sqrt(3.0) * make_pilot(5, 9, 50, 1)
+    q = make_pilot(5, 9, 50, 1)
+    powers = np.array([0.1, 3.0, 1e3])
     n_users, n0 = 6, 0.4
     lam = rng.random((n_users, 9)) * (rng.random((n_users, 9)) < 0.6)
-    y = gaussian_complex(n_users * 5, rng).reshape(n_users, 5)
-    got = mmse_effective(y, psi, lam, n0)
-    assert got.shape == (n_users, 9)
-    for i in range(n_users):
-        inner = psi @ np.diag(lam[i]) @ psi.conj().T + n0 * np.eye(5)
-        ref = np.diag(lam[i]) @ psi.conj().T @ np.linalg.solve(inner, y[i])
-        np.testing.assert_allclose(got[i], ref, rtol=1e-12, atol=0.0)
+    y = gaussian_complex(powers.size * n_users * 5, rng).reshape(powers.size, n_users, 5)
+    got = mmse_effective(y, q, lam, powers, n0)
+    assert got.shape == (powers.size, n_users, 9)
+    for j, p_dl in enumerate(powers):
+        psi = np.sqrt(p_dl) * q
+        for i in range(n_users):
+            inner = psi @ np.diag(lam[i]) @ psi.conj().T + n0 * np.eye(5)
+            ref = np.diag(lam[i]) @ psi.conj().T @ np.linalg.solve(inner, y[j, i])
+            np.testing.assert_allclose(got[j, i], ref, rtol=1e-12, atol=0.0)
+            np.testing.assert_array_equal(got[j, i][lam[i] == 0], 0.0)
 
 
 def test_mmse_numerical_failures_raise():
     psi = make_pilot(3, 6, 51, 0)
-    y = gaussian_complex(3, 51, 1)[None, :]
+    y = gaussian_complex(3, 51, 1)
     with pytest.raises(NumericalError, match="singular"):
-        mmse_effective(y, psi, np.zeros((1, 6)), 0.0)  # zero prior, no noise
+        _mmse_one(y, psi, np.zeros(6), 1.0, 0.0)  # zero prior, no noise
     with pytest.raises(NumericalError, match="non-finite"):
-        mmse_effective(np.full((1, 3), np.inf + 0j), psi, np.ones((1, 6)), 0.1)
+        _mmse_one(np.full(3, np.inf + 0j), psi, np.ones(6), 1.0, 0.1)
 
 
 def test_mmse_empirical_matches_oracle():
@@ -142,19 +155,29 @@ def test_mmse_empirical_matches_oracle():
 
 def test_mmse_rejects_mismatched_dims():
     psi = make_pilot(3, 6, 46, 0)
-    y = gaussian_complex(3, 46, 1)[None, :]
+    y = gaussian_complex(6, 46, 1).reshape(2, 1, 3)  # two powers, one user
+    ones = np.ones((1, 6))
+    mmse_effective(y, psi, ones, [1.0, 2.0], 0.1)
     with pytest.raises(InvalidArgumentError):
-        mmse_effective(y, psi, np.ones((1, 5)), 0.1)   # prior length != M'
+        mmse_effective(y, psi, np.ones((1, 5)), [1.0, 2.0], 0.1)   # prior length != M'
     with pytest.raises(InvalidArgumentError):
-        mmse_effective(y, psi, np.ones((2, 6)), 0.1)   # one prior per observation
+        mmse_effective(y, psi, np.ones((2, 6)), [1.0, 2.0], 0.1)   # one prior per user
     with pytest.raises(InvalidArgumentError):
-        mmse_effective(y[:, :2], psi, np.ones((1, 6)), 0.1)
+        mmse_effective(y, psi, ones, [1.0], 0.1)                   # one stack per power
     with pytest.raises(InvalidArgumentError):
-        mmse_effective(y[0], psi, np.ones((1, 6)), 0.1)  # not a stack
+        mmse_effective(y, psi, ones, [[1.0, 2.0]], 0.1)            # powers not a vector
     with pytest.raises(InvalidArgumentError):
-        mmse_effective(y, psi, -np.ones((1, 6)), 0.1)
+        mmse_effective(y[..., :2], psi, ones, [1.0, 2.0], 0.1)
     with pytest.raises(InvalidArgumentError):
-        mmse_effective(y, psi, np.ones((1, 6)), -0.1)
+        mmse_effective(y[0], psi, ones, [1.0], 0.1)                # not a stack per power
+    with pytest.raises(InvalidArgumentError):
+        mmse_effective(y, psi, -ones, [1.0, 2.0], 0.1)
+    with pytest.raises(InvalidArgumentError):
+        mmse_effective(y, psi, ones, [1.0, -2.0], 0.1)
+    with pytest.raises(InvalidArgumentError):
+        mmse_effective(y, psi, ones, [1.0, np.nan], 0.1)
+    with pytest.raises(InvalidArgumentError):
+        mmse_effective(y, psi, ones, [1.0, 2.0], -0.1)
 
 
 # ----------------------------------------------------------------- error trace
