@@ -3,10 +3,10 @@ uplink pilots, active channel sparsification, effective-channel probing
 and zero-forcing sum-rate evaluation."""
 
 from .channel import (AngularScatteringFunction, UserGeometry, make_scenario,
-                      sample_channels, true_covariance)
+                      sample_channels, sample_pilot_covariance, true_covariance)
 from .config import ConfigError, ExperimentConfig, parse_config
 from .covariance import (asf_grid, circulant_eigenvalues, estimate_asf,
-                         extrapolate_dl, sample_covariance)
+                         extrapolate_dl)
 from .errors import FddsimError, InvalidArgumentError, NumericalError
 from .evaluation import (ExperimentRecord, effective_gains,
                          greedy_user_selection, normalized_error,

@@ -5,7 +5,9 @@ angular scattering function is a union of weighted xi-intervals plus
 optional point masses; UL and DL share the same scattering function but
 see array responses whose phases differ by the carrier ratio alpha. A
 covariance is returned as the complex first column of its Hermitian
-Toeplitz matrix.
+Toeplitz matrix. Draws from a covariance column are channels
+(``sample_channels``) or the noise-corrected sample covariance of noisy
+pilots, taken from its complex-Wishart law (``sample_pilot_covariance``).
 """
 
 from __future__ import annotations
@@ -87,24 +89,56 @@ def sample_channels(col: np.ndarray, n: int, seed, *path: int) -> np.ndarray:
     if n < 1:
         raise InvalidArgumentError("sample_channels: n must be >= 1")
     col = np.asarray(col, dtype=complex)
-    scale, u = _kl_factor(col.tobytes())
+    w, u = _kl_factor(col.tobytes())
     g = gaussian_complex(col.size * n, seed, *path).reshape(col.size, n)
-    g *= scale[:, None]  # in place: no M x n temporary
+    g *= np.sqrt(w)[:, None]  # in place: no M x n temporary
     return u @ g
+
+
+def sample_pilot_covariance(col: np.ndarray, n: int, sigma2: float, seed,
+                            *path: int) -> np.ndarray:
+    """Noise-corrected sample covariance (1/n) sum_i y_i y_i^H - sigma2*I
+    of n i.i.d. pilots y = h + e, h ~ CN(0, T(col)), e ~ CN(0, sigma2*I),
+    drawn from its exact law without drawing the pilots.
+
+    With F = U diag(sqrt(w + sigma2)) from the cached factor (w, U) of
+    T(col), sum_i y_i y_i^H is F A A^H F^H for the M x min(M, n)
+    lower-trapezoidal Bartlett factor A of a complex Wishart matrix
+    (Goodman 1963): |A_jj|^2 ~ Gamma(n - j, 1) on the diagonal and CN(0, 1)
+    below it, all from the stream (seed, *path). That is about M^2 / 2
+    draws whatever n is, against 2 M n for the pilots. The result may be
+    indefinite; the nonnegative angular fit repairs it.
+    """
+    if n < 1:
+        raise InvalidArgumentError("sample_pilot_covariance: n must be >= 1")
+    if sigma2 < 0:
+        raise InvalidArgumentError("sample_pilot_covariance: sigma2 must be nonnegative")
+    col = np.asarray(col, dtype=complex)
+    m, r = col.size, min(col.size, n)
+    w, u = _kl_factor(col.tobytes())
+    rng = rng_stream(seed, *path)
+    a = np.zeros((m, r), dtype=complex)
+    a[np.diag_indices(r)] = np.sqrt(rng.standard_gamma(n - np.arange(r)))
+    below = np.tril_indices(m, -1, r)
+    a[below] = gaussian_complex(below[0].size, rng)
+    b = (u * np.sqrt(w + sigma2)) @ a
+    s = b @ b.conj().T / n
+    s[np.diag_indices(m)] -= sigma2
+    return s
 
 
 @functools.lru_cache(maxsize=8)
 def _kl_factor(col: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """Karhunen-Loeve factor (sqrt(max(w, 0)), U) of eigh(T(c)) for the
+    """Karhunen-Loeve factor (max(w, 0), U) of eigh(T(c)) for the
     covariance column c given by its complex bytes. A covariance depends
     only on the user's scattering function and the band, so the users of a
     trial share a few columns: each is factored once and shared read-only
     (8 entries cost 8 MB at M = 256)."""
     w, u = np.linalg.eigh(toeplitz_from_column(np.frombuffer(col, dtype=complex)))
-    scale = np.sqrt(np.maximum(w, 0.0))
-    scale.flags.writeable = False
+    w = np.maximum(w, 0.0)
+    w.flags.writeable = False
     u.flags.writeable = False
-    return scale, u
+    return w, u
 
 
 def make_scenario(n_clusters: int, cluster_width: float, k: int, seed: int,

@@ -1,5 +1,6 @@
-"""Covariance pipeline: UL sample covariance, angular power estimation by
-weighted NNLS (SciPy's Lawson-Hanson), and UL-to-DL extrapolation.
+"""Covariance pipeline: angular power estimation from a UL covariance
+column by weighted NNLS (SciPy's Lawson-Hanson), and UL-to-DL
+extrapolation.
 
 Everything is a plain array. The covariance of a uniform linear array is
 Hermitian Toeplitz, so it is carried as its complex first column
@@ -19,21 +20,6 @@ import numpy as np
 from scipy.optimize import nnls as _scipy_nnls
 
 from .errors import InvalidArgumentError, NumericalError
-
-
-def sample_covariance(y: np.ndarray, sigma2: float) -> np.ndarray:
-    """Noise-corrected sample covariance (1/N) sum y_i y_i^H - sigma2*I.
-
-    The result may be indefinite; the nonnegative angular fit repairs it.
-    """
-    y = np.asarray(y, dtype=complex)
-    if y.ndim != 2 or y.shape[1] < 1:
-        raise InvalidArgumentError("sample_covariance: Y must be M x N with N >= 1")
-    if sigma2 < 0:
-        raise InvalidArgumentError("sample_covariance: sigma2 must be nonnegative")
-    n = y.shape[1]
-    c = (y @ y.conj().T) / n
-    return c - sigma2 * np.eye(y.shape[0])
 
 
 # default angle-grid points per antenna

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import make_scenario, sample_channels, true_covariance
+from .channel import (make_scenario, sample_channels, sample_pilot_covariance,
+                      true_covariance)
 from .config import ExperimentConfig
-from .covariance import (circulant_eigenvalues, estimate_asf, extrapolate_dl,
-                         sample_covariance)
+from .covariance import circulant_eigenvalues, estimate_asf, extrapolate_dl
 from .errors import FddsimError, InvalidArgumentError, NumericalError
 from .numerics import gaussian_complex, toeplitz_average
 from .probing import dl_observe, make_pilot, mmse_effective
@@ -29,8 +29,8 @@ from .sparsifier import beam_coefficients, build_beam_graph, solve_sparsificatio
 
 ZF_COND_TOL = 1e-12
 
-# stream purpose tags
-_SCENARIO, _UL_CHAN, _UL_NOISE, _DL_CHAN, _PILOT, _OBS_NOISE = range(6)
+# stream purpose tags; 2 is unused, so the DL streams keep their draws
+_SCENARIO, _UL_COV, _DL_CHAN, _PILOT, _OBS_NOISE = 0, 1, 3, 4, 5
 
 
 def zf_precoder(h_hat_eff: np.ndarray) -> np.ndarray:
@@ -150,8 +150,9 @@ def estimate_user_pipeline(cfg: ExperimentConfig, user_asf, trial: int, k: int
     """UL covariance -> angular estimate -> DL covariance -> beam powers.
 
     The angular measure is fitted to the Toeplitz average of the sample
-    covariance of user k's UL pilots in the given trial (or to the true UL
-    covariance with ``exact_covariance``). Returns the fitted measure's UL
+    covariance of user k's n_ul UL pilots in the given trial, drawn from
+    its complex-Wishart law (or to the true UL covariance with
+    ``exact_covariance``). Returns the fitted measure's UL
     covariance first column (its covariance at alpha = 1), its DL
     covariance first column (at ``cfg.alpha``) and the DL beam-space
     spectrum.
@@ -166,13 +167,8 @@ def _fit_angular_measure(cfg: ExperimentConfig, c_ul: np.ndarray, trial: int,
                          k: int) -> np.ndarray:
     """Angular estimate of user k, whose true UL covariance column is c_ul."""
     if not cfg.exact_covariance:
-        h_ul = sample_channels(c_ul, cfg.n_ul, cfg.seed, trial, k, _UL_CHAN)
-        # the pilots h_ul + noise, built in the noise draw's array
-        y = gaussian_complex(cfg.m * cfg.n_ul, cfg.seed, trial, k,
-                             _UL_NOISE).reshape(cfg.m, cfg.n_ul)
-        y *= np.sqrt(cfg.ul_sigma2)
-        y += h_ul
-        c_ul = toeplitz_average(sample_covariance(y, cfg.ul_sigma2))
+        c_ul = toeplitz_average(sample_pilot_covariance(
+            c_ul, cfg.n_ul, cfg.ul_sigma2, cfg.seed, trial, k, _UL_COV))
     return estimate_asf(c_ul)
 
 

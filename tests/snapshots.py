@@ -1,0 +1,43 @@
+"""The explicit-snapshot UL pilot draw: n channel draws plus n noise
+draws and their sample covariance. It is the reference the pipeline's
+complex-Wishart draw (``channel.sample_pilot_covariance``) is checked
+against in distribution, and on the stream path (seed, trial, k) it
+rebuilds bit for bit the UL covariance the pipeline estimated from before
+it drew the Wishart law: channels on stream (seed, trial, k, 1), noise on
+(seed, trial, k, 2).
+
+The pipeline never runs it; the tests import it as a sibling module.
+"""
+
+import numpy as np
+
+from fddsim.channel import sample_channels
+from fddsim.errors import InvalidArgumentError
+from fddsim.numerics import gaussian_complex
+
+
+def sample_covariance(y: np.ndarray, sigma2: float) -> np.ndarray:
+    """Noise-corrected sample covariance (1/N) sum y_i y_i^H - sigma2*I.
+
+    The result may be indefinite.
+    """
+    y = np.asarray(y, dtype=complex)
+    if y.ndim != 2 or y.shape[1] < 1:
+        raise InvalidArgumentError("sample_covariance: Y must be M x N with N >= 1")
+    if sigma2 < 0:
+        raise InvalidArgumentError("sample_covariance: sigma2 must be nonnegative")
+    n = y.shape[1]
+    c = (y @ y.conj().T) / n
+    return c - sigma2 * np.eye(y.shape[0])
+
+
+def snapshot_covariance(col: np.ndarray, n: int, sigma2: float, seed,
+                        *path: int) -> np.ndarray:
+    """``sample_covariance`` of the n pilots h + e, h drawn by
+    ``sample_channels(col, n, seed, *path, 1)`` and e = sqrt(sigma2) times
+    the unit draws of stream (seed, *path, 2), summed in the noise array."""
+    h = sample_channels(col, n, seed, *path, 1)
+    y = gaussian_complex(col.size * n, seed, *path, 2).reshape(col.size, n)
+    y *= np.sqrt(sigma2)
+    y += h
+    return sample_covariance(y, sigma2)

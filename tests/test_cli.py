@@ -67,22 +67,22 @@ def test_simulate_bad_key_exits_2(tmp_path, capsys):
 # `extrapolate` outputs for SMALL_CFG, user 0, as written (12 significant
 # digits): one row per index of c_ul_hat.csv, c_dl_hat.csv and spectrum.csv.
 GOLDEN_EXTRAPOLATE = [  # (c_ul_hat, c_dl_hat, lambda)
-    (1.02007383724+0j, 1.02007383724+0j, 0.0608340094412),
-    (0.0604409526067+0.0671114583508j, -0.0836855107789+0.097580602957j, 0.0585651564622),
-    (-0.879377614687+0.376493231457j, -0.84817211425+0.378662026913j, 0.0743783031134),
-    (-0.139998091122+0.010973636027j, 0.167779669188-0.211591289194j, 0.141867936255),
-    (0.536881186324-0.567970657245j, 0.459686984524-0.515471703127j, 2.15748567456),
-    (0.12951092548-0.101738459318j, -0.097405623356+0.29308043927j, 4.09575022361),
-    (-0.176445697226+0.506929158717j, -0.113504071623+0.377831925545j, 0.786052136797),
-    (-0.0530121852146+0.129947810012j, -0.0260992744254-0.221662720572j, 0.14763639209),
-    (-0.0366232589335-0.275894417236j, -0.0325701386641-0.137611611419j, 0.0876429789433),
-    (-0.0162735557929-0.0739459421763j, 0.0520596867424+0.041540416384j, 0.0876550942572),
-    (0.0549823758244+0.0367711794834j, 0.0224051992397-0.0186683233812j, 0.144149570193),
-    (0.0214825534649-0.0181280963376j, 0.0463200606722+0.0909879998246j, 0.644962833148),
-    (0.0424390540432+0.08369812805j, 0.00502309751333+0.0497579988817j, 4.41222023354),
-    (0.0279199457688+0.073738917589j, -0.145089322009-0.0826270999576j, 3.16095164582),
-    (-0.127771430787-0.0669185775281j, 0.0162806404313-0.0393213550038j, 0.177266682035),
-    (-0.0664718609708-0.0627559833184j, 0.112516266442+0.00226850075291j, 0.0837625256069),
+    (0.98184707625+0j, 0.98184707625+0j, 0.0547522307628),
+    (0.0534571628509+0.0496633423523j, -0.0855939208941+0.0784844396595j, 0.0559971071114),
+    (-0.846765517471+0.348882186851j, -0.814515651351+0.352382316011j, 0.0745719497105),
+    (-0.127024949434+0.00898300222206j, 0.169184688061-0.198580066405j, 0.147877849314),
+    (0.522919933293-0.522359335472j, 0.448685159039-0.465614117916j, 2.36150098353),
+    (0.130260721355-0.0756319532699j, -0.0942775853755+0.281737104428j, 3.70833994868),
+    (-0.184451246158+0.459956496554j, -0.14073001351+0.320735718647j, 0.804045645713),
+    (-0.0843770255937+0.0900063380373j, -0.0291840150258-0.211262545174j, 0.139618028522),
+    (-0.0151226667863-0.245625312751j, 0.0349300586893-0.0981651025049j, 0.080738595804),
+    (0.0513516950925-0.0417673428922j, 0.0507475742409+0.0367439430535j, 0.0778987736403),
+    (0.0386078314947+0.028905627058j, -0.0724264038493-0.023596133375j, 0.126095571083),
+    (-0.0733900068693-0.0226788202487j, 0.0506441149504+0.0812412191911j, 0.607118318351),
+    (0.0362076648459+0.0758933563789j, 0.111554083154+0.0142313008316j, 4.48533585021),
+    (0.132232906359+0.0385515074612j, -0.155240600692-0.0568949941599j, 2.76757954997),
+    (-0.0957597626602-0.0645546109155j, -0.0888071686122+0.0416548410867j, 0.147176252709),
+    (-0.166407154774+0.01727748357j, 0.137540190453-0.0557444303668j, 0.0709065649005),
 ]
 
 
@@ -321,23 +321,33 @@ def test_simulate_threads_below_one_exits_2(cfg_path, tmp_path, threads, capsys)
     assert not out.exists()
 
 
-def test_extrapolate_former_nnls_hang_input(tmp_path):
-    """User 0 of this M=64 scenario once made the in-repo active-set NNLS
-    step by zero forever with single-threaded BLAS, so the command runs in
-    a child process with BLAS pinned to one thread and a time limit."""
-    path = tmp_path / "m64.cfg"
-    path.write_text("M = 64\nK = 1\nT = 64\ntdl_list = 8\nsnr_db_list = 20\n"
-                    "n_trials = 1\nn_ul = 500\nseed = 443\n")
-    outdir = tmp_path / "extrap"
+def test_extrapolate_former_nnls_hang_input():
+    """User 0 of the M=64, n_ul=500 scenario of config seed 443 once made
+    the in-repo active-set NNLS step by zero forever with single-threaded
+    BLAS. Its UL Toeplitz column came from explicit pilot snapshots, which
+    tests/snapshots.py rebuilds bit for bit; a child process with BLAS
+    pinned to one thread rebuilds it and fits it under a time limit."""
+    script = (
+        "from fddsim.channel import true_covariance\n"
+        "from fddsim.config import ExperimentConfig\n"
+        "from fddsim.covariance import estimate_asf\n"
+        "from fddsim.evaluation import trial_scenario\n"
+        "from fddsim.numerics import toeplitz_average\n"
+        "from snapshots import snapshot_covariance\n"
+        "cfg = ExperimentConfig(m=64, k=1, t=64, tdl_list=[8], snr_db_list=[20.0],\n"
+        "                       n_trials=1, n_ul=500, seed=443)\n"
+        "col = true_covariance(trial_scenario(cfg, 0)[0].asf, cfg.m, 1.0)\n"
+        "s = snapshot_covariance(col, cfg.n_ul, cfg.ul_sigma2, cfg.seed, 0, 0)\n"
+        "z = estimate_asf(toeplitz_average(s))\n"
+        "print(z.size, bool((z >= 0).all()))\n")
     src = os.path.dirname(os.path.dirname(fddsim.__file__))
-    env = {**os.environ, "PYTHONPATH": src,
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.path.dirname(__file__)]),
            **{var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                    "MKL_NUM_THREADS")}}
-    proc = subprocess.run([sys.executable, "-m", "fddsim.cli", "extrapolate", str(path),
-                           "--user", "0", "--outdir", str(outdir)],
+    proc = subprocess.run([sys.executable, "-c", script],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert len((outdir / "spectrum.csv").read_text().strip().split("\n")) == 1 + 64
+    assert proc.stdout.split() == ["256", "True"]
 
 
 # -------------------------------------------------- repeated calls in one process

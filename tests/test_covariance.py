@@ -9,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from dykstra import project_toeplitz_psd
 from fddsim import covariance, evaluation
+from snapshots import sample_covariance
 from fddsim.channel import DEFAULT_ALPHA, AngularScatteringFunction, true_covariance
 from fddsim.config import ExperimentConfig
 from fddsim.covariance import (asf_grid, circulant_eigenvalues, estimate_asf,
                                export_covariance_csv, export_spectrum_csv,
-                               extrapolate_dl, nnls, sample_covariance, steering)
+                               extrapolate_dl, nnls, steering)
 from fddsim.errors import InvalidArgumentError
 from fddsim.evaluation import estimate_user_pipeline, trial_scenario
 from fddsim.numerics import gaussian_complex, rng_stream, toeplitz_from_column
@@ -29,7 +30,7 @@ def _ul_response(m, g):
     return np.exp(1j * np.pi * np.outer(np.arange(m), asf_grid(g))) / np.sqrt(m)
 
 
-# ------------------------------------------------------------ sample covariance
+# ------------------------------------ sample covariance (test-side reference)
 
 def test_sample_covariance_single_snapshot():
     y = np.array([[1.0 + 1j], [2.0]])
@@ -159,17 +160,20 @@ def test_fused_estimator_matches_dykstra_path(m, seed, monkeypatch):
     """The pipeline's weighted NNLS on the Toeplitz average of the sample
     covariance gives the DL beam spectrum of the Dykstra projection
     followed by the same NNLS, within 5e-3 relative L1 (observed at most
-    4.7e-4)."""
+    3.6e-4)."""
     cfg = ExperimentConfig(m=m, k=1, t=32, tdl_list=[8], snr_db_list=[20.0],
                            n_trials=1, seed=seed, n_ul=500)
     users = trial_scenario(cfg, 0)
     _, _, fused = estimate_user_pipeline(cfg, users[0].asf, 0, 0)
-    monkeypatch.setattr(evaluation, "sample_covariance",
-                        lambda y, sigma2: toeplitz_from_column(project_toeplitz_psd(
-                            sample_covariance(y, sigma2))))
+    draw = evaluation.sample_pilot_covariance
+    projected = []
+    monkeypatch.setattr(evaluation, "sample_pilot_covariance",
+                        lambda *args: projected.append(args) or toeplitz_from_column(
+                            project_toeplitz_psd(draw(*args))))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)  # no Dykstra cap hit
         _, _, ref = estimate_user_pipeline(cfg, users[0].asf, 0, 0)
+    assert len(projected) == 1  # the reference path did run Dykstra
     assert np.abs(fused - ref).sum() <= 5e-3 * np.abs(ref).sum()
 
 
