@@ -1,9 +1,11 @@
 """Zero-forcing evaluation and the Monte Carlo experiment driver.
 
-The DL stage runs in the beam domain on plain arrays: a trial takes the
-beam coefficients F^H h of its true channels once, and the probing input,
-the true effective channels and the estimation error read the selected
-beams' rows of them.
+A trial is two stages. ``trial_state`` runs the per-user estimator
+``estimate_user_pipeline`` for every user into one beam graph and takes
+the beam coefficients F^H h of the true DL channels once; ``evaluate_tdl``
+turns them into the records of one T_dl. The DL stage runs in the beam
+domain on plain arrays: the probing input, the true effective channels
+and the estimation error read the selected beams' rows of F^H h.
 
 SNR convention: unit noise power, so P_dl = SNR. Rates are in bits/s/Hz
 (log base 2) and include the DL training overhead prefactor (1 - T_dl/T).
@@ -149,27 +151,23 @@ def estimate_user_pipeline(cfg: ExperimentConfig, user_asf, trial: int, k: int
                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """UL covariance -> angular estimate -> DL covariance -> beam powers.
 
-    The angular measure is fitted to the Toeplitz average of the sample
-    covariance of user k's n_ul UL pilots in the given trial, drawn from
-    its complex-Wishart law (or to the true UL covariance with
-    ``exact_covariance``). Returns the fitted measure's UL
-    covariance first column (its covariance at alpha = 1), its DL
-    covariance first column (at ``cfg.alpha``) and the DL beam-space
-    spectrum.
+    The one per-user estimator: ``trial_state`` reads its spectrum and
+    ``fddsim extrapolate`` exports all three outputs. The angular measure
+    is fitted to the Toeplitz average of the sample covariance of user k's
+    n_ul UL pilots in the given trial, drawn from its complex-Wishart law
+    (or to the true UL covariance with ``exact_covariance``). Returns the
+    fitted measure's UL covariance first column (its covariance at
+    alpha = 1), its DL covariance first column (at ``cfg.alpha``) and the
+    DL beam-space spectrum.
     """
-    z = _fit_angular_measure(cfg, true_covariance(user_asf, cfg.m, 1.0), trial, k)
-    c_dl_hat = extrapolate_dl(z, cfg.m, cfg.alpha)
-    return (extrapolate_dl(z, cfg.m, 1.0), c_dl_hat,
-            circulant_eigenvalues(c_dl_hat))
-
-
-def _fit_angular_measure(cfg: ExperimentConfig, c_ul: np.ndarray, trial: int,
-                         k: int) -> np.ndarray:
-    """Angular estimate of user k, whose true UL covariance column is c_ul."""
+    c_ul = true_covariance(user_asf, cfg.m, 1.0)
     if not cfg.exact_covariance:
         c_ul = toeplitz_average(sample_pilot_covariance(
             c_ul, cfg.n_ul, cfg.ul_sigma2, cfg.seed, trial, k, _UL_COV))
-    return estimate_asf(c_ul)
+    z = estimate_asf(c_ul)
+    c_dl_hat = extrapolate_dl(z, cfg.m, cfg.alpha)
+    return (extrapolate_dl(z, cfg.m, 1.0), c_dl_hat,
+            circulant_eigenvalues(c_dl_hat))
 
 
 def trial_scenario(cfg: ExperimentConfig, trial: int) -> list:
@@ -179,80 +177,82 @@ def trial_scenario(cfg: ExperimentConfig, trial: int) -> list:
 
 
 def run_trial(cfg: ExperimentConfig, trial: int) -> list:
-    """All grid-point records for one Monte Carlo trial."""
-    users = trial_scenario(cfg, trial)
+    """All grid-point records for one Monte Carlo trial, T_dl by T_dl."""
+    graph, h_beam = trial_state(cfg, trial)
+    return [rec for i_tdl, t_dl in enumerate(cfg.tdl_list)
+            for rec in evaluate_tdl(cfg, trial, i_tdl, t_dl, graph, h_beam)]
 
+
+def trial_state(cfg: ExperimentConfig, trial: int) -> tuple[np.ndarray, np.ndarray]:
+    """What every grid point of a trial reads: the beam graph of the users'
+    estimated DL spectra, and F^H h of their true DL channels."""
     spectra = np.empty((cfg.m, cfg.k))
     h_true = np.empty((cfg.m, cfg.k), dtype=complex)
-    columns = {}  # true (UL, DL) covariance columns per distinct cluster pair
-    for k, user in enumerate(users):
-        pair = frozenset(user.cluster_indices)
-        if pair not in columns:
-            columns[pair] = (true_covariance(user.asf, cfg.m, 1.0),
-                             true_covariance(user.asf, cfg.m, cfg.alpha))
-        c_ul, c_dl = columns[pair]
-        z = _fit_angular_measure(cfg, c_ul, trial, k)
-        spectra[:, k] = circulant_eigenvalues(extrapolate_dl(z, cfg.m, cfg.alpha))
-        h_true[:, k] = sample_channels(c_dl, 1, cfg.seed, trial, k, _DL_CHAN)[:, 0]
-    # F^H h for every user: the probing input, the true effective channels
-    # and (by Parseval) the estimation error all read rows of it
-    h_beam = beam_coefficients(h_true)
+    for k, user in enumerate(trial_scenario(cfg, trial)):
+        spectra[:, k] = estimate_user_pipeline(cfg, user.asf, trial, k)[2]
+        h_true[:, k] = sample_channels(true_covariance(user.asf, cfg.m, cfg.alpha), 1,
+                                       cfg.seed, trial, k, _DL_CHAN)[:, 0]
+    return build_beam_graph(spectra, th_rel=cfg.th_rel), beam_coefficients(h_true)
 
-    graph = build_beam_graph(spectra, th_rel=cfg.th_rel)
+
+def evaluate_tdl(cfg: ExperimentConfig, trial: int, i_tdl: int, t_dl: int,
+                 graph: np.ndarray, h_beam: np.ndarray) -> list:
+    """The records of one T_dl of a trial, one per SNR: sparsify, probe,
+    estimate and serve. A failed sparsify fails every SNR of the T_dl; a
+    failed estimate or an overflowed rate fails only its own SNR."""
+    failure = ""
+    try:
+        plan = solve_sparsification(graph, t_dl, p0=cfg.p0)
+    except FddsimError as exc:
+        plan, failure = None, _failure("sparsify", exc)
+    if plan is None or not plan.beams or not plan.users:
+        return [_zero_rate(cfg, trial, t_dl, snr_db, 0, failure) for snr_db in cfg.snr_db_list]
     powers = np.array([10.0 ** (snr_db / 10.0) for snr_db in cfg.snr_db_list])
+    t_eff = min(t_dl, len(plan.beams))  # a pilot never needs more dims than beams
+    # The pilot directions Q^H (unit power), and per selected user B h, the unit
+    # observation-noise draw and the MMSE prior (its beam powers on its edges; unit
+    # noise power) do not depend on the SNR: observe at every SNR, estimate at once.
+    q_h = make_pilot(t_eff, len(plan.beams), cfg.seed, trial, _PILOT, i_tdl)
+    h_eff = h_beam[np.ix_(plan.beams, plan.users)]
+    noise = np.stack([gaussian_complex(t_eff, cfg.seed, trial, k, _OBS_NOISE, i_tdl)
+                      for k in plan.users])
+    prior = graph[np.ix_(plan.beams, plan.users)].T
+    ys = np.stack([dl_observe(np.sqrt(p_dl) * q_h, h_eff.T, noise, 1.0)
+                   for p_dl in powers])
+    try:
+        h_hats = mmse_effective(ys, q_h, prior, powers, 1.0)
+    except FddsimError:
+        h_hats = None  # estimate each SNR alone, so a failure stays its own
     records = []
-    for i_tdl, t_dl in enumerate(cfg.tdl_list):
-        failure = ""
+    for i, snr_db in enumerate(cfg.snr_db_list):
         try:
-            plan = solve_sparsification(graph, t_dl, p0=cfg.p0)
-        except FddsimError as exc:
-            plan, failure = None, _failure("sparsify", exc)
-        if plan is None or not plan.beams or not plan.users:
-            for snr_db in cfg.snr_db_list:
-                records.append(ExperimentRecord(trial, cfg.seed, t_dl, snr_db, 0,
-                                                0, float("nan"), 0.0, failure))
-            continue
-        t_eff = min(t_dl, len(plan.beams))  # a pilot never needs more dims than beams
-        # The pilot directions Q^H (unit power), and per selected user B h,
-        # the unit observation-noise draw and the MMSE prior (its beam powers
-        # on its edges; unit noise power), do not depend on the SNR: form
-        # them once per T_dl, observe at every SNR and estimate all together.
-        q_h = make_pilot(t_eff, len(plan.beams), cfg.seed, trial, _PILOT, i_tdl)
-        h_eff = h_beam[np.ix_(plan.beams, plan.users)]
-        noise = np.stack([gaussian_complex(t_eff, cfg.seed, trial, k, _OBS_NOISE, i_tdl)
-                          for k in plan.users])
-        prior = graph[np.ix_(plan.beams, plan.users)].T
-        ys = np.stack([dl_observe(np.sqrt(p_dl) * q_h, h_eff.T, noise, 1.0)
-                       for p_dl in powers])
-        try:
-            h_hats = mmse_effective(ys, q_h, prior, powers, 1.0)
-        except FddsimError:
-            h_hats = None  # estimate each SNR alone, so a failure stays its own
-
-        for i, snr_db in enumerate(cfg.snr_db_list):
-            try:
-                h_hat = (h_hats[i] if h_hats is not None else
-                         mmse_effective(ys[i:i + 1], q_h, prior, powers[i:i + 1], 1.0)[0])
-                records.append(_grid_point(cfg, trial, t_dl, snr_db, powers[i], plan,
-                                           h_hat.T, h_eff, h_beam))
-            except FddsimError as exc:
-                records.append(ExperimentRecord(trial, cfg.seed, t_dl, snr_db, 0,
-                                                plan.matching_size, float("nan"), 0.0,
-                                                _failure("grid point", exc)))
+            h_hat = (h_hats[i] if h_hats is not None else
+                     mmse_effective(ys[i:i + 1], q_h, prior, powers[i:i + 1], 1.0)[0])
+            records.append(_grid_point(cfg, trial, t_dl, snr_db, powers[i], plan,
+                                       h_hat.T, h_eff, h_beam))
+        except (FddsimError, FloatingPointError) as exc:
+            records.append(_zero_rate(cfg, trial, t_dl, snr_db, plan.matching_size,
+                                      _failure("grid point", exc)))
     return records
 
 
-def _failure(stage: str, exc: FddsimError) -> str:
+def _failure(stage: str, exc: Exception) -> str:
     return f"{stage}: {type(exc).__name__}: {exc}"
 
 
+def _zero_rate(cfg, trial, t_dl, snr_db, matching_size, failure="") -> ExperimentRecord:
+    """The row of a grid point that serves no user: zero rate, err_norm nan."""
+    return ExperimentRecord(trial, cfg.seed, t_dl, snr_db, 0, matching_size,
+                            float("nan"), 0.0, failure)
+
+
+@np.errstate(over="raise", invalid="raise")  # an overflowed rate fails its point
 def _grid_point(cfg, trial, t_dl, snr_db, p_dl, plan, h_hat_eff, h_eff,
                 h_beam) -> ExperimentRecord:
     order = greedy_user_selection(h_hat_eff, p_dl, t_dl, cfg.t)
     served_cols = sorted(order)
     if not served_cols:
-        return ExperimentRecord(trial, cfg.seed, t_dl, snr_db, 0,
-                                plan.matching_size, float("nan"), 0.0)
+        return _zero_rate(cfg, trial, t_dl, snr_db, plan.matching_size)
     # greedy selection admitted this set only after its ZF rank test passed
     v = zf_precoder(h_hat_eff[:, served_cols])
     rate = sum_rate(effective_gains(h_eff[:, served_cols], v, p_dl), t_dl, cfg.t)

@@ -71,12 +71,15 @@ def mmse_effective(y: np.ndarray, q: np.ndarray, lam: np.ndarray,
     if not n0 >= 0:
         raise InvalidArgumentError("mmse_effective: noise level must be nonnegative")
     gram = (q * lam[:, None, :]) @ q.conj().T
-    inner = p_dl[:, None, None, None] * gram
-    inner += n0 * np.eye(t_dl)
-    try:
-        sol = np.linalg.solve(inner, y[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"mmse_effective: singular observation covariance: {exc}") from exc
+    # a power near the float limit overflows p G; the check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        inner = p_dl[:, None, None, None] * gram
+        inner += n0 * np.eye(t_dl)
+        try:
+            sol = np.linalg.solve(inner, y[..., None])[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                f"mmse_effective: singular observation covariance: {exc}") from exc
     if not np.all(np.isfinite(sol)):
         raise NumericalError("mmse_effective: non-finite solve result")
     return lam * (np.sqrt(p_dl)[:, None, None] * (sol @ q.conj()))

@@ -197,7 +197,10 @@ def test_scenario_config_value_exits_2_without_trials(tmp_path, capsys, line):
 
 def test_snr_beyond_float_power_exits_2(tmp_path, capsys):
     """An SNR whose power 10^(SNR/10) overflows a float fails at parse time
-    in one line, writing no records; 3000 dB (P_dl = 1e300) still runs."""
+    in one line, writing no records; 3000 dB (P_dl = 1e300) still runs. At
+    3080 dB the estimate or the rate overflows: each such grid point is a
+    recorded failure, with no RuntimeWarning (pytest turns warnings into
+    errors), and the 10 dB points still run."""
     path = tmp_path / "snr.cfg"
     out = tmp_path / "out.csv"
     path.write_text(SMALL_CFG.replace("snr_db_list = 10, 20", "snr_db_list = 4000"))
@@ -208,6 +211,16 @@ def test_snr_beyond_float_power_exits_2(tmp_path, capsys):
     path.write_text(SMALL_CFG.replace("snr_db_list = 10, 20", "snr_db_list = 3000"))
     assert main(["simulate", str(path), "-o", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 1 + 2 * 2
+    capsys.readouterr()
+    path.write_text(SMALL_CFG.replace("snr_db_list = 10, 20", "snr_db_list = 10, 3080"))
+    assert main(["simulate", str(path), "-o", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert "RuntimeWarning" not in err
+    assert "4 of 8 grid points failed (counted as zero rate)" in err
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert sorted(row[2] for row in rows) == ["10"] * 4 + ["3080"] * 4
+    for row in rows:  # served, err_norm, sum_rate_bits of a zero-rate row
+        assert ((row[3], row[5], row[6]) == ("0", "nan", "0")) == (row[2] == "3080")
 
 
 def test_sparsify_bad_file_exits_2(capsys):

@@ -354,8 +354,7 @@ def test_failed_snr_keeps_its_own_record():
     """An estimate that overflows at one SNR fails that grid point alone:
     the other SNRs of its T_dl keep the records they have without it."""
     cfg = ExperimentConfig(**{**SMALL, "snr_db_list": [10.0, 3080.0]})
-    with np.errstate(over="ignore", invalid="ignore"):
-        records = run_trial(cfg, 0)
+    records = run_trial(cfg, 0)
     ok = [r for r in records if r.snr_db == 10.0]
     ref = [r for r in run_trial(ExperimentConfig(**SMALL), 0) if r.snr_db == 10.0]
     assert [r.csv_row() for r in ok] == [r.csv_row() for r in ref]
@@ -365,6 +364,46 @@ def test_failed_snr_keeps_its_own_record():
     for rec in failed:
         assert rec.failure == "grid point: NumericalError: mmse_effective: non-finite solve result"
         assert (rec.served, rec.sum_rate_bits) == (0, 0.0)
+
+
+def test_overflowed_rate_fails_its_own_grid_point():
+    """In trial 1 the 3080 dB estimate of T_dl 4 is finite, but its rate
+    overflows: that grid point fails with the overflow as its reason
+    instead of writing a NaN rate, and the 10 dB records do not move."""
+    cfg = ExperimentConfig(**{**SMALL, "snr_db_list": [10.0, 3080.0]})
+    records = run_trial(cfg, 1)
+    ref = [r for r in run_trial(ExperimentConfig(**SMALL), 1) if r.snr_db == 10.0]
+    assert [r.csv_row() for r in records if r.snr_db == 10.0] == [r.csv_row() for r in ref]
+    rec = next(r for r in records if (r.tdl, r.snr_db) == (4, 3080.0))
+    assert rec.failure.startswith("grid point: FloatingPointError: overflow")
+    assert (rec.served, rec.sum_rate_bits) == (0, 0.0) and math.isnan(rec.err_norm)
+
+
+def test_run_trial_runs_the_per_user_estimator(monkeypatch):
+    """A trial estimates its users with estimate_user_pipeline, the
+    estimator `fddsim extrapolate` runs, once per user, and sparsifies the
+    beam graph of the spectra it returns."""
+    import fddsim.evaluation as ev
+
+    cfg = ExperimentConfig(**SMALL)
+    calls, spectra, graphs = [], [], []
+    pipeline, solve = ev.estimate_user_pipeline, ev.solve_sparsification
+
+    def recording(cfg_, asf, trial, k):
+        out = pipeline(cfg_, asf, trial, k)
+        calls.append((trial, k))
+        spectra.append(out[2])
+        return out
+
+    monkeypatch.setattr(ev, "estimate_user_pipeline", recording)
+    monkeypatch.setattr(ev, "solve_sparsification",
+                        lambda g, *args, **kw: graphs.append(g) or solve(g, *args, **kw))
+    run_trial(cfg, 0)
+    assert calls == [(0, k) for k in range(cfg.k)]
+    assert len(graphs) == len(cfg.tdl_list)
+    ref = ev.build_beam_graph(np.column_stack(spectra), th_rel=cfg.th_rel)
+    for g in graphs:
+        np.testing.assert_array_equal(g, ref)
 
 
 def test_run_trial_record_invariants():
