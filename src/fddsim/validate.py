@@ -3,8 +3,9 @@
 Each suite returns a SuiteResult; the CLI ``validate`` subcommand prints a
 pass/fail table and the acceptance tests assert on the same functions. The
 oracles the suites check against live here too and nowhere in the
-pipeline: the dense DFT matrix, the numerical rank, the closed-form MMSE
-error trace and the enumeration oracles for beam/user selection and NNLS.
+pipeline: the numerical rank, the closed-form MMSE error trace and the
+enumeration oracles for beam/user selection and NNLS. The dense DFT matrix
+is an oracle of the tests only; no suite uses it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .covariance import (DEFAULT_GRID_FACTOR, circulant_eigenvalues, estimate_as
                          nnls, steering)
 from .errors import InvalidArgumentError
 from .numerics import gaussian_complex, rng_stream, toeplitz_average, toeplitz_from_column
-from .probing import make_pilot, mmse_effective
+from .probing import dl_observe, make_pilot, mmse_effective
 from .sparsifier import (SparsificationPlan, formulate_milp, max_matching,
                          solve_sparsification)
 
@@ -51,31 +52,29 @@ def numerical_rank(a: np.ndarray) -> int:
     return int(np.count_nonzero(w > top * RANK_RTOL))
 
 
-def error_trace_oracle(psi: np.ndarray, support_columns: np.ndarray,
-                       variances: np.ndarray, n0: float) -> float:
+def error_trace_oracle(psi: np.ndarray, variances: np.ndarray, n0: float) -> float:
     """Closed-form MMSE error trace for the unit-variance expansion
-    coefficients: s - sum_i mu_i / (N0 + mu_i), with mu_i the eigenvalues
-    of Lam^(1/2) F_S^H Psi^H Psi F_S Lam^(1/2)."""
-    f_s = np.asarray(support_columns, dtype=complex)
+    coefficients: s - sum_i mu_i / (N0 + mu_i), with mu_i the eigenvalues of
+    Lam^(1/2) Psi^H Psi Lam^(1/2) and Psi (T_dl x s) the pilot as the s
+    support coefficients see it (Psi F_S for an antenna-domain Psi)."""
+    psi = np.asarray(psi, dtype=complex)
     variances = np.asarray(variances, dtype=float)
-    s = f_s.shape[1]
+    s = psi.shape[1]
     if s < 1:
         raise InvalidArgumentError("error_trace_oracle: empty support")
     if variances.shape != (s,):
         raise InvalidArgumentError("error_trace_oracle: one variance per support column")
     half = np.sqrt(variances)
-    pf = psi @ f_s
-    a = (half[:, None] * (pf.conj().T @ pf) * half[None, :])
+    a = (half[:, None] * (psi.conj().T @ psi) * half[None, :])
     mu = np.maximum(np.linalg.eigvalsh(a), 0.0)
     denom = n0 + mu
     ratio = np.divide(mu, denom, out=np.zeros_like(mu), where=denom > 0)
     return float(s - np.sum(ratio))
 
 
-def random_beam_graph(rng: np.random.Generator, n_beams: int, n_users: int,
-                      edge_prob: float = 0.5) -> np.ndarray:
-    """Edge-power array with each edge present with ``edge_prob``."""
-    edges = rng.random((n_beams, n_users)) < edge_prob
+def random_beam_graph(rng: np.random.Generator, n_beams: int, n_users: int) -> np.ndarray:
+    """Edge-power array with each edge present with probability 1/2."""
+    edges = rng.random((n_beams, n_users)) < 0.5
     return np.where(edges, rng.random((n_beams, n_users)) + 0.05, 0.0)
 
 
@@ -224,64 +223,51 @@ def suite_node_lp_integrality(n_instances: int = 200, seed: int = 77,
                        f"fixed-selector LPs: {z_dev:.3g}")
 
 
-# Fixed constants for the stability suite: 32 beams, 8-sparse support.
-_STABILITY_M = 32
+# Fixed constants for the stability suite: an 8-beam plan, unit priors.
 _STABILITY_S = 8
 _STABILITY_SEED = 5
 
 
 def _stability_setup(t_dl: int):
-    """Antenna-domain pilot that probes through the sparsifying precoder
-    matched to a random 8-beam support, as the system does."""
-    f = dft_matrix(_STABILITY_M)
-    rng = rng_stream(_STABILITY_SEED, 17)
-    support = np.sort(rng.choice(_STABILITY_M, size=_STABILITY_S, replace=False))
-    # the sparsifying precoder: the support's rows of F^H
-    psi = make_pilot(t_dl, _STABILITY_S, _STABILITY_SEED, 19) @ f[:, support].conj().T
-    return psi, f[:, support], np.ones(_STABILITY_S)
+    """The unit T_dl x 8 pilot and unit beam variances: what ``evaluate_tdl``
+    sends to a user with unit priors on an 8-beam plan."""
+    return make_pilot(t_dl, _STABILITY_S, _STABILITY_SEED, 19), np.ones(_STABILITY_S)
 
 
 def suite_estimation_stability(decade_tol: float = 0.15) -> SuiteResult:
     """Estimation-error trace behavior: O(N0) decay when the pilot
-    dimension covers the sparsity, and a fixed positive floor otherwise."""
-    pilot8, f_s, lam = _stability_setup(_STABILITY_S)
-    vals = [error_trace_oracle(pilot8, f_s, lam, n0)
-            for n0 in (1e-2, 1e-3, 1e-4)]
+    dimension covers the sparsity, a fixed positive floor otherwise, and
+    the pipeline's ``mmse_effective`` within 3% of the closed form."""
+    pilot8, lam = _stability_setup(_STABILITY_S)
+    vals = [error_trace_oracle(pilot8, lam, n0) for n0 in (1e-2, 1e-3, 1e-4)]
     ratios = [vals[0] / vals[1], vals[1] / vals[2]]
     ok_a = all(abs(r - 10.0) <= 10.0 * decade_tol for r in ratios)
 
-    pilot6, f_s6, lam6 = _stability_setup(_STABILITY_S - 2)
-    floor = error_trace_oracle(pilot6, f_s6, lam6, 1e-8)
+    pilot6, lam6 = _stability_setup(_STABILITY_S - 2)
+    floor = error_trace_oracle(pilot6, lam6, 1e-8)
     ok_b = abs(floor - 2.0) <= 1e-3
+
+    emp, closed = mmse_empirical_vs_oracle()
     return SuiteResult(
-        "estimation-stability", ok_a and ok_b,
+        "estimation-stability", ok_a and ok_b and abs(emp - closed) <= 0.03 * closed,
         f"decay ratios {ratios[0]:.2f},{ratios[1]:.2f} (target 10); "
-        f"undersampled floor {floor:.6f} (target 2)")
+        f"undersampled floor {floor:.6f} (target 2); "
+        f"mmse_effective error trace {emp:.4f} vs closed form {closed:.4f}")
 
 
 def mmse_empirical_vs_oracle(n_draws: int = 2000, n0: float = 0.1):
     """(empirical, closed-form) MMSE error trace for the stability setup:
-    average squared estimation error over fresh channel/noise draws."""
-    psi, f_s, lam = _stability_setup(_STABILITY_S)
-    f = dft_matrix(_STABILITY_M)
-    # f_s columns are DFT columns, so the beam-domain support is where
-    # |F^H f_s| peaks at 1.
-    support = [int(np.argmax(np.abs(f.conj().T @ f_s[:, i])))
-               for i in range(_STABILITY_S)]
-    eff_psi = psi @ f
-    prior = np.zeros((1, _STABILITY_M))
-    prior[0, support] = lam
+    the average squared error of ``mmse_effective`` over fresh channel and
+    noise draws, all observed by one ``dl_observe`` call."""
+    q, lam = _stability_setup(_STABILITY_S)
+    # per draw, as gaussian_complex draws them: channel then noise, each real then imag
     rng = rng_stream(_STABILITY_SEED, 37)
-    total = 0.0
-    for _ in range(n_draws):
-        g = gaussian_complex(_STABILITY_S, rng)
-        h_beam = np.zeros(_STABILITY_M, dtype=complex)
-        h_beam[support] = g
-        noise = np.sqrt(n0) * gaussian_complex(eff_psi.shape[0], rng)
-        y = eff_psi @ h_beam + noise
-        h_hat = mmse_effective(y[None, None, :], eff_psi, prior, [1.0], n0)[0, 0]
-        total += float(np.linalg.norm(h_beam - h_hat) ** 2)
-    return total / n_draws, error_trace_oracle(psi, f_s, lam, n0)
+    parts = rng.standard_normal((n_draws, 2, 2, _STABILITY_S)) * (1.0 / np.sqrt(2.0))
+    h, noise = np.moveaxis(parts[..., 0, :] + 1j * parts[..., 1, :], 1, 0)
+    h_hat = mmse_effective(dl_observe(q, h, noise, n0)[None], q,
+                           np.tile(lam, (n_draws, 1)), [1.0], n0)[0]
+    emp = float(np.mean(np.sum(np.abs(h - h_hat) ** 2, axis=1)))
+    return emp, error_trace_oracle(q, lam, n0)
 
 
 def szego_errors(m_values=(16, 32, 64, 128)) -> list:
@@ -338,7 +324,7 @@ def suite_projection(n_inputs: int = 50, n_samples: int = 10**4,
     for _ in range(n_inputs):
         h = gaussian_complex(size * size, rng).reshape(size, size)
         a = 0.5 * (h + h.conj().T)
-        z = estimate_asf(toeplitz_average(a), grid_size=g)
+        z = estimate_asf(toeplitz_average(a))
         d_fit = np.sqrt(max(_toeplitz_distance_sq(a, (gm @ z)[None, :])[0], 0.0))
         # a grid measure of mass sqrt(M) * c has T(gm @ measure) diagonal c
         mass = np.sqrt(size) * max(float(np.trace(a).real) / size, 0.5)

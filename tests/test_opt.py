@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from fddsim import covariance
 from fddsim.covariance import nnls
-from fddsim.errors import InvalidArgumentError
+from fddsim.errors import InvalidArgumentError, NumericalError
 from fddsim.numerics import rng_stream
 from fddsim.sparsifier import SelectionMilp, max_matching, milp_solve
 from fddsim.validate import nnls_bruteforce_objective
@@ -93,6 +94,22 @@ def test_nnls_matches_enumeration():
         assert np.all(z >= 0)
         obj = float(np.linalg.norm(a @ z - b))
         assert obj <= nnls_bruteforce_objective(a, b) + 1e-8
+
+
+def test_nnls_iteration_cap_raises(monkeypatch):
+    """SciPy's RuntimeError at the iteration cap (10 n for n columns, passed
+    as ``maxiter``) becomes a NumericalError that names the cap."""
+    caps = []
+
+    def capped(a, b, maxiter):
+        caps.append(maxiter)
+        raise RuntimeError("Maximum number of iterations reached.")
+
+    monkeypatch.setattr(covariance, "_scipy_nnls", capped)
+    with pytest.raises(NumericalError, match=r"^nnls: iteration cap 40 exceeded$") as exc:
+        nnls(np.ones((6, 4)), np.ones(6))
+    assert caps == [40]
+    assert isinstance(exc.value.__cause__, RuntimeError)
 
 
 # ------------------------------------------------------------------------ MILP

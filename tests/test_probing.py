@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fddsim import validate
 from fddsim.errors import InvalidArgumentError, NumericalError
 from fddsim.numerics import gaussian_complex, rng_stream
 from fddsim.probing import dl_observe, make_pilot, mmse_effective
@@ -153,6 +154,20 @@ def test_mmse_empirical_matches_oracle():
     assert abs(emp - oracle) / oracle < 0.03
 
 
+def test_mmse_empirical_is_one_stacked_call(monkeypatch):
+    """The empirical check runs the pipeline's DL estimator as the pipeline
+    does: every draw observed by one ``dl_observe`` call and estimated by one
+    ``mmse_effective`` call."""
+    calls = []
+    observe, estimate = validate.dl_observe, validate.mmse_effective
+    monkeypatch.setattr(validate, "dl_observe",
+                        lambda *args: calls.append("dl_observe") or observe(*args))
+    monkeypatch.setattr(validate, "mmse_effective",
+                        lambda *args: calls.append("mmse_effective") or estimate(*args))
+    mmse_empirical_vs_oracle(2000)
+    assert calls == ["dl_observe", "mmse_effective"]
+
+
 def test_mmse_rejects_mismatched_dims():
     psi = make_pilot(3, 6, 46, 0)
     y = gaussian_complex(6, 46, 1).reshape(2, 1, 3)  # two powers, one user
@@ -185,7 +200,7 @@ def test_mmse_rejects_mismatched_dims():
 def test_error_trace_huge_noise_limit():
     psi = make_pilot(4, 8, 47, 0)
     f_s = dft_matrix(8)[:, [0, 2, 5]]
-    val = error_trace_oracle(psi, f_s, np.ones(3), 1e14)
+    val = error_trace_oracle(psi @ f_s, np.ones(3), 1e14)
     assert abs(val - 3.0) < 1e-6
 
 
@@ -194,7 +209,7 @@ def test_error_trace_vanishes_with_noise_when_covered():
     f_s = dft_matrix(8)[:, [0, 2, 5]]
     psi = make_pilot(3, 3, 48, 0) @ f_s.conj().T  # probes through beams 0, 2, 5
     n0s = [1e-4, 1e-6, 1e-8]
-    vals = [error_trace_oracle(psi, f_s, np.ones(3), n0) for n0 in n0s]
+    vals = [error_trace_oracle(psi @ f_s, np.ones(3), n0) for n0 in n0s]
     assert vals[-1] < 1e-7
     ratios = [v / n0 for v, n0 in zip(vals, n0s)]
     assert abs(ratios[1] - ratios[2]) / ratios[2] < 0.01
@@ -206,5 +221,5 @@ def test_error_trace_floor_when_undersampled():
     s, t_dl, m = 5, 3, 12
     cols = np.linalg.qr(gaussian_complex(m * s, rng).reshape(m, s))[0]
     psi = make_pilot(t_dl, m, 49, 1)
-    val = error_trace_oracle(psi, cols, np.ones(s), 1e-12)
+    val = error_trace_oracle(psi @ cols, np.ones(s), 1e-12)
     assert abs(val - (s - t_dl)) < 1e-6
