@@ -74,42 +74,59 @@ def sum_rate(b: np.ndarray, t_dl: int, t: int) -> float:
     return float(pre * np.sum(np.log2(1.0 + sig / (1.0 + interf))))
 
 
-def greedy_user_selection(h_hat_eff: np.ndarray, p_dl: float, t_dl: int,
+def greedy_user_selection(h_hat_eff: np.ndarray, p_dl: np.ndarray, t_dl: int,
                           t: int) -> list:
-    """Greedy ZF user selection: repeatedly add the candidate maximizing the
-    estimated sum rate (perfect ZF on the estimates, uniform power); stop
-    when no addition improves it. Ties go to the lowest column index.
+    """Greedy ZF user selection for a stack of P estimates of one T_dl
+    (``h_hat_eff`` is P x M' x n, one estimate per pilot power ``p_dl``):
+    repeatedly add the candidate maximizing the estimated sum rate (perfect
+    ZF on the estimates, uniform power); stop when no addition improves it.
+    Ties go to the lowest column index. Returns P selections.
 
-    Each step scores every remaining candidate c at once on the Gram
-    submatrices G of ``selected + [c]``, stacked: a candidate whose G has
+    The P greedy loops run in lockstep. Each step scores every remaining
+    candidate c of every unfinished member at once on the Gram submatrices
+    G of ``selected + [c]``, stacked: a candidate whose G has
     w_min <= ZF_COND_TOL * w_max is rank deficient (rate -inf), as in
     zf_precoder, and otherwise J_k = 1 / (G^-1)_kk, the inverse squared
-    column norm of H G^-1.
+    column norm of H G^-1. The stacked eigenvalue and inverse calls run
+    the same per-matrix LAPACK routines as one member alone would, so a
+    member's selection does not depend on the others.
     """
     h = np.asarray(h_hat_eff, dtype=complex)
-    if h.ndim != 2 or h.shape[1] < 1:
-        raise InvalidArgumentError("greedy_user_selection: no candidates")
-    m_prime, n_cand = h.shape
+    p_dl = np.asarray(p_dl, dtype=float)
+    if h.ndim != 3 or h.shape[2] < 1 or p_dl.shape != h.shape[:1]:
+        raise InvalidArgumentError("greedy_user_selection: need P x M' x n estimates "
+                                   "with n >= 1 candidates and P powers")
+    n_inst, m_prime, n_cand = h.shape
     pre = max(0.0, 1.0 - t_dl / t)
-    gram = h.conj().T @ h
+    # einsum rounds every entry alike; one gemm rounds by column position, so
+    # two equal columns could get unequal Gram entries and break their tie
+    gram = np.einsum("pmi,pmj->pij", h.conj(), h)
 
-    selected: list = []
-    best = 0.0
-    while len(selected) < min(n_cand, m_prime):
-        cands = [c for c in range(n_cand) if c not in selected]
-        idx = np.array([selected + [c] for c in cands])
-        sub = gram[idx[:, :, None], idx[:, None, :]]
+    selected = [[] for _ in range(n_inst)]
+    best = np.zeros(n_inst)
+    live = list(range(n_inst))
+    for size in range(1, min(n_cand, m_prime) + 1):
+        if not live:
+            break
+        # every live member holds size - 1 users: stack its candidate sets
+        cands = [[c for c in range(n_cand) if c not in selected[p]] for p in live]
+        idx = np.array([[selected[p] + [c] for c in cs] for p, cs in zip(live, cands)])
+        sub = gram[np.array(live)[:, None, None, None], idx[..., :, None], idx[..., None, :]]
         w = np.linalg.eigvalsh(sub)
-        full_rank = w[:, 0] > ZF_COND_TOL * np.maximum(w[:, -1], 1e-300)
-        rates = np.full(len(cands), -math.inf)
+        full_rank = w[..., 0] > ZF_COND_TOL * np.maximum(w[..., -1], 1e-300)
+        rates = np.full(full_rank.shape, -math.inf)
         if full_rank.any():
             j = 1.0 / np.diagonal(np.linalg.inv(sub[full_rank]), axis1=1, axis2=2).real
-            rates[full_rank] = pre * np.sum(np.log2(1.0 + j * (p_dl / idx.shape[1])), axis=1)
-        i = int(np.argmax(rates))  # the first maximum: ties go to the lowest index
-        if rates[i] <= best:
-            break
-        selected.append(cands[i])
-        best = rates[i]
+            p_user = (p_dl[live] / size)[np.nonzero(full_rank)[0]]
+            rates[full_rank] = pre * np.sum(np.log2(1.0 + j * p_user[:, None]), axis=1)
+        still = []
+        for row, p in enumerate(live):
+            i = int(np.argmax(rates[row]))  # the first maximum: ties go to the lowest index
+            if rates[row, i] > best[p]:
+                selected[p].append(cands[row][i])
+                best[p] = rates[row, i]
+                still.append(p)
+        live = still
     return selected
 
 
@@ -198,8 +215,10 @@ def trial_state(cfg: ExperimentConfig, trial: int) -> tuple[np.ndarray, np.ndarr
 def evaluate_tdl(cfg: ExperimentConfig, trial: int, i_tdl: int, t_dl: int,
                  graph: np.ndarray, h_beam: np.ndarray) -> list:
     """The records of one T_dl of a trial, one per SNR: sparsify, probe,
-    estimate and serve. A failed sparsify fails every SNR of the T_dl; a
-    failed estimate or an overflowed rate fails only its own SNR."""
+    estimate and serve. The estimates and the greedy selections of all SNRs
+    are each made in one stacked call. A failed sparsify fails every SNR of
+    the T_dl; a failed estimate or an overflowed rate fails only its own
+    SNR, which is then estimated or selected alone."""
     failure = ""
     try:
         plan = solve_sparsification(graph, t_dl, p0=cfg.p0)
@@ -220,16 +239,20 @@ def evaluate_tdl(cfg: ExperimentConfig, trial: int, i_tdl: int, t_dl: int,
     ys = np.stack([dl_observe(np.sqrt(p_dl) * q_h, h_eff.T, noise, 1.0)
                    for p_dl in powers])
     try:
-        h_hats = mmse_effective(ys, q_h, prior, powers, 1.0)
+        h_hats = np.swapaxes(mmse_effective(ys, q_h, prior, powers, 1.0), 1, 2)
+        with np.errstate(over="raise", invalid="raise"):
+            orders = greedy_user_selection(h_hats, powers, t_dl, cfg.t)
+    except FloatingPointError:
+        orders = [None] * len(powers)  # select each SNR alone: an overflow stays its own
     except FddsimError:
-        h_hats = None  # estimate each SNR alone, so a failure stays its own
+        h_hats, orders = None, [None] * len(powers)  # estimate each SNR alone, likewise
     records = []
     for i, snr_db in enumerate(cfg.snr_db_list):
         try:
             h_hat = (h_hats[i] if h_hats is not None else
-                     mmse_effective(ys[i:i + 1], q_h, prior, powers[i:i + 1], 1.0)[0])
+                     mmse_effective(ys[i:i + 1], q_h, prior, powers[i:i + 1], 1.0)[0].T)
             records.append(_grid_point(cfg, trial, t_dl, snr_db, powers[i], plan,
-                                       h_hat.T, h_eff, h_beam))
+                                       h_hat, orders[i], h_eff, h_beam))
         except (FddsimError, FloatingPointError) as exc:
             records.append(_zero_rate(cfg, trial, t_dl, snr_db, plan.matching_size,
                                       _failure("grid point", exc)))
@@ -247,9 +270,10 @@ def _zero_rate(cfg, trial, t_dl, snr_db, matching_size, failure="") -> Experimen
 
 
 @np.errstate(over="raise", invalid="raise")  # an overflowed rate fails its point
-def _grid_point(cfg, trial, t_dl, snr_db, p_dl, plan, h_hat_eff, h_eff,
+def _grid_point(cfg, trial, t_dl, snr_db, p_dl, plan, h_hat_eff, order, h_eff,
                 h_beam) -> ExperimentRecord:
-    order = greedy_user_selection(h_hat_eff, p_dl, t_dl, cfg.t)
+    if order is None:  # the stacked selection did not run
+        order = greedy_user_selection(h_hat_eff[None], np.array([p_dl]), t_dl, cfg.t)[0]
     served_cols = sorted(order)
     if not served_cols:
         return _zero_rate(cfg, trial, t_dl, snr_db, plan.matching_size)

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import nnls as scipy_nnls
 from hypothesis import given, settings, strategies as st
 
 from dykstra import project_toeplitz_psd
@@ -201,7 +202,7 @@ def test_nnls_kkt_on_pipeline_inputs(seed, monkeypatch):
     a, row_w = covariance._asf_system(cfg.m, covariance.DEFAULT_GRID_FACTOR * cfg.m)
     norm_a = np.linalg.norm(a, 2)
     for c_ul, z in fitted:
-        b = np.concatenate([c_ul.real, c_ul.imag]) * row_w
+        b = np.concatenate([c_ul.real, c_ul.imag[1:]]) * row_w
         w = a.T @ (b - a @ z)
         tau = 1e-12 * norm_a * np.linalg.norm(b)
         assert np.all(z >= 0)
@@ -209,12 +210,77 @@ def test_nnls_kkt_on_pipeline_inputs(seed, monkeypatch):
         assert np.all(np.abs(w[z > 0]) <= tau)
 
 
+def _full_design(m, g):
+    """The weighted real system on all 2M rows Re c_d, Im c_d, with the
+    row Im c_0 that estimate_asf drops."""
+    gm = _ul_response(m, g)
+    n_d = 2.0 * (m - np.arange(m))
+    n_d[0] = m
+    row_w = np.tile(np.sqrt(n_d), 2)
+    return np.vstack([gm.real, gm.imag]) * row_w[:, None], row_w
+
+
+@pytest.mark.parametrize("m", [8, 64])
+def test_asf_system_has_no_zero_row(m):
+    """The design has the 2M - 1 rows Re c_0..c_{M-1}, Im c_1..c_{M-1}:
+    the one row that is zero in the full stack, Im c_0, is gone."""
+    g = covariance.DEFAULT_GRID_FACTOR * m
+    a, row_w = covariance._asf_system(m, g)
+    assert a.shape == (2 * m - 1, g) and row_w.shape == (2 * m - 1,)
+    assert np.all(np.abs(a).max(axis=1) > 0)
+    full, _ = _full_design(m, g)
+    assert not np.any(full[m])  # Im c_0: sin(0) = 0 on every grid point
+
+
+def _pipeline_inputs(cfg, monkeypatch):
+    """The UL columns estimate_user_pipeline fits for the users of trial 0."""
+    seen = []
+    monkeypatch.setattr(evaluation, "estimate_asf",
+                        lambda c_ul: seen.append(c_ul) or estimate_asf(c_ul))
+    for k, user in enumerate(trial_scenario(cfg, 0)):
+        estimate_user_pipeline(cfg, user.asf, 0, k)
+    return seen
+
+
+@pytest.mark.parametrize("m, k", [(64, 8), (128, 2)])
+def test_row_drop_matches_full_design(m, k, monkeypatch):
+    """On the users of trial 0 (seed 1; at M=64 the acceptance config's 8),
+    the fit on 2M - 1 rows is SciPy's NNLS on all 2M rows within
+    1e-8 max z, and it meets the KKT conditions of the 2M-row objective
+    at tau = 1e-12 ||A|| ||b||."""
+    cfg = ExperimentConfig(m=m, k=k, t=m, tdl_list=[8], snr_db_list=[20.0],
+                           n_trials=1, seed=1, n_ul=500)
+    a, row_w = _full_design(m, covariance.DEFAULT_GRID_FACTOR * m)
+    norm_a = np.linalg.norm(a, 2)
+    inputs = _pipeline_inputs(cfg, monkeypatch)
+    assert len(inputs) == k
+    for c_ul in inputs:
+        b = np.concatenate([c_ul.real, c_ul.imag]) * row_w
+        z = estimate_asf(c_ul)
+        z_full = scipy_nnls(a, b, maxiter=10 * a.shape[1])[0]
+        assert np.abs(z - z_full).max() <= 1e-8 * z_full.max()
+        w = a.T @ (b - a @ z)
+        tau = 1e-12 * norm_a * np.linalg.norm(b)
+        assert np.all(z >= 0)
+        assert np.all(w[z == 0] <= tau)
+        assert np.all(np.abs(w[z > 0]) <= tau)
+
+
+def test_estimate_asf_ignores_imag_c0():
+    """Im c_0 is outside every grid measure's covariance (c_0 is the real
+    total power), so the fit does not read it: bit-identical weights."""
+    c_ul = true_covariance(TWO_CLUSTER, 16, 1.0)
+    e0 = np.zeros(16)
+    e0[0] = 1.0
+    np.testing.assert_array_equal(estimate_asf(c_ul + 1j * e0), estimate_asf(c_ul))
+
+
 def test_projection_suite_catches_unweighted_fit(monkeypatch):
     """The projection suite checks the estimator itself: with unit row
     weights, i.e. the unweighted column fit, it fails."""
     def unweighted(m, g):
         gm = steering(m, g, 1.0) / np.sqrt(m)
-        return np.vstack([gm.real, gm.imag]), np.ones(2 * m)
+        return np.vstack([gm.real, gm.imag[1:]]), np.ones(2 * m - 1)
     monkeypatch.setattr(covariance, "_asf_system", unweighted)
     assert suite_projection().passed is False
 
@@ -225,9 +291,9 @@ def _uncached_estimate(c_ul, alpha, g):
     gm = _ul_response(m, g)
     n_d = 2.0 * (m - np.arange(m))
     n_d[0] = m
-    row_w = np.tile(np.sqrt(n_d), 2)
-    z = nnls(np.vstack([gm.real, gm.imag]) * row_w[:, None],
-             np.concatenate([c_ul.real, c_ul.imag]) * row_w)
+    row_w = np.sqrt(np.concatenate([n_d, n_d[1:]]))
+    z = nnls(np.vstack([gm.real, gm.imag[1:]]) * row_w[:, None],
+             np.concatenate([c_ul.real, c_ul.imag[1:]]) * row_w)
     exps = np.exp(1j * np.pi * alpha * np.outer(np.arange(m), asf_grid(g)))
     return z, exps @ (z / np.sqrt(m)).astype(complex)
 

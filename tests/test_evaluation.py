@@ -114,15 +114,28 @@ def test_sum_rate_rejects_tdl_above_t():
 
 def test_greedy_orthogonal_users_all_selected():
     h = dft_matrix(8)[:, :4]
-    sel = greedy_user_selection(h, p_dl=4.0, t_dl=8, t=64)
+    [sel] = greedy_user_selection(h[None], np.array([4.0]), t_dl=8, t=64)
     assert sorted(sel) == [0, 1, 2, 3]
 
 
 def test_greedy_duplicate_user_selected_once():
     col = gaussian_complex(6, 75, 0)
     h = np.column_stack([col, col])
-    sel = greedy_user_selection(h, p_dl=2.0, t_dl=8, t=64)
+    [sel] = greedy_user_selection(h[None], np.array([2.0]), t_dl=8, t=64)
     assert len(sel) == 1
+
+
+def test_greedy_equal_columns_tie_to_the_lowest_index():
+    """Two equal strongest columns tie at the first step wherever they sit,
+    and the tie goes to the lower index."""
+    rng = rng_stream(75, 2)
+    for m_prime, n_cand in itertools.product(range(1, 9), range(2, 11)):
+        for a, b in itertools.combinations(range(n_cand), 2):
+            h = gaussian_complex(m_prime * n_cand, rng).reshape(m_prime, n_cand)
+            h[:, a] *= 100.0
+            h[:, b] = h[:, a]
+            [sel] = greedy_user_selection(h[None], np.array([100.0]), 8, 64)
+            assert sel[0] == a, (m_prime, n_cand, a, b)
 
 
 def test_greedy_near_optimal_on_random_instances():
@@ -142,7 +155,7 @@ def test_greedy_near_optimal_on_random_instances():
         h = gaussian_complex(40, rng).reshape(8, 5)
         p_dl, t_dl, t = 10.0, 8, 64
         pre = 1 - t_dl / t
-        sel = frozenset(greedy_user_selection(h, p_dl, t_dl, t))
+        sel = frozenset(greedy_user_selection(h[None], np.array([p_dl]), t_dl, t)[0])
         scored = []
         for r in range(1, 6):
             for combo in itertools.combinations(range(5), r):
@@ -182,30 +195,65 @@ def _greedy_per_candidate(h, p_dl, t_dl, t):
 
 
 def test_greedy_matches_per_candidate_reference():
-    """Identical selections on random instances, including duplicate and
-    zero columns, more candidates than beams and column scales 1e-3..1e3."""
+    """Every member of a stack of P in {1, 3, 5} estimates at different
+    powers gets the reference's selection, including duplicate and zero
+    columns, more candidates than beams, column scales 1e-3..1e3 and
+    members that stop at different steps."""
     rng = rng_stream(78, 0)
     kinds = set()
-    for _ in range(600):
+    for n_inst in [1, 3, 5] * 100:
         m_prime = int(rng.integers(1, 9))
         n_cand = int(rng.integers(1, 11))
-        h = gaussian_complex(m_prime * n_cand, rng).reshape(m_prime, n_cand)
-        if rng.random() < 0.3:
-            h = h * 10.0 ** rng.uniform(-3.0, 3.0, n_cand)
-            kinds.add("scaled")
-        if n_cand > 1 and rng.random() < 0.2:
-            h[:, n_cand - 1] = h[:, int(rng.integers(0, n_cand - 1))]
-            kinds.add("duplicate")
-        if rng.random() < 0.15:
-            h[:, int(rng.integers(0, n_cand))] = 0.0
-            kinds.add("zero")
+        stack = gaussian_complex(n_inst * m_prime * n_cand, rng).reshape(n_inst, m_prime, n_cand)
+        for h in stack:
+            if rng.random() < 0.3:
+                h *= 10.0 ** rng.uniform(-3.0, 3.0, n_cand)
+                kinds.add("scaled")
+            if n_cand > 1 and rng.random() < 0.2:
+                h[:, n_cand - 1] = h[:, int(rng.integers(0, n_cand - 1))]
+                kinds.add("duplicate")
+            if rng.random() < 0.15:
+                h[:, int(rng.integers(0, n_cand))] = 0.0
+                kinds.add("zero")
         if m_prime < n_cand:
             kinds.add("wide")
-        p_dl = 10.0 ** rng.uniform(-1.0, 3.0)
+        powers = 10.0 ** rng.uniform(-1.0, 3.0, n_inst)
         t_dl = int(rng.integers(1, 65))
-        assert (greedy_user_selection(h, p_dl, t_dl, 64)
-                == _greedy_per_candidate(h, p_dl, t_dl, 64))
-    assert kinds == {"scaled", "duplicate", "zero", "wide"}
+        got = greedy_user_selection(stack, powers, t_dl, 64)
+        assert got == [_greedy_per_candidate(h, p_dl, t_dl, 64)
+                       for h, p_dl in zip(stack, powers)]
+        if len({len(sel) for sel in got}) > 1:
+            kinds.add("staggered")
+    assert kinds == {"scaled", "duplicate", "zero", "wide", "staggered"}
+
+
+def test_greedy_rejects_an_unstacked_estimate():
+    h = gaussian_complex(6, 75, 1).reshape(3, 2)
+    with pytest.raises(InvalidArgumentError):
+        greedy_user_selection(h, 2.0, 8, 64)
+    with pytest.raises(InvalidArgumentError):
+        greedy_user_selection(h[None], np.array([2.0, 4.0]), 8, 64)
+
+
+def test_run_trial_selects_each_tdl_in_one_stacked_call(monkeypatch):
+    """On the acceptance config a trial makes one greedy call per T_dl,
+    on the stack of that T_dl's estimates at every SNR."""
+    import fddsim.evaluation as ev
+
+    cfg = ExperimentConfig(m=64, k=8, t=64, tdl_list=[8, 16, 24, 32, 48],
+                           snr_db_list=[10.0, 20.0, 30.0], n_trials=1, seed=1,
+                           n_ul=500, th_rel=1e-3)
+    calls = []
+    greedy = ev.greedy_user_selection
+
+    def recording(h, p_dl, t_dl, t):
+        calls.append((h.shape[0], list(p_dl), t_dl))
+        return greedy(h, p_dl, t_dl, t)
+
+    monkeypatch.setattr(ev, "greedy_user_selection", recording)
+    records = run_trial(cfg, 0)
+    assert calls == [(3, [10.0, 100.0, 1000.0], t_dl) for t_dl in cfg.tdl_list]
+    assert len(records) == 15 and not any(r.failure for r in records)
 
 
 # ------------------------------------------------------------ normalized error
