@@ -8,7 +8,8 @@ domain on plain arrays: the probing input, the true effective channels
 and the estimation error read the selected beams' rows of F^H h.
 
 SNR convention: unit noise power, so P_dl = SNR. Rates are in bits/s/Hz
-(log base 2) and include the DL training overhead prefactor (1 - T_dl/T).
+(log base 2) and include the DL training overhead prefactor (1 - t_eff/T),
+charged for the t_eff = min(T_dl, M') pilot dimensions actually sent.
 """
 
 from __future__ import annotations
@@ -61,7 +62,8 @@ def effective_gains(h_eff_true: np.ndarray, v: np.ndarray, p_dl: float) -> np.nd
 
 
 def sum_rate(b: np.ndarray, t_dl: int, t: int) -> float:
-    """Sum rate with training overhead: (1 - T_dl/T) * sum_k log2(1 + SINR_k)."""
+    """Sum rate with training overhead: (1 - T_dl/T) * sum_k log2(1 + SINR_k),
+    T_dl the pilot dimensions sent."""
     if t_dl > t:
         raise InvalidArgumentError("sum_rate: T_dl must not exceed T")
     b = np.asarray(b, dtype=complex)
@@ -241,7 +243,7 @@ def evaluate_tdl(cfg: ExperimentConfig, trial: int, i_tdl: int, t_dl: int,
     try:
         h_hats = np.swapaxes(mmse_effective(ys, q_h, prior, powers, 1.0), 1, 2)
         with np.errstate(over="raise", invalid="raise"):
-            orders = greedy_user_selection(h_hats, powers, t_dl, cfg.t)
+            orders = greedy_user_selection(h_hats, powers, t_eff, cfg.t)
     except FloatingPointError:
         orders = [None] * len(powers)  # select each SNR alone: an overflow stays its own
     except FddsimError:
@@ -251,8 +253,8 @@ def evaluate_tdl(cfg: ExperimentConfig, trial: int, i_tdl: int, t_dl: int,
         try:
             h_hat = (h_hats[i] if h_hats is not None else
                      mmse_effective(ys[i:i + 1], q_h, prior, powers[i:i + 1], 1.0)[0].T)
-            records.append(_grid_point(cfg, trial, t_dl, snr_db, powers[i], plan,
-                                       h_hat, orders[i], h_eff, h_beam))
+            records.append(_grid_point(cfg, trial, t_dl, t_eff, snr_db, powers[i],
+                                       plan, h_hat, orders[i], h_eff, h_beam))
         except (FddsimError, FloatingPointError) as exc:
             records.append(_zero_rate(cfg, trial, t_dl, snr_db, plan.matching_size,
                                       _failure("grid point", exc)))
@@ -270,16 +272,16 @@ def _zero_rate(cfg, trial, t_dl, snr_db, matching_size, failure="") -> Experimen
 
 
 @np.errstate(over="raise", invalid="raise")  # an overflowed rate fails its point
-def _grid_point(cfg, trial, t_dl, snr_db, p_dl, plan, h_hat_eff, order, h_eff,
-                h_beam) -> ExperimentRecord:
+def _grid_point(cfg, trial, t_dl, t_eff, snr_db, p_dl, plan, h_hat_eff, order,
+                h_eff, h_beam) -> ExperimentRecord:
     if order is None:  # the stacked selection did not run
-        order = greedy_user_selection(h_hat_eff[None], np.array([p_dl]), t_dl, cfg.t)[0]
+        order = greedy_user_selection(h_hat_eff[None], np.array([p_dl]), t_eff, cfg.t)[0]
     served_cols = sorted(order)
     if not served_cols:
         return _zero_rate(cfg, trial, t_dl, snr_db, plan.matching_size)
     # greedy selection admitted this set only after its ZF rank test passed
     v = zf_precoder(h_hat_eff[:, served_cols])
-    rate = sum_rate(effective_gains(h_eff[:, served_cols], v, p_dl), t_dl, cfg.t)
+    rate = sum_rate(effective_gains(h_eff[:, served_cols], v, p_dl), t_eff, cfg.t)
     # F is unitary, so ||h - B^H h_hat|| = ||F^H h - h_hat zero-filled||
     served_users = [plan.users[c] for c in served_cols]
     h_hat_beam = np.zeros((cfg.m, len(served_cols)), dtype=complex)

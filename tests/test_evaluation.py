@@ -10,12 +10,13 @@ from fddsim.channel import sample_channels, true_covariance
 from fddsim.config import ExperimentConfig
 from fddsim.errors import InvalidArgumentError, NumericalError
 from fddsim.evaluation import (CSV_HEADER, ExperimentRecord, effective_gains,
-                               estimate_user_pipeline, greedy_user_selection,
-                               normalized_error, run_experiment, run_trial,
-                               sum_rate, summarize, trial_scenario,
-                               write_records_csv, zf_precoder)
+                               estimate_user_pipeline, evaluate_tdl,
+                               greedy_user_selection, normalized_error,
+                               run_experiment, run_trial, sum_rate, summarize,
+                               trial_scenario, trial_state, write_records_csv,
+                               zf_precoder)
 from fddsim.numerics import gaussian_complex, rng_stream, toeplitz_from_column
-from fddsim.sparsifier import beam_coefficients
+from fddsim.sparsifier import beam_coefficients, solve_sparsification
 from fddsim.validate import dft_matrix
 
 
@@ -425,6 +426,37 @@ def test_overflowed_rate_fails_its_own_grid_point():
     rec = next(r for r in records if (r.tdl, r.snr_db) == (4, 3080.0))
     assert rec.failure.startswith("grid point: FloatingPointError: overflow")
     assert (rec.served, rec.sum_rate_bits) == (0, 0.0) and math.isnan(rec.err_norm)
+
+
+@pytest.mark.parametrize("t_dl", [24, 32])
+def test_overhead_charges_the_pilots_sent(monkeypatch, t_dl):
+    """A T_dl above the plan's M' = 16 beams sends t_eff = 16 pilots and is
+    charged (1 - t_eff/T) for them, in the greedy score and in the rate:
+    its records are those of T_dl = 16 on the same pilot stream. At
+    T_dl = T a charge of T_dl would leave nothing to serve."""
+    import fddsim.evaluation as ev
+
+    cfg = ExperimentConfig(**SMALL)
+    assert t_dl <= cfg.t
+    graph, h_beam = trial_state(cfg, 0)
+    assert len(solve_sparsification(graph, t_dl, p0=cfg.p0).beams) == cfg.m < t_dl
+    gains = []
+    effective = ev.effective_gains
+    monkeypatch.setattr(ev, "effective_gains",
+                        lambda *args: gains.append(effective(*args)) or gains[-1])
+    got = evaluate_tdl(cfg, 0, 0, t_dl, graph, h_beam)
+    ref = evaluate_tdl(cfg, 0, 0, cfg.m, graph, h_beam)
+
+    def fields(r):
+        return (r.snr_db, r.served, r.matching_size, r.err_norm, r.sum_rate_bits, r.failure)
+
+    assert [fields(r) for r in got] == [fields(r) for r in ref]
+    assert all(r.served > 0 for r in got)
+    for rec, b in zip(got, gains):
+        mags = np.abs(b) ** 2
+        sig = np.diag(mags)
+        bits = np.sum(np.log2(1.0 + sig / (1.0 + mags.sum(axis=1) - sig)))
+        assert rec.sum_rate_bits == pytest.approx((1.0 - cfg.m / cfg.t) * bits, rel=1e-12)
 
 
 def test_run_trial_runs_the_per_user_estimator(monkeypatch):
