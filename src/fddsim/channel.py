@@ -8,14 +8,17 @@ covariance is returned as the complex first column of its Hermitian
 Toeplitz matrix. Draws from a covariance column are channels
 (``sample_channels``) or the noise-corrected sample covariance of noisy
 pilots, taken from its complex-Wishart law (``sample_pilot_covariance``).
+Both color unit normals by an M x r factor F with F F^H equal to the
+covariance, from LAPACK's pivoted Cholesky of the Toeplitz matrix; r is
+the numerical rank it reports, so a draw takes r rows of normals.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import InvalidArgumentError
 from .numerics import gaussian_complex, rng_stream, toeplitz_from_column
@@ -84,15 +87,13 @@ def true_covariance(asf: AngularScatteringFunction, m: int,
 
 def sample_channels(col: np.ndarray, n: int, seed, *path: int) -> np.ndarray:
     """M x n matrix of i.i.d. zero-mean Gaussian channels whose covariance
-    is the Hermitian Toeplitz matrix of first column col, M = col.size
-    (Karhunen-Loeve coloring by the cached factor of that column)."""
+    is the Hermitian Toeplitz matrix T of first column col, M = col.size:
+    F g for the M x r factor F of T and r x n unit normals g, the stream's
+    first r*n draws in row-major order."""
     if n < 1:
         raise InvalidArgumentError("sample_channels: n must be >= 1")
-    col = np.asarray(col, dtype=complex)
-    w, u = _kl_factor(col.tobytes())
-    g = gaussian_complex(col.size * n, seed, *path).reshape(col.size, n)
-    g *= np.sqrt(w)[:, None]  # in place: no M x n temporary
-    return u @ g
+    f = _psd_factor(toeplitz_from_column(col))
+    return f @ gaussian_complex(f.shape[1] * n, seed, *path).reshape(-1, n)
 
 
 def sample_pilot_covariance(col: np.ndarray, n: int, sigma2: float, seed,
@@ -101,44 +102,44 @@ def sample_pilot_covariance(col: np.ndarray, n: int, sigma2: float, seed,
     of n i.i.d. pilots y = h + e, h ~ CN(0, T(col)), e ~ CN(0, sigma2*I),
     drawn from its exact law without drawing the pilots.
 
-    With F = U diag(sqrt(w + sigma2)) from the cached factor (w, U) of
-    T(col), sum_i y_i y_i^H is F A A^H F^H for the M x min(M, n)
-    lower-trapezoidal Bartlett factor A of a complex Wishart matrix
-    (Goodman 1963): |A_jj|^2 ~ Gamma(n - j, 1) on the diagonal and CN(0, 1)
-    below it, all from the stream (seed, *path). That is about M^2 / 2
-    draws whatever n is, against 2 M n for the pilots. The result may be
-    indefinite; the nonnegative angular fit repairs it.
+    With the M x r factor F of T(col) + sigma2*I, sum_i y_i y_i^H is
+    F A A^H F^H for the r x min(r, n) lower-trapezoidal Bartlett factor A
+    of a complex Wishart matrix (Goodman 1963): |A_jj|^2 ~ Gamma(n - j, 1)
+    on the diagonal and CN(0, 1) below it, all from the stream
+    (seed, *path). That is about r^2 / 2 draws whatever n is, against
+    2 M n for the pilots. The result may be indefinite; the nonnegative
+    angular fit repairs it.
     """
     if n < 1:
         raise InvalidArgumentError("sample_pilot_covariance: n must be >= 1")
     if sigma2 < 0:
         raise InvalidArgumentError("sample_pilot_covariance: sigma2 must be nonnegative")
-    col = np.asarray(col, dtype=complex)
-    m, r = col.size, min(col.size, n)
-    w, u = _kl_factor(col.tobytes())
+    t = toeplitz_from_column(col)
+    m = t.shape[0]
+    t[np.diag_indices(m)] += sigma2
+    f = _psd_factor(t)
+    r, q = f.shape[1], min(f.shape[1], n)
     rng = rng_stream(seed, *path)
-    a = np.zeros((m, r), dtype=complex)
-    a[np.diag_indices(r)] = np.sqrt(rng.standard_gamma(n - np.arange(r)))
-    below = np.tril_indices(m, -1, r)
+    a = np.zeros((r, q), dtype=complex)
+    a[np.diag_indices(q)] = np.sqrt(rng.standard_gamma(n - np.arange(q)))
+    below = np.tril_indices(r, -1, q)
     a[below] = gaussian_complex(below[0].size, rng)
-    b = (u * np.sqrt(w + sigma2)) @ a
+    b = f @ a
     s = b @ b.conj().T / n
     s[np.diag_indices(m)] -= sigma2
     return s
 
 
-@functools.lru_cache(maxsize=8)
-def _kl_factor(col: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """Karhunen-Loeve factor (max(w, 0), U) of eigh(T(c)) for the
-    covariance column c given by its complex bytes. A covariance depends
-    only on the user's scattering function and the band, so the users of a
-    trial share a few columns: each is factored once and shared read-only
-    (8 entries cost 8 MB at M = 256)."""
-    w, u = np.linalg.eigh(toeplitz_from_column(np.frombuffer(col, dtype=complex)))
-    w = np.maximum(w, 0.0)
-    w.flags.writeable = False
-    u.flags.writeable = False
-    return w, u
+def _psd_factor(t: np.ndarray) -> np.ndarray:
+    """M x r factor F = P L[:, :r] with F F^H = t, from the pivoted Cholesky
+    P^T t P = L L^H of a Hermitian PSD matrix (LAPACK zpstrf, its default
+    tolerance; Lucas, LAWN 161, 2004), r the rank it reports. A
+    rank-deficient t stops the factorization early, so F has r < M
+    columns; info > 0 only says so."""
+    c, piv, r, _ = lapack.zpstrf(t, lower=1)
+    f = np.empty((t.shape[0], r), dtype=complex)
+    f[piv - 1] = np.tril(c[:, :r])
+    return f
 
 
 def make_scenario(n_clusters: int, cluster_width: float, k: int, seed: int,

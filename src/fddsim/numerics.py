@@ -4,8 +4,9 @@ Everything here is a pure function of its inputs and returns plain
 arrays. Random draws are reproducible: a stream is identified by the
 master seed plus an arbitrary path of integers (e.g.
 ``(trial, user, purpose)``), and the same stream id always yields the same
-values, independent of call order or thread count. Eigendecompositions
-are NumPy's own (``np.linalg.eigh``/``eigvalsh``) at each caller.
+values, independent of call order or thread count. Nothing here factors
+a matrix: the channel draws take pivoted Cholesky factors in ``channel``,
+and callers that need eigenvalues run ``np.linalg.eigvalsh`` themselves.
 """
 
 from __future__ import annotations

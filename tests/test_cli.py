@@ -67,22 +67,22 @@ def test_simulate_bad_key_exits_2(tmp_path, capsys):
 # `extrapolate` outputs for SMALL_CFG, user 0, as written (12 significant
 # digits): one row per index of c_ul_hat.csv, c_dl_hat.csv and spectrum.csv.
 GOLDEN_EXTRAPOLATE = [  # (c_ul_hat, c_dl_hat, lambda)
-    (0.98184707625+0j, 0.98184707625+0j, 0.0547522307628),
-    (0.0534571628509+0.0496633423523j, -0.0855939208941+0.0784844396595j, 0.0559971071114),
-    (-0.846765517471+0.348882186851j, -0.814515651351+0.352382316011j, 0.0745719497105),
-    (-0.127024949434+0.00898300222206j, 0.169184688061-0.198580066405j, 0.147877849314),
-    (0.522919933293-0.522359335472j, 0.448685159039-0.465614117916j, 2.36150098353),
-    (0.130260721355-0.0756319532699j, -0.0942775853755+0.281737104428j, 3.70833994868),
-    (-0.184451246158+0.459956496554j, -0.14073001351+0.320735718647j, 0.804045645713),
-    (-0.0843770255937+0.0900063380373j, -0.0291840150258-0.211262545174j, 0.139618028522),
-    (-0.0151226667863-0.245625312751j, 0.0349300586893-0.0981651025049j, 0.080738595804),
-    (0.0513516950925-0.0417673428922j, 0.0507475742409+0.0367439430535j, 0.0778987736403),
-    (0.0386078314947+0.028905627058j, -0.0724264038493-0.023596133375j, 0.126095571083),
-    (-0.0733900068693-0.0226788202487j, 0.0506441149504+0.0812412191911j, 0.607118318351),
-    (0.0362076648459+0.0758933563789j, 0.111554083154+0.0142313008316j, 4.48533585021),
-    (0.132232906359+0.0385515074612j, -0.155240600692-0.0568949941599j, 2.76757954997),
-    (-0.0957597626602-0.0645546109155j, -0.0888071686122+0.0416548410867j, 0.147176252709),
-    (-0.166407154774+0.01727748357j, 0.137540190453-0.0557444303668j, 0.0709065649005),
+    (0.951923124507+0j, 0.951923124507+0j, 0.053986722157),
+    (0.0349734109906-0.00873931981929j, -0.100942935912+0.0198845726502j, 0.0563477681679),
+    (-0.816564574114+0.331908542451j, -0.774593700345+0.349264843678j, 0.0815011099368),
+    (-0.0798793188273+0.0471201347016j, 0.201775631176-0.156325503435j, 0.169657764434),
+    (0.498252725662-0.490347032491j, 0.397103063112-0.445707547777j, 2.48663591182),
+    (0.0711107314178-0.0781333062791j, -0.125674273477+0.258856668429j, 3.76326644347),
+    (-0.171855472779+0.41728310537j, -0.0940778370608+0.272192781944j, 0.83861374968),
+    (-0.037422591969+0.0568398918394j, -0.0144336620744-0.189568455778j, 0.136751202155),
+    (-0.0170008917104-0.197538795415j, 0.0187739212553-0.0329327455563j, 0.0828866442018),
+    (0.0375537347767+0.0112705518688j, 0.0440619024828-0.000130160906018j, 0.0774783450379),
+    (0.0308166659084-0.0193387958137j, -0.0923110492187-0.0738405815772j, 0.120412182559),
+    (-0.0931569267246-0.0707343272568j, 0.0724048424113+0.140056840962j, 0.626013631503),
+    (0.0538872970659+0.13039243614j, 0.148566738042+0.0269422216915j, 3.93903075963),
+    (0.17600710301+0.0692445542605j, -0.216435194873-0.124484487207j, 2.56363398637),
+    (-0.132585202417-0.127550579945j, -0.119315069717+0.0631585079921j, 0.162509286119),
+    (-0.235790865876-0.00163479562671j, 0.266629167298-0.000188594885242j, 0.072044484874),
 ]
 
 
