@@ -66,12 +66,13 @@ class ExperimentConfig:
             raise ConfigError("cluster_width: must be positive")
         if not all(math.isfinite(snr) for snr in self.snr_db_list):
             raise ConfigError("snr_db_list: entries must be finite")
+        # every beam power of a unit-power channel is at most M, so below this
+        # bound the unit noise term of the MMSE system p G + I survives rounding
+        bound = 10.0 * math.log10(2.0 ** 53 / self.m)
         for snr in self.snr_db_list:
-            try:
-                10.0 ** (snr / 10.0)  # the grid point's DL transmit power
-            except OverflowError:
-                raise ConfigError(f"snr_db_list: entry {snr:g} dB overflows the "
-                                  "transmit power 10^(SNR/10)") from None
+            if snr > bound:
+                raise ConfigError(f"snr_db_list: entry {snr:g} dB is above {bound:.1f} dB "
+                                  "= 10 log10(2^53/M), above which rounding erases the unit noise")
         if self.n_trials < 0:
             raise ConfigError("n_trials: must be >= 0")
         if self.seed < 0:
@@ -79,15 +80,16 @@ class ExperimentConfig:
         for tdl in self.tdl_list:
             if not (1 <= tdl <= self.t):
                 raise ConfigError(f"tdl_list: entry {tdl} must lie in [1, T={self.t}]")
-        if not self.tdl_list or not self.snr_db_list:
-            raise ConfigError("tdl_list and snr_db_list must be nonempty")
         for key in ("tdl_list", "snr_db_list"):
+            if not getattr(self, key):
+                raise ConfigError(f"{key}: must be nonempty")
             if len(set(getattr(self, key))) != len(getattr(self, key)):
                 raise ConfigError(f"{key}: entries must be distinct")
         if self.cluster_width * self.n_clusters > 2.0:
             raise ConfigError("cluster_width: clusters do not fit in [-1, 1]")
-        if not (self.ul_sigma2 >= 0 and self.p0 >= 0 and self.th_rel >= 0):  # NaN fails too
-            raise ConfigError("ul_sigma2, p0 and th_rel must be nonnegative")
+        for key in ("ul_sigma2", "p0", "th_rel"):
+            if getattr(self, key) < 0:  # NaN was rejected as not finite
+                raise ConfigError(f"{key}: must be nonnegative")
 
 
 def _bool(s: str) -> bool:

@@ -7,4 +7,5 @@ class InvalidArgumentError(FddsimError):
 
 
 class NumericalError(FddsimError):
-    """An iterative routine failed to converge or hit a singularity."""
+    """An iterative routine failed to converge or hit a singularity, or a
+    solver's result failed its certificate."""

@@ -7,7 +7,9 @@ turns them into the records of one T_dl. The DL stage runs in the beam
 domain on plain arrays: the probing input, the true effective channels
 and the estimation error read the selected beams' rows of F^H h.
 
-SNR convention: unit noise power, so P_dl = SNR. Rates are in bits/s/Hz
+SNR convention: unit noise power, so P_dl = SNR, at most 2^53/M (config
+rejects higher SNRs, whose unit noise rounding would erase from the MMSE
+system p G + I). Rates are in bits/s/Hz
 (log base 2) and include the DL training overhead prefactor (1 - t_eff/T),
 charged for the t_eff = min(T_dl, M') pilot dimensions actually sent.
 """
@@ -154,8 +156,9 @@ class ExperimentRecord:
     matching_size: int
     err_norm: float
     sum_rate_bits: float
-    # why the grid point failed (a solver or estimator error), "" if it did
-    # not; a failed point has zero rate. Not written to the records CSV.
+    # why the grid point failed (a solver or estimator error, or an overflow;
+    # a failed sparsify or DL stage fails every SNR of its T_dl), "" if it
+    # did not; a failed point has zero rate. Not written to the records CSV.
     failure: str = ""
 
     def csv_row(self) -> str:
@@ -218,9 +221,8 @@ def evaluate_tdl(cfg: ExperimentConfig, trial: int, i_tdl: int, t_dl: int,
                  graph: np.ndarray, h_beam: np.ndarray) -> list:
     """The records of one T_dl of a trial, one per SNR: sparsify, probe,
     estimate and serve. The estimates and the greedy selections of all SNRs
-    are each made in one stacked call. A failed sparsify fails every SNR of
-    the T_dl; a failed estimate or an overflowed rate fails only its own
-    SNR, which is then estimated or selected alone."""
+    are each made in one stacked call. A failed sparsify, estimate or
+    selection, or an overflowed rate, fails every SNR of the T_dl."""
     failure = ""
     try:
         plan = solve_sparsification(graph, t_dl, p0=cfg.p0)
@@ -241,24 +243,15 @@ def evaluate_tdl(cfg: ExperimentConfig, trial: int, i_tdl: int, t_dl: int,
     ys = np.stack([dl_observe(np.sqrt(p_dl) * q_h, h_eff.T, noise, 1.0)
                    for p_dl in powers])
     try:
-        h_hats = np.swapaxes(mmse_effective(ys, q_h, prior, powers, 1.0), 1, 2)
-        with np.errstate(over="raise", invalid="raise"):
+        with np.errstate(over="raise", invalid="raise"):  # an overflowed rate fails too
+            h_hats = np.swapaxes(mmse_effective(ys, q_h, prior, powers, 1.0), 1, 2)
             orders = greedy_user_selection(h_hats, powers, t_eff, cfg.t)
-    except FloatingPointError:
-        orders = [None] * len(powers)  # select each SNR alone: an overflow stays its own
-    except FddsimError:
-        h_hats, orders = None, [None] * len(powers)  # estimate each SNR alone, likewise
-    records = []
-    for i, snr_db in enumerate(cfg.snr_db_list):
-        try:
-            h_hat = (h_hats[i] if h_hats is not None else
-                     mmse_effective(ys[i:i + 1], q_h, prior, powers[i:i + 1], 1.0)[0].T)
-            records.append(_grid_point(cfg, trial, t_dl, t_eff, snr_db, powers[i],
-                                       plan, h_hat, orders[i], h_eff, h_beam))
-        except (FddsimError, FloatingPointError) as exc:
-            records.append(_zero_rate(cfg, trial, t_dl, snr_db, plan.matching_size,
-                                      _failure("grid point", exc)))
-    return records
+            return [_grid_point(cfg, trial, t_dl, t_eff, cfg.snr_db_list[i], powers[i], plan,
+                                h_hats[i], order, h_eff, h_beam)
+                    for i, order in enumerate(orders)]
+    except (FddsimError, FloatingPointError) as exc:
+        return [_zero_rate(cfg, trial, t_dl, snr_db, plan.matching_size,
+                           _failure("grid point", exc)) for snr_db in cfg.snr_db_list]
 
 
 def _failure(stage: str, exc: Exception) -> str:
@@ -271,11 +264,8 @@ def _zero_rate(cfg, trial, t_dl, snr_db, matching_size, failure="") -> Experimen
                             float("nan"), 0.0, failure)
 
 
-@np.errstate(over="raise", invalid="raise")  # an overflowed rate fails its point
 def _grid_point(cfg, trial, t_dl, t_eff, snr_db, p_dl, plan, h_hat_eff, order,
                 h_eff, h_beam) -> ExperimentRecord:
-    if order is None:  # the stacked selection did not run
-        order = greedy_user_selection(h_hat_eff[None], np.array([p_dl]), t_eff, cfg.t)[0]
     served_cols = sorted(order)
     if not served_cols:
         return _zero_rate(cfg, trial, t_dl, snr_db, plan.matching_size)

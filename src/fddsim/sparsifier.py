@@ -288,7 +288,7 @@ def solve_sparsification(g: np.ndarray, t_dl: int, p0: float = 0.0) -> Sparsific
     beams, users = beams[has_user], users[has_beam]
     matched = max_matching(sub[np.ix_(has_user, has_beam)])
     if abs(size - matched) > 1e-6:
-        raise InvalidArgumentError(
+        raise NumericalError(
             f"matching certificate mismatch: predicted size {size} vs matching {matched}")
 
     plan = SparsificationPlan(
@@ -308,10 +308,10 @@ def _validate_plan(g: np.ndarray, plan: SparsificationPlan, t_dl: int, p0: float
     if bad.any():
         uk = int(np.argmax(bad))
         what = "degree cap" if degree[uk] > t_dl else "power floor"
-        raise InvalidArgumentError(f"plan violates {what} for user {users[uk]}")
+        raise NumericalError(f"plan violates {what} for user {users[uk]}")
     isolated = ~sub.any(axis=1)
     if isolated.any():
-        raise InvalidArgumentError(f"plan contains isolated beam {beams[np.argmax(isolated)]}")
+        raise NumericalError(f"plan contains isolated beam {beams[np.argmax(isolated)]}")
 
 
 def beam_coefficients(h: np.ndarray) -> np.ndarray:

@@ -182,13 +182,16 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys, command, line):
 
 @pytest.mark.parametrize("line", [
     "alpha = 0.5", "n_clusters = 1", "cluster_width = 0", "cluster_width = -0.1",
+    "p0 = -1", "th_rel = -0.1", "ul_sigma2 = -1", "tdl_list =", "snr_db_list =",
 ])
 def test_scenario_config_value_exits_2_without_trials(tmp_path, capsys, line):
-    """Values the array or the scenario would reject fail at parse time,
-    naming the key, even when no trial runs."""
+    """Values the array, the scenario or the grid would reject fail at parse
+    time, naming the key, even when no trial runs."""
     key = line.split("=")[0].strip()
+    kept = [ln for ln in SMALL_CFG.replace("n_trials = 2", "n_trials = 0").splitlines()
+            if ln.split("=")[0].strip() != key]
     path = tmp_path / "bad.cfg"
-    path.write_text(SMALL_CFG.replace("n_trials = 2", "n_trials = 0") + line + "\n")
+    path.write_text("\n".join(kept + [line]) + "\n")
     out = tmp_path / "out.csv"
     assert main(["simulate", str(path), "-o", str(out)]) == 2
     assert f"config error: {key}: " in capsys.readouterr().err
@@ -196,31 +199,34 @@ def test_scenario_config_value_exits_2_without_trials(tmp_path, capsys, line):
 
 
 def test_snr_beyond_float_power_exits_2(tmp_path, capsys):
-    """An SNR whose power 10^(SNR/10) overflows a float fails at parse time
-    in one line, writing no records; 3000 dB (P_dl = 1e300) still runs. At
-    3080 dB the estimate or the rate overflows: each such grid point is a
-    recorded failure, with no RuntimeWarning (pytest turns warnings into
-    errors), and the 10 dB points still run."""
+    """An SNR above 10 log10(2^53/M) dB (147.5 dB at M = 16), where rounding
+    erases the unit noise of the MMSE system, fails at parse time in one
+    line and writes no records: 4000 dB, whose power 10^(SNR/10) overflows a
+    float, and 3000 dB alike."""
     path = tmp_path / "snr.cfg"
     out = tmp_path / "out.csv"
-    path.write_text(SMALL_CFG.replace("snr_db_list = 10, 20", "snr_db_list = 4000"))
-    assert main(["simulate", str(path), "-o", str(out)]) == 2
+    for snr in ("4000", "3000"):
+        path.write_text(SMALL_CFG.replace("snr_db_list = 10, 20", f"snr_db_list = 10, {snr}"))
+        assert main(["simulate", str(path), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: snr_db_list: entry {snr} dB ")
+        assert "147.5 dB" in err and err.count("\n") == 1
+        assert not out.exists()
+
+
+def test_sparsify_failed_certificate_exits_1(tmp_path, capsys, monkeypatch):
+    """A plan whose matching certificate fails is a solver fault (exit 1),
+    not bad input (exit 2), and writes no plan."""
+    import fddsim.sparsifier as sp
+
+    spectra = tmp_path / "w.csv"
+    spectra.write_text("1,0.5\n0.5,1\n")
+    out = tmp_path / "plan.json"
+    monkeypatch.setattr(sp, "max_matching", lambda adjacency: 99)
+    assert main(["sparsify", str(spectra), "--tdl", "2", "-o", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error: snr_db_list: ") and err.count("\n") == 1
+    assert err.startswith("error: matching certificate mismatch") and err.count("\n") == 1
     assert not out.exists()
-    path.write_text(SMALL_CFG.replace("snr_db_list = 10, 20", "snr_db_list = 3000"))
-    assert main(["simulate", str(path), "-o", str(out)]) == 0
-    assert len(out.read_text().splitlines()) == 1 + 2 * 2
-    capsys.readouterr()
-    path.write_text(SMALL_CFG.replace("snr_db_list = 10, 20", "snr_db_list = 10, 3080"))
-    assert main(["simulate", str(path), "-o", str(out)]) == 0
-    err = capsys.readouterr().err
-    assert "RuntimeWarning" not in err
-    assert "4 of 8 grid points failed (counted as zero rate)" in err
-    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
-    assert sorted(row[2] for row in rows) == ["10"] * 4 + ["3080"] * 4
-    for row in rows:  # served, err_norm, sum_rate_bits of a zero-rate row
-        assert ((row[3], row[5], row[6]) == ("0", "nan", "0")) == (row[2] == "3080")
 
 
 def test_sparsify_bad_file_exits_2(capsys):

@@ -1,6 +1,7 @@
 """Tests for the experiment config parser, and for the README sections that
 must follow the code: the config table and the library layout."""
 
+import math
 import re
 from pathlib import Path
 
@@ -113,12 +114,21 @@ def test_invariants_enforced():
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ConfigError, match="snr_db_list"):
             ExperimentConfig(**{**base, "snr_db_list": [20.0, bad]})
-    # P_dl = 10^(SNR/10) leaves the float range above about 3082.5 dB
+    # above 10 log10(2^53/M) dB (147.5 dB at M = 16) rounding erases the unit
+    # noise of p G + I; 4000 dB would also overflow P_dl = 10^(SNR/10)
     with pytest.raises(ConfigError, match="^snr_db_list: entry 4000 dB"):
         ExperimentConfig(**{**base, "snr_db_list": [20.0, 4000.0]})
-    ExperimentConfig(**{**base, "snr_db_list": [3000.0]})
-    with pytest.raises(ConfigError):
-        ExperimentConfig(**{**base, "tdl_list": []})
+    bound = 10 * math.log10(2.0 ** 53 / 16)
+    assert round(bound, 1) == 147.5
+    ExperimentConfig(**{**base, "snr_db_list": [20.0, bound]})
+    with pytest.raises(ConfigError, match=r"^snr_db_list: entry 147\.505 dB .* 147\.5 dB"):
+        ExperimentConfig(**{**base, "snr_db_list": [bound + 1e-6]})
+    for key in ("tdl_list", "snr_db_list"):
+        with pytest.raises(ConfigError, match=f"^{key}: must be nonempty"):
+            ExperimentConfig(**{**base, key: []})
+    for key in ("p0", "th_rel", "ul_sigma2"):
+        with pytest.raises(ConfigError, match=f"^{key}: must be nonnegative"):
+            ExperimentConfig(**{**base, key: -0.1})
     with pytest.raises(ConfigError):
         ExperimentConfig(**{**base, "cluster_width": 1.0})  # 3 clusters > 2
     # what make_scenario rejects, and alpha < 1 (a band is its carrier ratio,

@@ -404,33 +404,59 @@ def test_run_trial_draws_without_eigh(monkeypatch):
     assert [r.csv_row() for r in records] == [r.csv_row() for r in run_trial(cfg, 1)]
 
 
-def test_failed_snr_keeps_its_own_record():
-    """An estimate that overflows at one SNR fails that grid point alone:
-    the other SNRs of its T_dl keep the records they have without it."""
-    cfg = ExperimentConfig(**{**SMALL, "snr_db_list": [10.0, 3080.0]})
+@pytest.mark.parametrize("stage, error", [
+    ("mmse_effective", NumericalError("mmse_effective: singular observation covariance")),
+    ("greedy_user_selection", FloatingPointError("overflow encountered in multiply")),
+], ids=["estimate", "selection"])
+def test_failed_dl_stage_fails_every_snr_of_its_tdl(monkeypatch, stage, error):
+    """The estimate and the selection of a T_dl run once, stacked over its
+    SNRs. When either raises for T_dl 8, every SNR of T_dl 8 is a zero-rate
+    row naming the error, with the plan's matching size, and no SNR is
+    re-run alone; T_dl 4 keeps its records."""
+    import fddsim.evaluation as ev
+
+    cfg = ExperimentConfig(**SMALL)
+    ref = run_trial(cfg, 0)
+    graph, _ = trial_state(cfg, 0)
+    calls = {"mmse_effective": [], "greedy_user_selection": []}
+
+    def recording(name, fn):
+        def wrapped(*args):
+            t_eff = args[0].shape[2] if name == "mmse_effective" else args[2]
+            calls[name].append(t_eff)
+            if name == stage and t_eff == 8:
+                raise error
+            return fn(*args)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(ev, name, recording(name, getattr(ev, name)))
     records = run_trial(cfg, 0)
-    ok = [r for r in records if r.snr_db == 10.0]
-    ref = [r for r in run_trial(ExperimentConfig(**SMALL), 0) if r.snr_db == 10.0]
-    assert [r.csv_row() for r in ok] == [r.csv_row() for r in ref]
-    assert all(not r.failure for r in ok)
-    failed = [r for r in records if r.snr_db == 3080.0]
-    assert len(failed) == len(cfg.tdl_list)
+    assert calls["mmse_effective"] == [4, 8]
+    assert calls["greedy_user_selection"] == ([4] if stage == "mmse_effective" else [4, 8])
+    assert ([r.csv_row() for r in records if r.tdl == 4]
+            == [r.csv_row() for r in ref if r.tdl == 4])
+    failed = [r for r in records if r.tdl == 8]
+    assert [r.snr_db for r in failed] == cfg.snr_db_list
+    matching_size = solve_sparsification(graph, 8, p0=cfg.p0).matching_size
     for rec in failed:
-        assert rec.failure == "grid point: NumericalError: mmse_effective: non-finite solve result"
-        assert (rec.served, rec.sum_rate_bits) == (0, 0.0)
+        assert rec.failure == f"grid point: {type(error).__name__}: {error}"
+        assert (rec.served, rec.matching_size, rec.sum_rate_bits) == (0, matching_size, 0.0)
+        assert math.isnan(rec.err_norm)
 
 
-def test_overflowed_rate_fails_its_own_grid_point():
-    """In trial 3 the 3080 dB estimate of T_dl 4 is finite, but its rate
-    overflows: that grid point fails with the overflow as its reason
-    instead of writing a NaN rate, and the 10 dB records do not move."""
-    cfg = ExperimentConfig(**{**SMALL, "snr_db_list": [10.0, 3080.0]})
-    records = run_trial(cfg, 3)
-    ref = [r for r in run_trial(ExperimentConfig(**SMALL), 3) if r.snr_db == 10.0]
-    assert [r.csv_row() for r in records if r.snr_db == 10.0] == [r.csv_row() for r in ref]
-    rec = next(r for r in records if (r.tdl, r.snr_db) == (4, 3080.0))
-    assert rec.failure.startswith("grid point: FloatingPointError: overflow")
-    assert (rec.served, rec.sum_rate_bits) == (0, 0.0) and math.isnan(rec.err_norm)
+@pytest.mark.parametrize("m", [16, 64])
+def test_snr_at_the_bound_runs_without_failure(m):
+    """At the highest SNR the config admits, 10 log10(2^53/M) dB, the unit
+    noise of p G + I survives rounding: no grid point of 3 trials fails,
+    and no floating-point warning is raised (pytest makes them errors)."""
+    bound = 10 * math.log10(2.0 ** 53 / m)
+    cfg = ExperimentConfig(**{**SMALL, "m": m, "t": max(32, m), "snr_db_list": [bound],
+                              "n_trials": 3})
+    records = run_experiment(cfg)
+    assert len(records) == 3 * len(cfg.tdl_list)
+    assert not any(r.failure for r in records)
+    assert all(r.served > 0 and math.isfinite(r.sum_rate_bits) for r in records)
 
 
 @pytest.mark.parametrize("t_dl", [24, 32])

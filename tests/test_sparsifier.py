@@ -207,7 +207,7 @@ def test_certificate_mismatch_raises(monkeypatch):
     true_size = sp.max_matching
     monkeypatch.setattr(sp, "max_matching", lambda a: true_size(a) + 1)
     for w in (np.eye(3), np.ones((3, 2))):
-        with pytest.raises(InvalidArgumentError, match="certificate"):
+        with pytest.raises(NumericalError, match="certificate"):
             solve_sparsification(w, t_dl=1)
 
 
@@ -225,7 +225,7 @@ def test_validate_plan_rejects_each_violation(beams, users, t_dl, p0, message):
     g = np.array(_VALIDATE_W)
     plan = SparsificationPlan(beams=beams, users=users, matching_size=1, objective=1.0,
                               node_count=0)
-    with pytest.raises(InvalidArgumentError, match=message):
+    with pytest.raises(NumericalError, match=message):
         _validate_plan(g, plan, t_dl, p0)
     good = SparsificationPlan(beams=[0, 3], users=[0, 1], matching_size=2, objective=2.0,
                               node_count=0)
