@@ -8,10 +8,10 @@ domain on plain arrays: the probing input, the true effective channels
 and the estimation error read the selected beams' rows of F^H h.
 
 SNR convention: unit noise power, so P_dl = SNR, at most 2^53/M (config
-rejects higher SNRs, whose unit noise rounding would erase from the MMSE
-system p G + I). Rates are in bits/s/Hz
-(log base 2) and include the DL training overhead prefactor (1 - t_eff/T),
-charged for the t_eff = min(T_dl, M') pilot dimensions actually sent.
+rejects higher SNRs, since rounding would erase the unit noise term of the
+MMSE system p G + I). Rates are in bits/s/Hz (log base 2). ``evaluate_tdl``
+alone charges the DL training overhead (1 - t_eff/T), for the
+t_eff = min(T_dl, M') pilot dimensions actually sent.
 """
 
 from __future__ import annotations
@@ -63,28 +63,25 @@ def effective_gains(h_eff_true: np.ndarray, v: np.ndarray, p_dl: float) -> np.nd
     return (h.conj().T @ v) * np.sqrt(p_dl / v.shape[1])
 
 
-def sum_rate(b: np.ndarray, t_dl: int, t: int) -> float:
-    """Sum rate with training overhead: (1 - T_dl/T) * sum_k log2(1 + SINR_k),
-    T_dl the pilot dimensions sent."""
-    if t_dl > t:
-        raise InvalidArgumentError("sum_rate: T_dl must not exceed T")
+def sum_rate(b: np.ndarray) -> float:
+    """Sum rate sum_k log2(1 + SINR_k) of received-symbol coefficients b
+    (see ``effective_gains``), without the training overhead."""
     b = np.asarray(b, dtype=complex)
     if b.size == 0:
         return 0.0
-    pre = 1.0 - t_dl / t
     mags = np.abs(b) ** 2
     sig = np.diag(mags)
     interf = mags.sum(axis=1) - sig
-    return float(pre * np.sum(np.log2(1.0 + sig / (1.0 + interf))))
+    return float(np.sum(np.log2(1.0 + sig / (1.0 + interf))))
 
 
-def greedy_user_selection(h_hat_eff: np.ndarray, p_dl: np.ndarray, t_dl: int,
-                          t: int) -> list:
+def greedy_user_selection(h_hat_eff: np.ndarray, p_dl: np.ndarray) -> list:
     """Greedy ZF user selection for a stack of P estimates of one T_dl
     (``h_hat_eff`` is P x M' x n, one estimate per pilot power ``p_dl``):
     repeatedly add the candidate maximizing the estimated sum rate (perfect
-    ZF on the estimates, uniform power); stop when no addition improves it.
-    Ties go to the lowest column index. Returns P selections.
+    ZF on the estimates, uniform power; the training overhead, one positive
+    factor per T_dl, does not change the ranking); stop when no addition
+    improves it. Ties go to the lowest column index. Returns P selections.
 
     The P greedy loops run in lockstep. Each step scores every remaining
     candidate c of every unfinished member at once on the Gram submatrices
@@ -101,7 +98,6 @@ def greedy_user_selection(h_hat_eff: np.ndarray, p_dl: np.ndarray, t_dl: int,
         raise InvalidArgumentError("greedy_user_selection: need P x M' x n estimates "
                                    "with n >= 1 candidates and P powers")
     n_inst, m_prime, n_cand = h.shape
-    pre = max(0.0, 1.0 - t_dl / t)
     # einsum rounds every entry alike; one gemm rounds by column position, so
     # two equal columns could get unequal Gram entries and break their tie
     gram = np.einsum("pmi,pmj->pij", h.conj(), h)
@@ -122,7 +118,7 @@ def greedy_user_selection(h_hat_eff: np.ndarray, p_dl: np.ndarray, t_dl: int,
         if full_rank.any():
             j = 1.0 / np.diagonal(np.linalg.inv(sub[full_rank]), axis1=1, axis2=2).real
             p_user = (p_dl[live] / size)[np.nonzero(full_rank)[0]]
-            rates[full_rank] = pre * np.sum(np.log2(1.0 + j * p_user[:, None]), axis=1)
+            rates[full_rank] = np.sum(np.log2(1.0 + j * p_user[:, None]), axis=1)
         still = []
         for row, p in enumerate(live):
             i = int(np.argmax(rates[row]))  # the first maximum: ties go to the lowest index
@@ -201,8 +197,7 @@ def trial_scenario(cfg: ExperimentConfig, trial: int) -> list:
 def run_trial(cfg: ExperimentConfig, trial: int) -> list:
     """All grid-point records for one Monte Carlo trial, T_dl by T_dl."""
     graph, h_beam = trial_state(cfg, trial)
-    return [rec for i_tdl, t_dl in enumerate(cfg.tdl_list)
-            for rec in evaluate_tdl(cfg, trial, i_tdl, t_dl, graph, h_beam)]
+    return [rec for t_dl in cfg.tdl_list for rec in evaluate_tdl(cfg, trial, t_dl, graph, h_beam)]
 
 
 def trial_state(cfg: ExperimentConfig, trial: int) -> tuple[np.ndarray, np.ndarray]:
@@ -217,12 +212,15 @@ def trial_state(cfg: ExperimentConfig, trial: int) -> tuple[np.ndarray, np.ndarr
     return build_beam_graph(spectra, th_rel=cfg.th_rel), beam_coefficients(h_true)
 
 
-def evaluate_tdl(cfg: ExperimentConfig, trial: int, i_tdl: int, t_dl: int,
-                 graph: np.ndarray, h_beam: np.ndarray) -> list:
+def evaluate_tdl(cfg: ExperimentConfig, trial: int, t_dl: int, graph: np.ndarray,
+                 h_beam: np.ndarray) -> list:
     """The records of one T_dl of a trial, one per SNR: sparsify, probe,
     estimate and serve. The estimates and the greedy selections of all SNRs
     are each made in one stacked call. A failed sparsify, estimate or
-    selection, or an overflowed rate, fails every SNR of the T_dl."""
+    selection, or an overflowed rate, fails every SNR of the T_dl. Only here
+    is the training overhead charged: (1 - t_eff/T) on each rate, t_eff =
+    min(T_dl, M') the pilot dimensions sent; at t_eff = T no symbol is left
+    for data, so the rows serve no one and nothing is probed."""
     failure = ""
     try:
         plan = solve_sparsification(graph, t_dl, p0=cfg.p0)
@@ -230,8 +228,12 @@ def evaluate_tdl(cfg: ExperimentConfig, trial: int, i_tdl: int, t_dl: int,
         plan, failure = None, _failure("sparsify", exc)
     if plan is None or not plan.beams or not plan.users:
         return [_zero_rate(cfg, trial, t_dl, snr_db, 0, failure) for snr_db in cfg.snr_db_list]
-    powers = np.array([10.0 ** (snr_db / 10.0) for snr_db in cfg.snr_db_list])
     t_eff = min(t_dl, len(plan.beams))  # a pilot never needs more dims than beams
+    if t_eff == cfg.t:
+        return [_zero_rate(cfg, trial, t_dl, s, plan.matching_size) for s in cfg.snr_db_list]
+    pre = 1.0 - t_eff / cfg.t
+    i_tdl = cfg.tdl_list.index(t_dl)
+    powers = np.array([10.0 ** (snr_db / 10.0) for snr_db in cfg.snr_db_list])
     # The pilot directions Q^H (unit power), and per selected user B h, the unit
     # observation-noise draw and the MMSE prior (its beam powers on its edges; unit
     # noise power) do not depend on the SNR: observe at every SNR, estimate at once.
@@ -240,13 +242,12 @@ def evaluate_tdl(cfg: ExperimentConfig, trial: int, i_tdl: int, t_dl: int,
     noise = np.stack([gaussian_complex(t_eff, cfg.seed, trial, k, _OBS_NOISE, i_tdl)
                       for k in plan.users])
     prior = graph[np.ix_(plan.beams, plan.users)].T
-    ys = np.stack([dl_observe(np.sqrt(p_dl) * q_h, h_eff.T, noise, 1.0)
-                   for p_dl in powers])
+    ys = np.stack([dl_observe(np.sqrt(p_dl) * q_h, h_eff.T, noise) for p_dl in powers])
     try:
         with np.errstate(over="raise", invalid="raise"):  # an overflowed rate fails too
-            h_hats = np.swapaxes(mmse_effective(ys, q_h, prior, powers, 1.0), 1, 2)
-            orders = greedy_user_selection(h_hats, powers, t_eff, cfg.t)
-            return [_grid_point(cfg, trial, t_dl, t_eff, cfg.snr_db_list[i], powers[i], plan,
+            h_hats = np.swapaxes(mmse_effective(ys, q_h, prior, powers), 1, 2)
+            orders = greedy_user_selection(h_hats, powers)
+            return [_grid_point(cfg, trial, t_dl, pre, cfg.snr_db_list[i], powers[i], plan,
                                 h_hats[i], order, h_eff, h_beam)
                     for i, order in enumerate(orders)]
     except (FddsimError, FloatingPointError) as exc:
@@ -264,14 +265,14 @@ def _zero_rate(cfg, trial, t_dl, snr_db, matching_size, failure="") -> Experimen
                             float("nan"), 0.0, failure)
 
 
-def _grid_point(cfg, trial, t_dl, t_eff, snr_db, p_dl, plan, h_hat_eff, order,
+def _grid_point(cfg, trial, t_dl, pre, snr_db, p_dl, plan, h_hat_eff, order,
                 h_eff, h_beam) -> ExperimentRecord:
     served_cols = sorted(order)
     if not served_cols:
         return _zero_rate(cfg, trial, t_dl, snr_db, plan.matching_size)
     # greedy selection admitted this set only after its ZF rank test passed
     v = zf_precoder(h_hat_eff[:, served_cols])
-    rate = sum_rate(effective_gains(h_eff[:, served_cols], v, p_dl), t_eff, cfg.t)
+    rate = pre * sum_rate(effective_gains(h_eff[:, served_cols], v, p_dl))
     # F is unitary, so ||h - B^H h_hat|| = ||F^H h - h_hat zero-filled||
     served_users = [plan.users[c] for c in served_cols]
     h_hat_beam = np.zeros((cfg.m, len(served_cols)), dtype=complex)

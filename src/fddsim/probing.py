@@ -1,6 +1,7 @@
-"""Downlink channel probing in the beam domain: pilot design, observation
-model and linear MMSE estimation of effective channels. The closed-form
-estimation-error trace that checks the estimator is ``validate``'s oracle.
+"""Downlink channel probing in the beam domain at unit noise power: pilot
+design, observation model and linear MMSE estimation of effective channels.
+The closed-form estimation-error trace that checks the estimator is
+``validate``'s oracle.
 
 A pilot is a plain T_dl x M' array Psi that acts on a user's effective
 channel B h, its coefficients on the M' selected beams (see
@@ -25,10 +26,9 @@ def make_pilot(t_dl: int, m_prime: int, seed, *path: int) -> np.ndarray:
     return q.conj().T
 
 
-def dl_observe(psi: np.ndarray, bh: np.ndarray, noise: np.ndarray,
-               n0: float) -> np.ndarray:
-    """Pilot observations y_i = Psi (B h_i) + sqrt(N0) n_i of a stack of users
-    probed by one T_dl x M' pilot Psi.
+def dl_observe(psi: np.ndarray, bh: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Pilot observations y_i = Psi (B h_i) + n_i of a stack of users probed
+    by one T_dl x M' pilot Psi.
 
     Row i of ``bh`` (n x M') is user i's beam-domain channel B h_i and row i
     of ``noise`` (n x T_dl) its unit-variance noise draw; row i of the result
@@ -38,11 +38,10 @@ def dl_observe(psi: np.ndarray, bh: np.ndarray, noise: np.ndarray,
     t_dl, m_prime = psi.shape
     if bh.ndim != 2 or bh.shape[1] != m_prime or noise.shape != (bh.shape[0], t_dl):
         raise InvalidArgumentError("dl_observe: dimension mismatch")
-    return bh @ psi.T + np.sqrt(n0) * noise
+    return bh @ psi.T + noise
 
 
-def mmse_effective(y: np.ndarray, q: np.ndarray, lam: np.ndarray,
-                   p_dl, n0: float) -> np.ndarray:
+def mmse_effective(y: np.ndarray, q: np.ndarray, lam: np.ndarray, p_dl) -> np.ndarray:
     """Linear MMSE estimates of a stack of users probed by one pilot at
     several powers, by one batched solve.
 
@@ -50,8 +49,8 @@ def mmse_effective(y: np.ndarray, q: np.ndarray, lam: np.ndarray,
     T_dl x M' pilot. Row i of ``lam`` (n x M') is the diagonal Lam_i of
     user i's beam-power prior, and ``y[j, i]`` (``y`` is P x n x T_dl) is
     user i's observation at power ``p_dl[j]``. ``out[j, i]`` is its
-    estimate Lam_i Psi^H (Psi Lam_i Psi^H + N0 I)^-1 y, exactly zero where
-    the prior is zero. That is sqrt(p) Lam_i Q^H (p G_i + N0 I)^-1 y with
+    estimate Lam_i Psi^H (Psi Lam_i Psi^H + I)^-1 y, exactly zero where
+    the prior is zero. That is sqrt(p) Lam_i Q^H (p G_i + I)^-1 y with
     the prior Gram G_i = Q Lam_i Q^H, which does not depend on the power:
     it is formed once for all powers.
     """
@@ -68,13 +67,11 @@ def mmse_effective(y: np.ndarray, q: np.ndarray, lam: np.ndarray,
         raise InvalidArgumentError("mmse_effective: prior variances must be nonnegative")
     if not np.all(p_dl >= 0):
         raise InvalidArgumentError("mmse_effective: pilot powers must be nonnegative")
-    if not n0 >= 0:
-        raise InvalidArgumentError("mmse_effective: noise level must be nonnegative")
     gram = (q * lam[:, None, :]) @ q.conj().T
     # a power near the float limit overflows p G; the check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
         inner = p_dl[:, None, None, None] * gram
-        inner += n0 * np.eye(t_dl)
+        inner += np.eye(t_dl)
         try:
             sol = np.linalg.solve(inner, y[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:

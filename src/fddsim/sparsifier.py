@@ -281,12 +281,11 @@ def solve_sparsification(g: np.ndarray, t_dl: int, p0: float = 0.0) -> Sparsific
         + [cls[np.argsort(-power[cls], kind="stable")[:count]]
            for cls, count in zip(classes, counts)]))
     # A user selected with no selected incident beam contributes nothing
-    # (possible when P0 = 0); drop it so downstream probing never touches it,
-    # then the beams left without a selected user.
+    # (possible when P0 = 0); drop it so downstream probing never touches it.
     sub = g[np.ix_(beams, users)] > 0
-    has_user, has_beam = sub.any(axis=1), sub.any(axis=0)
-    beams, users = beams[has_user], users[has_beam]
-    matched = max_matching(sub[np.ix_(has_user, has_beam)])
+    has_beam = sub.any(axis=0)
+    users = users[has_beam]
+    matched = max_matching(sub[:, has_beam])
     if abs(size - matched) > 1e-6:
         raise NumericalError(
             f"matching certificate mismatch: predicted size {size} vs matching {matched}")

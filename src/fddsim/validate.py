@@ -256,16 +256,17 @@ def suite_estimation_stability(decade_tol: float = 0.15) -> SuiteResult:
 
 
 def mmse_empirical_vs_oracle(n_draws: int = 2000, n0: float = 0.1):
-    """(empirical, closed-form) MMSE error trace for the stability setup:
-    the average squared error of ``mmse_effective`` over fresh channel and
-    noise draws, all observed by one ``dl_observe`` call."""
+    """(empirical, closed-form) MMSE error trace for the stability setup at
+    noise level n0: the average squared error of ``mmse_effective`` over
+    fresh channel and noise draws, observed by one ``dl_observe`` call in
+    unit noise at pilot power 1/n0, the same experiment scaled by 1/sqrt(n0)."""
     q, lam = _stability_setup(_STABILITY_S)
     # per draw, as gaussian_complex draws them: channel then noise, each real then imag
     rng = rng_stream(_STABILITY_SEED, 37)
     parts = rng.standard_normal((n_draws, 2, 2, _STABILITY_S)) * (1.0 / np.sqrt(2.0))
     h, noise = np.moveaxis(parts[..., 0, :] + 1j * parts[..., 1, :], 1, 0)
-    h_hat = mmse_effective(dl_observe(q, h, noise, n0)[None], q,
-                           np.tile(lam, (n_draws, 1)), [1.0], n0)[0]
+    h_hat = mmse_effective(dl_observe(q / np.sqrt(n0), h, noise)[None], q,
+                           np.tile(lam, (n_draws, 1)), [1.0 / n0])[0]
     emp = float(np.mean(np.sum(np.abs(h - h_hat) ** 2, axis=1)))
     return emp, error_trace_oracle(q, lam, n0)
 

@@ -229,6 +229,22 @@ def test_sparsify_failed_certificate_exits_1(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_sparsify_isolated_beam_exits_1(tmp_path, capsys, monkeypatch):
+    """A solution that selects a beam with no selected neighbor user is a
+    solver fault (exit 1) and writes no plan; it is not repaired."""
+    import fddsim.sparsifier as sp
+
+    spectra = tmp_path / "w.csv"
+    spectra.write_text("1,0\n0,1\n")
+    out = tmp_path / "plan.json"
+    monkeypatch.setattr(sp, "milp_solve",
+                        lambda mip: (np.array([0, 1, 1, 0, 0, 0, 0, 0.0]), 0, 0.0))
+    assert main(["sparsify", str(spectra), "--tdl", "1", "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: plan contains isolated beam 1") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_sparsify_bad_file_exits_2(capsys):
     assert main(["sparsify", "/no/such/w.csv", "--tdl", "2"]) == 2
 

@@ -83,47 +83,30 @@ def test_effective_gains_zero_channel_row():
 
 # ------------------------------------------------------------------- sum rate
 
-def test_sum_rate_zero_when_tdl_equals_t():
-    b = np.array([[2.0]], dtype=complex)
-    assert sum_rate(b, 10, 10) == 0.0
-
-
 def test_sum_rate_single_user_closed_form():
     b = np.array([[np.sqrt(3.0)]], dtype=complex)
-    assert abs(sum_rate(b, 0, 10) - 2.0) < 1e-12  # log2(1+3) = 2
-
-
-def test_sum_rate_prefactor_scaling():
-    b = gaussian_complex(9, 74, 0).reshape(3, 3)
-    r1 = sum_rate(b, 0, 100)
-    r2 = sum_rate(b, 50, 100)
-    assert abs(r2 - 0.5 * r1) < 1e-12
+    assert abs(sum_rate(b) - 2.0) < 1e-12  # log2(1+3) = 2
 
 
 def test_sum_rate_interference_free_k_users():
     g = 4.0
     b = np.sqrt(g) * np.eye(3, dtype=complex)
-    expected = 3 * (1 - 8 / 32) * math.log2(1 + g)
-    assert abs(sum_rate(b, 8, 32) - expected) < 1e-12
-
-
-def test_sum_rate_rejects_tdl_above_t():
-    with pytest.raises(InvalidArgumentError):
-        sum_rate(np.eye(2, dtype=complex), 33, 32)
+    expected = 3 * math.log2(1 + g)
+    assert abs(sum_rate(b) - expected) < 1e-12
 
 
 # ------------------------------------------------------------ greedy selection
 
 def test_greedy_orthogonal_users_all_selected():
     h = dft_matrix(8)[:, :4]
-    [sel] = greedy_user_selection(h[None], np.array([4.0]), t_dl=8, t=64)
+    [sel] = greedy_user_selection(h[None], np.array([4.0]))
     assert sorted(sel) == [0, 1, 2, 3]
 
 
 def test_greedy_duplicate_user_selected_once():
     col = gaussian_complex(6, 75, 0)
     h = np.column_stack([col, col])
-    [sel] = greedy_user_selection(h[None], np.array([2.0]), t_dl=8, t=64)
+    [sel] = greedy_user_selection(h[None], np.array([2.0]))
     assert len(sel) == 1
 
 
@@ -136,52 +119,49 @@ def test_greedy_equal_columns_tie_to_the_lowest_index():
             h = gaussian_complex(m_prime * n_cand, rng).reshape(m_prime, n_cand)
             h[:, a] *= 100.0
             h[:, b] = h[:, a]
-            [sel] = greedy_user_selection(h[None], np.array([100.0]), 8, 64)
+            [sel] = greedy_user_selection(h[None], np.array([100.0]))
             assert sel[0] == a, (m_prime, n_cand, a, b)
 
 
 def test_greedy_near_optimal_on_random_instances():
     """Greedy lands in the top-3 subsets by estimated ZF rate almost always."""
 
-    def est_rate(h, idx, p_dl, pre):
+    def est_rate(h, idx, p_dl):
         try:
             v = zf_precoder(h[:, idx])
         except (NumericalError, InvalidArgumentError):
             return -np.inf
-        return pre * float(np.sum(np.log2(1.0 + _zf_gains(h[:, idx], v) * (p_dl / len(idx)))))
+        return float(np.sum(np.log2(1.0 + _zf_gains(h[:, idx], v) * (p_dl / len(idx)))))
 
     rng = rng_stream(76, 0)
     hits = 0
     n_trials = 200
     for _ in range(n_trials):
         h = gaussian_complex(40, rng).reshape(8, 5)
-        p_dl, t_dl, t = 10.0, 8, 64
-        pre = 1 - t_dl / t
-        sel = frozenset(greedy_user_selection(h[None], np.array([p_dl]), t_dl, t)[0])
+        p_dl = 10.0
+        sel = frozenset(greedy_user_selection(h[None], np.array([p_dl]))[0])
         scored = []
         for r in range(1, 6):
             for combo in itertools.combinations(range(5), r):
-                scored.append((est_rate(h, list(combo), p_dl, pre),
-                               frozenset(combo)))
+                scored.append((est_rate(h, list(combo), p_dl), frozenset(combo)))
         scored.sort(key=lambda s: -s[0])
         if sel in {s for _, s in scored[:3]}:
             hits += 1
     assert hits >= 0.95 * n_trials
 
 
-def _greedy_per_candidate(h, p_dl, t_dl, t):
+def _greedy_per_candidate(h, p_dl):
     """Reference greedy selection: one zf_precoder call per candidate and
     step, scored by its gains J = |diag(H^H V)|^2 at uniform power; the
     batched selection must match it."""
     n_cand = h.shape[1]
-    pre = max(0.0, 1.0 - t_dl / t)
 
     def est_rate(idx):
         try:
             v = zf_precoder(h[:, idx])
         except (NumericalError, InvalidArgumentError):
             return -math.inf
-        return pre * float(np.sum(np.log2(1.0 + _zf_gains(h[:, idx], v) * (p_dl / len(idx)))))
+        return float(np.sum(np.log2(1.0 + _zf_gains(h[:, idx], v) * (p_dl / len(idx)))))
 
     selected = []
     best = 0.0
@@ -220,10 +200,8 @@ def test_greedy_matches_per_candidate_reference():
         if m_prime < n_cand:
             kinds.add("wide")
         powers = 10.0 ** rng.uniform(-1.0, 3.0, n_inst)
-        t_dl = int(rng.integers(1, 65))
-        got = greedy_user_selection(stack, powers, t_dl, 64)
-        assert got == [_greedy_per_candidate(h, p_dl, t_dl, 64)
-                       for h, p_dl in zip(stack, powers)]
+        got = greedy_user_selection(stack, powers)
+        assert got == [_greedy_per_candidate(h, p_dl) for h, p_dl in zip(stack, powers)]
         if len({len(sel) for sel in got}) > 1:
             kinds.add("staggered")
     assert kinds == {"scaled", "duplicate", "zero", "wide", "staggered"}
@@ -232,9 +210,9 @@ def test_greedy_matches_per_candidate_reference():
 def test_greedy_rejects_an_unstacked_estimate():
     h = gaussian_complex(6, 75, 1).reshape(3, 2)
     with pytest.raises(InvalidArgumentError):
-        greedy_user_selection(h, 2.0, 8, 64)
+        greedy_user_selection(h, 2.0)
     with pytest.raises(InvalidArgumentError):
-        greedy_user_selection(h[None], np.array([2.0, 4.0]), 8, 64)
+        greedy_user_selection(h[None], np.array([2.0, 4.0]))
 
 
 def test_run_trial_selects_each_tdl_in_one_stacked_call(monkeypatch):
@@ -248,13 +226,13 @@ def test_run_trial_selects_each_tdl_in_one_stacked_call(monkeypatch):
     calls = []
     greedy = ev.greedy_user_selection
 
-    def recording(h, p_dl, t_dl, t):
-        calls.append((h.shape[0], list(p_dl), t_dl))
-        return greedy(h, p_dl, t_dl, t)
+    def recording(h, p_dl):
+        calls.append((h.shape[0], list(p_dl)))
+        return greedy(h, p_dl)
 
     monkeypatch.setattr(ev, "greedy_user_selection", recording)
     records = run_trial(cfg, 0)
-    assert calls == [(3, [10.0, 100.0, 1000.0], t_dl) for t_dl in cfg.tdl_list]
+    assert calls == [(3, [10.0, 100.0, 1000.0])] * len(cfg.tdl_list)
     assert len(records) == 15 and not any(r.failure for r in records)
 
 
@@ -422,7 +400,9 @@ def test_failed_dl_stage_fails_every_snr_of_its_tdl(monkeypatch, stage, error):
 
     def recording(name, fn):
         def wrapped(*args):
-            t_eff = args[0].shape[2] if name == "mmse_effective" else args[2]
+                # a selection follows the estimate of its T_dl
+            t_eff = (args[0].shape[2] if name == "mmse_effective"
+                     else calls["mmse_effective"][-1])
             calls[name].append(t_eff)
             if name == stage and t_eff == 8:
                 raise error
@@ -461,13 +441,15 @@ def test_snr_at_the_bound_runs_without_failure(m):
 
 @pytest.mark.parametrize("t_dl", [24, 32])
 def test_overhead_charges_the_pilots_sent(monkeypatch, t_dl):
-    """A T_dl above the plan's M' = 16 beams sends t_eff = 16 pilots and is
-    charged (1 - t_eff/T) for them, in the greedy score and in the rate:
-    its records are those of T_dl = 16 on the same pilot stream. At
-    T_dl = T a charge of T_dl would leave nothing to serve."""
+    """A T_dl above the plan's M' = 16 beams sends t_eff = 16 pilots and its
+    rate is charged (1 - t_eff/T) for them: its records are those of
+    T_dl = 16 on the same pilot stream (each config lists one T_dl, so both
+    draw stream index 0). At T_dl = T a charge of T_dl would leave nothing
+    to serve."""
     import fddsim.evaluation as ev
 
-    cfg = ExperimentConfig(**SMALL)
+    cfg = ExperimentConfig(**{**SMALL, "tdl_list": [t_dl]})
+    cfg_ref = ExperimentConfig(**{**SMALL, "tdl_list": [cfg.m]})
     assert t_dl <= cfg.t
     graph, h_beam = trial_state(cfg, 0)
     assert len(solve_sparsification(graph, t_dl, p0=cfg.p0).beams) == cfg.m < t_dl
@@ -475,8 +457,8 @@ def test_overhead_charges_the_pilots_sent(monkeypatch, t_dl):
     effective = ev.effective_gains
     monkeypatch.setattr(ev, "effective_gains",
                         lambda *args: gains.append(effective(*args)) or gains[-1])
-    got = evaluate_tdl(cfg, 0, 0, t_dl, graph, h_beam)
-    ref = evaluate_tdl(cfg, 0, 0, cfg.m, graph, h_beam)
+    got = evaluate_tdl(cfg, 0, t_dl, graph, h_beam)
+    ref = evaluate_tdl(cfg_ref, 0, cfg.m, graph, h_beam)
 
     def fields(r):
         return (r.snr_db, r.served, r.matching_size, r.err_norm, r.sum_rate_bits, r.failure)
@@ -488,6 +470,43 @@ def test_overhead_charges_the_pilots_sent(monkeypatch, t_dl):
         sig = np.diag(mags)
         bits = np.sum(np.log2(1.0 + sig / (1.0 + mags.sum(axis=1) - sig)))
         assert rec.sum_rate_bits == pytest.approx((1.0 - cfg.m / cfg.t) * bits, rel=1e-12)
+
+
+def test_pilots_that_fill_the_frame_serve_no_one(monkeypatch, tmp_path):
+    """At th_rel 0 the plan of T_dl = T = M takes every beam, so its
+    t_eff = T pilots leave no symbol for data: every SNR is a zero-rate row
+    with the plan's matching size and no failure, and nothing is estimated
+    or selected. `simulate` writes those rows and exits 0."""
+    import fddsim.evaluation as ev
+    from fddsim.cli import main
+
+    cfg = ExperimentConfig(**{**SMALL, "t": 16, "tdl_list": [8, 16], "th_rel": 0.0})
+    graph, h_beam = trial_state(cfg, 0)
+    plan = solve_sparsification(graph, cfg.t, p0=cfg.p0)
+    assert len(plan.beams) == cfg.m == cfg.t and plan.matching_size > 0
+
+    def refuse(*args):
+        raise AssertionError("the DL stage ran")
+
+    monkeypatch.setattr(ev, "mmse_effective", refuse)
+    monkeypatch.setattr(ev, "greedy_user_selection", refuse)
+    records = evaluate_tdl(cfg, 0, cfg.t, graph, h_beam)
+    monkeypatch.undo()
+    assert [r.snr_db for r in records] == cfg.snr_db_list
+    for rec in records:
+        assert (rec.served, rec.matching_size, rec.sum_rate_bits, rec.failure) == (
+            0, plan.matching_size, 0.0, "")
+        assert math.isnan(rec.err_norm)
+
+    path = tmp_path / "frame.cfg"
+    path.write_text("M = 16\nK = 3\nT = 16\ntdl_list = 8, 16\nsnr_db_list = 10, 20\n"
+                    "n_trials = 2\nn_ul = 200\nseed = 7\nth_rel = 0\n")
+    out = tmp_path / "records.csv"
+    assert main(["simulate", str(path), "-o", str(out)]) == 0
+    rows = out.read_text().split("\n")[1:-1]
+    assert rows == [r.csv_row() for r in run_experiment(cfg)]
+    full = [row.split(",") for row in rows if row.split(",")[1] == "16"]
+    assert len(full) == 4 and all(f[3] == "0" and f[5:] == ["nan", "0"] for f in full)
 
 
 def test_run_trial_runs_the_per_user_estimator(monkeypatch):

@@ -44,8 +44,7 @@ def test_dl_observe_noiseless_formula():
     m = 6
     psi = np.sqrt(2.0) * np.eye(m, dtype=complex)
     h = gaussian_complex(m, 41, 0)
-    y = dl_observe(psi, beam_coefficients(h)[None, :], gaussian_complex(m, 41, 1)[None, :],
-                   0.0)
+    y = dl_observe(psi, beam_coefficients(h)[None, :], np.zeros((1, m), dtype=complex))
     np.testing.assert_allclose(y[0], np.sqrt(2.0) * (dft_matrix(m).conj().T @ h),
                                atol=1e-12)
 
@@ -53,30 +52,30 @@ def test_dl_observe_noiseless_formula():
 def test_dl_observe_noise_only():
     m, n = 8, 500
     psi = make_pilot(m, m, 42, 0)
-    y = dl_observe(psi, np.zeros((n, m), dtype=complex),
-                   gaussian_complex(n * m, 42, 1).reshape(n, m), 0.5)
+    noise = gaussian_complex(n * m, 42, 1).reshape(n, m)
+    y = dl_observe(psi, np.zeros((n, m), dtype=complex), noise)
     assert y.shape == (n, m)
-    assert abs(np.mean(np.abs(y) ** 2) - 0.5) < 0.05
+    np.testing.assert_array_equal(y, noise)
+    assert abs(np.mean(np.abs(y) ** 2) - 1.0) < 0.05  # unit noise power
 
 
 def test_dl_observe_deterministic():
-    """One stacked call: row i is Psi (B h_i) + sqrt(N0) n_i of user i."""
+    """One stacked call: row i is Psi (B h_i) + n_i of user i."""
     psi = make_pilot(2, 2, 43, 0)
     bh = beam_coefficients(gaussian_complex(12, 43, 1).reshape(4, 3))[[0, 2]].T
     noise = gaussian_complex(6, 43, 2).reshape(3, 2)
-    y = dl_observe(psi, bh, noise, 0.1)
-    np.testing.assert_array_equal(y, dl_observe(psi, bh, noise, 0.1))
+    y = dl_observe(psi, bh, noise)
+    np.testing.assert_array_equal(y, dl_observe(psi, bh, noise))
     for i in range(3):
-        np.testing.assert_allclose(y[i], psi @ bh[i] + np.sqrt(0.1) * noise[i],
-                                   rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(y[i], psi @ bh[i] + noise[i], rtol=1e-14, atol=0.0)
     with pytest.raises(InvalidArgumentError):
-        dl_observe(psi, np.zeros((3, 3), dtype=complex), noise, 0.1)  # width != M'
+        dl_observe(psi, np.zeros((3, 3), dtype=complex), noise)  # width != M'
     with pytest.raises(InvalidArgumentError):
-        dl_observe(psi, bh, np.zeros((3, 3), dtype=complex), 0.1)     # width != T_dl
+        dl_observe(psi, bh, np.zeros((3, 3), dtype=complex))     # width != T_dl
     with pytest.raises(InvalidArgumentError):
-        dl_observe(psi, bh, noise[:2], 0.1)                          # one draw per user
+        dl_observe(psi, bh, noise[:2])                          # one draw per user
     with pytest.raises(InvalidArgumentError):
-        dl_observe(psi, bh[0], noise[0], 0.1)                        # not a stack
+        dl_observe(psi, bh[0], noise[0])                        # not a stack
 
 
 # ----------------------------------------------------------------------- MMSE
@@ -87,33 +86,38 @@ def _prior(m_prime, support, variances):
     return lam
 
 
-def _mmse_one(y, q, lam, p_dl, n0):
+def _mmse_one(y, q, lam, p_dl):
     """One user's estimate at one pilot power."""
-    return mmse_effective(np.asarray(y)[None, None, :], q, [lam], [p_dl], n0)[0, 0]
+    return mmse_effective(np.asarray(y)[None, None, :], q, [lam], [p_dl])[0, 0]
 
 
 def test_mmse_scalar_closed_form():
+    """Noise level N0 is unit noise at pilot power p / N0, observed as
+    y / sqrt(N0)."""
     psi = np.array([[0.7 + 0.2j]])
     lam, n0 = 1.7, 0.3
     y = np.array([0.9 - 0.4j])
     expected = lam * psi[0, 0].conj() * y[0] / (abs(psi[0, 0]) ** 2 * lam + n0)
-    np.testing.assert_allclose(_mmse_one(y, psi, [lam], 1.0, n0), [expected], atol=1e-12)
+    y_unit = y / np.sqrt(n0)
+    np.testing.assert_allclose(_mmse_one(y_unit, psi, [lam], 1.0 / n0), [expected],
+                               atol=1e-12)
     # the same pilot as sqrt(p) times a unit one
-    np.testing.assert_allclose(_mmse_one(y, psi / 2.0, [lam], 4.0, n0), [expected],
+    np.testing.assert_allclose(_mmse_one(y_unit, psi / 2.0, [lam], 4.0 / n0), [expected],
                                rtol=1e-14, atol=0.0)
 
 
 def test_mmse_huge_noise_shrinks_to_zero():
+    """Noise that swamps the pilot: in unit noise, a vanishing pilot power."""
     psi = make_pilot(3, 6, 44, 0)
     y = gaussian_complex(3, 44, 1)
-    h_hat = _mmse_one(y, psi, _prior(6, [0, 3], [1.0, 2.0]), 1.0, 1e12)
+    h_hat = _mmse_one(y, psi, _prior(6, [0, 3], [1.0, 2.0]), 1e-24)
     assert np.linalg.norm(h_hat) < 1e-9
 
 
 def test_mmse_zero_outside_support():
     psi = make_pilot(4, 8, 45, 0)
     y = gaussian_complex(4, 45, 1)
-    h_hat = _mmse_one(y, psi, _prior(8, [1, 5], [1.0, 1.0]), 1.0, 0.1)
+    h_hat = _mmse_one(y, psi, _prior(8, [1, 5], [1.0, 1.0]), 10.0)
     off = [i for i in range(8) if i not in (1, 5)]
     np.testing.assert_array_equal(h_hat[off], np.zeros(6))
 
@@ -122,14 +126,15 @@ def test_mmse_batch_matches_per_user_formula():
     """Entry (j, i) of the batched estimate is the dense LMMSE
     Lam Psi^H (Psi Lam Psi^H + N0 I)^-1 y of user i's observation at pilot
     power p_j, Psi = sqrt(p_j) Q, formed one user and one power at a time;
-    entries with zero prior are exactly zero."""
+    entries with zero prior are exactly zero. The batch sees noise level N0
+    as unit noise at pilot powers p_j / N0 and observations y / sqrt(N0)."""
     rng = rng_stream(50, 0)
     q = make_pilot(5, 9, 50, 1)
     powers = np.array([0.1, 3.0, 1e3])
     n_users, n0 = 6, 0.4
     lam = rng.random((n_users, 9)) * (rng.random((n_users, 9)) < 0.6)
     y = gaussian_complex(powers.size * n_users * 5, rng).reshape(powers.size, n_users, 5)
-    got = mmse_effective(y, q, lam, powers, n0)
+    got = mmse_effective(y / np.sqrt(n0), q, lam, powers / n0)
     assert got.shape == (powers.size, n_users, 9)
     for j, p_dl in enumerate(powers):
         psi = np.sqrt(p_dl) * q
@@ -144,9 +149,10 @@ def test_mmse_numerical_failures_raise():
     psi = make_pilot(3, 6, 51, 0)
     y = gaussian_complex(3, 51, 1)
     with pytest.raises(NumericalError, match="singular"):
-        _mmse_one(y, psi, np.zeros(6), 1.0, 0.0)  # zero prior, no noise
+        # p G + I = [[p + 1, p], [p, p + 1]] rounds to singular: p + 1 == p at 2^53
+        _mmse_one(y[:2], np.ones((2, 1)), [1.0], 2.0 ** 53)
     with pytest.raises(NumericalError, match="non-finite"):
-        _mmse_one(np.full(3, np.inf + 0j), psi, np.ones(6), 1.0, 0.1)
+        _mmse_one(np.full(3, np.inf + 0j), psi, np.ones(6), 10.0)
 
 
 def test_mmse_empirical_matches_oracle():
@@ -172,27 +178,25 @@ def test_mmse_rejects_mismatched_dims():
     psi = make_pilot(3, 6, 46, 0)
     y = gaussian_complex(6, 46, 1).reshape(2, 1, 3)  # two powers, one user
     ones = np.ones((1, 6))
-    mmse_effective(y, psi, ones, [1.0, 2.0], 0.1)
+    mmse_effective(y, psi, ones, [1.0, 2.0])
     with pytest.raises(InvalidArgumentError):
-        mmse_effective(y, psi, np.ones((1, 5)), [1.0, 2.0], 0.1)   # prior length != M'
+        mmse_effective(y, psi, np.ones((1, 5)), [1.0, 2.0])  # prior length != M'
     with pytest.raises(InvalidArgumentError):
-        mmse_effective(y, psi, np.ones((2, 6)), [1.0, 2.0], 0.1)   # one prior per user
+        mmse_effective(y, psi, np.ones((2, 6)), [1.0, 2.0])  # one prior per user
     with pytest.raises(InvalidArgumentError):
-        mmse_effective(y, psi, ones, [1.0], 0.1)                   # one stack per power
+        mmse_effective(y, psi, ones, [1.0])                  # one stack per power
     with pytest.raises(InvalidArgumentError):
-        mmse_effective(y, psi, ones, [[1.0, 2.0]], 0.1)            # powers not a vector
+        mmse_effective(y, psi, ones, [[1.0, 2.0]])           # powers not a vector
     with pytest.raises(InvalidArgumentError):
-        mmse_effective(y[..., :2], psi, ones, [1.0, 2.0], 0.1)
+        mmse_effective(y[..., :2], psi, ones, [1.0, 2.0])
     with pytest.raises(InvalidArgumentError):
-        mmse_effective(y[0], psi, ones, [1.0], 0.1)                # not a stack per power
+        mmse_effective(y[0], psi, ones, [1.0])               # not a stack per power
     with pytest.raises(InvalidArgumentError):
-        mmse_effective(y, psi, -ones, [1.0, 2.0], 0.1)
+        mmse_effective(y, psi, -ones, [1.0, 2.0])
     with pytest.raises(InvalidArgumentError):
-        mmse_effective(y, psi, ones, [1.0, -2.0], 0.1)
+        mmse_effective(y, psi, ones, [1.0, -2.0])
     with pytest.raises(InvalidArgumentError):
-        mmse_effective(y, psi, ones, [1.0, np.nan], 0.1)
-    with pytest.raises(InvalidArgumentError):
-        mmse_effective(y, psi, ones, [1.0, 2.0], -0.1)
+        mmse_effective(y, psi, ones, [1.0, np.nan])
 
 
 # ----------------------------------------------------------------- error trace

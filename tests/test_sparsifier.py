@@ -211,6 +211,18 @@ def test_certificate_mismatch_raises(monkeypatch):
             solve_sparsification(w, t_dl=1)
 
 
+def test_isolated_selected_beam_raises(monkeypatch):
+    """A solution that takes a beam with no selected neighbor user breaks
+    the program's row x_c <= n_c sum_k A_ck y_k: it is a solver fault, and
+    the plan check reports it instead of dropping the beam."""
+    import fddsim.sparsifier as sp
+    # x = (class counts 0, 1; user selectors 1, 0; no matching): beam 1, user 0
+    monkeypatch.setattr(sp, "milp_solve",
+                        lambda mip: (np.array([0, 1, 1, 0, 0, 0, 0, 0.0]), 0, 0.0))
+    with pytest.raises(NumericalError, match="isolated beam 1"):
+        solve_sparsification(np.eye(2), t_dl=1)
+
+
 # weights of the hand-made plans below: beams 1 and 2 reach only user 0,
 # beam 3 only user 1
 _VALIDATE_W = [[1.0, 0.5], [0.5, 0.0], [0.5, 0.0], [0.0, 0.5]]
