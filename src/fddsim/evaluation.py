@@ -145,7 +145,6 @@ def normalized_error(h_true: np.ndarray, h_hat: np.ndarray) -> float:
 @dataclass
 class ExperimentRecord:
     trial: int
-    seed: int
     tdl: int
     snr_db: float
     served: int
@@ -214,25 +213,33 @@ def trial_state(cfg: ExperimentConfig, trial: int) -> tuple[np.ndarray, np.ndarr
 
 def evaluate_tdl(cfg: ExperimentConfig, trial: int, t_dl: int, graph: np.ndarray,
                  h_beam: np.ndarray) -> list:
-    """The records of one T_dl of a trial, one per SNR: sparsify, probe,
-    estimate and serve. The estimates and the greedy selections of all SNRs
-    are each made in one stacked call. A failed sparsify, estimate or
-    selection, or an overflowed rate, fails every SNR of the T_dl. Only here
-    is the training overhead charged: (1 - t_eff/T) on each rate, t_eff =
-    min(T_dl, M') the pilot dimensions sent; at t_eff = T no symbol is left
-    for data, so the rows serve no one and nothing is probed."""
-    failure = ""
+    """The records of one T_dl of a trial, one per SNR: sparsify, then probe
+    with t_eff = min(T_dl, M') pilot dimensions, estimate and serve (see
+    ``_serve``). A grid point that serves no one has served 0, err_norm nan
+    and rate 0: when the plan has no user, or when t_eff = T leaves no symbol
+    for data (nothing is probed then). A failed sparsify, estimate or
+    selection, or an overflowed rate, fails every SNR of the T_dl: its rows
+    serve no one and name the stage and the error."""
+    rows = [(0, math.nan, 0.0)] * len(cfg.snr_db_list)
+    plan, failure = None, ""
     try:
         plan = solve_sparsification(graph, t_dl, p0=cfg.p0)
-    except FddsimError as exc:
-        plan, failure = None, _failure("sparsify", exc)
-    if plan is None or not plan.beams or not plan.users:
-        return [_zero_rate(cfg, trial, t_dl, snr_db, 0, failure) for snr_db in cfg.snr_db_list]
-    t_eff = min(t_dl, len(plan.beams))  # a pilot never needs more dims than beams
-    if t_eff == cfg.t:
-        return [_zero_rate(cfg, trial, t_dl, s, plan.matching_size) for s in cfg.snr_db_list]
-    pre = 1.0 - t_eff / cfg.t
-    i_tdl = cfg.tdl_list.index(t_dl)
+        t_eff = min(t_dl, len(plan.beams))  # a pilot never needs more dims than beams
+        if plan.users and t_eff < cfg.t:
+            rows = _serve(cfg, trial, t_eff, cfg.tdl_list.index(t_dl), plan, graph, h_beam)
+    except (FddsimError, FloatingPointError) as exc:
+        failure = f"{'sparsify' if plan is None else 'grid point'}: {type(exc).__name__}: {exc}"
+    return [ExperimentRecord(trial=trial, tdl=t_dl, snr_db=snr_db, served=served,
+                             matching_size=plan.matching_size if plan else 0,
+                             err_norm=err_norm, sum_rate_bits=rate, failure=failure)
+            for snr_db, (served, err_norm, rate) in zip(cfg.snr_db_list, rows)]
+
+
+def _serve(cfg, trial, t_eff, i_tdl, plan, graph, h_beam) -> list:
+    """(served, err_norm, rate) at each SNR of a plan probed with t_eff pilot
+    dimensions. The estimates and the greedy selections of all SNRs are each
+    made in one stacked call. Only here is the training overhead charged:
+    (1 - t_eff/T) on each rate, for the pilot dimensions actually sent."""
     powers = np.array([10.0 ** (snr_db / 10.0) for snr_db in cfg.snr_db_list])
     # The pilot directions Q^H (unit power), and per selected user B h, the unit
     # observation-noise draw and the MMSE prior (its beam powers on its edges; unit
@@ -243,43 +250,23 @@ def evaluate_tdl(cfg: ExperimentConfig, trial: int, t_dl: int, graph: np.ndarray
                       for k in plan.users])
     prior = graph[np.ix_(plan.beams, plan.users)].T
     ys = np.stack([dl_observe(np.sqrt(p_dl) * q_h, h_eff.T, noise) for p_dl in powers])
-    try:
-        with np.errstate(over="raise", invalid="raise"):  # an overflowed rate fails too
-            h_hats = np.swapaxes(mmse_effective(ys, q_h, prior, powers), 1, 2)
-            orders = greedy_user_selection(h_hats, powers)
-            return [_grid_point(cfg, trial, t_dl, pre, cfg.snr_db_list[i], powers[i], plan,
-                                h_hats[i], order, h_eff, h_beam)
-                    for i, order in enumerate(orders)]
-    except (FddsimError, FloatingPointError) as exc:
-        return [_zero_rate(cfg, trial, t_dl, snr_db, plan.matching_size,
-                           _failure("grid point", exc)) for snr_db in cfg.snr_db_list]
-
-
-def _failure(stage: str, exc: Exception) -> str:
-    return f"{stage}: {type(exc).__name__}: {exc}"
-
-
-def _zero_rate(cfg, trial, t_dl, snr_db, matching_size, failure="") -> ExperimentRecord:
-    """The row of a grid point that serves no user: zero rate, err_norm nan."""
-    return ExperimentRecord(trial, cfg.seed, t_dl, snr_db, 0, matching_size,
-                            float("nan"), 0.0, failure)
-
-
-def _grid_point(cfg, trial, t_dl, pre, snr_db, p_dl, plan, h_hat_eff, order,
-                h_eff, h_beam) -> ExperimentRecord:
-    served_cols = sorted(order)
-    if not served_cols:
-        return _zero_rate(cfg, trial, t_dl, snr_db, plan.matching_size)
-    # greedy selection admitted this set only after its ZF rank test passed
-    v = zf_precoder(h_hat_eff[:, served_cols])
-    rate = pre * sum_rate(effective_gains(h_eff[:, served_cols], v, p_dl))
-    # F is unitary, so ||h - B^H h_hat|| = ||F^H h - h_hat zero-filled||
-    served_users = [plan.users[c] for c in served_cols]
-    h_hat_beam = np.zeros((cfg.m, len(served_cols)), dtype=complex)
-    h_hat_beam[plan.beams] = h_hat_eff[:, served_cols]
-    err = normalized_error(h_beam[:, served_users], h_hat_beam)
-    return ExperimentRecord(trial, cfg.seed, t_dl, snr_db, len(served_users),
-                            plan.matching_size, err, rate)
+    rows = []
+    with np.errstate(over="raise", invalid="raise"):  # an overflowed rate fails too
+        h_hats = np.swapaxes(mmse_effective(ys, q_h, prior, powers), 1, 2)
+        for p_dl, h_hat, order in zip(powers, h_hats, greedy_user_selection(h_hats, powers)):
+            cols = sorted(order)
+            if not cols:
+                rows.append((0, math.nan, 0.0))
+                continue
+            # greedy selection admitted this set only after its ZF rank test passed
+            v = zf_precoder(h_hat[:, cols])
+            rate = (1.0 - t_eff / cfg.t) * sum_rate(effective_gains(h_eff[:, cols], v, p_dl))
+            # F is unitary, so ||h - B^H h_hat|| = ||F^H h - h_hat zero-filled||
+            h_hat_beam = np.zeros((cfg.m, len(cols)), dtype=complex)
+            h_hat_beam[plan.beams] = h_hat[:, cols]
+            served = [plan.users[c] for c in cols]
+            rows.append((len(cols), normalized_error(h_beam[:, served], h_hat_beam), rate))
+    return rows
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list:

@@ -324,11 +324,12 @@ def test_validate_single_suite(capsys):
 
 def test_validate_injected_fault_fails(capsys, monkeypatch):
     import fddsim.validate as validate
-    monkeypatch.setitem(validate.SUITES, "nnls", lambda: validate.suite_nnls(tol=-1.0))
+    monkeypatch.setitem(validate.SUITES, "nnls",
+                        lambda: validate.SuiteResult("nnls-enumeration", False, "injected"))
     rc = main(["validate", "--suite", "nnls"])
     out = capsys.readouterr().out
     assert rc == 1
-    assert "[FAIL]" in out
+    assert "[FAIL] nnls-enumeration" in out and "injected" in out
 
 
 def test_validate_fast_suites_pass(capsys):

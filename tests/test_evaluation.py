@@ -570,7 +570,8 @@ def test_write_records_csv_schema(tmp_path):
 
 
 def test_summarize_grid_stats():
-    recs = [ExperimentRecord(t, 1, 8, 10.0, 2, 2, 0.1, float(t + 1))
+    recs = [ExperimentRecord(trial=t, tdl=8, snr_db=10.0, served=2, matching_size=2,
+                             err_norm=0.1, sum_rate_bits=float(t + 1))
             for t in range(4)]
     out = summarize(recs)["grid"]
     assert len(out) == 1
@@ -658,11 +659,10 @@ def test_acceptance_scale_trial_records_golden():
         cfg = ExperimentConfig(m=64, k=8, t=64, tdl_list=[8, 16, 24, 32, 48],
                                snr_db_list=[10.0, 20.0, 30.0], n_trials=1,
                                seed=seed, n_ul=500, th_rel=1e-3)
-        got += run_trial(cfg, 0)
+        got += [((seed, rec.tdl, rec.snr_db), rec) for rec in run_trial(cfg, 0)]
     assert len(got) == len(GOLDEN_TRIAL0)
-    for rec, (seed, tdl, snr, served, matching, err, rate) in zip(got, GOLDEN_TRIAL0):
-        cell = (seed, tdl, snr)
-        assert (rec.seed, rec.tdl, rec.snr_db) == cell
+    for (cell, rec), (seed, tdl, snr, served, matching, err, rate) in zip(got, GOLDEN_TRIAL0):
+        assert cell == (seed, tdl, snr)
         assert (rec.served, rec.matching_size) == (served, matching), cell
         assert rec.err_norm == pytest.approx(err, rel=1e-9), cell
         assert rec.sum_rate_bits == pytest.approx(rate, rel=1e-9), cell

@@ -465,12 +465,27 @@ def test_complete_64x8_plan_matches_highs(t_dl):
     assert abs(plan.objective - mip.c @ x) <= 1e-9
 
 
-def test_milp_suite_and_oracle_agree():
-    """The suite returns one SuiteResult, built from milp_oracle's count;
+def test_milp_suite_and_oracle_agree(monkeypatch):
+    """The suite returns one SuiteResult, built from milp_oracle's count on
+    its 200 instances of seed 77, and passes only if every instance matches;
     without collect_z the oracle solves no fixed-selector LP."""
-    res = suite_milp_vs_bruteforce(20, seed=5)
-    assert isinstance(res, SuiteResult) and res.passed
-    assert res.detail == "20/20 instances match the enumeration oracle"
+    import fddsim.validate as validate
+
+    calls = []
+
+    def stub(hits):
+        def oracle(*args, **kwargs):
+            calls.append((args, kwargs))
+            return hits, 0.0, 0
+        return oracle
+
+    for hits, passed in [(200, True), (199, False)]:
+        monkeypatch.setattr(validate, "milp_oracle", stub(hits))
+        res = suite_milp_vs_bruteforce()
+        assert isinstance(res, SuiteResult) and res.passed is passed
+        assert res.detail == f"{hits}/200 instances match the enumeration oracle"
+    assert calls == [((200, 77), {"collect_z": False})] * 2
+    monkeypatch.undo()
     assert milp_oracle(20, 5, collect_z=False) == (20, 0.0, 0)
 
 
