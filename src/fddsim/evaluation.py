@@ -34,7 +34,7 @@ from .sparsifier import beam_coefficients, build_beam_graph, solve_sparsificatio
 
 ZF_COND_TOL = 1e-12
 
-# stream purpose tags; 2 is unused, so the DL streams keep their draws
+# stream purpose tags, the last entry of every stream path (see ``numerics``)
 _SCENARIO, _UL_COV, _DL_CHAN, _PILOT, _OBS_NOISE = 0, 1, 3, 4, 5
 
 
@@ -144,6 +144,9 @@ def normalized_error(h_true: np.ndarray, h_hat: np.ndarray) -> float:
 
 @dataclass
 class ExperimentRecord:
+    """The outcome of one grid point (trial, T_dl, SNR), a function of that
+    grid point alone; ``evaluate_tdl`` builds every record."""
+
     trial: int
     tdl: int
     snr_db: float
@@ -219,14 +222,19 @@ def evaluate_tdl(cfg: ExperimentConfig, trial: int, t_dl: int, graph: np.ndarray
     and rate 0: when the plan has no user, or when t_eff = T leaves no symbol
     for data (nothing is probed then). A failed sparsify, estimate or
     selection, or an overflowed rate, fails every SNR of the T_dl: its rows
-    serve no one and name the stage and the error."""
+    serve no one and name the stage and the error.
+
+    A row depends only on its own (trial, T_dl, SNR), not on the rest of
+    ``tdl_list`` or ``snr_db_list`` nor their order: the pilot is drawn from
+    stream (trial, t_eff) and each user's observation noise from
+    (trial, user, t_eff), so T_dl values with the same t_eff share them."""
     rows = [(0, math.nan, 0.0)] * len(cfg.snr_db_list)
     plan, failure = None, ""
     try:
         plan = solve_sparsification(graph, t_dl, p0=cfg.p0)
         t_eff = min(t_dl, len(plan.beams))  # a pilot never needs more dims than beams
         if plan.users and t_eff < cfg.t:
-            rows = _serve(cfg, trial, t_eff, cfg.tdl_list.index(t_dl), plan, graph, h_beam)
+            rows = _serve(cfg, trial, t_eff, plan, graph, h_beam)
     except (FddsimError, FloatingPointError) as exc:
         failure = f"{'sparsify' if plan is None else 'grid point'}: {type(exc).__name__}: {exc}"
     return [ExperimentRecord(trial=trial, tdl=t_dl, snr_db=snr_db, served=served,
@@ -235,7 +243,7 @@ def evaluate_tdl(cfg: ExperimentConfig, trial: int, t_dl: int, graph: np.ndarray
             for snr_db, (served, err_norm, rate) in zip(cfg.snr_db_list, rows)]
 
 
-def _serve(cfg, trial, t_eff, i_tdl, plan, graph, h_beam) -> list:
+def _serve(cfg, trial, t_eff, plan, graph, h_beam) -> list:
     """(served, err_norm, rate) at each SNR of a plan probed with t_eff pilot
     dimensions. The estimates and the greedy selections of all SNRs are each
     made in one stacked call. Only here is the training overhead charged:
@@ -244,9 +252,9 @@ def _serve(cfg, trial, t_eff, i_tdl, plan, graph, h_beam) -> list:
     # The pilot directions Q^H (unit power), and per selected user B h, the unit
     # observation-noise draw and the MMSE prior (its beam powers on its edges; unit
     # noise power) do not depend on the SNR: observe at every SNR, estimate at once.
-    q_h = make_pilot(t_eff, len(plan.beams), cfg.seed, trial, _PILOT, i_tdl)
+    q_h = make_pilot(t_eff, len(plan.beams), cfg.seed, trial, t_eff, _PILOT)
     h_eff = h_beam[np.ix_(plan.beams, plan.users)]
-    noise = np.stack([gaussian_complex(t_eff, cfg.seed, trial, k, _OBS_NOISE, i_tdl)
+    noise = np.stack([gaussian_complex(t_eff, cfg.seed, trial, k, t_eff, _OBS_NOISE)
                       for k in plan.users])
     prior = graph[np.ix_(plan.beams, plan.users)].T
     ys = np.stack([dl_observe(np.sqrt(p_dl) * q_h, h_eff.T, noise) for p_dl in powers])

@@ -2,9 +2,10 @@
 
 Everything here is a pure function of its inputs and returns plain
 arrays. Random draws are reproducible: a stream is identified by the
-master seed plus an arbitrary path of integers (e.g.
-``(trial, user, purpose)``), and the same stream id always yields the same
-values, independent of call order or thread count. Nothing here factors
+master seed plus a path of integers, and the same stream id always yields
+the same values, independent of call order or thread count. A path ends in
+a purpose tag unique to its kind of draw (e.g. ``(trial, user, purpose)``),
+so two kinds of draw never read the same stream. Nothing here factors
 a matrix: the channel draws take pivoted Cholesky factors in ``channel``,
 and callers that need eigenvalues run ``np.linalg.eigvalsh`` themselves.
 """
