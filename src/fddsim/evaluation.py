@@ -34,6 +34,9 @@ from .sparsifier import beam_coefficients, build_beam_graph, solve_sparsificatio
 
 ZF_COND_TOL = 1e-12
 
+# (served, err_norm, rate) of a grid point that serves no one
+_NO_ONE_SERVED = (0, math.nan, 0.0)
+
 # stream purpose tags, the last entry of every stream path (see ``numerics``)
 _SCENARIO, _UL_COV, _DL_CHAN, _PILOT, _OBS_NOISE = 0, 1, 3, 4, 5
 
@@ -217,18 +220,16 @@ def trial_state(cfg: ExperimentConfig, trial: int) -> tuple[np.ndarray, np.ndarr
 def evaluate_tdl(cfg: ExperimentConfig, trial: int, t_dl: int, graph: np.ndarray,
                  h_beam: np.ndarray) -> list:
     """The records of one T_dl of a trial, one per SNR: sparsify, then probe
-    with t_eff = min(T_dl, M') pilot dimensions, estimate and serve (see
-    ``_serve``). A grid point that serves no one has served 0, err_norm nan
-    and rate 0: when the plan has no user, or when t_eff = T leaves no symbol
-    for data (nothing is probed then). A failed sparsify, estimate or
-    selection, or an overflowed rate, fails every SNR of the T_dl: its rows
-    serve no one and name the stage and the error.
+    with t_eff = min(T_dl, M') pilot dimensions, estimate and serve
+    (``_serve``). A row serves no one (served 0, err_norm nan, rate 0) when
+    the plan has no user, when t_eff = T leaves no symbol for data (nothing
+    is probed then), or when the sparsify or DL stage fails, which fails
+    every SNR of the T_dl with its stage and error as the reason.
 
-    A row depends only on its own (trial, T_dl, SNR), not on the rest of
-    ``tdl_list`` or ``snr_db_list`` nor their order: the pilot is drawn from
-    stream (trial, t_eff) and each user's observation noise from
+    A row depends only on its own (trial, T_dl, SNR): the pilot stream is
+    keyed by (trial, t_eff) and each user's noise stream by
     (trial, user, t_eff), so T_dl values with the same t_eff share them."""
-    rows = [(0, math.nan, 0.0)] * len(cfg.snr_db_list)
+    rows = [_NO_ONE_SERVED] * len(cfg.snr_db_list)
     plan, failure = None, ""
     try:
         plan = solve_sparsification(graph, t_dl, p0=cfg.p0)
@@ -264,7 +265,7 @@ def _serve(cfg, trial, t_eff, plan, graph, h_beam) -> list:
         for p_dl, h_hat, order in zip(powers, h_hats, greedy_user_selection(h_hats, powers)):
             cols = sorted(order)
             if not cols:
-                rows.append((0, math.nan, 0.0))
+                rows.append(_NO_ONE_SERVED)
                 continue
             # greedy selection admitted this set only after its ZF rank test passed
             v = zf_precoder(h_hat[:, cols])
