@@ -22,8 +22,8 @@ from scipy.optimize import nnls as _scipy_nnls
 from .errors import InvalidArgumentError, NumericalError
 
 
-# default angle-grid points per antenna
-DEFAULT_GRID_FACTOR = 4
+# default angle-grid points per antenna (see estimate_asf for why 2)
+DEFAULT_GRID_FACTOR = 2
 
 
 def asf_grid(g: int) -> np.ndarray:
@@ -53,16 +53,22 @@ def estimate_asf(c_ul: np.ndarray, grid_size: int | None = None) -> np.ndarray:
     Given the Toeplitz average of a sample covariance S this is, up to a
     constant, the projection of S onto the Toeplitz-PSD cone restricted
     to the grid's nonnegative measures. Default grid size is
-    DEFAULT_GRID_FACTOR * M.
+    DEFAULT_GRID_FACTOR * M = 2M.
 
     The complex system is stacked into real form on its 2M - 1 informative
     rows, Re c_0..c_{M-1} and Im c_1..c_{M-1}. The row Im c_0 is dropped:
     it is zero in the design (sin 0 = 0), so it only adds the constant
     n_0 (Im c_ul[0])^2 to the objective and leaves the minimizer unchanged;
-    the pipeline's c_ul[0] is real anyway. SciPy's solver is also faster on
-    2M - 1 rows than on 2M, a power of two at M = 64, 128 and 256: per call
-    on pipeline inputs (SciPy 1.17, one BLAS thread, 2-core Xeon),
-    3.2 -> 2.8 ms at M=64, 27 -> 21 ms at M=128 and 160 -> 117 ms at M=256.
+    the pipeline's c_ul[0] is real anyway.
+
+    Why 2M: the real design is then (2M - 1) x 2M, close to square. A finer
+    grid adds columns but no information, since A^T A keeps rank 2M - 1 (at
+    G = 4M, 2M - 1 of 4M), so only z >= 0 picks among the many z that fit
+    equally well, and the solver pays for the extra columns. Per call on
+    pipeline inputs (users of trial 0, SciPy 1.17, one BLAS thread, 2-core
+    Xeon), G = 4M -> 2M: 2.4 -> 0.52 ms at M=64, 15 -> 3.1 ms at M=128 and
+    140 -> 22 ms at M=256. The DL spectrum moves by less than the sampling
+    error of n_ul = 500 pilots (``test_default_grid_dl_spectrum_tolerance``).
     """
     c_ul = np.asarray(c_ul, dtype=complex)
     m = c_ul.size

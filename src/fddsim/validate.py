@@ -16,8 +16,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .channel import AngularScatteringFunction, true_covariance
-from .covariance import (DEFAULT_GRID_FACTOR, circulant_eigenvalues, estimate_asf,
-                         nnls, steering)
+from .covariance import circulant_eigenvalues, estimate_asf, nnls, steering
 from .errors import InvalidArgumentError
 from .numerics import gaussian_complex, rng_stream, toeplitz_average, toeplitz_from_column
 from .probing import dl_observe, make_pilot, mmse_effective
@@ -318,14 +317,14 @@ def suite_projection() -> SuiteResult:
     decades. 50 Hermitian 8 x 8 inputs, 10^4 samples each."""
     n_inputs, n_samples, size = 50, 10**4, 8
     rng = rng_stream(31, 23)
-    g = DEFAULT_GRID_FACTOR * size
-    gm = steering(size, g, 1.0) / np.sqrt(size)
     n_atomic = n_samples // 2
     wins = 0
     for _ in range(n_inputs):
         h = gaussian_complex(size * size, rng).reshape(size, size)
         a = 0.5 * (h + h.conj().T)
         z = estimate_asf(toeplitz_average(a))
+        g = z.size  # the fit's own grid
+        gm = steering(size, g, 1.0) / np.sqrt(size)
         d_fit = np.sqrt(max(_toeplitz_distance_sq(a, (gm @ z)[None, :])[0], 0.0))
         # a grid measure of mass sqrt(M) * c has T(gm @ measure) diagonal c
         mass = np.sqrt(size) * max(float(np.trace(a).real) / size, 0.5)

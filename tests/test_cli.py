@@ -67,22 +67,22 @@ def test_simulate_bad_key_exits_2(tmp_path, capsys):
 # `extrapolate` outputs for SMALL_CFG, user 0, as written (12 significant
 # digits): one row per index of c_ul_hat.csv, c_dl_hat.csv and spectrum.csv.
 GOLDEN_EXTRAPOLATE = [  # (c_ul_hat, c_dl_hat, lambda)
-    (0.951923124507+0j, 0.951923124507+0j, 0.053986722157),
-    (0.0349734109906-0.00873931981929j, -0.100942935912+0.0198845726502j, 0.0563477681679),
-    (-0.816564574114+0.331908542451j, -0.774593700345+0.349264843678j, 0.0815011099368),
-    (-0.0798793188273+0.0471201347016j, 0.201775631176-0.156325503435j, 0.169657764434),
-    (0.498252725662-0.490347032491j, 0.397103063112-0.445707547777j, 2.48663591182),
-    (0.0711107314178-0.0781333062791j, -0.125674273477+0.258856668429j, 3.76326644347),
-    (-0.171855472779+0.41728310537j, -0.0940778370608+0.272192781944j, 0.83861374968),
-    (-0.037422591969+0.0568398918394j, -0.0144336620744-0.189568455778j, 0.136751202155),
-    (-0.0170008917104-0.197538795415j, 0.0187739212553-0.0329327455563j, 0.0828866442018),
-    (0.0375537347767+0.0112705518688j, 0.0440619024828-0.000130160906018j, 0.0774783450379),
-    (0.0308166659084-0.0193387958137j, -0.0923110492187-0.0738405815772j, 0.120412182559),
-    (-0.0931569267246-0.0707343272568j, 0.0724048424113+0.140056840962j, 0.626013631503),
-    (0.0538872970659+0.13039243614j, 0.148566738042+0.0269422216915j, 3.93903075963),
-    (0.17600710301+0.0692445542605j, -0.216435194873-0.124484487207j, 2.56363398637),
-    (-0.132585202417-0.127550579945j, -0.119315069717+0.0631585079921j, 0.162509286119),
-    (-0.235790865876-0.00163479562671j, 0.266629167298-0.000188594885242j, 0.072044484874),
+    (0.971647319005+0j, 0.971647319005+0j, 0.0681357392726),
+    (0.0343976599555-0.0153323755574j, -0.103827807631+0.0140398575084j, 0.069074942046),
+    (-0.823456272622+0.335495611811j, -0.779376112368+0.353600778871j, 0.0966882139156),
+    (-0.0811947425476+0.0490213220835j, 0.198010817836-0.155114105948j, 0.211193350163),
+    (0.48812745138-0.485464726656j, 0.388350033175-0.437452705086j, 2.37349089395),
+    (0.0729961999609-0.0707294071756j, -0.114476008368+0.256719771488j, 3.72867712681),
+    (-0.158807901556+0.401398270225j, -0.0909196057284+0.249407271568j, 1.049477099),
+    (-0.0431819368499+0.0397570644774j, -0.023286275442-0.186203123144j, 0.193719387206),
+    (-0.021289655604-0.186213986024j, 0.0268863683362-0.018390789376j, 0.116399956513),
+    (0.0462019181004+0.023579390969j, 0.0434846674136+0.00829489431261j, 0.106007871219),
+    (0.0293541050565-0.00988365923385j, -0.0802539397345-0.0589198888045j, 0.160386093002),
+    (-0.0804987358396-0.0561998307037j, 0.0684159879564+0.106018101706j, 0.655289041637),
+    (0.0546519020953+0.10020423014j, 0.0630493127712+0.000299295367018j, 3.89230698422),
+    (0.0963038503286+0.0312913120146j, -0.168824295823-0.0686009856644j, 2.50059868384),
+    (-0.14267419963-0.0820246933018j, 0.0697304520367+0.0276221169088j, 0.231384518856),
+    (-0.0475225821317+0.00957193293314j, 0.119032460461-0.0262667318266j, 0.093527202418),
 ]
 
 
@@ -362,7 +362,8 @@ def test_extrapolate_former_nnls_hang_input():
     the in-repo active-set NNLS step by zero forever with single-threaded
     BLAS. Its UL Toeplitz column came from explicit pilot snapshots, which
     tests/snapshots.py rebuilds bit for bit; a child process with BLAS
-    pinned to one thread rebuilds it and fits it under a time limit."""
+    pinned to one thread rebuilds it and fits it under a time limit, on the
+    default grid of 2M = 128 angles."""
     script = (
         "from fddsim.channel import true_covariance\n"
         "from fddsim.config import ExperimentConfig\n"
@@ -383,7 +384,7 @@ def test_extrapolate_former_nnls_hang_input():
     proc = subprocess.run([sys.executable, "-c", script],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["256", "True"]
+    assert proc.stdout.split() == [str(2 * 64), "True"]
 
 
 # -------------------------------------------------- repeated calls in one process

@@ -67,7 +67,7 @@ def test_tdl_above_t_rejected_with_key(tmp_path):
 def test_unknown_key_reports_line(tmp_path):
     # theta_max_deg was a key once, the geometry is defined in xi alone;
     # output_path was one too, simulate -o sets the records path;
-    # grid_factor and epsilon_factor were too, the angle grid (4M points)
+    # grid_factor and epsilon_factor were too, the angle grid (2M points)
     # and the beam reward (0.5/M) are constants of the solvers
     for key in ("bogus", "theta_max_deg", "output_path", "grid_factor", "epsilon_factor"):
         with pytest.raises(ConfigError, match=f":8: unknown key '{key}'"):
