@@ -758,3 +758,82 @@ def test_summary_golden_cells():
     for cell, (rate, served) in GOLDEN.items():
         assert grid[cell]["sum_rate_mean"] == pytest.approx(rate, rel=1e-6), cell
         assert grid[cell]["served_mean"] == pytest.approx(served, abs=1e-12), cell
+
+
+# Trial 0 of the paper regime (M=256, K=32, T=256, n_ul=500, th_rel=1e-2, config
+# seed 1) with 3 clusters of width 0.2 and with 8 of width 0.1:
+# (clusters, Tdl, snr_db, served, matching_size, err_norm, sum_rate_bits), and
+# each plan's (n_classes, node_count). Its plans go through HiGHS. The records
+# move by up to 1.7e-10 relative between one and two BLAS threads and not at
+# all between --threads 1 and 2; the 1e-9 tolerance absorbs the former.
+GOLDEN_PAPER_PLANS = {
+    (3, 8): (7, 17),
+    (3, 16): (7, 7),
+    (3, 24): (7, 1),
+    (3, 32): (7, 1),
+    (3, 48): (7, 1),
+    (8, 8): (16, 1),
+    (8, 16): (16, 1),
+    (8, 24): (16, 1),
+    (8, 32): (16, 1),
+    (8, 48): (16, 0),
+}
+GOLDEN_PAPER = [
+    (3, 8, 10, 11, 16, 0.8533482178648242, 31.259285035447377),
+    (3, 8, 20, 13, 16, 0.8424050007228168, 43.96614113486907),
+    (3, 8, 30, 15, 16, 0.852413087734164, 55.082439855569945),
+    (3, 16, 10, 15, 26, 0.7657262333023829, 35.413266007908746),
+    (3, 16, 20, 17, 26, 0.7468862051367146, 59.94011874969176),
+    (3, 16, 30, 19, 26, 0.756145737524557, 57.05309168530253),
+    (3, 24, 10, 22, 32, 0.6319526741625194, 53.519370033193276),
+    (3, 24, 20, 26, 32, 0.6184348767549773, 92.52940075684012),
+    (3, 24, 30, 28, 32, 0.6312861211064209, 100.93458957169742),
+    (3, 32, 10, 30, 32, 0.5131653615683105, 61.74065769748828),
+    (3, 32, 20, 31, 32, 0.479493695250493, 107.04659611003628),
+    (3, 32, 30, 32, 32, 0.4736077369991243, 130.40286281853355),
+    (3, 48, 10, 32, 32, 0.28226179448113636, 83.2890127521862),
+    (3, 48, 20, 32, 32, 0.22440281326985945, 127.88340940701546),
+    (3, 48, 30, 32, 32, 0.2210538291480293, 143.1329537790561),
+    (8, 8, 10, 22, 32, 0.7490982734405512, 45.3451698074376),
+    (8, 8, 20, 26, 32, 0.744571553833095, 66.82738377708368),
+    (8, 8, 30, 28, 32, 0.7936736006766634, 74.24217290091202),
+    (8, 16, 10, 31, 32, 0.5741661681652912, 67.45474874962622),
+    (8, 16, 20, 32, 32, 0.5270195485868184, 107.13855675869092),
+    (8, 16, 30, 32, 32, 0.5323419979296238, 122.5236671125769),
+    (8, 24, 10, 32, 32, 0.3844026385811552, 86.30877444382443),
+    (8, 24, 20, 32, 32, 0.32300325155955767, 123.40150563662405),
+    (8, 24, 30, 32, 32, 0.33781715196454576, 131.59852860986112),
+    (8, 32, 10, 32, 32, 0.2528899282659539, 101.37365609880817),
+    (8, 32, 20, 32, 32, 0.17612516943418097, 149.75325893279043),
+    (8, 32, 30, 32, 32, 0.19318048567511445, 150.28906319838214),
+    (8, 48, 10, 32, 32, 0.09229323922111783, 114.63937346915961),
+    (8, 48, 20, 32, 32, 0.04130334275710476, 169.82103849461438),
+    (8, 48, 30, 32, 32, 0.03933932139603953, 186.38223427423364),
+]
+
+
+def test_paper_regime_trial_records_golden(monkeypatch):
+    import fddsim.evaluation as ev
+
+    got, plans = [], {}
+    solve = ev.solve_sparsification
+    for n_clusters, width in ((3, 0.2), (8, 0.1)):
+        cfg = ExperimentConfig(m=256, k=32, t=256, tdl_list=[8, 16, 24, 32, 48],
+                               snr_db_list=[10.0, 20.0, 30.0], n_trials=1, seed=1,
+                               n_ul=500, th_rel=1e-2, n_clusters=n_clusters,
+                               cluster_width=width)
+
+        def recording(graph, t_dl, p0=0.0, n_clusters=n_clusters):
+            plan = solve(graph, t_dl, p0=p0)
+            plans[(n_clusters, t_dl)] = (plan.n_classes, plan.node_count)
+            return plan
+
+        monkeypatch.setattr(ev, "solve_sparsification", recording)
+        got += [((n_clusters, rec.tdl, rec.snr_db), rec) for rec in run_trial(cfg, 0)]
+    assert plans == GOLDEN_PAPER_PLANS
+    assert len(got) == len(GOLDEN_PAPER)
+    for (cell, rec), (n_clusters, tdl, snr, served, matching, err, rate) in zip(got, GOLDEN_PAPER):
+        assert cell == (n_clusters, tdl, snr)
+        assert (rec.served, rec.matching_size, rec.failure) == (served, matching, ""), cell
+        assert rec.err_norm == pytest.approx(err, rel=1e-9), cell
+        assert rec.sum_rate_bits == pytest.approx(rate, rel=1e-9), cell
