@@ -2,14 +2,17 @@
 
 A trial is two stages. ``trial_state`` runs the per-user estimator
 ``estimate_user_pipeline`` for every user into one beam graph and takes
-the beam coefficients F^H h of the true DL channels once; ``evaluate_tdl``
-turns them into the records of one T_dl. The DL stage runs in the beam
-domain on plain arrays: the probing input, the true effective channels
-and the estimation error read the selected beams' rows of F^H h.
+the beam coefficients F^H h of the true DL channels once; ``evaluate_tdls``
+turns them into the records of every T_dl. It sparsifies, probes and
+estimates T_dl by T_dl, runs one greedy user selection over the estimates
+of every T_dl at every SNR, and then precodes and rates each grid point.
+The DL stage runs in the beam domain on plain arrays: the probing input,
+the true effective channels and the estimation error read the selected
+beams' rows of F^H h.
 
 SNR convention: unit noise power, so P_dl = SNR, at most 2^53/M (config
 rejects higher SNRs, since rounding would erase the unit noise term of the
-MMSE system p G + I). Rates are in bits/s/Hz (log base 2). ``evaluate_tdl``
+MMSE system p G + I). Rates are in bits/s/Hz (log base 2). ``evaluate_tdls``
 alone charges the DL training overhead (1 - t_eff/T), for the
 t_eff = min(T_dl, M') pilot dimensions actually sent.
 """
@@ -44,18 +47,62 @@ _SCENARIO, _UL_COV, _DL_CHAN, _PILOT, _OBS_NOISE = 0, 1, 3, 4, 5
 def zf_precoder(h_hat_eff: np.ndarray) -> np.ndarray:
     """Unit-norm ZF beamformer V = H (H^H H)^-1 J^(1/2) (M' x K'') from
     estimated effective channels H (columns), J normalizing the columns of
-    H (H^H H)^-1 to unit norm."""
+    H (H^H H)^-1 to unit norm. Raises NumericalError when H^H H fails the
+    rank test of ``_full_rank_inverse``."""
     h = np.asarray(h_hat_eff, dtype=complex)
     if h.ndim != 2 or h.shape[1] < 1:
         raise InvalidArgumentError("zf_precoder: need an M' x K'' matrix")
     if h.shape[1] > h.shape[0]:
         raise InvalidArgumentError("zf_precoder: more streams than beams")
-    gram = h.conj().T @ h
-    w = np.linalg.eigvalsh(gram)
-    if w[0] <= ZF_COND_TOL * max(w[-1], 1e-300):
+    [full_rank], inv = _full_rank_inverse((h.conj().T @ h)[None])
+    if not full_rank:
         raise NumericalError("zf_precoder: estimated channel matrix is rank deficient")
-    pinv_t = h @ np.linalg.inv(gram)
+    pinv_t = h @ inv[0]
     return pinv_t / np.linalg.norm(pinv_t, axis=0)
+
+
+def _full_rank_inverse(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ZF rank test on a stack of Gram matrices G = H^H H (... x s x s),
+    and the inverses of the members that pass: (full_rank, inv(G[full_rank])).
+
+    A member is rank deficient when ``eigvalsh`` gives w_min <= ZF_COND_TOL
+    * w_max. One batched ``inv`` screens first, and ``eigvalsh`` runs only on
+    the members whose screen does not clear (on all of them when ``inv``
+    raises LinAlgError, which an exactly singular member can cause). The
+    screen clears G when ||G||_F * ||G^-1||_F < 1 / (1e3 * ZF_COND_TOL) =
+    1e9, and then ``eigvalsh`` would have passed it too:
+    - kappa_2(G) = ||G||_2 ||G^-1||_2 <= ||G||_F ||G^-1||_F for any
+      nonsingular G, positive definite or not. The computed inverse X
+      solves G X = I + R with ||R|| = O(s eps ||G|| ||X||) = O(s eps 1e9),
+      so the true inverse is within a factor 1 + O(1e-6) of X and
+      kappa(G) <= 1e9 (1 + O(1e-6)): every |w| >= ~1e-9 w_max.
+    - G is a computed Gram: it lies within O(M s eps) w_max of the positive
+      semidefinite H^H H, so it has no eigenvalue below -O(M s eps) w_max,
+      far above -1e-9 w_max. With the first point, G is positive definite
+      with w_min >= ~1e-9 w_max.
+    - ``eigvalsh`` is backward stable: each computed eigenvalue lies within
+      O(s eps) w_max of the true one, so it would return w_min >=
+      (1e-9 - O(s eps)) w_max > ZF_COND_TOL * w_max.
+    The decision is therefore exactly the ``eigvalsh`` test's. For a
+    positive definite G the Frobenius norms are at most the traces, so this
+    screen clears every member that tr(G) * tr(G^-1) < 1e9 would; the trace
+    form alone would also need G positive definite, which a positive
+    diagonal of G^-1 does not imply. The inverse of each member is the same
+    per-matrix LAPACK result whether it is computed in this stack or alone.
+    """
+    try:
+        inv = np.linalg.inv(gram)
+    except np.linalg.LinAlgError:
+        inv, cleared = None, np.zeros(gram.shape[:-2], dtype=bool)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan bound does not clear
+            cleared = (np.linalg.norm(gram, axis=(-2, -1)) * np.linalg.norm(inv, axis=(-2, -1))
+                       < 1.0 / (1e3 * ZF_COND_TOL))
+    full_rank = cleared.copy()
+    if not cleared.all():
+        w = np.linalg.eigvalsh(gram[~cleared])
+        full_rank[~cleared] = w[..., 0] > ZF_COND_TOL * np.maximum(w[..., -1], 1e-300)
+    return full_rank, np.linalg.inv(gram[full_rank]) if inv is None else inv[full_rank]
 
 
 def effective_gains(h_eff_true: np.ndarray, v: np.ndarray, p_dl: float) -> np.ndarray:
@@ -78,50 +125,55 @@ def sum_rate(b: np.ndarray) -> float:
     return float(np.sum(np.log2(1.0 + sig / (1.0 + interf))))
 
 
-def greedy_user_selection(h_hat_eff: np.ndarray, p_dl: np.ndarray) -> list:
-    """Greedy ZF user selection for a stack of P estimates of one T_dl
-    (``h_hat_eff`` is P x M' x n, one estimate per pilot power ``p_dl``):
-    repeatedly add the candidate maximizing the estimated sum rate (perfect
-    ZF on the estimates, uniform power; the training overhead, one positive
-    factor per T_dl, does not change the ranking); stop when no addition
-    improves it. Ties go to the lowest column index. Returns P selections.
+def greedy_user_selection(gram: np.ndarray, p_dl: np.ndarray, m_prime: np.ndarray) -> list:
+    """Greedy ZF user selection (Dimic & Sidiropoulos, IEEE TSP 2005) for a
+    stack of P members, each an estimate H_p (M'_p x n) at pilot power
+    ``p_dl[p]``, given as its Gram matrix G_p = H_p^H H_p (``gram`` is
+    P x n x n) and its beam count M'_p (``m_prime``): repeatedly add the
+    candidate maximizing the estimated sum rate (perfect ZF on the
+    estimates, uniform power; the training overhead, one positive factor
+    per T_dl, does not change the ranking); stop when no addition improves
+    it or after min(n, M'_p) users. Ties go to the lowest column index, so
+    form the Grams by ``einsum``, which rounds every entry alike: one gemm
+    rounds by column position, so two equal columns could get unequal
+    entries and break their tie. Returns P selections.
 
     The P greedy loops run in lockstep. Each step scores every remaining
     candidate c of every unfinished member at once on the Gram submatrices
-    G of ``selected + [c]``, stacked: a candidate whose G has
-    w_min <= ZF_COND_TOL * w_max is rank deficient (rate -inf), as in
-    zf_precoder, and otherwise J_k = 1 / (G^-1)_kk, the inverse squared
-    column norm of H G^-1. The stacked eigenvalue and inverse calls run
-    the same per-matrix LAPACK routines as one member alone would, so a
-    member's selection does not depend on the others.
+    G of ``selected + [c]``, stacked: a candidate whose G fails the rank
+    test of ``_full_rank_inverse`` (that of zf_precoder) is rank deficient
+    (rate -inf), and otherwise J_k = 1 / (G^-1)_kk, the inverse squared
+    column norm of H G^-1, from the same inverse as the test. The test and
+    the inverse run per-matrix LAPACK routines, so a member's selection does
+    not depend on the others.
     """
-    h = np.asarray(h_hat_eff, dtype=complex)
+    gram = np.asarray(gram, dtype=complex)
     p_dl = np.asarray(p_dl, dtype=float)
-    if h.ndim != 3 or h.shape[2] < 1 or p_dl.shape != h.shape[:1]:
-        raise InvalidArgumentError("greedy_user_selection: need P x M' x n estimates "
-                                   "with n >= 1 candidates and P powers")
-    n_inst, m_prime, n_cand = h.shape
-    # einsum rounds every entry alike; one gemm rounds by column position, so
-    # two equal columns could get unequal Gram entries and break their tie
-    gram = np.einsum("pmi,pmj->pij", h.conj(), h)
+    m_prime = np.asarray(m_prime)
+    if (gram.ndim != 3 or gram.shape[1] != gram.shape[2] or gram.shape[2] < 1
+            or p_dl.shape != gram.shape[:1] or m_prime.shape != gram.shape[:1]
+            or np.any(m_prime < 1)):
+        raise InvalidArgumentError("greedy_user_selection: need P n x n Grams with n >= 1 "
+                                   "candidates, P powers and P beam counts >= 1")
+    n_inst, n_cand = gram.shape[:2]
+    cap = np.minimum(m_prime, n_cand)
 
     selected = [[] for _ in range(n_inst)]
     best = np.zeros(n_inst)
     live = list(range(n_inst))
-    for size in range(1, min(n_cand, m_prime) + 1):
+    for size in range(1, int(cap.max(initial=0)) + 1):
+        live = [p for p in live if cap[p] >= size]
         if not live:
             break
         # every live member holds size - 1 users: stack its candidate sets
         cands = [[c for c in range(n_cand) if c not in selected[p]] for p in live]
         idx = np.array([[selected[p] + [c] for c in cs] for p, cs in zip(live, cands)])
         sub = gram[np.array(live)[:, None, None, None], idx[..., :, None], idx[..., None, :]]
-        w = np.linalg.eigvalsh(sub)
-        full_rank = w[..., 0] > ZF_COND_TOL * np.maximum(w[..., -1], 1e-300)
+        full_rank, inv = _full_rank_inverse(sub)
         rates = np.full(full_rank.shape, -math.inf)
-        if full_rank.any():
-            j = 1.0 / np.diagonal(np.linalg.inv(sub[full_rank]), axis1=1, axis2=2).real
-            p_user = (p_dl[live] / size)[np.nonzero(full_rank)[0]]
-            rates[full_rank] = np.sum(np.log2(1.0 + j * p_user[:, None]), axis=1)
+        j = 1.0 / np.diagonal(inv, axis1=1, axis2=2).real
+        p_user = (p_dl[live] / size)[np.nonzero(full_rank)[0]]
+        rates[full_rank] = np.sum(np.log2(1.0 + j * p_user[:, None]), axis=1)
         still = []
         for row, p in enumerate(live):
             i = int(np.argmax(rates[row]))  # the first maximum: ties go to the lowest index
@@ -148,7 +200,7 @@ def normalized_error(h_true: np.ndarray, h_hat: np.ndarray) -> float:
 @dataclass
 class ExperimentRecord:
     """The outcome of one grid point (trial, T_dl, SNR), a function of that
-    grid point alone; ``evaluate_tdl`` builds every record."""
+    grid point alone; ``evaluate_tdls`` builds every record."""
 
     trial: int
     tdl: int
@@ -200,9 +252,9 @@ def trial_scenario(cfg: ExperimentConfig, trial: int) -> list:
 
 
 def run_trial(cfg: ExperimentConfig, trial: int) -> list:
-    """All grid-point records for one Monte Carlo trial, T_dl by T_dl."""
+    """All grid-point records for one Monte Carlo trial."""
     graph, h_beam = trial_state(cfg, trial)
-    return [rec for t_dl in cfg.tdl_list for rec in evaluate_tdl(cfg, trial, t_dl, graph, h_beam)]
+    return evaluate_tdls(cfg, trial, cfg.tdl_list, graph, h_beam)
 
 
 def trial_state(cfg: ExperimentConfig, trial: int) -> tuple[np.ndarray, np.ndarray]:
@@ -217,39 +269,67 @@ def trial_state(cfg: ExperimentConfig, trial: int) -> tuple[np.ndarray, np.ndarr
     return build_beam_graph(spectra, th_rel=cfg.th_rel), beam_coefficients(h_true)
 
 
-def evaluate_tdl(cfg: ExperimentConfig, trial: int, t_dl: int, graph: np.ndarray,
-                 h_beam: np.ndarray) -> list:
-    """The records of one T_dl of a trial, one per SNR: sparsify, then probe
-    with t_eff = min(T_dl, M') pilot dimensions, estimate and serve
-    (``_serve``). A row serves no one (served 0, err_norm nan, rate 0) when
-    the plan has no user, when t_eff = T leaves no symbol for data (nothing
-    is probed then), or when the sparsify or DL stage fails, which fails
-    every SNR of the T_dl with its stage and error as the reason.
+# the errors that fail a grid point rather than the run
+_GRID_POINT_ERRORS = (FddsimError, FloatingPointError)
+
+
+def _failure(step: str, exc: Exception) -> str:
+    return f"{step}: {type(exc).__name__}: {exc}"
+
+
+def evaluate_tdls(cfg: ExperimentConfig, trial: int, tdl_list: list, graph: np.ndarray,
+                  h_beam: np.ndarray) -> list:
+    """The records of the T_dl values in ``tdl_list`` of a trial, T_dl by
+    T_dl and one per SNR, in three steps:
+    - per T_dl, sparsify, then probe with t_eff = min(T_dl, M') pilot
+      dimensions and estimate at every SNR (``_estimate``);
+    - one greedy selection over the estimates of every T_dl at every SNR
+      (``_select``);
+    - per (T_dl, SNR), ZF, rate and err_norm (``_serve``).
+    A row serves no one (served 0, err_norm nan, rate 0) when the plan has
+    no user, when t_eff = T leaves no symbol for data (nothing is probed
+    then), or when the sparsify step or a DL step of its T_dl fails, which
+    fails every SNR of that T_dl, and no other T_dl, with its step and
+    error as the reason.
 
     A row depends only on its own (trial, T_dl, SNR): the pilot stream is
     keyed by (trial, t_eff) and each user's noise stream by
-    (trial, user, t_eff), so T_dl values with the same t_eff share them."""
-    rows = [_NO_ONE_SERVED] * len(cfg.snr_db_list)
-    plan, failure = None, ""
-    try:
-        plan = solve_sparsification(graph, t_dl, p0=cfg.p0)
-        t_eff = min(t_dl, len(plan.beams))  # a pilot never needs more dims than beams
-        if plan.users and t_eff < cfg.t:
-            rows = _serve(cfg, trial, t_eff, plan, graph, h_beam)
-    except (FddsimError, FloatingPointError) as exc:
-        failure = f"{'sparsify' if plan is None else 'grid point'}: {type(exc).__name__}: {exc}"
-    return [ExperimentRecord(trial=trial, tdl=t_dl, snr_db=snr_db, served=served,
-                             matching_size=plan.matching_size if plan else 0,
-                             err_norm=err_norm, sum_rate_bits=rate, failure=failure)
-            for snr_db, (served, err_norm, rate) in zip(cfg.snr_db_list, rows)]
-
-
-def _serve(cfg, trial, t_eff, plan, graph, h_beam) -> list:
-    """(served, err_norm, rate) at each SNR of a plan probed with t_eff pilot
-    dimensions. The estimates and the greedy selections of all SNRs are each
-    made in one stacked call. Only here is the training overhead charged:
-    (1 - t_eff/T) on each rate, for the pilot dimensions actually sent."""
+    (trial, user, t_eff), so T_dl values with the same t_eff share them,
+    and a selection does not depend on the other members of its stack."""
     powers = np.array([10.0 ** (snr_db / 10.0) for snr_db in cfg.snr_db_list])
+    plans, estimates, failures = [], [], []
+    for t_dl in tdl_list:
+        plan, estimate, failure = None, None, ""
+        try:
+            plan = solve_sparsification(graph, t_dl, p0=cfg.p0)
+            t_eff = min(t_dl, len(plan.beams))  # a pilot never needs more dims than beams
+            if plan.users and t_eff < cfg.t:
+                estimate = (t_eff, *_estimate(cfg, trial, t_eff, plan, graph, h_beam, powers))
+        except _GRID_POINT_ERRORS as exc:
+            failure = _failure("sparsify" if plan is None else "grid point", exc)
+        plans.append(plan)
+        estimates.append(estimate)
+        failures.append(failure)
+    orders = _select([e[2] if e else None for e in estimates], powers, failures)
+    records = []
+    for t_dl, plan, estimate, order, failure in zip(tdl_list, plans, estimates, orders, failures):
+        rows = [_NO_ONE_SERVED] * len(powers)
+        if order is not None:
+            try:
+                rows = _serve(cfg, plan, h_beam, *estimate, order, powers)
+            except _GRID_POINT_ERRORS as exc:
+                failure = _failure("grid point", exc)
+        records += [ExperimentRecord(trial=trial, tdl=t_dl, snr_db=snr_db, served=served,
+                                     matching_size=plan.matching_size if plan else 0,
+                                     err_norm=err_norm, sum_rate_bits=rate, failure=failure)
+                    for snr_db, (served, err_norm, rate) in zip(cfg.snr_db_list, rows)]
+    return records
+
+
+def _estimate(cfg, trial, t_eff, plan, graph, h_beam, powers) -> tuple:
+    """(B h, h_hats) of a plan probed with t_eff pilot dimensions: the true
+    effective channels B h (M' x K'') and their MMSE estimates at every
+    pilot power (P x M' x K''), made in one stacked call."""
     # The pilot directions Q^H (unit power), and per selected user B h, the unit
     # observation-noise draw and the MMSE prior (its beam powers on its edges; unit
     # noise power) do not depend on the SNR: observe at every SNR, estimate at once.
@@ -259,10 +339,56 @@ def _serve(cfg, trial, t_eff, plan, graph, h_beam) -> list:
                       for k in plan.users])
     prior = graph[np.ix_(plan.beams, plan.users)].T
     ys = np.stack([dl_observe(np.sqrt(p_dl) * q_h, h_eff.T, noise) for p_dl in powers])
+    with np.errstate(over="raise", invalid="raise"):  # an overflowed estimate fails too
+        return h_eff, np.swapaxes(mmse_effective(ys, q_h, prior, powers), 1, 2)
+
+
+def _select(h_hats: list, powers: np.ndarray, failures: list) -> list:
+    """The greedy selections of each T_dl's estimates (P x M' x n, or None
+    where the T_dl serves no one), one per pilot power, or None. The
+    members of all T_dl values with the same candidate count n go into one
+    ``greedy_user_selection`` call. If it raises, each of those T_dl values
+    is selected again alone, and only one whose own members raise fails:
+    its reason goes into ``failures``. The members are independent, so the
+    others get the same selections as in the stack."""
+    orders = [None] * len(h_hats)
+    groups = {}
+    for i, h_hat in enumerate(h_hats):
+        if h_hat is not None:
+            groups.setdefault(h_hat.shape[2], []).append(i)
+    for group in groups.values():
+        try:
+            for i, order in zip(group, _select_stack([h_hats[i] for i in group], powers)):
+                orders[i] = order
+        except _GRID_POINT_ERRORS:
+            for i in group:
+                try:
+                    [orders[i]] = _select_stack([h_hats[i]], powers)
+                except _GRID_POINT_ERRORS as exc:
+                    failures[i] = _failure("grid point", exc)
+    return orders
+
+
+def _select_stack(h_hats: list, powers: np.ndarray) -> list:
+    """One ``greedy_user_selection`` call on the Gram matrices of every
+    member of the estimate stacks ``h_hats``; their selections, stack by
+    stack."""
+    with np.errstate(over="raise", invalid="raise"):  # an overflowed Gram or rate fails too
+        grams = np.concatenate([np.einsum("pmi,pmj->pij", h.conj(), h) for h in h_hats])
+        flat = greedy_user_selection(grams, np.tile(powers, len(h_hats)),
+                                     np.repeat([h.shape[1] for h in h_hats], len(powers)))
+    return [flat[k:k + len(powers)] for k in range(0, len(flat), len(powers))]
+
+
+def _serve(cfg, plan, h_beam, t_eff, h_eff, h_hats, orders, powers) -> list:
+    """(served, err_norm, rate) at each pilot power of a plan probed with
+    t_eff pilot dimensions, from its true effective channels ``h_eff``, the
+    estimates ``h_hats`` and their greedy selections. Only here is the
+    training overhead charged: (1 - t_eff/T) on each rate, for the pilot
+    dimensions actually sent."""
     rows = []
     with np.errstate(over="raise", invalid="raise"):  # an overflowed rate fails too
-        h_hats = np.swapaxes(mmse_effective(ys, q_h, prior, powers), 1, 2)
-        for p_dl, h_hat, order in zip(powers, h_hats, greedy_user_selection(h_hats, powers)):
+        for p_dl, h_hat, order in zip(powers, h_hats, orders):
             cols = sorted(order)
             if not cols:
                 rows.append(_NO_ONE_SERVED)

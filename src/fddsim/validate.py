@@ -227,7 +227,7 @@ _STABILITY_SEED = 5
 
 
 def _stability_setup(t_dl: int):
-    """The unit T_dl x 8 pilot and unit beam variances: what ``evaluate_tdl``
+    """The unit T_dl x 8 pilot and unit beam variances: what ``evaluate_tdls``
     sends to a user with unit priors on an 8-beam plan."""
     return make_pilot(t_dl, _STABILITY_S, _STABILITY_SEED, 19), np.ones(_STABILITY_S)
 

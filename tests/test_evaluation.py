@@ -11,9 +11,9 @@ from scipy.linalg import lapack
 from fddsim.channel import sample_channels, true_covariance
 from fddsim.config import ExperimentConfig
 from fddsim.errors import InvalidArgumentError, NumericalError
-from fddsim.evaluation import (CSV_HEADER, ExperimentRecord, effective_gains,
-                               estimate_user_pipeline, evaluate_tdl,
-                               greedy_user_selection, normalized_error,
+from fddsim.evaluation import (CSV_HEADER, ZF_COND_TOL, ExperimentRecord,
+                               effective_gains, estimate_user_pipeline,
+                               evaluate_tdls, greedy_user_selection, normalized_error,
                                run_experiment, run_trial, sum_rate, summarize,
                                trial_scenario, trial_state, write_records_csv,
                                zf_precoder)
@@ -60,6 +60,69 @@ def test_zf_rank_deficient_raises():
         zf_precoder(np.ones((2, 3), dtype=complex))
 
 
+def _eigvalsh_full_rank(gram):
+    """The rank test by eigenvalues alone: w_min > ZF_COND_TOL * w_max."""
+    w = np.linalg.eigvalsh(gram)
+    return w[0] > ZF_COND_TOL * max(w[-1], 1e-300)
+
+
+def _near_collinear(m_prime, n_cand, rng):
+    """An M' x n estimate whose last column is another one plus a
+    perturbation 10^-(4..7) as large, so that Grams holding both columns
+    have condition numbers from about 1e8 to 1e14: across both the 1e9
+    bound of the inverse screen and the 1e12 rank limit."""
+    h = gaussian_complex(m_prime * n_cand, rng).reshape(m_prime, n_cand)
+    h[:, -1] = (h[:, int(rng.integers(0, n_cand - 1))]
+                + 10.0 ** -rng.uniform(4.0, 7.0) * gaussian_complex(m_prime, rng))
+    return h
+
+
+def _count_eigvalsh(monkeypatch):
+    """Record the eigenvalue ratios w_min / w_max of every matrix that
+    np.linalg.eigvalsh is called on."""
+    ratios = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a):
+        w = eigvalsh(a)
+        ratios.extend(np.ravel(w[..., 0] / np.maximum(w[..., -1], 1e-300)))
+        return w
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return ratios
+
+
+def test_zf_rank_test_screens_by_the_inverse_first(monkeypatch):
+    """zf_precoder raises exactly when eigvalsh finds its Gram rank
+    deficient, and returns H G^-1 with unit-norm columns; it runs eigvalsh
+    only on near-collinear estimates, whose bound ||G||_F ||G^-1||_F does
+    not clear 1e9, and never on well-conditioned ones."""
+    rng = rng_stream(79, 0)
+    ratios = _count_eigvalsh(monkeypatch)
+    outcomes = set()
+    for collinear in [False, True] * 100:
+        m_prime = int(rng.integers(2, 9))
+        n_cand = int(rng.integers(2, m_prime + 1))
+        h = (_near_collinear(m_prime, n_cand, rng) if collinear
+             else gaussian_complex(m_prime * n_cand, rng).reshape(m_prime, n_cand))
+        gram = h.conj().T @ h
+        full_rank = _eigvalsh_full_rank(gram)
+        n_calls = len(ratios)
+        try:
+            v = zf_precoder(h)
+        except NumericalError:
+            assert not full_rank and len(ratios) == n_calls + 1
+            outcomes.add("deficient")
+            continue
+        assert full_rank
+        screened = len(ratios) > n_calls
+        outcomes.add(("full", screened))
+        assert collinear or not screened
+        pinv_t = h @ np.linalg.inv(gram)
+        np.testing.assert_array_equal(v, pinv_t / np.linalg.norm(pinv_t, axis=0))
+    assert outcomes == {"deficient", ("full", False), ("full", True)}
+
+
 # ------------------------------------------------------------ effective gains
 
 def test_effective_gains_perfect_csi_interference_free():
@@ -98,16 +161,24 @@ def test_sum_rate_interference_free_k_users():
 
 # ------------------------------------------------------------ greedy selection
 
+def _greedy(estimates, powers):
+    """greedy_user_selection on a stack of estimates (M'_p x n each, M'_p
+    free per member): their einsum Grams and beam counts."""
+    grams = np.stack([np.einsum("mi,mj->ij", h.conj(), h) for h in estimates])
+    return greedy_user_selection(grams, np.asarray(powers, dtype=float),
+                                 [h.shape[0] for h in estimates])
+
+
 def test_greedy_orthogonal_users_all_selected():
     h = dft_matrix(8)[:, :4]
-    [sel] = greedy_user_selection(h[None], np.array([4.0]))
+    [sel] = _greedy([h], [4.0])
     assert sorted(sel) == [0, 1, 2, 3]
 
 
 def test_greedy_duplicate_user_selected_once():
     col = gaussian_complex(6, 75, 0)
     h = np.column_stack([col, col])
-    [sel] = greedy_user_selection(h[None], np.array([2.0]))
+    [sel] = _greedy([h], [2.0])
     assert len(sel) == 1
 
 
@@ -120,7 +191,7 @@ def test_greedy_equal_columns_tie_to_the_lowest_index():
             h = gaussian_complex(m_prime * n_cand, rng).reshape(m_prime, n_cand)
             h[:, a] *= 100.0
             h[:, b] = h[:, a]
-            [sel] = greedy_user_selection(h[None], np.array([100.0]))
+            [sel] = _greedy([h], [100.0])
             assert sel[0] == a, (m_prime, n_cand, a, b)
 
 
@@ -140,7 +211,7 @@ def test_greedy_near_optimal_on_random_instances():
     for _ in range(n_trials):
         h = gaussian_complex(40, rng).reshape(8, 5)
         p_dl = 10.0
-        sel = frozenset(greedy_user_selection(h[None], np.array([p_dl]))[0])
+        sel = frozenset(_greedy([h], [p_dl])[0])
         scored = []
         for r in range(1, 6):
             for combo in itertools.combinations(range(5), r):
@@ -152,16 +223,16 @@ def test_greedy_near_optimal_on_random_instances():
 
 
 def _greedy_per_candidate(h, p_dl):
-    """Reference greedy selection: one zf_precoder call per candidate and
-    step, scored by its gains J = |diag(H^H V)|^2 at uniform power; the
-    batched selection must match it."""
+    """Reference greedy selection: per candidate and step, the rank test by
+    eigvalsh alone and then one zf_precoder call, scored by its gains
+    J = |diag(H^H V)|^2 at uniform power; the batched selection must match
+    it."""
     n_cand = h.shape[1]
 
     def est_rate(idx):
-        try:
-            v = zf_precoder(h[:, idx])
-        except (NumericalError, InvalidArgumentError):
+        if len(idx) > h.shape[0] or not _eigvalsh_full_rank(h[:, idx].conj().T @ h[:, idx]):
             return -math.inf
+        v = zf_precoder(h[:, idx])
         return float(np.sum(np.log2(1.0 + _zf_gains(h[:, idx], v) * (p_dl / len(idx)))))
 
     selected = []
@@ -177,18 +248,32 @@ def _greedy_per_candidate(h, p_dl):
     return selected
 
 
-def test_greedy_matches_per_candidate_reference():
-    """Every member of a stack of P in {1, 3, 5} estimates at different
+def test_greedy_matches_per_candidate_reference(monkeypatch):
+    """Every member of a stack of P in {1, 3, 5, 15} estimates at different
     powers gets the reference's selection, including duplicate and zero
-    columns, more candidates than beams, column scales 1e-3..1e3 and
-    members that stop at different steps."""
+    columns, more candidates than beams, column scales 1e-3..1e3, members
+    that stop at different steps, members with different beam counts M'
+    (so different step caps min(n, M')), as the T_dl values of a trial
+    have, and near-collinear columns whose Grams have condition numbers
+    of about 1e8..1e14. These reach the eigvalsh fallback of the rank
+    test, which both accepts and rejects candidates there."""
     rng = rng_stream(78, 0)
     kinds = set()
-    for n_inst in [1, 3, 5] * 100:
-        m_prime = int(rng.integers(1, 9))
+    ratios = _count_eigvalsh(monkeypatch)
+    fallback = []
+    for n_inst in [1, 3, 5, 15] * 75:
         n_cand = int(rng.integers(1, 11))
-        stack = gaussian_complex(n_inst * m_prime * n_cand, rng).reshape(n_inst, m_prime, n_cand)
-        for h in stack:
+        if rng.random() < 0.5:
+            m_primes = [int(rng.integers(1, 9))] * n_inst
+        else:
+            m_primes = [int(m) for m in rng.integers(1, 9, n_inst)]
+            kinds.add("mixed caps")
+        stack = [gaussian_complex(m_prime * n_cand, rng).reshape(m_prime, n_cand)
+                 for m_prime in m_primes]
+        for p, h in enumerate(stack):
+            if n_cand > 1 and rng.random() < 0.2:
+                stack[p] = h = _near_collinear(h.shape[0], n_cand, rng)
+                kinds.add("near-collinear")
             if rng.random() < 0.3:
                 h *= 10.0 ** rng.uniform(-3.0, 3.0, n_cand)
                 kinds.add("scaled")
@@ -198,43 +283,64 @@ def test_greedy_matches_per_candidate_reference():
             if rng.random() < 0.15:
                 h[:, int(rng.integers(0, n_cand))] = 0.0
                 kinds.add("zero")
-        if m_prime < n_cand:
-            kinds.add("wide")
+            if h.shape[0] < n_cand:
+                kinds.add("wide")
         powers = 10.0 ** rng.uniform(-1.0, 3.0, n_inst)
-        got = greedy_user_selection(stack, powers)
+        n_calls = len(ratios)
+        got = _greedy(stack, powers)
+        fallback += ratios[n_calls:]
         assert got == [_greedy_per_candidate(h, p_dl) for h, p_dl in zip(stack, powers)]
         if len({len(sel) for sel in got}) > 1:
             kinds.add("staggered")
-    assert kinds == {"scaled", "duplicate", "zero", "wide", "staggered"}
+    assert kinds == {"scaled", "duplicate", "zero", "wide", "staggered", "mixed caps",
+                     "near-collinear"}
+    fallback = np.array(fallback)
+    assert np.any(fallback > ZF_COND_TOL) and np.any((fallback > 0) & (fallback <= ZF_COND_TOL))
 
 
 def test_greedy_rejects_an_unstacked_estimate():
-    h = gaussian_complex(6, 75, 1).reshape(3, 2)
+    gram = np.eye(2, dtype=complex)
     with pytest.raises(InvalidArgumentError):
-        greedy_user_selection(h, 2.0)
+        greedy_user_selection(gram, 2.0, 3)
     with pytest.raises(InvalidArgumentError):
-        greedy_user_selection(h[None], np.array([2.0, 4.0]))
+        greedy_user_selection(gram[None], np.array([2.0, 4.0]), [3])
+    with pytest.raises(InvalidArgumentError):
+        greedy_user_selection(gram[None], np.array([2.0]), [3, 3])
+    with pytest.raises(InvalidArgumentError):
+        greedy_user_selection(gram[None], np.array([2.0]), [0])
+    with pytest.raises(InvalidArgumentError):
+        greedy_user_selection(np.ones((1, 2, 3), dtype=complex), np.array([2.0]), [3])
 
 
 def test_run_trial_selects_each_tdl_in_one_stacked_call(monkeypatch):
-    """On the acceptance config a trial makes one greedy call per T_dl,
-    on the stack of that T_dl's estimates at every SNR."""
+    """On the acceptance config a trial makes one greedy call, on the stack
+    of every T_dl's estimates at every SNR: 15 members at powers
+    10/100/1000 per T_dl, each the einsum Gram of its own estimate with
+    that estimate's beam count M'."""
     import fddsim.evaluation as ev
 
     cfg = ExperimentConfig(m=64, k=8, t=64, tdl_list=[8, 16, 24, 32, 48],
                            snr_db_list=[10.0, 20.0, 30.0], n_trials=1, seed=1,
                            n_ul=500, th_rel=1e-3)
-    calls = []
-    greedy = ev.greedy_user_selection
+    calls, estimates = [], []
+    greedy, mmse = ev.greedy_user_selection, ev.mmse_effective
 
-    def recording(h, p_dl):
-        calls.append((h.shape[0], list(p_dl)))
-        return greedy(h, p_dl)
+    def recording(gram, p_dl, m_prime):
+        calls.append((gram, list(p_dl), list(m_prime)))
+        return greedy(gram, p_dl, m_prime)
 
     monkeypatch.setattr(ev, "greedy_user_selection", recording)
+    monkeypatch.setattr(ev, "mmse_effective",
+                        lambda *args: estimates.append(np.swapaxes(mmse(*args), 1, 2))
+                        or np.swapaxes(estimates[-1], 1, 2))
     records = run_trial(cfg, 0)
-    assert calls == [(3, [10.0, 100.0, 1000.0])] * len(cfg.tdl_list)
     assert len(records) == 15 and not any(r.failure for r in records)
+    assert len(estimates) == len(cfg.tdl_list)
+    [(gram, powers, m_prime)] = calls
+    assert powers == [10.0, 100.0, 1000.0] * len(cfg.tdl_list)
+    assert m_prime == [h.shape[1] for h in estimates for _ in cfg.snr_db_list]
+    np.testing.assert_array_equal(
+        gram, np.concatenate([np.einsum("pmi,pmj->pij", h.conj(), h) for h in estimates]))
 
 
 # ------------------------------------------------------------ normalized error
@@ -388,33 +494,48 @@ def test_run_trial_draws_without_eigh(monkeypatch):
     ("greedy_user_selection", FloatingPointError("overflow encountered in multiply")),
 ], ids=["estimate", "selection"])
 def test_failed_dl_stage_fails_every_snr_of_its_tdl(monkeypatch, stage, error):
-    """The estimate and the selection of a T_dl run once, stacked over its
-    SNRs. When either raises for T_dl 8, every SNR of T_dl 8 is a zero-rate
-    row naming the error, with the plan's matching size, and no SNR is
-    re-run alone; T_dl 4 keeps its records."""
+    """The estimate of a T_dl runs once, stacked over its SNRs, and the
+    selection once, stacked over every T_dl's estimates. When the estimate
+    of T_dl 8 raises, or the selection raises on a stack holding T_dl 8's
+    members, every SNR of T_dl 8 is a zero-rate row naming the error, with
+    the plan's matching size, and no SNR is re-run alone; T_dl 4 keeps its
+    records. After a raise the selection runs again on each T_dl alone, so
+    only T_dl 8 is charged."""
     import fddsim.evaluation as ev
 
     cfg = ExperimentConfig(**SMALL)
     ref = run_trial(cfg, 0)
     graph, _ = trial_state(cfg, 0)
     calls = {"mmse_effective": [], "greedy_user_selection": []}
+    grams = {}  # t_eff -> the einsum Grams of its estimates
+    mmse, greedy = ev.mmse_effective, ev.greedy_user_selection
 
-    def recording(name, fn):
-        def wrapped(*args):
-                # a selection follows the estimate of its T_dl
-            t_eff = (args[0].shape[2] if name == "mmse_effective"
-                     else calls["mmse_effective"][-1])
-            calls[name].append(t_eff)
-            if name == stage and t_eff == 8:
-                raise error
-            return fn(*args)
-        return wrapped
+    def estimate(*args):
+        t_eff = args[0].shape[2]
+        calls["mmse_effective"].append(t_eff)
+        if stage == "mmse_effective" and t_eff == 8:
+            raise error
+        out = mmse(*args)
+        h = np.swapaxes(out, 1, 2)
+        grams[t_eff] = np.einsum("pmi,pmj->pij", h.conj(), h)
+        return out
 
-    for name in calls:
-        monkeypatch.setattr(ev, name, recording(name, getattr(ev, name)))
+    def select(gram, p_dl, m_prime):
+        # the t_eff of each member, by the estimate its Gram was formed from
+        members = [t for g in gram for t, gs in grams.items()
+                   if any(np.array_equal(g, x) for x in gs)]
+        assert len(members) == len(gram)
+        calls["greedy_user_selection"].append(members)
+        if stage == "greedy_user_selection" and 8 in members:
+            raise error
+        return greedy(gram, p_dl, m_prime)
+
+    monkeypatch.setattr(ev, "mmse_effective", estimate)
+    monkeypatch.setattr(ev, "greedy_user_selection", select)
     records = run_trial(cfg, 0)
     assert calls["mmse_effective"] == [4, 8]
-    assert calls["greedy_user_selection"] == ([4] if stage == "mmse_effective" else [4, 8])
+    assert calls["greedy_user_selection"] == (
+        [[4, 4]] if stage == "mmse_effective" else [[4, 4, 8, 8], [4, 4], [8, 8]])
     assert ([r.csv_row() for r in records if r.tdl == 4]
             == [r.csv_row() for r in ref if r.tdl == 4])
     failed = [r for r in records if r.tdl == 8]
@@ -456,8 +577,8 @@ def test_overhead_charges_the_pilots_sent(monkeypatch, t_dl):
     effective = ev.effective_gains
     monkeypatch.setattr(ev, "effective_gains",
                         lambda *args: gains.append(effective(*args)) or gains[-1])
-    got = evaluate_tdl(cfg, 0, t_dl, graph, h_beam)
-    ref = evaluate_tdl(cfg, 0, cfg.m, graph, h_beam)
+    got = evaluate_tdls(cfg, 0, [t_dl], graph, h_beam)
+    ref = evaluate_tdls(cfg, 0, [cfg.m], graph, h_beam)
 
     def fields(r):
         return (r.snr_db, r.served, r.matching_size, r.err_norm, r.sum_rate_bits, r.failure)
@@ -489,7 +610,7 @@ def test_pilots_that_fill_the_frame_serve_no_one(monkeypatch, tmp_path):
 
     monkeypatch.setattr(ev, "mmse_effective", refuse)
     monkeypatch.setattr(ev, "greedy_user_selection", refuse)
-    records = evaluate_tdl(cfg, 0, cfg.t, graph, h_beam)
+    records = evaluate_tdls(cfg, 0, [cfg.t], graph, h_beam)
     monkeypatch.undo()
     assert [r.snr_db for r in records] == cfg.snr_db_list
     for rec in records:
