@@ -3,7 +3,8 @@ uplink pilots, active channel sparsification, effective-channel probing
 and zero-forcing sum-rate evaluation."""
 
 from .channel import (AngularScatteringFunction, UserGeometry, make_scenario,
-                      sample_channels, sample_pilot_covariance, true_covariance)
+                      psd_factor, sample_channels, sample_pilot_covariance,
+                      true_covariance)
 from .config import ConfigError, ExperimentConfig, parse_config
 from .covariance import (asf_grid, circulant_eigenvalues, estimate_asf,
                          extrapolate_dl)

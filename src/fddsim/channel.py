@@ -5,12 +5,14 @@ angular scattering function is a union of weighted xi-intervals plus
 optional point masses; UL and DL share the same scattering function but
 see array responses whose phases differ by the carrier ratio alpha. A
 covariance is returned as the complex first column of its Hermitian
-Toeplitz matrix. Draws from a covariance column are channels
-(``sample_channels``) or the noise-corrected sample covariance of noisy
-pilots, taken from its complex-Wishart law (``sample_pilot_covariance``).
-Both color unit normals by an M x r factor F with F F^H equal to the
-covariance, from LAPACK's pivoted Cholesky of the Toeplitz matrix; r is
-the numerical rank it reports, so a draw takes r rows of normals.
+Toeplitz matrix. Draws from a covariance are channels (``sample_channels``)
+or the noise-corrected sample covariance of noisy pilots, taken from its
+complex-Wishart law (``sample_pilot_covariance``). Both take the M x r
+factor F of ``psd_factor``, F F^H = T(col) + sigma2 I from LAPACK's pivoted
+Cholesky of the Toeplitz matrix, r the numerical rank it reports, and color
+r rows of unit normals by it. A draw does not factor: users with the same
+ASF share their factor on each band, so a trial factors once per distinct
+ASF and band.
 """
 
 from __future__ import annotations
@@ -85,40 +87,60 @@ def true_covariance(asf: AngularScatteringFunction, m: int,
     return asf.fourier(alpha * np.arange(m))
 
 
-def sample_channels(col: np.ndarray, n: int, seed, *path: int) -> np.ndarray:
-    """M x n matrix of i.i.d. zero-mean Gaussian channels whose covariance
-    is the Hermitian Toeplitz matrix T of first column col, M = col.size:
-    F g for the M x r factor F of T and r x n unit normals g, the stream's
-    first r*n draws in row-major order."""
+def psd_factor(col: np.ndarray, sigma2: float = 0.0) -> np.ndarray:
+    """M x r factor F = P L[:, :r] with F F^H = T(col) + sigma2 I, T(col) the
+    Hermitian Toeplitz matrix of first column col, from the pivoted Cholesky
+    P^T (T + sigma2 I) P = L L^H (LAPACK zpstrf, its default tolerance;
+    Lucas, LAWN 161, 2004), r the rank it reports. A rank-deficient matrix
+    stops the factorization early, so F has r < M columns; info > 0 only
+    says so. The factor is a function of (col, sigma2) alone: draws that
+    share both may share it."""
+    if sigma2 < 0:
+        raise InvalidArgumentError("psd_factor: sigma2 must be nonnegative")
+    t = toeplitz_from_column(col)
+    if sigma2:
+        t[np.diag_indices(t.shape[0])] += sigma2
+    c, piv, r, _ = lapack.zpstrf(t, lower=1)
+    f = np.empty((t.shape[0], r), dtype=complex)
+    f[piv - 1] = np.tril(c[:, :r])
+    return f
+
+
+def sample_channels(f: np.ndarray, n: int, seed, *path: int) -> np.ndarray:
+    """M x n matrix of i.i.d. zero-mean Gaussian channels of covariance
+    F F^H, for the M x r factor F of ``psd_factor(col)``: F g for r x n unit
+    normals g, the stream's first r*n draws in row-major order."""
     if n < 1:
         raise InvalidArgumentError("sample_channels: n must be >= 1")
-    f = _psd_factor(toeplitz_from_column(col))
+    if np.ndim(f) != 2:
+        raise InvalidArgumentError("sample_channels: need an M x r factor (see psd_factor)")
     return f @ gaussian_complex(f.shape[1] * n, seed, *path).reshape(-1, n)
 
 
-def sample_pilot_covariance(col: np.ndarray, n: int, sigma2: float, seed,
+def sample_pilot_covariance(f: np.ndarray, n: int, sigma2: float, seed,
                             *path: int) -> np.ndarray:
     """Noise-corrected sample covariance (1/n) sum_i y_i y_i^H - sigma2*I
     of n i.i.d. pilots y = h + e, h ~ CN(0, T(col)), e ~ CN(0, sigma2*I),
-    drawn from its exact law without drawing the pilots.
+    drawn from its exact law without drawing the pilots. F is the M x r
+    factor ``psd_factor(col, sigma2)`` of T(col) + sigma2*I, the pilots'
+    covariance, with the same sigma2.
 
-    With the M x r factor F of T(col) + sigma2*I, sum_i y_i y_i^H is
-    F A A^H F^H for the r x min(r, n) lower-trapezoidal Bartlett factor A
-    of a complex Wishart matrix (Goodman 1963): |A_jj|^2 ~ Gamma(n - j, 1)
-    on the diagonal and CN(0, 1) below it, all from the stream
-    (seed, *path). That is about r^2 / 2 draws whatever n is, against
-    2 M n for the pilots. The result may be indefinite; the nonnegative
-    angular fit repairs it.
+    sum_i y_i y_i^H is F A A^H F^H for the r x min(r, n) lower-trapezoidal
+    Bartlett factor A of a complex Wishart matrix (Goodman 1963):
+    |A_jj|^2 ~ Gamma(n - j, 1) on the diagonal and CN(0, 1) below it, all
+    from the stream (seed, *path). That is about r^2 / 2 draws whatever n
+    is, against 2 M n for the pilots. The result may be indefinite; the
+    nonnegative angular fit repairs it.
     """
     if n < 1:
         raise InvalidArgumentError("sample_pilot_covariance: n must be >= 1")
     if sigma2 < 0:
         raise InvalidArgumentError("sample_pilot_covariance: sigma2 must be nonnegative")
-    t = toeplitz_from_column(col)
-    m = t.shape[0]
-    t[np.diag_indices(m)] += sigma2
-    f = _psd_factor(t)
-    r, q = f.shape[1], min(f.shape[1], n)
+    if np.ndim(f) != 2:
+        raise InvalidArgumentError(
+            "sample_pilot_covariance: need an M x r factor (see psd_factor)")
+    m, r = f.shape
+    q = min(r, n)
     rng = rng_stream(seed, *path)
     a = np.zeros((r, q), dtype=complex)
     a[np.diag_indices(q)] = np.sqrt(rng.standard_gamma(n - np.arange(q)))
@@ -128,18 +150,6 @@ def sample_pilot_covariance(col: np.ndarray, n: int, sigma2: float, seed,
     s = b @ b.conj().T / n
     s[np.diag_indices(m)] -= sigma2
     return s
-
-
-def _psd_factor(t: np.ndarray) -> np.ndarray:
-    """M x r factor F = P L[:, :r] with F F^H = t, from the pivoted Cholesky
-    P^T t P = L L^H of a Hermitian PSD matrix (LAPACK zpstrf, its default
-    tolerance; Lucas, LAWN 161, 2004), r the rank it reports. A
-    rank-deficient t stops the factorization early, so F has r < M
-    columns; info > 0 only says so."""
-    c, piv, r, _ = lapack.zpstrf(t, lower=1)
-    f = np.empty((t.shape[0], r), dtype=complex)
-    f[piv - 1] = np.tril(c[:, :r])
-    return f
 
 
 def make_scenario(n_clusters: int, cluster_width: float, k: int, seed: int,

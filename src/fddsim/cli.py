@@ -24,7 +24,8 @@ from .config import ConfigError, parse_config
 from .covariance import export_covariance_csv, export_spectrum_csv
 from .errors import FddsimError, InvalidArgumentError
 from .evaluation import (estimate_user_pipeline, run_experiment, summarize,
-                         trial_scenario, write_records_csv, write_summary_json)
+                         trial_scenario, ul_source, write_records_csv,
+                         write_summary_json)
 from .sparsifier import (DEFAULT_TH_REL, build_beam_graph, formulate_milp,
                          solve_sparsification)
 from .validate import run_suites, SUITES
@@ -70,7 +71,8 @@ def _cmd_extrapolate(args) -> int:
         raise InvalidArgumentError(f"--user {args.user} is not a user index "
                                    f"of the experiment (K = {cfg.k})")
     users = trial_scenario(cfg, 0)
-    c_ul, c_dl, lam = estimate_user_pipeline(cfg, users[args.user].asf, 0, args.user)
+    c_ul, c_dl, lam = estimate_user_pipeline(cfg, ul_source(cfg, users[args.user].asf), 0,
+                                             args.user)
 
     with _writing(args.outdir):
         os.makedirs(args.outdir, exist_ok=True)

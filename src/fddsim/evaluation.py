@@ -2,7 +2,8 @@
 
 A trial is two stages. ``trial_state`` runs the per-user estimator
 ``estimate_user_pipeline`` for every user into one beam graph and takes
-the beam coefficients F^H h of the true DL channels once; ``evaluate_tdls``
+the beam coefficients F^H h of the true DL channels once, factoring each
+distinct ASF's covariance once per band; ``evaluate_tdls``
 turns them into the records of every T_dl. It sparsifies, probes and
 estimates T_dl by T_dl, runs one greedy user selection over the estimates
 of every T_dl at every SNR, and then precodes and rates each grid point.
@@ -26,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (make_scenario, sample_channels, sample_pilot_covariance,
-                      true_covariance)
+from .channel import (make_scenario, psd_factor, sample_channels,
+                      sample_pilot_covariance, true_covariance)
 from .config import ExperimentConfig
 from .covariance import circulant_eigenvalues, estimate_asf, extrapolate_dl
 from .errors import FddsimError, InvalidArgumentError, NumericalError
@@ -222,23 +223,34 @@ class ExperimentRecord:
 CSV_HEADER = "trial,Tdl,snr_db,served,matching_size,err_norm,sum_rate_bits"
 
 
-def estimate_user_pipeline(cfg: ExperimentConfig, user_asf, trial: int, k: int
+def ul_source(cfg: ExperimentConfig, user_asf) -> np.ndarray:
+    """What ``estimate_user_pipeline`` fits a user of this ASF from: the
+    factor ``psd_factor`` of its UL covariance plus the UL pilot noise
+    sigma2 I, from which each trial draws the user's sample covariance, or
+    with ``exact_covariance`` its exact UL covariance column. Users with the
+    same ASF share it."""
+    c_ul = true_covariance(user_asf, cfg.m, 1.0)
+    return c_ul if cfg.exact_covariance else psd_factor(c_ul, cfg.ul_sigma2)
+
+
+def estimate_user_pipeline(cfg: ExperimentConfig, ul: np.ndarray, trial: int, k: int
                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """UL covariance -> angular estimate -> DL covariance -> beam powers.
 
     The one per-user estimator: ``trial_state`` reads its spectrum and
-    ``fddsim extrapolate`` exports all three outputs. The angular measure
-    is fitted to the Toeplitz average of the sample covariance of user k's
-    n_ul UL pilots in the given trial, drawn from its complex-Wishart law
-    (or to the true UL covariance with ``exact_covariance``). Returns the
-    fitted measure's UL covariance first column (its covariance at
+    ``fddsim extrapolate`` exports all three outputs. ``ul`` is the user's
+    ``ul_source``. The angular measure is fitted to the Toeplitz average of
+    the sample covariance of user k's n_ul UL pilots in the given trial,
+    drawn from its complex-Wishart law with the factor ``ul`` (with
+    ``exact_covariance``, to the true UL covariance column ``ul``). Returns
+    the fitted measure's UL covariance first column (its covariance at
     alpha = 1), its DL covariance first column (at ``cfg.alpha``) and the
     DL beam-space spectrum.
     """
-    c_ul = true_covariance(user_asf, cfg.m, 1.0)
+    c_ul = ul
     if not cfg.exact_covariance:
         c_ul = toeplitz_average(sample_pilot_covariance(
-            c_ul, cfg.n_ul, cfg.ul_sigma2, cfg.seed, trial, k, _UL_COV))
+            ul, cfg.n_ul, cfg.ul_sigma2, cfg.seed, trial, k, _UL_COV))
     z = estimate_asf(c_ul)
     c_dl_hat = extrapolate_dl(z, cfg.m, cfg.alpha)
     return (extrapolate_dl(z, cfg.m, 1.0), c_dl_hat,
@@ -259,13 +271,29 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> list:
 
 def trial_state(cfg: ExperimentConfig, trial: int) -> tuple[np.ndarray, np.ndarray]:
     """What every grid point of a trial reads: the beam graph of the users'
-    estimated DL spectra, and F^H h of their true DL channels."""
+    estimated DL spectra, and F^H h of their true DL channels.
+
+    A user's covariance on each band is a function of its ASF alone, so the
+    users with the same ASF (in a 3-cluster scenario, those that picked the
+    same cluster pair in the same order) share its ``ul_source`` and DL
+    factor: each is
+    computed once per distinct ASF. The ASFs are compared by the bit
+    patterns of their intervals and point masses, in order, since
+    ``AngularScatteringFunction.fourier`` sums the intervals in order and a
+    reordered pair rounds differently. Each user still draws from its own
+    streams."""
     spectra = np.empty((cfg.m, cfg.k))
     h_true = np.empty((cfg.m, cfg.k), dtype=complex)
+    shared = {}
     for k, user in enumerate(trial_scenario(cfg, trial)):
-        spectra[:, k] = estimate_user_pipeline(cfg, user.asf, trial, k)[2]
-        h_true[:, k] = sample_channels(true_covariance(user.asf, cfg.m, cfg.alpha), 1,
-                                       cfg.seed, trial, k, _DL_CHAN)[:, 0]
+        key = (np.asarray(user.asf.intervals, dtype=float).tobytes(),
+               np.asarray(user.asf.point_masses, dtype=float).tobytes())
+        if key not in shared:
+            shared[key] = (ul_source(cfg, user.asf),
+                           psd_factor(true_covariance(user.asf, cfg.m, cfg.alpha)))
+        ul, f_dl = shared[key]
+        spectra[:, k] = estimate_user_pipeline(cfg, ul, trial, k)[2]
+        h_true[:, k] = sample_channels(f_dl, 1, cfg.seed, trial, k, _DL_CHAN)[:, 0]
     return build_beam_graph(spectra, th_rel=cfg.th_rel), beam_coefficients(h_true)
 
 

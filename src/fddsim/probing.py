@@ -5,7 +5,9 @@ The closed-form estimation-error trace that checks the estimator is
 
 A pilot is a plain T_dl x M' array Psi that acts on a user's effective
 channel B h, its coefficients on the M' selected beams (see
-``sparsifier.beam_coefficients``); users are stacked as rows."""
+``sparsifier.beam_coefficients``); users are stacked as rows. The MMSE
+estimate of a square pilot with orthonormal rows is taken in the pilot's
+own basis, beam by beam, without a solve; every other pilot is solved."""
 
 from __future__ import annotations
 
@@ -41,9 +43,15 @@ def dl_observe(psi: np.ndarray, bh: np.ndarray, noise: np.ndarray) -> np.ndarray
     return bh @ psi.T + noise
 
 
+# the largest |(Q Q^H - I)_ij| of a square pilot that ``mmse_effective``
+# estimates in the pilot's own basis (``make_pilot`` reaches 1.7e-15 up to
+# M' = 256)
+UNITARY_TOL = 1e-13
+
+
 def mmse_effective(y: np.ndarray, q: np.ndarray, lam: np.ndarray, p_dl) -> np.ndarray:
     """Linear MMSE estimates of a stack of users probed by one pilot at
-    several powers, by one batched solve.
+    several powers.
 
     At power p the pilot is Psi = sqrt(p) Q, with Q the unit-power
     T_dl x M' pilot. Row i of ``lam`` (n x M') is the diagonal Lam_i of
@@ -52,7 +60,22 @@ def mmse_effective(y: np.ndarray, q: np.ndarray, lam: np.ndarray, p_dl) -> np.nd
     estimate Lam_i Psi^H (Psi Lam_i Psi^H + I)^-1 y, exactly zero where
     the prior is zero. That is sqrt(p) Lam_i Q^H (p G_i + I)^-1 y with
     the prior Gram G_i = Q Lam_i Q^H, which does not depend on the power:
-    it is formed once for all powers.
+    it is formed once for all powers and the P n systems are solved in one
+    batched call.
+
+    A square pilot with orthonormal rows (T_dl = M' and every entry of
+    Q Q^H - I at most UNITARY_TOL in magnitude) needs no solve. Then
+    Q^H Q = I too, p G_i + I = Q (p Lam_i + I) Q^H, and the estimate is
+    sqrt(p) Lam_i (p Lam_i + I)^-1 Q^H y, beam by beam. That is exact for
+    the unitary polar factor U of Q, and ||Q - U||_2 <= ||Q Q^H - I||_2 <=
+    M' UNITARY_TOL (4.8e-12 at M' = 48), so the bound admits only pilots
+    that close to a unitary one; ``make_pilot``'s QR pilots are within
+    1.7e-15 entrywise. The solve is not exact either: it is backward
+    stable, so its error grows with the condition number of p G_i + I, up
+    to p max(Lam_i). Against a 60-digit reference at T_dl = M' = 8 and
+    model observations, the pilot-basis form was within 7e-16 relative up
+    to p = 2^53/64, and the solve within 4e-13 at p = 1e6 and 3e-9 at
+    p = 2^53/64. Every other pilot is solved.
     """
     y = np.asarray(y)
     t_dl, m_prime = q.shape
@@ -67,16 +90,29 @@ def mmse_effective(y: np.ndarray, q: np.ndarray, lam: np.ndarray, p_dl) -> np.nd
         raise InvalidArgumentError("mmse_effective: prior variances must be nonnegative")
     if not np.all(p_dl >= 0):
         raise InvalidArgumentError("mmse_effective: pilot powers must be nonnegative")
-    gram = (q * lam[:, None, :]) @ q.conj().T
-    # a power near the float limit overflows p G; the check below reports it
-    with np.errstate(over="ignore", invalid="ignore"):
-        inner = p_dl[:, None, None, None] * gram
-        inner += np.eye(t_dl)
-        try:
-            sol = np.linalg.solve(inner, y[..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                f"mmse_effective: singular observation covariance: {exc}") from exc
-    if not np.all(np.isfinite(sol)):
+    if t_dl == m_prime and np.abs(q @ q.conj().T - np.eye(t_dl)).max() <= UNITARY_TOL:
+        # a power near the float limit overflows p Lam; the check below reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = p_dl[:, None, None] * lam
+            beam = (y @ q.conj()) / (scaled + 1.0)  # (p Lam + I)^-1 Q^H y
+        beam[~np.isfinite(scaled)] = np.nan  # an overflowed p Lam is no zero gain
+        _finite(beam)
+    else:
+        gram = (q * lam[:, None, :]) @ q.conj().T
+        # a power near the float limit overflows p G; the check below reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            inner = p_dl[:, None, None, None] * gram
+            inner += np.eye(t_dl)
+            try:
+                sol = np.linalg.solve(inner, y[..., None])[..., 0]
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(
+                    f"mmse_effective: singular observation covariance: {exc}") from exc
+        beam = _finite(sol) @ q.conj()  # Q^H (p G + I)^-1 y
+    return lam * (np.sqrt(p_dl)[:, None, None] * beam)
+
+
+def _finite(a: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(a)):
         raise NumericalError("mmse_effective: non-finite solve result")
-    return lam * (np.sqrt(p_dl)[:, None, None] * (sol @ q.conj()))
+    return a

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import lapack
 
 from fddsim.channel import (DEFAULT_ALPHA, AngularScatteringFunction,
-                            UserGeometry, make_scenario, sample_channels,
+                            UserGeometry, make_scenario, psd_factor, sample_channels,
                             sample_pilot_covariance, true_covariance)
 from fddsim.covariance import circulant_eigenvalues
 from fddsim.errors import InvalidArgumentError
@@ -102,20 +102,20 @@ def test_true_covariance_psd_and_trace():
 
 def test_sample_channels_zero_asf():
     asf = AngularScatteringFunction(intervals=[(-0.5, 0.5, 0.0)])
-    h = sample_channels(true_covariance(asf, 4, 1.0), 3, 1)
+    h = sample_channels(psd_factor(true_covariance(asf, 4, 1.0)), 3, 1)
     np.testing.assert_array_equal(h, np.zeros((4, 3)))
 
 
 def test_sample_channels_identity_covariance():
     asf = AngularScatteringFunction(intervals=[(-1.0, 1.0, 0.5)], normalized=True)
-    h = sample_channels(true_covariance(asf, 6, 1.0), 10**4, 2)
+    h = sample_channels(psd_factor(true_covariance(asf, 6, 1.0)), 10**4, 2)
     c = h @ h.conj().T / 10**4
     assert np.linalg.norm(c - np.eye(6)) / np.linalg.norm(np.eye(6)) < 0.05
 
 
 def test_sample_channels_point_mass_rank_one():
     asf = AngularScatteringFunction(point_masses=[(0.2, 1.0)], normalized=True)
-    h = sample_channels(true_covariance(asf, 8, 1.0), 5, 3)
+    h = sample_channels(psd_factor(true_covariance(asf, 8, 1.0)), 5, 3)
     a = np.exp(1j * np.pi * 0.2 * np.arange(8))
     for col in h.T:
         ratio = col / a
@@ -124,26 +124,51 @@ def test_sample_channels_point_mass_rank_one():
 
 def test_sample_channels_deterministic():
     col = true_covariance(AngularScatteringFunction(intervals=[(-0.3, 0.3, 1.0)]), 4, 1.0)
-    np.testing.assert_array_equal(sample_channels(col, 2, 9, 1, 2),
-                                  sample_channels(col, 2, 9, 1, 2))
+    np.testing.assert_array_equal(sample_channels(psd_factor(col), 2, 9, 1, 2),
+                                  sample_channels(psd_factor(col), 2, 9, 1, 2))
 
 
 NARROW_16 = AngularScatteringFunction(intervals=[(-0.5, -0.4, 5.0), (0.2, 0.3, 5.0)],
                                       normalized=True)
 
 
-def test_sample_channels_equals_reference_coloring():
-    """Bit for bit P L_r g: L_r the first r columns of the pivoted Cholesky
-    factor of T (rank r < M), P its pivot, and g the stream's first r*n
-    unit normals as r x n (a draw of M*n normals would differ: their
-    imaginary parts start later in the stream)."""
-    col = true_covariance(NARROW_16, 16, DEFAULT_ALPHA)
-    c, piv, r, _ = lapack.zpstrf(toeplitz_from_column(col), lower=1)
-    assert r == 15
-    f = np.zeros((16, r), dtype=complex)
+def _reference_factor(col, sigma2):
+    """P L_r written out: L_r the first r columns of the pivoted Cholesky
+    factor of T(col) + sigma2 I, P its pivot."""
+    t = toeplitz_from_column(col) + sigma2 * np.eye(col.size)
+    c, piv, r, _ = lapack.zpstrf(t, lower=1)
+    f = np.zeros((col.size, r), dtype=complex)
     f[piv - 1] = np.tril(c)[:, :r]
+    return f
+
+
+@pytest.mark.parametrize("sigma2, rank", [(0.0, 15), (0.01, 16)])
+def test_psd_factor_equals_reference(sigma2, rank):
+    """psd_factor is P L_r of T + sigma2 I bit for bit, and F F^H = T + sigma2 I."""
+    col = true_covariance(NARROW_16, 16, DEFAULT_ALPHA)
+    f = psd_factor(col, sigma2)
+    assert f.shape == (16, rank)
+    np.testing.assert_array_equal(f, _reference_factor(col, sigma2))
+    t = toeplitz_from_column(col) + sigma2 * np.eye(16)
+    np.testing.assert_allclose(f @ f.conj().T, t, rtol=0.0, atol=1e-12)
+
+
+def test_psd_factor_rejects_negative_noise():
+    with pytest.raises(InvalidArgumentError):
+        psd_factor(TWO_CLUSTER_16, -1e-3)
+
+
+def test_sample_channels_equals_reference_coloring():
+    """Bit for bit P L_r g: P L_r the reference factor of T (rank r < M),
+    and g the stream's first r*n unit normals as r x n (a draw of M*n
+    normals would differ: their imaginary parts start later in the
+    stream)."""
+    col = true_covariance(NARROW_16, 16, DEFAULT_ALPHA)
+    f = _reference_factor(col, 0.0)
+    r = f.shape[1]
+    assert r == 15
     g = gaussian_complex(r * 5, 9, 1, 2).reshape(r, 5)
-    np.testing.assert_array_equal(sample_channels(col, 5, 9, 1, 2), f @ g)
+    np.testing.assert_array_equal(sample_channels(psd_factor(col), 5, 9, 1, 2), f @ g)
 
 
 def test_sample_channels_matches_eigh_law():
@@ -157,16 +182,16 @@ def test_sample_channels_matches_eigh_law():
     draws, n = 2000, 4
     upper, strict = np.triu_indices(16), np.triu_indices(16, 1)
 
-    def components(draw, seed):
+    def components(draw, source, seed):
         out = []
         for i in range(draws):
-            h = draw(col, n, seed, i)
+            h = draw(source, n, seed, i)
             c = h @ h.conj().T / n
             out.append(np.concatenate([c[upper].real, c[strict].imag]))
         return np.array(out)
 
-    new = components(sample_channels, 5)
-    ref = components(kl_channels, 6)
+    new = components(sample_channels, psd_factor(col), 5)
+    ref = components(kl_channels, col, 6)
     z = (new.mean(0) - ref.mean(0)) / np.sqrt((new.var(0, ddof=1) + ref.var(0, ddof=1)) / draws)
     ratio = new.var(0, ddof=1) / ref.var(0, ddof=1)
     assert np.abs(z).max() <= 4.0
@@ -183,7 +208,7 @@ TWO_CLUSTER_16 = true_covariance(AngularScatteringFunction(
                                        (1, 0.01), (1, 0.0)])
 def test_sample_pilot_covariance_rank(n, sigma2):
     """S + sigma2 I is the Gram matrix of n pilots: rank min(M, n)."""
-    s = sample_pilot_covariance(TWO_CLUSTER_16, n, sigma2, 3, n)
+    s = sample_pilot_covariance(psd_factor(TWO_CLUSTER_16, sigma2), n, sigma2, 3, n)
     assert np.linalg.matrix_rank(s + sigma2 * np.eye(16)) == min(16, n)
 
 
@@ -199,17 +224,17 @@ def test_sample_pilot_covariance_matches_snapshot_law(n, sigma2):
     draws = 2000
     upper, strict = np.triu_indices(16), np.triu_indices(16, 1)
 
-    def components(draw, seed):
+    def components(draw, source, seed):
         out = []
         for i in range(draws):
-            s = draw(TWO_CLUSTER_16, n, sigma2, seed, i)
+            s = draw(source, n, sigma2, seed, i)
             c = toeplitz_average(s)
             out.append(np.concatenate([c.real, c[1:].imag, s[upper].real,
                                        s[strict].imag]))
         return np.array(out)
 
-    new = components(sample_pilot_covariance, 5)
-    ref = components(snapshot_covariance, 6)
+    new = components(sample_pilot_covariance, psd_factor(TWO_CLUSTER_16, sigma2), 5)
+    ref = components(snapshot_covariance, TWO_CLUSTER_16, 6)
     z = (new.mean(0) - ref.mean(0)) / np.sqrt((new.var(0, ddof=1) + ref.var(0, ddof=1)) / draws)
     ratio = new.var(0, ddof=1) / ref.var(0, ddof=1)
     assert np.abs(z).max() <= 4.0
@@ -217,10 +242,15 @@ def test_sample_pilot_covariance_matches_snapshot_law(n, sigma2):
 
 
 def test_sample_pilot_covariance_rejects_bad_input():
+    f = psd_factor(TWO_CLUSTER_16, 0.01)
     with pytest.raises(InvalidArgumentError):
-        sample_pilot_covariance(TWO_CLUSTER_16, 0, 0.01, 1)
+        sample_pilot_covariance(f, 0, 0.01, 1)
     with pytest.raises(InvalidArgumentError):
-        sample_pilot_covariance(TWO_CLUSTER_16, 8, -1e-3, 1)
+        sample_pilot_covariance(f, 8, -1e-3, 1)
+    with pytest.raises(InvalidArgumentError):  # a column, not its factor
+        sample_pilot_covariance(TWO_CLUSTER_16, 8, 0.01, 1)
+    with pytest.raises(InvalidArgumentError):
+        sample_channels(TWO_CLUSTER_16, 8, 1)
 
 
 # -------------------------------------------------------------------- scenario

@@ -17,7 +17,7 @@ from fddsim.covariance import (asf_grid, circulant_eigenvalues, estimate_asf,
                                export_covariance_csv, export_spectrum_csv,
                                extrapolate_dl, nnls, steering)
 from fddsim.errors import InvalidArgumentError
-from fddsim.evaluation import estimate_user_pipeline, trial_scenario
+from fddsim.evaluation import estimate_user_pipeline, trial_scenario, ul_source
 from fddsim.numerics import gaussian_complex, rng_stream, toeplitz_from_column
 from fddsim.validate import dft_matrix, suite_projection
 
@@ -166,8 +166,8 @@ def test_fused_estimator_matches_dykstra_path(m, seed, monkeypatch):
     1.0e-3 on the default 2M grid, 2.7e-4 on a 4M one)."""
     cfg = ExperimentConfig(m=m, k=1, t=32, tdl_list=[8], snr_db_list=[20.0],
                            n_trials=1, seed=seed, n_ul=500)
-    users = trial_scenario(cfg, 0)
-    _, _, fused = estimate_user_pipeline(cfg, users[0].asf, 0, 0)
+    ul = ul_source(cfg, trial_scenario(cfg, 0)[0].asf)
+    _, _, fused = estimate_user_pipeline(cfg, ul, 0, 0)
     draw = evaluation.sample_pilot_covariance
     projected = []
     monkeypatch.setattr(evaluation, "sample_pilot_covariance",
@@ -175,7 +175,7 @@ def test_fused_estimator_matches_dykstra_path(m, seed, monkeypatch):
                             project_toeplitz_psd(draw(*args))))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)  # no Dykstra cap hit
-        _, _, ref = estimate_user_pipeline(cfg, users[0].asf, 0, 0)
+        _, _, ref = estimate_user_pipeline(cfg, ul, 0, 0)
     assert len(projected) == 1  # the reference path did run Dykstra
     assert np.abs(fused - ref).sum() <= 5e-3 * np.abs(ref).sum()
 
@@ -199,7 +199,7 @@ def test_nnls_kkt_on_pipeline_inputs(seed, monkeypatch):
 
     monkeypatch.setattr(evaluation, "estimate_asf", fit)
     for k, user in enumerate(trial_scenario(cfg, 0)):
-        estimate_user_pipeline(cfg, user.asf, 0, k)
+        estimate_user_pipeline(cfg, ul_source(cfg, user.asf), 0, k)
     assert len(fitted) == cfg.k
     a, row_w = covariance._asf_system(cfg.m, covariance.DEFAULT_GRID_FACTOR * cfg.m)
     norm_a = np.linalg.norm(a, 2)
@@ -240,7 +240,7 @@ def _pipeline_inputs(cfg, monkeypatch):
     monkeypatch.setattr(evaluation, "estimate_asf",
                         lambda c_ul: seen.append(c_ul) or estimate_asf(c_ul))
     for k, user in enumerate(trial_scenario(cfg, 0)):
-        estimate_user_pipeline(cfg, user.asf, 0, k)
+        estimate_user_pipeline(cfg, ul_source(cfg, user.asf), 0, k)
     return seen
 
 
@@ -419,7 +419,7 @@ def test_estimator_path_does_no_eigendecomposition(monkeypatch):
                            n_trials=1, seed=1, exact_covariance=True)
     users = trial_scenario(cfg, 0)
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-    _, c_dl, lam = estimate_user_pipeline(cfg, users[0].asf, 0, 0)
+    _, c_dl, lam = estimate_user_pipeline(cfg, ul_source(cfg, users[0].asf), 0, 0)
     assert c_dl.shape == (16,) and np.all(lam >= 0.0) and lam.sum() > 0.0
 
 

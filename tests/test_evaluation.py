@@ -6,18 +6,17 @@ import sys
 
 import numpy as np
 import pytest
-from scipy.linalg import lapack
 
-from fddsim.channel import sample_channels, true_covariance
+from fddsim.channel import psd_factor, sample_channels, true_covariance
 from fddsim.config import ExperimentConfig
 from fddsim.errors import InvalidArgumentError, NumericalError
 from fddsim.evaluation import (CSV_HEADER, ZF_COND_TOL, ExperimentRecord,
                                effective_gains, estimate_user_pipeline,
                                evaluate_tdls, greedy_user_selection, normalized_error,
                                run_experiment, run_trial, sum_rate, summarize,
-                               trial_scenario, trial_state, write_records_csv,
-                               zf_precoder)
-from fddsim.numerics import gaussian_complex, rng_stream, toeplitz_from_column
+                               trial_scenario, trial_state, ul_source,
+                               write_records_csv, zf_precoder)
+from fddsim.numerics import gaussian_complex, rng_stream
 from fddsim.sparsifier import beam_coefficients, solve_sparsification
 from fddsim.validate import dft_matrix
 
@@ -419,9 +418,10 @@ def test_run_experiment_zero_trials():
 
 def test_pipeline_ul_covariance_equals_bartlett_reference(monkeypatch):
     """The UL sample covariance the estimator averages is bit for bit
-    F A A^H F^H / n_ul - sigma2 I, with F = P L_r from the pivoted Cholesky
-    factor of T + sigma2 I, T the user's true UL covariance, and A the
-    r x r Bartlett factor drawn from the user's UL stream in that trial:
+    F A A^H F^H / n_ul - sigma2 I, with F = psd_factor(c, sigma2) the
+    factor of T + sigma2 I, T the Toeplitz matrix of the user's true UL
+    covariance column c (the user's ul_source), and A the r x r Bartlett
+    factor drawn from the user's UL stream in that trial:
     sqrt(Gamma(n_ul - j, 1)) on the diagonal, then CN(0, 1) below it in
     row-major order."""
     import fddsim.evaluation as ev
@@ -432,14 +432,13 @@ def test_pipeline_ul_covariance_equals_bartlett_reference(monkeypatch):
     average = ev.toeplitz_average
     monkeypatch.setattr(ev, "toeplitz_average",
                         lambda a: seen.append(a.copy()) or average(a))
-    estimate_user_pipeline(cfg, users[2].asf, 1, 2)
+    f = psd_factor(true_covariance(users[2].asf, cfg.m, 1.0), cfg.ul_sigma2)
+    np.testing.assert_array_equal(ul_source(cfg, users[2].asf), f)
+    estimate_user_pipeline(cfg, f, 1, 2)
 
     m, n, sigma2 = cfg.m, cfg.n_ul, cfg.ul_sigma2
-    t = toeplitz_from_column(true_covariance(users[2].asf, m, 1.0)) + sigma2 * np.eye(m)
-    c, piv, r, _ = lapack.zpstrf(t, lower=1)
+    r = f.shape[1]
     assert r == m  # sigma2 > 0: full rank
-    f = np.zeros((m, r), dtype=complex)
-    f[piv - 1] = np.tril(c)[:, :r]
     rng = rng_stream(cfg.seed, 1, 2, ev._UL_COV)
     a = np.zeros((r, r), dtype=complex)
     a[np.diag_indices(r)] = np.sqrt(rng.standard_gamma(n - np.arange(r)))
@@ -465,9 +464,40 @@ def test_run_trial_dl_channels_equal_reference_draw(monkeypatch):
     run_trial(cfg, 1)
     assert len(seen) == 1 and seen[0].shape == (cfg.m, cfg.k)
     for k, u in enumerate(trial_scenario(cfg, 1)):
-        ref = sample_channels(true_covariance(u.asf, cfg.m, cfg.alpha), 1,
+        ref = sample_channels(psd_factor(true_covariance(u.asf, cfg.m, cfg.alpha)), 1,
                               cfg.seed, 1, k, ev._DL_CHAN)[:, 0]
         np.testing.assert_array_equal(seen[0][:, k], ref)
+
+
+@pytest.mark.parametrize("trial", [0, 1])
+def test_trial_state_factors_once_per_distinct_asf(trial, monkeypatch):
+    """A 3-cluster trial of the acceptance config (8 users, at most 6
+    ordered cluster pairs) factors each distinct ASF once per band: 2 x
+    (distinct ASFs) psd_factor calls. Its beam graph and F^H h equal the
+    per-user reference bit for bit: each user's own estimate_user_pipeline
+    on its own ul_source, and its own draw from its own DL factor."""
+    import fddsim.evaluation as ev
+
+    cfg = ExperimentConfig(m=64, k=8, t=64, tdl_list=[8], snr_db_list=[20.0],
+                           n_trials=2, seed=1, n_ul=500, th_rel=1e-3)
+    users = trial_scenario(cfg, trial)
+    distinct = {(tuple(u.asf.intervals), tuple(u.asf.point_masses)) for u in users}
+    assert len(distinct) < cfg.k  # some users share an ASF
+
+    spectra = np.column_stack([estimate_user_pipeline(cfg, ul_source(cfg, u.asf), trial, k)[2]
+                               for k, u in enumerate(users)])
+    h_ref = np.column_stack([
+        sample_channels(psd_factor(true_covariance(u.asf, cfg.m, cfg.alpha)), 1,
+                        cfg.seed, trial, k, ev._DL_CHAN)[:, 0] for k, u in enumerate(users)])
+
+    factored = []
+    factor = ev.psd_factor
+    monkeypatch.setattr(ev, "psd_factor",
+                        lambda *args: factored.append(args) or factor(*args))
+    graph, h_beam = trial_state(cfg, trial)
+    assert len(factored) == 2 * len(distinct)
+    np.testing.assert_array_equal(graph, ev.build_beam_graph(spectra, th_rel=cfg.th_rel))
+    np.testing.assert_array_equal(h_beam, beam_coefficients(h_ref))
 
 
 def test_run_trial_draws_without_eigh(monkeypatch):
@@ -631,16 +661,18 @@ def test_pilots_that_fill_the_frame_serve_no_one(monkeypatch, tmp_path):
 
 def test_run_trial_runs_the_per_user_estimator(monkeypatch):
     """A trial estimates its users with estimate_user_pipeline, the
-    estimator `fddsim extrapolate` runs, once per user, and sparsifies the
-    beam graph of the spectra it returns."""
+    estimator `fddsim extrapolate` runs, once per user on the user's own
+    ul_source, and sparsifies the beam graph of the spectra it returns."""
     import fddsim.evaluation as ev
 
     cfg = ExperimentConfig(**SMALL)
     calls, spectra, graphs = [], [], []
     pipeline, solve = ev.estimate_user_pipeline, ev.solve_sparsification
+    users = trial_scenario(cfg, 0)
 
-    def recording(cfg_, asf, trial, k):
-        out = pipeline(cfg_, asf, trial, k)
+    def recording(cfg_, ul, trial, k):
+        np.testing.assert_array_equal(ul, ul_source(cfg, users[k].asf))
+        out = pipeline(cfg_, ul, trial, k)
         calls.append((trial, k))
         spectra.append(out[2])
         return out
