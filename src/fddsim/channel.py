@@ -17,6 +17,7 @@ ASF and band.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,7 +145,7 @@ def sample_pilot_covariance(f: np.ndarray, n: int, sigma2: float, seed,
     rng = rng_stream(seed, *path)
     a = np.zeros((r, q), dtype=complex)
     a[np.diag_indices(q)] = np.sqrt(rng.standard_gamma(n - np.arange(q)))
-    below = np.tril_indices(r, -1, q)
+    below = _strictly_lower(r, q)
     a[below] = gaussian_complex(below[0].size, rng)
     b = f @ a
     s = b @ b.conj().T / n
@@ -152,12 +153,26 @@ def sample_pilot_covariance(f: np.ndarray, n: int, sigma2: float, seed,
     return s
 
 
+@functools.lru_cache(maxsize=8)
+def _strictly_lower(r: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.tril_indices(r, -1, q)``, the entries below the diagonal of an
+    r x q array in row-major order; built once per (r, q) and shared
+    read-only."""
+    below = np.tril_indices(r, -1, q)
+    for idx in below:
+        idx.flags.writeable = False
+    return below
+
+
 def make_scenario(n_clusters: int, cluster_width: float, k: int, seed: int,
                   *path: int):
     """Random non-overlapping clusters in xi plus per-user two-cluster ASFs.
 
     Each user picks two distinct clusters uniformly at random; its ASF has
-    uniform density on both and integrates to 1.
+    uniform density on both and integrates to 1. The pair is stored in
+    ascending position, in its intervals and its ``cluster_indices`` alike,
+    whichever order it was picked in: the users of one cluster pair have one
+    ASF, equal bit for bit, and so one covariance on each band.
     """
     if n_clusters < 2:
         raise InvalidArgumentError("make_scenario: need at least 2 clusters")
@@ -175,7 +190,7 @@ def make_scenario(n_clusters: int, cluster_width: float, k: int, seed: int,
     density = 1.0 / (2.0 * w)
     users = []
     for _ in range(k):
-        i1, i2 = rng.choice(n_clusters, size=2, replace=False)
+        i1, i2 = sorted(rng.choice(n_clusters, size=2, replace=False))
         asf = AngularScatteringFunction(
             intervals=[clusters[i1] + (density,), clusters[i2] + (density,)],
             normalized=True)

@@ -4,9 +4,10 @@ A trial is two stages. ``trial_state`` runs the per-user estimator
 ``estimate_user_pipeline`` for every user into one beam graph and takes
 the beam coefficients F^H h of the true DL channels once, factoring each
 distinct ASF's covariance once per band; ``evaluate_tdls``
-turns them into the records of every T_dl. It sparsifies, probes and
-estimates T_dl by T_dl, runs one greedy user selection over the estimates
-of every T_dl at every SNR, and then precodes and rates each grid point.
+turns them into the records of every T_dl. It finds the graph's beam
+classes once, sparsifies, probes and estimates T_dl by T_dl, runs one
+greedy user selection over the estimates of every T_dl at every SNR, and
+then precodes and rates each T_dl's SNRs in stacked calls.
 The DL stage runs in the beam domain on plain arrays: the probing input,
 the true effective channels and the estimation error read the selected
 beams' rows of F^H h.
@@ -34,7 +35,8 @@ from .covariance import circulant_eigenvalues, estimate_asf, extrapolate_dl
 from .errors import FddsimError, InvalidArgumentError, NumericalError
 from .numerics import gaussian_complex, toeplitz_average
 from .probing import dl_observe, make_pilot, mmse_effective
-from .sparsifier import beam_coefficients, build_beam_graph, solve_sparsification
+from .sparsifier import (beam_classes, beam_coefficients, build_beam_graph,
+                         solve_sparsification)
 
 ZF_COND_TOL = 1e-12
 
@@ -49,17 +51,22 @@ def zf_precoder(h_hat_eff: np.ndarray) -> np.ndarray:
     """Unit-norm ZF beamformer V = H (H^H H)^-1 J^(1/2) (M' x K'') from
     estimated effective channels H (columns), J normalizing the columns of
     H (H^H H)^-1 to unit norm. Raises NumericalError when H^H H fails the
-    rank test of ``_full_rank_inverse``."""
+    rank test of ``_full_rank_inverse``.
+
+    Leading axes stack independent members (... x M' x K''): each gets the
+    beamformer it would get alone, bit for bit, and one rank-deficient
+    member raises for the stack."""
     h = np.asarray(h_hat_eff, dtype=complex)
-    if h.ndim != 2 or h.shape[1] < 1:
+    if h.ndim < 2 or h.shape[-1] < 1:
         raise InvalidArgumentError("zf_precoder: need an M' x K'' matrix")
-    if h.shape[1] > h.shape[0]:
+    if h.shape[-1] > h.shape[-2]:
         raise InvalidArgumentError("zf_precoder: more streams than beams")
-    [full_rank], inv = _full_rank_inverse((h.conj().T @ h)[None])
-    if not full_rank:
+    s = h.shape[-1]
+    full_rank, inv = _full_rank_inverse((np.swapaxes(h.conj(), -1, -2) @ h).reshape(-1, s, s))
+    if not full_rank.all():
         raise NumericalError("zf_precoder: estimated channel matrix is rank deficient")
-    pinv_t = h @ inv[0]
-    return pinv_t / np.linalg.norm(pinv_t, axis=0)
+    pinv_t = h @ inv.reshape(h.shape[:-2] + (s, s))
+    return pinv_t / np.linalg.norm(pinv_t, axis=-2, keepdims=True)
 
 
 def _full_rank_inverse(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -106,24 +113,30 @@ def _full_rank_inverse(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return full_rank, np.linalg.inv(gram[full_rank]) if inv is None else inv[full_rank]
 
 
-def effective_gains(h_eff_true: np.ndarray, v: np.ndarray, p_dl: float) -> np.ndarray:
+def effective_gains(h_eff_true: np.ndarray, v: np.ndarray, p_dl) -> np.ndarray:
     """Received-symbol coefficient matrix b under uniform power P_dl / K''
     per stream: row k is (B h^(k))^H V sqrt(P_dl / K''), with B h^(k) the
-    k-th served user's true effective channel (column k of h_eff_true)."""
+    k-th served user's true effective channel (column k of h_eff_true).
+    Leading axes stack members, one power each (``p_dl`` has the stack's
+    shape), and each gets its own matrix bit for bit."""
     h = np.asarray(h_eff_true, dtype=complex)
-    return (h.conj().T @ v) * np.sqrt(p_dl / v.shape[1])
+    scale = np.sqrt(np.asarray(p_dl, dtype=float) / v.shape[-1])
+    return (np.swapaxes(h.conj(), -1, -2) @ v) * scale[..., None, None]
 
 
-def sum_rate(b: np.ndarray) -> float:
+def sum_rate(b: np.ndarray):
     """Sum rate sum_k log2(1 + SINR_k) of received-symbol coefficients b
-    (see ``effective_gains``), without the training overhead."""
+    (see ``effective_gains``), without the training overhead: a float for
+    one K'' x K'' matrix, and an array of one rate per member for a stack
+    (... x K'' x K''), each the member's own rate bit for bit."""
     b = np.asarray(b, dtype=complex)
-    if b.size == 0:
+    if b.ndim == 2 and b.size == 0:
         return 0.0
     mags = np.abs(b) ** 2
-    sig = np.diag(mags)
-    interf = mags.sum(axis=1) - sig
-    return float(np.sum(np.log2(1.0 + sig / (1.0 + interf))))
+    sig = np.diagonal(mags, axis1=-2, axis2=-1)
+    interf = mags.sum(axis=-1) - sig
+    rate = np.sum(np.log2(1.0 + sig / (1.0 + interf)), axis=-1)
+    return float(rate) if b.ndim == 2 else rate
 
 
 def greedy_user_selection(gram: np.ndarray, p_dl: np.ndarray, m_prime: np.ndarray) -> list:
@@ -274,14 +287,12 @@ def trial_state(cfg: ExperimentConfig, trial: int) -> tuple[np.ndarray, np.ndarr
     estimated DL spectra, and F^H h of their true DL channels.
 
     A user's covariance on each band is a function of its ASF alone, so the
-    users with the same ASF (in a 3-cluster scenario, those that picked the
-    same cluster pair in the same order) share its ``ul_source`` and DL
-    factor: each is
-    computed once per distinct ASF. The ASFs are compared by the bit
-    patterns of their intervals and point masses, in order, since
-    ``AngularScatteringFunction.fourier`` sums the intervals in order and a
-    reordered pair rounds differently. Each user still draws from its own
-    streams."""
+    users with the same ASF share its ``ul_source`` and DL factor: each is
+    computed once per distinct ASF. ``make_scenario`` stores every pair in
+    ascending order, so the users of one cluster pair have one ASF, and a
+    3-cluster trial factors at most 3 pairs per band. The ASFs are compared
+    by the bit patterns of their intervals and point masses, in order. Each
+    user still draws from its own streams."""
     spectra = np.empty((cfg.m, cfg.k))
     h_true = np.empty((cfg.m, cfg.k), dtype=complex)
     shared = {}
@@ -325,11 +336,12 @@ def evaluate_tdls(cfg: ExperimentConfig, trial: int, tdl_list: list, graph: np.n
     (trial, user, t_eff), so T_dl values with the same t_eff share them,
     and a selection does not depend on the other members of its stack."""
     powers = np.array([10.0 ** (snr_db / 10.0) for snr_db in cfg.snr_db_list])
+    classes = beam_classes(graph, cfg.p0)  # a function of the graph alone: one per trial
     plans, estimates, failures = [], [], []
     for t_dl in tdl_list:
         plan, estimate, failure = None, None, ""
         try:
-            plan = solve_sparsification(graph, t_dl, p0=cfg.p0)
+            plan = solve_sparsification(graph, t_dl, p0=cfg.p0, classes=classes)
             t_eff = min(t_dl, len(plan.beams))  # a pilot never needs more dims than beams
             if plan.users and t_eff < cfg.t:
                 estimate = (t_eff, *_estimate(cfg, trial, t_eff, plan, graph, h_beam, powers))
@@ -413,22 +425,29 @@ def _serve(cfg, plan, h_beam, t_eff, h_eff, h_hats, orders, powers) -> list:
     t_eff pilot dimensions, from its true effective channels ``h_eff``, the
     estimates ``h_hats`` and their greedy selections. Only here is the
     training overhead charged: (1 - t_eff/T) on each rate, for the pilot
-    dimensions actually sent."""
-    rows = []
+    dimensions actually sent.
+
+    The powers that serve the same number of users are precoded and rated
+    in one stacked call each; a member's row is the one it would get alone."""
+    rows = [_NO_ONE_SERVED] * len(powers)
+    stacks = {}
+    for j, order in enumerate(orders):
+        if order:
+            stacks.setdefault(len(order), []).append(j)
     with np.errstate(over="raise", invalid="raise"):  # an overflowed rate fails too
-        for p_dl, h_hat, order in zip(powers, h_hats, orders):
-            cols = sorted(order)
-            if not cols:
-                rows.append(_NO_ONE_SERVED)
-                continue
-            # greedy selection admitted this set only after its ZF rank test passed
-            v = zf_precoder(h_hat[:, cols])
-            rate = (1.0 - t_eff / cfg.t) * sum_rate(effective_gains(h_eff[:, cols], v, p_dl))
+        for n, js in stacks.items():
+            cols = [sorted(orders[j]) for j in js]
+            h_hat = np.stack([h_hats[j][:, c] for j, c in zip(js, cols)])
+            # greedy selection admitted these sets only after their ZF rank test passed
+            v = zf_precoder(h_hat)
+            rates = (1.0 - t_eff / cfg.t) * sum_rate(
+                effective_gains(np.stack([h_eff[:, c] for c in cols]), v, powers[js]))
             # F is unitary, so ||h - B^H h_hat|| = ||F^H h - h_hat zero-filled||
-            h_hat_beam = np.zeros((cfg.m, len(cols)), dtype=complex)
-            h_hat_beam[plan.beams] = h_hat[:, cols]
-            served = [plan.users[c] for c in cols]
-            rows.append((len(cols), normalized_error(h_beam[:, served], h_hat_beam), rate))
+            h_hat_beam = np.zeros((len(js), cfg.m, n), dtype=complex)
+            h_hat_beam[:, plan.beams] = h_hat
+            for j, c, h_hat_j, rate in zip(js, cols, h_hat_beam, rates):
+                served = [plan.users[i] for i in c]
+                rows[j] = (n, normalized_error(h_beam[:, served], h_hat_j), float(rate))
     return rows
 
 

@@ -12,6 +12,8 @@ and callers that need eigenvalues run ``np.linalg.eigvalsh`` themselves.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy.linalg import toeplitz
 
@@ -60,12 +62,23 @@ def toeplitz_average(a: np.ndarray) -> np.ndarray:
     m = a.shape[0]
     h = 0.5 * (a + a.conj().T)
     # Sum every diagonal in one pass: bucket entries by (row - col) offset.
-    idx = (np.arange(m)[:, None] - np.arange(m)[None, :] + m - 1).ravel()
+    idx, counts = _diagonal_offsets(m)
     flat = h.ravel()
     sums = (np.bincount(idx, weights=flat.real, minlength=2 * m - 1)
             + 1j * np.bincount(idx, weights=flat.imag, minlength=2 * m - 1))
-    counts = m - np.abs(np.arange(2 * m - 1) - (m - 1))
     return (sums / counts)[m - 1:]
+
+
+@functools.lru_cache(maxsize=8)
+def _diagonal_offsets(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """For an m x m array in row-major order: each entry's diagonal offset
+    row - col + m - 1, and the number of entries on each of the 2m - 1
+    offsets; built once per m and shared read-only."""
+    idx = (np.arange(m)[:, None] - np.arange(m)[None, :] + m - 1).ravel()
+    counts = m - np.abs(np.arange(2 * m - 1) - (m - 1))
+    idx.flags.writeable = False
+    counts.flags.writeable = False
+    return idx, counts
 
 
 def toeplitz_from_column(col: np.ndarray) -> np.ndarray:

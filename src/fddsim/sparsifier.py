@@ -134,7 +134,8 @@ def _check_selection_args(t_dl: int, p0: float) -> None:
         raise InvalidArgumentError(f"P0 {p0} must be finite and nonnegative")
 
 
-def formulate_milp(g: np.ndarray, t_dl: int, p0: float) -> SelectionMilp:
+def formulate_milp(g: np.ndarray, t_dl: int, p0: float,
+                   classes: list | None = None) -> SelectionMilp:
     """MILP with an integer beam count x_c in [0, n_c] per beam class c
     (see ``beam_classes``), binary user selectors y and a continuous
     matching block z_ck in [0, A_ck]; objective sum(z) + epsilon * sum(x).
@@ -148,10 +149,12 @@ def formulate_milp(g: np.ndarray, t_dl: int, p0: float) -> SelectionMilp:
     Variables are ordered x (C), y (K), then z with z_ck at C + K + c K + k.
     ``g`` is the M x K edge-power array of ``build_beam_graph``, with edges
     A = g > 0 and W = g. The beam reward is epsilon = EPSILON_FACTOR / M.
+    ``classes``, if given, must be ``beam_classes(g, p0)``.
     """
     m, k = g.shape
     _check_selection_args(t_dl, p0)
-    classes = beam_classes(g, p0)
+    if classes is None:
+        classes = beam_classes(g, p0)
     n_cls = len(classes)
     size = np.array([len(cls) for cls in classes], dtype=float)
     a_ck = g[[cls[0] for cls in classes]] > 0
@@ -250,7 +253,8 @@ def _one_class_optimum(g: np.ndarray, classes: list, t_dl: int, p0: float):
     return [count], users, size, float(size + EPSILON_FACTOR / g.shape[0] * count)
 
 
-def solve_sparsification(g: np.ndarray, t_dl: int, p0: float = 0.0) -> SparsificationPlan:
+def solve_sparsification(g: np.ndarray, t_dl: int, p0: float = 0.0,
+                         classes: list | None = None) -> SparsificationPlan:
     """Solve the beam/user selection program, take the strongest beams of
     each class and certify the matching size with an independent maximum
     matching.
@@ -260,16 +264,21 @@ def solve_sparsification(g: np.ndarray, t_dl: int, p0: float = 0.0) -> Sparsific
     graph goes to HiGHS. The x_c beams taken from class c are those with
     the most power sum_k W_mk over the selected users; ties go to the
     lowest index.
+
+    The classes depend on (g, P0) alone: a caller that solves one graph for
+    several T_dl passes ``classes = beam_classes(g, p0)`` to each call, and
+    they are computed once; without them each call computes its own.
     """
     m, k = g.shape
     _check_selection_args(t_dl, p0)
-    classes = beam_classes(g, p0)
+    if classes is None:
+        classes = beam_classes(g, p0)
     n_cls = len(classes)
     if n_cls <= 1:
         counts, users, size, objective = _one_class_optimum(g, classes, t_dl, p0)
         node_count, gap = 0, 0.0
     else:
-        mip = formulate_milp(g, t_dl, p0)
+        mip = formulate_milp(g, t_dl, p0, classes)
         x, node_count, gap = milp_solve(mip)
         counts = x[:n_cls].astype(int)
         users = np.flatnonzero(x[n_cls:n_cls + k] > 0.5)

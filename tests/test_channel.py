@@ -9,7 +9,7 @@ from fddsim.channel import (DEFAULT_ALPHA, AngularScatteringFunction,
                             sample_pilot_covariance, true_covariance)
 from fddsim.covariance import circulant_eigenvalues
 from fddsim.errors import InvalidArgumentError
-from fddsim.numerics import gaussian_complex, toeplitz_average, toeplitz_from_column
+from fddsim.numerics import gaussian_complex, rng_stream, toeplitz_average, toeplitz_from_column
 from snapshots import kl_channels, snapshot_covariance
 
 
@@ -273,6 +273,51 @@ def test_make_scenario_deterministic():
     c2, u2 = make_scenario(3, 0.2, 3, 7, 5)
     assert c1 == c2
     assert [u.cluster_indices for u in u1] == [u.cluster_indices for u in u2]
+
+
+# make_scenario arguments -> (clusters, each user's cluster pair): the
+# clusters and the unordered pairs drawn before pairs were stored in
+# ascending order, which draws the same values
+PINNED_SCENARIOS = {
+    (3, 0.2, 8, 1, 0, 0): (
+        [(-0.8915354091518906, -0.6915354091518906), (0.3891102111694063, 0.5891102111694063),
+         (0.6498616088809893, 0.8498616088809894)],
+        [(0, 1), (1, 2), (0, 1), (1, 2), (1, 2), (0, 1), (0, 1), (0, 2)]),
+    (8, 0.1, 8, 1, 1, 0): (
+        [(-0.9633161265480347, -0.8633161265480347), (-0.8553410855753057, -0.7553410855753058),
+         (-0.5724300518304863, -0.47243005183048636), (-0.2818281390728452, -0.1818281390728452),
+         (0.08493061493957266, 0.18493061493957266), (0.24437048512724013, 0.3443704851272401),
+         (0.43129119000539473, 0.5312911900053947), (0.7656896622782646, 0.8656896622782646)],
+        [(4, 5), (4, 6), (3, 5), (5, 6), (1, 3), (4, 6), (0, 4), (2, 4)]),
+}
+
+
+@pytest.mark.parametrize("args", list(PINNED_SCENARIOS))
+def test_make_scenario_stores_each_pair_ascending(args):
+    """The pinned draws come back unchanged, with each user's pair, in its
+    cluster_indices and its intervals alike, in ascending position."""
+    clusters, users = make_scenario(*args)
+    pinned_clusters, pinned_pairs = PINNED_SCENARIOS[args]
+    assert clusters == pinned_clusters
+    assert [u.cluster_indices for u in users] == pinned_pairs
+    for u in users:
+        i, j = u.cluster_indices
+        assert [iv[:2] for iv in u.asf.intervals] == [clusters[i], clusters[j]]
+
+
+def test_users_of_one_cluster_pair_share_one_asf():
+    """Users 1 and 4 of the first pinned scenario picked clusters 1 and 2
+    in opposite orders (the picks below replay its stream); they get one
+    ASF and bit-identical covariance columns on both bands."""
+    rng = rng_stream(1, 0, 0)
+    rng.dirichlet(np.ones(4))
+    picks = [tuple(rng.choice(3, size=2, replace=False).tolist()) for _ in range(8)]
+    assert picks[1] == (1, 2) and picks[4] == (2, 1)
+    _, users = make_scenario(3, 0.2, 8, 1, 0, 0)
+    assert users[1].asf == users[4].asf
+    for alpha in (1.0, DEFAULT_ALPHA):
+        np.testing.assert_array_equal(true_covariance(users[1].asf, 64, alpha),
+                                      true_covariance(users[4].asf, 64, alpha))
 
 
 def test_make_scenario_full_coverage_identity():

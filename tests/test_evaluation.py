@@ -59,6 +59,24 @@ def test_zf_rank_deficient_raises():
         zf_precoder(np.ones((2, 3), dtype=complex))
 
 
+def test_zf_input_errors_keep_their_messages():
+    """A 2-D call raises as it always did, and a stack is checked on its
+    trailing M' x K'' axes; an empty 2-D sum_rate is still 0.0."""
+    with pytest.raises(InvalidArgumentError, match="need an M' x K'' matrix"):
+        zf_precoder(np.ones(3, dtype=complex))
+    with pytest.raises(InvalidArgumentError, match="need an M' x K'' matrix"):
+        zf_precoder(np.ones((3, 0), dtype=complex))
+    with pytest.raises(InvalidArgumentError, match="more streams than beams"):
+        zf_precoder(np.ones((2, 3), dtype=complex))
+    with pytest.raises(InvalidArgumentError, match="more streams than beams"):
+        zf_precoder(np.ones((4, 2, 3), dtype=complex))
+    h = gaussian_complex(16, 74, 0).reshape(2, 4, 2)
+    h[1, :, 1] = h[1, :, 0]  # one rank-deficient member fails the stack
+    with pytest.raises(NumericalError, match="estimated channel matrix is rank deficient"):
+        zf_precoder(h)
+    assert sum_rate(np.zeros((0, 0), dtype=complex)) == 0.0
+
+
 def _eigvalsh_full_rank(gram):
     """The rank test by eigenvalues alone: w_min > ZF_COND_TOL * w_max."""
     w = np.linalg.eigvalsh(gram)
@@ -342,6 +360,114 @@ def test_run_trial_selects_each_tdl_in_one_stacked_call(monkeypatch):
         gram, np.concatenate([np.einsum("pmi,pmj->pij", h.conj(), h) for h in estimates]))
 
 
+def test_serve_stacks_each_tdls_powers_bit_for_bit(monkeypatch):
+    """A T_dl's SNR members that serve the same number of users are
+    precoded and rated in one stacked call each. On trial 0 of the
+    acceptance config T_dl 8 serves 6, 7 and 7 users at 10, 20 and 30 dB,
+    so it makes stacks of 1 and 2 members, and each other T_dl one stack of
+    3. Every member of a stacked zf_precoder, effective_gains and sum_rate
+    call gets the bits of its own 2-D call."""
+    import fddsim.evaluation as ev
+
+    cfg = ExperimentConfig(m=64, k=8, t=64, tdl_list=[8, 16, 24, 32, 48],
+                           snr_db_list=[10.0, 20.0, 30.0], n_trials=1, seed=1,
+                           n_ul=500, th_rel=1e-3)
+    calls = {"zf_precoder": [], "effective_gains": [], "sum_rate": []}
+    for name in calls:
+        def recording(*args, f=getattr(ev, name), name=name):
+            calls[name].append((args, f(*args)))
+            return calls[name][-1][1]
+        monkeypatch.setattr(ev, name, recording)
+    records = run_trial(cfg, 0)
+    monkeypatch.undo()
+    assert [r.served for r in records if r.tdl == 8] == [6, 7, 7]
+    assert not any(r.failure for r in records)
+    assert [len(h) for (h,), _ in calls["zf_precoder"]] == [1, 2, 3, 3, 3, 3]
+    for (h,), v in calls["zf_precoder"]:
+        for h_p, v_p in zip(h, v):
+            assert v_p.tobytes() == zf_precoder(h_p).tobytes()
+    for (h, v, p_dl), b in calls["effective_gains"]:
+        for h_p, v_p, p_p, b_p in zip(h, v, p_dl, b):
+            assert b_p.tobytes() == effective_gains(h_p, v_p, p_p).tobytes()
+    for (b,), rates in calls["sum_rate"]:
+        assert rates.tolist() == [sum_rate(b_p) for b_p in b]
+
+
+def test_rank_deficient_member_fails_its_whole_tdl(monkeypatch):
+    """When ZF finds one SNR member of a T_dl rank deficient (here T_dl 8
+    at 20 dB, whose selection is made to hold one user twice), every SNR of
+    that T_dl is a zero-rate row with the plan's matching size and the
+    reason ZF gives, and T_dl 4 keeps its records."""
+    import fddsim.evaluation as ev
+
+    cfg = ExperimentConfig(**SMALL)
+    ref = run_trial(cfg, 0)
+    select = ev._select
+
+    def repeating(h_hats, powers, failures):
+        orders = select(h_hats, powers, failures)
+        orders[1][1] = orders[1][1][:1] * 2
+        return orders
+
+    monkeypatch.setattr(ev, "_select", repeating)
+    records = run_trial(cfg, 0)
+    assert ([r.csv_row() for r in records if r.tdl == 4]
+            == [r.csv_row() for r in ref if r.tdl == 4])
+    failed = [r for r in records if r.tdl == 8]
+    assert [r.snr_db for r in failed] == cfg.snr_db_list
+    matching_size = [r.matching_size for r in ref if r.tdl == 8]
+    for rec, size in zip(failed, matching_size):
+        assert rec.failure == ("grid point: NumericalError: "
+                               "zf_precoder: estimated channel matrix is rank deficient")
+        assert (rec.served, rec.matching_size, rec.sum_rate_bits) == (0, size, 0.0)
+        assert math.isnan(rec.err_norm)
+
+
+def _count_beam_classes(monkeypatch) -> list:
+    """Count the beam_classes calls of evaluation and of the sparsifier."""
+    import fddsim.evaluation as ev
+    import fddsim.sparsifier as sp
+
+    calls = []
+    classes = sp.beam_classes
+
+    def counting(*args):
+        calls.append(args)
+        return classes(*args)
+
+    monkeypatch.setattr(ev, "beam_classes", counting)
+    monkeypatch.setattr(sp, "beam_classes", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n_clusters, width, th_rel", [(3, 0.2, 1e-3), (8, 0.1, 1e-2)],
+                         ids=["closed-form", "highs"])
+def test_evaluate_tdls_classes_the_graph_once(monkeypatch, n_clusters, width, th_rel):
+    """evaluate_tdls finds the trial graph's beam classes once, and every
+    T_dl's solve_sparsification, with formulate_milp on a graph of several
+    classes, reuses them. Each plan equals that of solve_sparsification(
+    graph, t_dl, p0) called on its own. At M=64 3cl th_rel 1e-3 trial 0 has
+    one class (closed form); at 8cl th_rel 1e-2 it has 11 (HiGHS)."""
+    import fddsim.evaluation as ev
+
+    cfg = ExperimentConfig(m=64, k=8, t=64, tdl_list=[8, 16, 24, 32, 48],
+                           snr_db_list=[10.0, 20.0, 30.0], n_trials=1, seed=1, n_ul=500,
+                           th_rel=th_rel, n_clusters=n_clusters, cluster_width=width)
+    graph, h_beam = trial_state(cfg, 0)
+    plans = {}
+    solve = ev.solve_sparsification
+    monkeypatch.setattr(ev, "solve_sparsification",
+                        lambda g, t_dl, **kw: plans.setdefault(t_dl, solve(g, t_dl, **kw)))
+    calls = _count_beam_classes(monkeypatch)
+    records = evaluate_tdls(cfg, 0, cfg.tdl_list, graph, h_beam)
+    monkeypatch.undo()
+    assert len(calls) == 1 and not any(r.failure for r in records)
+    assert list(plans) == cfg.tdl_list
+    assert {p.n_classes for p in plans.values()} == {1 if n_clusters == 3 else 11}
+    for t_dl, plan in plans.items():
+        assert plan == solve_sparsification(graph, t_dl, p0=cfg.p0)
+
+
 # ------------------------------------------------------------ normalized error
 
 def test_normalized_error_basics():
@@ -471,18 +597,19 @@ def test_run_trial_dl_channels_equal_reference_draw(monkeypatch):
 
 @pytest.mark.parametrize("trial", [0, 1])
 def test_trial_state_factors_once_per_distinct_asf(trial, monkeypatch):
-    """A 3-cluster trial of the acceptance config (8 users, at most 6
-    ordered cluster pairs) factors each distinct ASF once per band: 2 x
-    (distinct ASFs) psd_factor calls. Its beam graph and F^H h equal the
-    per-user reference bit for bit: each user's own estimate_user_pipeline
-    on its own ul_source, and its own draw from its own DL factor."""
+    """A 3-cluster trial of the acceptance config (8 users, at most 3
+    cluster pairs) factors each cluster pair's ASF once per band: 2 x
+    (distinct cluster pairs) psd_factor calls, whichever order its users
+    picked the pair in. Its beam graph and F^H h equal the per-user
+    reference bit for bit: each user's own estimate_user_pipeline on its own
+    ul_source, and its own draw from its own DL factor."""
     import fddsim.evaluation as ev
 
     cfg = ExperimentConfig(m=64, k=8, t=64, tdl_list=[8], snr_db_list=[20.0],
                            n_trials=2, seed=1, n_ul=500, th_rel=1e-3)
     users = trial_scenario(cfg, trial)
-    distinct = {(tuple(u.asf.intervals), tuple(u.asf.point_masses)) for u in users}
-    assert len(distinct) < cfg.k  # some users share an ASF
+    distinct = {frozenset(u.cluster_indices) for u in users}
+    assert len(distinct) == 3  # every pair occurs
 
     spectra = np.column_stack([estimate_user_pipeline(cfg, ul_source(cfg, u.asf), trial, k)[2]
                                for k, u in enumerate(users)])
@@ -603,11 +730,17 @@ def test_overhead_charges_the_pilots_sent(monkeypatch, t_dl):
     assert t_dl <= cfg.t == 32
     graph, h_beam = trial_state(cfg, 0)
     assert len(solve_sparsification(graph, t_dl, p0=cfg.p0).beams) == cfg.m < t_dl
-    gains = []
+    gains = {}  # pilot power -> its received-symbol coefficients
     effective = ev.effective_gains
-    monkeypatch.setattr(ev, "effective_gains",
-                        lambda *args: gains.append(effective(*args)) or gains[-1])
+
+    def recording(h, v, p_dl):
+        b = effective(h, v, p_dl)
+        gains.update(zip(np.ravel(p_dl), b.reshape(-1, *b.shape[-2:])))
+        return b
+
+    monkeypatch.setattr(ev, "effective_gains", recording)
     got = evaluate_tdls(cfg, 0, [t_dl], graph, h_beam)
+    monkeypatch.undo()
     ref = evaluate_tdls(cfg, 0, [cfg.m], graph, h_beam)
 
     def fields(r):
@@ -615,7 +748,8 @@ def test_overhead_charges_the_pilots_sent(monkeypatch, t_dl):
 
     assert [fields(r) for r in got] == [fields(r) for r in ref]
     assert all(r.served > 0 for r in got)
-    for rec, b in zip(got, gains):
+    for rec in got:
+        b = gains[10.0 ** (rec.snr_db / 10.0)]
         mags = np.abs(b) ** 2
         sig = np.diag(mags)
         bits = np.sum(np.log2(1.0 + sig / (1.0 + mags.sum(axis=1) - sig)))
@@ -976,8 +1110,10 @@ def test_paper_regime_trial_records_golden(monkeypatch):
                                n_ul=500, th_rel=1e-2, n_clusters=n_clusters,
                                cluster_width=width)
 
-        def recording(graph, t_dl, p0=0.0, n_clusters=n_clusters):
-            plan = solve(graph, t_dl, p0=p0)
+        def recording(graph, t_dl, p0=0.0, classes=None, n_clusters=n_clusters):
+            plan = solve(graph, t_dl, p0=p0, classes=classes)
+            # the trial's shared beam classes give the plan of a call on its own
+            assert plan == solve(graph, t_dl, p0=p0)
             plans[(n_clusters, t_dl)] = (plan.n_classes, plan.node_count)
             return plan
 
