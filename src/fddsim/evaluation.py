@@ -152,14 +152,18 @@ def greedy_user_selection(gram: np.ndarray, p_dl: np.ndarray, m_prime: np.ndarra
     rounds by column position, so two equal columns could get unequal
     entries and break their tie. Returns P selections.
 
-    The P greedy loops run in lockstep. Each step scores every remaining
-    candidate c of every unfinished member at once on the Gram submatrices
-    G of ``selected + [c]``, stacked: a candidate whose G fails the rank
-    test of ``_full_rank_inverse`` (that of zf_precoder) is rank deficient
-    (rate -inf), and otherwise J_k = 1 / (G^-1)_kk, the inverse squared
-    column norm of H G^-1, from the same inverse as the test. The test and
-    the inverse run per-matrix LAPACK routines, so a member's selection does
-    not depend on the others.
+    The P greedy loops run in lockstep on arrays: a taken mask (P x n), an
+    order matrix whose row p lists member p's users in the order they were
+    added, and a live mask of the members still adding. Each step scores
+    every remaining candidate c of every live member at once on the Gram
+    submatrices G of ``order[p] + [c]``, stacked member by member with the
+    candidates in ascending order: a candidate whose G fails the rank test
+    of ``_full_rank_inverse`` (that of zf_precoder) is rank deficient (rate
+    -inf), and otherwise J_k = 1 / (G^-1)_kk, the inverse squared column
+    norm of H G^-1, from the same inverse as the test. One row-wise
+    ``argmax`` then picks each member's candidate. The test and the inverse
+    run per-matrix LAPACK routines, so a member's selection does not depend
+    on the others.
     """
     gram = np.asarray(gram, dtype=complex)
     p_dl = np.asarray(p_dl, dtype=float)
@@ -172,31 +176,37 @@ def greedy_user_selection(gram: np.ndarray, p_dl: np.ndarray, m_prime: np.ndarra
     n_inst, n_cand = gram.shape[:2]
     cap = np.minimum(m_prime, n_cand)
 
-    selected = [[] for _ in range(n_inst)]
+    order = np.zeros((n_inst, int(cap.max(initial=0))), dtype=np.intp)
+    taken = np.zeros((n_inst, n_cand), dtype=bool)
+    count = np.zeros(n_inst, dtype=np.intp)
     best = np.zeros(n_inst)
-    live = list(range(n_inst))
-    for size in range(1, int(cap.max(initial=0)) + 1):
-        live = [p for p in live if cap[p] >= size]
-        if not live:
+    live = np.ones(n_inst, dtype=bool)
+    for size in range(1, order.shape[1] + 1):
+        live &= cap >= size
+        members = np.flatnonzero(live)
+        if members.size == 0:
             break
-        # every live member holds size - 1 users: stack its candidate sets
-        cands = [[c for c in range(n_cand) if c not in selected[p]] for p in live]
-        idx = np.array([[selected[p] + [c] for c in cs] for p, cs in zip(live, cands)])
-        sub = gram[np.array(live)[:, None, None, None], idx[..., :, None], idx[..., None, :]]
+        # every live member holds size - 1 users: stack its n - size + 1 candidate sets
+        cands = np.nonzero(~taken[members])[1].reshape(members.size, -1)
+        idx = np.concatenate([np.broadcast_to(order[members, None, :size - 1],
+                                              cands.shape + (size - 1,)),
+                              cands[..., None]], axis=2)
+        sub = gram[members[:, None, None, None], idx[..., :, None], idx[..., None, :]]
         full_rank, inv = _full_rank_inverse(sub)
         rates = np.full(full_rank.shape, -math.inf)
         j = 1.0 / np.diagonal(inv, axis1=1, axis2=2).real
-        p_user = (p_dl[live] / size)[np.nonzero(full_rank)[0]]
+        p_user = (p_dl[members] / size)[np.nonzero(full_rank)[0]]
         rates[full_rank] = np.sum(np.log2(1.0 + j * p_user[:, None]), axis=1)
-        still = []
-        for row, p in enumerate(live):
-            i = int(np.argmax(rates[row]))  # the first maximum: ties go to the lowest index
-            if rates[row, i] > best[p]:
-                selected[p].append(cands[row][i])
-                best[p] = rates[row, i]
-                still.append(p)
-        live = still
-    return selected
+        i = np.argmax(rates, axis=1)  # the first maximum: ties go to the lowest index
+        rate = rates[np.arange(members.size), i]
+        adds = rate > best[members]
+        p, c = members[adds], cands[adds, i[adds]]
+        order[p, size - 1] = c
+        taken[p, c] = True
+        count[p] = size
+        best[p] = rate[adds]
+        live[members[~adds]] = False
+    return [row[:n].tolist() for row, n in zip(order, count)]
 
 
 def normalized_error(h_true: np.ndarray, h_hat: np.ndarray) -> float:

@@ -10,7 +10,7 @@ import pytest
 from fddsim.channel import psd_factor, sample_channels, true_covariance
 from fddsim.config import ExperimentConfig
 from fddsim.errors import InvalidArgumentError, NumericalError
-from fddsim.evaluation import (CSV_HEADER, ZF_COND_TOL, ExperimentRecord,
+from fddsim.evaluation import (CSV_HEADER, ZF_COND_TOL, ExperimentRecord, _full_rank_inverse,
                                effective_gains, estimate_user_pipeline,
                                evaluate_tdls, greedy_user_selection, normalized_error,
                                run_experiment, run_trial, sum_rate, summarize,
@@ -313,6 +313,80 @@ def test_greedy_matches_per_candidate_reference(monkeypatch):
                      "near-collinear"}
     fallback = np.array(fallback)
     assert np.any(fallback > ZF_COND_TOL) and np.any((fallback > 0) & (fallback <= ZF_COND_TOL))
+
+
+def _greedy_lists(gram, p_dl, m_prime):
+    """Reference: the lockstep greedy loop on per-member Python lists, which
+    the array-driven greedy_user_selection replaced; its selections must be
+    equal. Each step stacks the same Gram submatrices, member by member and
+    candidate by candidate, and picks by one argmax per member."""
+    n_inst, n_cand = gram.shape[:2]
+    cap = np.minimum(m_prime, n_cand)
+    selected = [[] for _ in range(n_inst)]
+    best = np.zeros(n_inst)
+    live = list(range(n_inst))
+    for size in range(1, int(cap.max(initial=0)) + 1):
+        live = [p for p in live if cap[p] >= size]
+        if not live:
+            break
+        cands = [[c for c in range(n_cand) if c not in selected[p]] for p in live]
+        idx = np.array([[selected[p] + [c] for c in cs] for p, cs in zip(live, cands)])
+        sub = gram[np.array(live)[:, None, None, None], idx[..., :, None], idx[..., None, :]]
+        full_rank, inv = _full_rank_inverse(sub)
+        rates = np.full(full_rank.shape, -math.inf)
+        j = 1.0 / np.diagonal(inv, axis1=1, axis2=2).real
+        p_user = (p_dl[live] / size)[np.nonzero(full_rank)[0]]
+        rates[full_rank] = np.sum(np.log2(1.0 + j * p_user[:, None]), axis=1)
+        still = []
+        for row, p in enumerate(live):
+            i = int(np.argmax(rates[row]))
+            if rates[row, i] > best[p]:
+                selected[p].append(cands[row][i])
+                best[p] = rates[row, i]
+                still.append(p)
+        live = still
+    return selected
+
+
+def test_greedy_arrays_match_the_list_loop():
+    """The array-driven greedy gives the list-based loop's selections on
+    random stacks of einsum Grams: with duplicate columns (ties), zero and
+    linearly dependent columns (rank-deficient candidates), beam counts
+    below the candidate count (caps m_prime < n), members that stop at
+    different steps, and a single candidate (n = 1)."""
+    rng = rng_stream(79, 0)
+    kinds = set()
+    for _ in range(400):
+        n_inst = int(rng.integers(1, 16))
+        n_cand = int(rng.integers(1, 9))
+        m_prime = rng.integers(1, 9, n_inst)
+        grams = []
+        for p in range(n_inst):
+            h = gaussian_complex(8 * n_cand, rng).reshape(8, n_cand)
+            h[int(m_prime[p]):] = 0.0  # rank at most M'_p
+            if n_cand > 1 and rng.random() < 0.3:
+                a, b = rng.choice(n_cand, 2, replace=False)
+                h[:, b] = h[:, a]
+                kinds.add("duplicate")
+            if n_cand > 2 and rng.random() < 0.2:
+                h[:, -1] = h[:, 0] - 2.0 * h[:, 1]
+                kinds.add("dependent")
+            if rng.random() < 0.15:
+                h[:, int(rng.integers(0, n_cand))] = 0.0
+                kinds.add("zero")
+            grams.append(np.einsum("mi,mj->ij", h.conj(), h))
+        grams = np.stack(grams)
+        powers = 10.0 ** rng.uniform(-1.0, 3.0, n_inst)
+        got = greedy_user_selection(grams, powers, m_prime)
+        assert got == _greedy_lists(grams, powers, m_prime)
+        assert all(type(c) is int for sel in got for c in sel)
+        if np.any(m_prime < n_cand):
+            kinds.add("capped")
+        if len({len(sel) for sel in got}) > 1:
+            kinds.add("staggered")
+        if n_cand == 1:
+            kinds.add("n = 1")
+    assert kinds == {"duplicate", "dependent", "zero", "capped", "staggered", "n = 1"}
 
 
 def test_greedy_rejects_an_unstacked_estimate():
