@@ -341,10 +341,12 @@ def evaluate_tdls(cfg: ExperimentConfig, trial: int, tdl_list: list, graph: np.n
     fails every SNR of that T_dl, and no other T_dl, with its step and
     error as the reason.
 
-    A row depends only on its own (trial, T_dl, SNR): the pilot stream is
-    keyed by (trial, t_eff) and each user's noise stream by
-    (trial, user, t_eff), so T_dl values with the same t_eff share them,
-    and a selection does not depend on the other members of its stack."""
+    A row depends only on its own (trial, T_dl, SNR): the pilot and the
+    observation-noise block are each one stream keyed by (trial, t_eff),
+    and user k's noise is row k of the block whichever users a plan serves,
+    so a user's noise depends only on (trial, user, t_eff), T_dl values
+    with the same t_eff share both, and a selection does not depend on the
+    other members of its stack."""
     powers = np.array([10.0 ** (snr_db / 10.0) for snr_db in cfg.snr_db_list])
     classes = beam_classes(graph, cfg.p0)  # a function of the graph alone: one per trial
     plans, estimates, failures = [], [], []
@@ -379,14 +381,19 @@ def evaluate_tdls(cfg: ExperimentConfig, trial: int, tdl_list: list, graph: np.n
 def _estimate(cfg, trial, t_eff, plan, graph, h_beam, powers) -> tuple:
     """(B h, h_hats) of a plan probed with t_eff pilot dimensions: the true
     effective channels B h (M' x K'') and their MMSE estimates at every
-    pilot power (P x M' x K''), made in one stacked call."""
+    pilot power (P x M' x K''), made in one stacked call.
+
+    The observation noise of a t_eff is one draw of K t_eff unit-variance
+    values from the stream keyed by (trial, t_eff), the pilot's key with
+    its own purpose tag, read as a K x t_eff block: user k's noise is row
+    k, whichever users the plan serves."""
     # The pilot directions Q^H (unit power), and per selected user B h, the unit
     # observation-noise draw and the MMSE prior (its beam powers on its edges; unit
     # noise power) do not depend on the SNR: observe at every SNR, estimate at once.
     q_h = make_pilot(t_eff, len(plan.beams), cfg.seed, trial, t_eff, _PILOT)
     h_eff = h_beam[np.ix_(plan.beams, plan.users)]
-    noise = np.stack([gaussian_complex(t_eff, cfg.seed, trial, k, t_eff, _OBS_NOISE)
-                      for k in plan.users])
+    noise = gaussian_complex(cfg.k * t_eff, cfg.seed, trial, t_eff, _OBS_NOISE
+                             ).reshape(cfg.k, t_eff)[plan.users]
     prior = graph[np.ix_(plan.beams, plan.users)].T
     ys = np.stack([dl_observe(np.sqrt(p_dl) * q_h, h_eff.T, noise) for p_dl in powers])
     with np.errstate(over="raise", invalid="raise"):  # an overflowed estimate fails too

@@ -17,7 +17,7 @@ from fddsim.evaluation import (CSV_HEADER, ZF_COND_TOL, ExperimentRecord, _full_
                                trial_scenario, trial_state, ul_source,
                                write_records_csv, zf_precoder)
 from fddsim.numerics import gaussian_complex, rng_stream
-from fddsim.sparsifier import beam_coefficients, solve_sparsification
+from fddsim.sparsifier import SparsificationPlan, beam_coefficients, solve_sparsification
 from fddsim.validate import dft_matrix
 
 
@@ -957,6 +957,53 @@ def test_no_stream_serves_two_kinds_of_draw(monkeypatch):
     assert {path: names for path, names in kinds.items() if len(names) > 1} == {}
 
 
+def test_observation_noise_is_row_k_of_one_block_per_t_eff(monkeypatch):
+    """dl_observe receives user k's noise as row k of one K x t_eff block,
+    drawn from the stream (trial, t_eff, observation noise): at every SNR of
+    two T_dl values with the same t_eff (T_dl 16 and 24, both probing the
+    plan's M' = 16 beams with 16 pilots), and in two plans at one t_eff
+    that serve different users, where the user they share gets the same
+    noise."""
+    import fddsim.evaluation as ev
+
+    cfg = ExperimentConfig(**{**SMALL, "tdl_list": [16, 24]})
+    graph, h_beam = trial_state(cfg, 0)
+    seen = []
+    observe = ev.dl_observe
+
+    def recording(psi, bh, noise):
+        seen.append((psi.shape[0], noise.copy()))
+        return observe(psi, bh, noise)
+
+    def block(t_eff):
+        return gaussian_complex(cfg.k * t_eff, cfg.seed, 0, t_eff,
+                                ev._OBS_NOISE).reshape(cfg.k, t_eff)
+
+    monkeypatch.setattr(ev, "dl_observe", recording)
+    users = solve_sparsification(graph, 16, p0=cfg.p0).users
+    assert len(users) > 1 and solve_sparsification(graph, 24, p0=cfg.p0).users == users
+    evaluate_tdls(cfg, 0, [16, 24], graph, h_beam)
+    assert len(seen) == 2 * len(cfg.snr_db_list)
+    for t_eff, noise in seen:
+        assert t_eff == cfg.m == 16
+        np.testing.assert_array_equal(noise, block(16)[users])
+
+    noises = {}
+    for subset in ([0, 2], [1, 2]):
+        plan = SparsificationPlan(beams=list(range(cfg.m)), users=subset,
+                                  matching_size=len(subset), objective=0.0, node_count=0)
+        monkeypatch.setattr(ev, "solve_sparsification", lambda *args, plan=plan, **kw: plan)
+        seen.clear()
+        evaluate_tdls(cfg, 0, [8], graph, h_beam)
+        assert len(seen) == len(cfg.snr_db_list)
+        for t_eff, noise in seen:
+            assert t_eff == 8
+            np.testing.assert_array_equal(noise, block(8)[subset])
+        noises[tuple(subset)] = noise
+    np.testing.assert_array_equal(noises[(0, 2)][1], noises[(1, 2)][1])
+    assert not np.array_equal(noises[(0, 2)][0], noises[(1, 2)][0])
+
+
 def test_run_trial_record_invariants():
     cfg = ExperimentConfig(**SMALL)
     for rec in run_trial(cfg, 0):
@@ -1041,36 +1088,36 @@ def test_failed_grid_points_carry_their_reason(monkeypatch, tmp_path, capsys):
 # th_rel=1e-3) for config seeds 1 and 8: (seed, Tdl, snr_db, served,
 # matching_size, err_norm, sum_rate_bits). served is the greedy ZF decision.
 GOLDEN_TRIAL0 = [
-    (1, 8, 10, 6, 8, 0.5058323885834521, 18.330149031005647),
-    (1, 8, 20, 7, 8, 0.5074365949687684, 35.67509973469926),
-    (1, 8, 30, 7, 8, 0.506424706037176, 55.61212738535365),
-    (1, 16, 10, 8, 8, 0.182943663200297, 25.48303996246429),
-    (1, 16, 20, 8, 8, 0.16335966752398212, 44.41837496061698),
-    (1, 16, 30, 8, 8, 0.16104413661313105, 64.00740060866397),
-    (1, 24, 10, 8, 8, 0.04855901417331681, 23.70454041858492),
-    (1, 24, 20, 8, 8, 0.02394654019979905, 39.58788013363101),
-    (1, 24, 30, 8, 8, 0.020773620844823107, 56.019805525751366),
-    (1, 32, 10, 8, 8, 0.039660466680923594, 19.119993056190925),
-    (1, 32, 20, 8, 8, 0.011599389658174959, 32.466694974754205),
-    (1, 32, 30, 8, 8, 0.007504875542322382, 45.75752127330013),
-    (1, 48, 10, 8, 8, 0.04286704836945999, 9.520069055160757),
-    (1, 48, 20, 8, 8, 0.009070845466823711, 15.886622952205101),
-    (1, 48, 30, 8, 8, 0.0032301549174695533, 22.449375074013716),
-    (8, 8, 10, 6, 8, 0.5524918104749895, 22.37941416696719),
-    (8, 8, 20, 7, 8, 0.5421036377030394, 39.46557973877929),
-    (8, 8, 30, 7, 8, 0.5414308662351557, 59.1587136935989),
-    (8, 16, 10, 8, 8, 0.21053756021651812, 26.684199650533383),
-    (8, 16, 20, 8, 8, 0.19579551708482087, 45.24538709214787),
-    (8, 16, 30, 8, 8, 0.19386270687881932, 64.65901171744551),
-    (8, 24, 10, 8, 8, 0.06268711751691018, 24.772056230013728),
-    (8, 24, 20, 8, 8, 0.039529601384833794, 40.34155885476225),
-    (8, 24, 30, 8, 8, 0.03649449431897252, 56.68244651743948),
-    (8, 32, 10, 8, 8, 0.044254234726046664, 20.80157668802979),
-    (8, 32, 20, 8, 8, 0.019297191506561423, 33.80281086245979),
-    (8, 32, 30, 8, 8, 0.015641907281018892, 46.90575947194664),
-    (8, 48, 10, 8, 8, 0.04249850358823959, 10.440299587668484),
-    (8, 48, 20, 8, 8, 0.010806321879786501, 16.895255292682087),
-    (8, 48, 30, 8, 8, 0.0052747637706302575, 23.33016836920411),
+    (1, 8, 10, 6, 8, 0.506440818628014, 19.18157550273542),
+    (1, 8, 20, 7, 8, 0.5075295623594186, 35.784221613640085),
+    (1, 8, 30, 7, 8, 0.5064345314828064, 55.94717470993292),
+    (1, 16, 10, 8, 8, 0.17722869821688367, 26.157361073957585),
+    (1, 16, 20, 8, 8, 0.1627358797173095, 45.09612259935623),
+    (1, 16, 30, 8, 8, 0.16097951382393863, 64.72489696668197),
+    (1, 24, 10, 8, 8, 0.04934427874512521, 23.328359440643254),
+    (1, 24, 20, 8, 8, 0.023934572132459697, 39.09567004909961),
+    (1, 24, 30, 8, 8, 0.02078207425658467, 55.350541012928616),
+    (1, 32, 10, 8, 8, 0.047317351064795975, 18.111275734359417),
+    (1, 32, 20, 8, 8, 0.012503484206039868, 31.232464544281907),
+    (1, 32, 30, 8, 8, 0.00758450324402929, 44.48478791058507),
+    (1, 48, 10, 8, 8, 0.04133985785564894, 9.607992927087022),
+    (1, 48, 20, 8, 8, 0.008459565135486175, 15.987620179432438),
+    (1, 48, 30, 8, 8, 0.003169903430676855, 22.503769253206293),
+    (8, 8, 10, 6, 8, 0.5558630404458709, 20.835360774592353),
+    (8, 8, 20, 7, 8, 0.5425493392653887, 36.793030502453625),
+    (8, 8, 30, 8, 8, 0.5241598500591973, 58.36253316336881),
+    (8, 16, 10, 8, 8, 0.21028372670708262, 26.453314903190517),
+    (8, 16, 20, 8, 8, 0.19560218701026144, 44.82603938272392),
+    (8, 16, 30, 8, 8, 0.19383256056657516, 64.27890883734791),
+    (8, 24, 10, 8, 8, 0.06315051521401173, 24.012104660317313),
+    (8, 24, 20, 8, 8, 0.03952880546319165, 40.30935949472992),
+    (8, 24, 30, 8, 8, 0.036499696486654215, 56.79560710258531),
+    (8, 32, 10, 8, 8, 0.04543072436297759, 20.607410279227473),
+    (8, 32, 20, 8, 8, 0.019246695887194968, 33.55798552372747),
+    (8, 32, 30, 8, 8, 0.01562506976917863, 46.707404907617686),
+    (8, 48, 10, 8, 8, 0.03664033662902042, 10.20786345246891),
+    (8, 48, 20, 8, 8, 0.009850902680269788, 16.491416691574877),
+    (8, 48, 30, 8, 8, 0.0051706443022672185, 23.056728252999605),
 ]
 
 
@@ -1102,12 +1149,14 @@ def test_acceptance_scale_trial_records_golden():
 # pilot and noise streams by the pilot dimensions sent instead of by the
 # T_dl's position in tdl_list gave new DL draws and moved them by up to 9.7%.
 # Fitting the angular measure on 2M grid angles instead of 4M moved them by
-# up to 4.2%.
+# up to 4.2%. Drawing each t_eff's observation noise as one K x t_eff block
+# keyed by (trial, t_eff), instead of one stream per (trial, user, t_eff),
+# gave new noise draws and moved them by up to 6.4%.
 GOLDEN = {
-    (4, 10.0): (9.40345709139261, 3.0),
-    (4, 20.0): (17.044813202485894, 3.0),
-    (8, 10.0): (8.91258346432611, 8.0 / 3.0),
-    (8, 20.0): (15.2442120040805, 3.0),
+    (4, 10.0): (10.007953120644778, 7.0 / 3.0),
+    (4, 20.0): (17.62376181799768, 3.0),
+    (8, 10.0): (9.103329742889782, 8.0 / 3.0),
+    (8, 20.0): (15.392801033810974, 3.0),
 }
 
 
@@ -1140,36 +1189,36 @@ GOLDEN_PAPER_PLANS = {
     (8, 48): (16, 0),
 }
 GOLDEN_PAPER = [
-    (3, 8, 10, 11, 16, 0.8533482178648242, 31.259285035447377),
-    (3, 8, 20, 13, 16, 0.8424050007228168, 43.96614113486907),
-    (3, 8, 30, 15, 16, 0.852413087734164, 55.082439855569945),
-    (3, 16, 10, 15, 26, 0.7657262333023829, 35.413266007908746),
-    (3, 16, 20, 17, 26, 0.7468862051367146, 59.94011874969176),
-    (3, 16, 30, 19, 26, 0.756145737524557, 57.05309168530253),
-    (3, 24, 10, 22, 32, 0.6319526741625194, 53.519370033193276),
-    (3, 24, 20, 26, 32, 0.6184348767549773, 92.52940075684012),
-    (3, 24, 30, 28, 32, 0.6312861211064209, 100.93458957169742),
-    (3, 32, 10, 30, 32, 0.5131653615683105, 61.74065769748828),
-    (3, 32, 20, 31, 32, 0.479493695250493, 107.04659611003628),
-    (3, 32, 30, 32, 32, 0.4736077369991243, 130.40286281853355),
-    (3, 48, 10, 32, 32, 0.28226179448113636, 83.2890127521862),
-    (3, 48, 20, 32, 32, 0.22440281326985945, 127.88340940701546),
-    (3, 48, 30, 32, 32, 0.2210538291480293, 143.1329537790561),
-    (8, 8, 10, 22, 32, 0.7490982734405512, 45.3451698074376),
-    (8, 8, 20, 26, 32, 0.744571553833095, 66.82738377708368),
-    (8, 8, 30, 28, 32, 0.7936736006766634, 74.24217290091202),
-    (8, 16, 10, 31, 32, 0.5741661681652912, 67.45474874962622),
-    (8, 16, 20, 32, 32, 0.5270195485868184, 107.13855675869092),
-    (8, 16, 30, 32, 32, 0.5323419979296238, 122.5236671125769),
-    (8, 24, 10, 32, 32, 0.3844026385811552, 86.30877444382443),
-    (8, 24, 20, 32, 32, 0.32300325155955767, 123.40150563662405),
-    (8, 24, 30, 32, 32, 0.33781715196454576, 131.59852860986112),
-    (8, 32, 10, 32, 32, 0.2528899282659539, 101.37365609880817),
-    (8, 32, 20, 32, 32, 0.17612516943418097, 149.75325893279043),
-    (8, 32, 30, 32, 32, 0.19318048567511445, 150.28906319838214),
-    (8, 48, 10, 32, 32, 0.09229323922111783, 114.63937346915961),
-    (8, 48, 20, 32, 32, 0.04130334275710476, 169.82103849461438),
-    (8, 48, 30, 32, 32, 0.03933932139603953, 186.38223427423364),
+    (3, 8, 10, 12, 16, 0.8544204360909046, 28.455321876409403),
+    (3, 8, 20, 14, 16, 0.8479670540837908, 43.882982497834035),
+    (3, 8, 30, 15, 16, 0.8532667215006123, 51.46389890081832),
+    (3, 16, 10, 14, 26, 0.7538024123114776, 37.816436800643764),
+    (3, 16, 20, 17, 26, 0.747998131732003, 59.56021327533849),
+    (3, 16, 30, 19, 26, 0.7627757982102266, 63.38638605249535),
+    (3, 24, 10, 21, 32, 0.6321146307888539, 59.456096826995314),
+    (3, 24, 20, 26, 32, 0.6188118412326963, 97.5549270508052),
+    (3, 24, 30, 28, 32, 0.6314949087709001, 103.92021168953688),
+    (3, 32, 10, 27, 32, 0.5057351096479337, 67.06818508274375),
+    (3, 32, 20, 31, 32, 0.4784533754871536, 109.78112179311059),
+    (3, 32, 30, 32, 32, 0.47365634142881013, 131.77409230125085),
+    (3, 48, 10, 32, 32, 0.285640533076463, 80.38450963156907),
+    (3, 48, 20, 32, 32, 0.22644341222906136, 126.62557936730168),
+    (3, 48, 30, 32, 32, 0.22262547361632307, 141.29676365040166),
+    (8, 8, 10, 22, 32, 0.7510120012042557, 46.793304853850245),
+    (8, 8, 20, 26, 32, 0.7462863213788531, 67.41612714860808),
+    (8, 8, 30, 28, 32, 0.7987336193512112, 71.43898894609259),
+    (8, 16, 10, 32, 32, 0.569666316394009, 71.3269016443673),
+    (8, 16, 20, 32, 32, 0.5260527655464132, 116.18682522061276),
+    (8, 16, 30, 32, 32, 0.5331316010907499, 126.61990405835155),
+    (8, 24, 10, 32, 32, 0.37209343320331606, 88.13928201485142),
+    (8, 24, 20, 32, 32, 0.3093768177137369, 128.07778966686072),
+    (8, 24, 30, 32, 32, 0.32951757709709406, 136.2137041355451),
+    (8, 32, 10, 32, 32, 0.23698194002854303, 104.38726149722322),
+    (8, 32, 20, 32, 32, 0.17521904930961446, 147.69538858560531),
+    (8, 32, 30, 32, 32, 0.19467011934907433, 147.53446077737127),
+    (8, 48, 10, 32, 32, 0.09360736033566572, 114.7224938237107),
+    (8, 48, 20, 32, 32, 0.04207907871350818, 167.95194525863695),
+    (8, 48, 30, 32, 32, 0.03917537546511926, 186.731773801948),
 ]
 
 
