@@ -21,7 +21,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from .config import ConfigError, parse_config
-from .covariance import export_covariance_csv, export_spectrum_csv
+from .covariance import export_covariance_csv, export_spectrum_csv, extrapolate_dl
 from .errors import FddsimError, InvalidArgumentError
 from .evaluation import (estimate_user_pipeline, run_experiment, summarize,
                          trial_scenario, ul_source, write_records_csv,
@@ -49,11 +49,12 @@ def _cmd_simulate(args) -> int:
     with _writing(args.output):
         write_records_csv(records, args.output)
     print(f"wrote {len(records)} records to {args.output}")
+    summary = summarize(records)
     if args.summary:
         with _writing(args.summary):
-            write_summary_json(records, args.summary)
+            write_summary_json(summary, args.summary)
         print(f"wrote summary to {args.summary}")
-    for row in summarize(records)["grid"]:
+    for row in summary["grid"]:
         print(f"  Tdl={row['tdl']:<4d} snr={row['snr_db']:<6g} "
               f"rate={row['sum_rate_mean']:.3f} +- {row['sum_rate_se']:.3f} "
               f"served={row['served_mean']:.2f}")
@@ -71,8 +72,9 @@ def _cmd_extrapolate(args) -> int:
         raise InvalidArgumentError(f"--user {args.user} is not a user index "
                                    f"of the experiment (K = {cfg.k})")
     users = trial_scenario(cfg, 0)
-    c_ul, c_dl, lam = estimate_user_pipeline(cfg, ul_source(cfg, users[args.user].asf), 0,
-                                             args.user)
+    z, c_dl, lam = estimate_user_pipeline(cfg, ul_source(cfg, users[args.user].asf), 0,
+                                          args.user)
+    c_ul = extrapolate_dl(z, cfg.m, 1.0)  # the fitted measure's UL covariance column
 
     with _writing(args.outdir):
         os.makedirs(args.outdir, exist_ok=True)

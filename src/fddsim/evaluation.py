@@ -266,9 +266,10 @@ def estimate_user_pipeline(cfg: ExperimentConfig, ul: np.ndarray, trial: int, k:
     the sample covariance of user k's n_ul UL pilots in the given trial,
     drawn from its complex-Wishart law with the factor ``ul`` (with
     ``exact_covariance``, to the true UL covariance column ``ul``). Returns
-    the fitted measure's UL covariance first column (its covariance at
-    alpha = 1), its DL covariance first column (at ``cfg.alpha``) and the
-    DL beam-space spectrum.
+    the fitted measure (``estimate_asf``'s grid weights), its DL covariance
+    first column (at ``cfg.alpha``) and the DL beam-space spectrum. Its UL
+    covariance column, ``extrapolate_dl(z, cfg.m, 1.0)``, is left to
+    ``fddsim extrapolate``, the one caller that exports it.
     """
     c_ul = ul
     if not cfg.exact_covariance:
@@ -276,8 +277,7 @@ def estimate_user_pipeline(cfg: ExperimentConfig, ul: np.ndarray, trial: int, k:
             ul, cfg.n_ul, cfg.ul_sigma2, cfg.seed, trial, k, _UL_COV))
     z = estimate_asf(c_ul)
     c_dl_hat = extrapolate_dl(z, cfg.m, cfg.alpha)
-    return (extrapolate_dl(z, cfg.m, 1.0), c_dl_hat,
-            circulant_eigenvalues(c_dl_hat))
+    return z, c_dl_hat, circulant_eigenvalues(c_dl_hat)
 
 
 def trial_scenario(cfg: ExperimentConfig, trial: int) -> list:
@@ -521,7 +521,8 @@ def summarize(records: list) -> dict:
     return {"grid": out}
 
 
-def write_summary_json(records: list, path) -> None:
+def write_summary_json(summary: dict, path) -> None:
+    """Write a ``summarize`` result as indented JSON."""
     with open(path, "w") as fh:
-        json.dump(summarize(records), fh, indent=2, allow_nan=True)
+        json.dump(summary, fh, indent=2, allow_nan=True)
         fh.write("\n")

@@ -44,6 +44,28 @@ def test_simulate_writes_csv_and_summary(cfg_path, tmp_path, capsys):
     assert all("sum_rate_mean" in row for row in data["grid"])
 
 
+def test_simulate_summarizes_once(cfg_path, tmp_path, capsys, monkeypatch):
+    """simulate --summary summarizes the records once, for the JSON and the
+    printed table alike."""
+    import fddsim.cli as cli
+    import fddsim.evaluation as ev
+
+    calls = []
+    summarize = ev.summarize
+    for module in (cli, ev):
+        monkeypatch.setattr(module, "summarize",
+                            lambda records: calls.append(1) or summarize(records))
+    summ = tmp_path / "summary.json"
+    assert main(["simulate", cfg_path, "-o", str(tmp_path / "r.csv"),
+                 "--summary", str(summ)]) == 0
+    assert len(calls) == 1
+    table = [line for line in capsys.readouterr().out.splitlines() if "Tdl=" in line]
+    grid = json.loads(summ.read_text())["grid"]
+    assert len(table) == len(grid) == 4
+    for line, row in zip(table, grid):
+        assert f"rate={row['sum_rate_mean']:.3f} +- {row['sum_rate_se']:.3f}" in line
+
+
 def test_simulate_byte_identical_across_threads(cfg_path, tmp_path):
     out1 = tmp_path / "t1.csv"
     out4 = tmp_path / "t4.csv"

@@ -701,6 +701,21 @@ def test_trial_state_factors_once_per_distinct_asf(trial, monkeypatch):
     np.testing.assert_array_equal(h_beam, beam_coefficients(h_ref))
 
 
+def test_trial_state_extrapolates_only_the_dl_band(monkeypatch):
+    """A trial extrapolates each user's fitted measure once, to the DL band:
+    the fitted UL column, which only ``fddsim extrapolate`` exports, is not
+    computed."""
+    import fddsim.evaluation as ev
+
+    cfg = ExperimentConfig(**SMALL)
+    alphas = []
+    extrapolate = ev.extrapolate_dl
+    monkeypatch.setattr(ev, "extrapolate_dl",
+                        lambda z, m, alpha: alphas.append(alpha) or extrapolate(z, m, alpha))
+    trial_state(cfg, 0)
+    assert alphas == [cfg.alpha] * cfg.k
+
+
 def test_run_trial_draws_without_eigh(monkeypatch):
     """A trial of the acceptance config draws its UL covariances and DL
     channels from pivoted Cholesky factors: with np.linalg.eigh made to
