@@ -178,7 +178,6 @@ def greedy_user_selection(gram: np.ndarray, p_dl: np.ndarray, m_prime: np.ndarra
 
     order = np.zeros((n_inst, int(cap.max(initial=0))), dtype=np.intp)
     taken = np.zeros((n_inst, n_cand), dtype=bool)
-    count = np.zeros(n_inst, dtype=np.intp)
     best = np.zeros(n_inst)
     live = np.ones(n_inst, dtype=bool)
     for size in range(1, order.shape[1] + 1):
@@ -203,10 +202,9 @@ def greedy_user_selection(gram: np.ndarray, p_dl: np.ndarray, m_prime: np.ndarra
         p, c = members[adds], cands[adds, i[adds]]
         order[p, size - 1] = c
         taken[p, c] = True
-        count[p] = size
         best[p] = rate[adds]
         live[members[~adds]] = False
-    return [row[:n].tolist() for row, n in zip(order, count)]
+    return [row[:n].tolist() for row, n in zip(order, taken.sum(axis=1))]
 
 
 def normalized_error(h_true: np.ndarray, h_hat: np.ndarray) -> float:
