@@ -4,10 +4,10 @@ A trial is two stages. ``trial_state`` runs the per-user estimator
 ``estimate_user_pipeline`` for every user into one beam graph and takes
 the beam coefficients F^H h of the true DL channels once, factoring each
 distinct ASF's covariance once per band; ``evaluate_tdls``
-turns them into the records of every T_dl. It finds the graph's beam
-classes once, sparsifies, probes and estimates T_dl by T_dl, runs one
-greedy user selection over the estimates of every T_dl at every SNR, and
-then precodes and rates each T_dl's SNRs in stacked calls.
+turns them into the records of every T_dl. It sparsifies, probes and
+estimates T_dl by T_dl, runs one greedy user selection over the estimates
+of every T_dl at every SNR, and then precodes and rates each T_dl's SNRs
+in stacked calls.
 The DL stage runs in the beam domain on plain arrays: the probing input,
 the true effective channels and the estimation error read the selected
 beams' rows of F^H h.
@@ -35,8 +35,7 @@ from .covariance import circulant_eigenvalues, estimate_asf, extrapolate_dl
 from .errors import FddsimError, InvalidArgumentError, NumericalError
 from .numerics import gaussian_complex, toeplitz_average
 from .probing import dl_observe, make_pilot, mmse_effective
-from .sparsifier import (beam_classes, beam_coefficients, build_beam_graph,
-                         solve_sparsification)
+from .sparsifier import beam_coefficients, build_beam_graph, solve_sparsification
 
 ZF_COND_TOL = 1e-12
 
@@ -130,13 +129,10 @@ def sum_rate(b: np.ndarray):
     one K'' x K'' matrix, and an array of one rate per member for a stack
     (... x K'' x K''), each the member's own rate bit for bit."""
     b = np.asarray(b, dtype=complex)
-    if b.ndim == 2 and b.size == 0:
-        return 0.0
     mags = np.abs(b) ** 2
     sig = np.diagonal(mags, axis1=-2, axis2=-1)
     interf = mags.sum(axis=-1) - sig
-    rate = np.sum(np.log2(1.0 + sig / (1.0 + interf)), axis=-1)
-    return float(rate) if b.ndim == 2 else rate
+    return np.sum(np.log2(1.0 + sig / (1.0 + interf)), axis=-1)
 
 
 def greedy_user_selection(gram: np.ndarray, p_dl: np.ndarray, m_prime: np.ndarray) -> list:
@@ -286,8 +282,7 @@ def trial_scenario(cfg: ExperimentConfig, trial: int) -> list:
 
 def run_trial(cfg: ExperimentConfig, trial: int) -> list:
     """All grid-point records for one Monte Carlo trial."""
-    graph, h_beam = trial_state(cfg, trial)
-    return evaluate_tdls(cfg, trial, cfg.tdl_list, graph, h_beam)
+    return evaluate_tdls(cfg, trial, *trial_state(cfg, trial))
 
 
 def trial_state(cfg: ExperimentConfig, trial: int) -> tuple[np.ndarray, np.ndarray]:
@@ -324,10 +319,11 @@ def _failure(step: str, exc: Exception) -> str:
     return f"{step}: {type(exc).__name__}: {exc}"
 
 
-def evaluate_tdls(cfg: ExperimentConfig, trial: int, tdl_list: list, graph: np.ndarray,
+@np.errstate(over="raise", invalid="raise")  # an overflowed estimate, Gram or rate fails too
+def evaluate_tdls(cfg: ExperimentConfig, trial: int, graph: np.ndarray,
                   h_beam: np.ndarray) -> list:
-    """The records of the T_dl values in ``tdl_list`` of a trial, T_dl by
-    T_dl and one per SNR, in three steps:
+    """The records of a trial, one per (T_dl, SNR) of ``cfg``, T_dl by
+    T_dl, in three steps:
     - per T_dl, sparsify, then probe with t_eff = min(T_dl, M') pilot
       dimensions and estimate at every SNR (``_estimate``);
     - one greedy selection over the estimates of every T_dl at every SNR
@@ -346,12 +342,11 @@ def evaluate_tdls(cfg: ExperimentConfig, trial: int, tdl_list: list, graph: np.n
     with the same t_eff share both, and a selection does not depend on the
     other members of its stack."""
     powers = np.array([10.0 ** (snr_db / 10.0) for snr_db in cfg.snr_db_list])
-    classes = beam_classes(graph, cfg.p0)  # a function of the graph alone: one per trial
     plans, estimates, failures = [], [], []
-    for t_dl in tdl_list:
+    for t_dl in cfg.tdl_list:
         plan, estimate, failure = None, None, ""
         try:
-            plan = solve_sparsification(graph, t_dl, p0=cfg.p0, classes=classes)
+            plan = solve_sparsification(graph, t_dl, p0=cfg.p0)
             t_eff = min(t_dl, len(plan.beams))  # a pilot never needs more dims than beams
             if plan.users and t_eff < cfg.t:
                 estimate = (t_eff, *_estimate(cfg, trial, t_eff, plan, graph, h_beam, powers))
@@ -362,7 +357,8 @@ def evaluate_tdls(cfg: ExperimentConfig, trial: int, tdl_list: list, graph: np.n
         failures.append(failure)
     orders = _select([e[2] if e else None for e in estimates], powers, failures)
     records = []
-    for t_dl, plan, estimate, order, failure in zip(tdl_list, plans, estimates, orders, failures):
+    for t_dl, plan, estimate, order, failure in zip(
+            cfg.tdl_list, plans, estimates, orders, failures):
         rows = [_NO_ONE_SERVED] * len(powers)
         if order is not None:
             try:
@@ -394,8 +390,7 @@ def _estimate(cfg, trial, t_eff, plan, graph, h_beam, powers) -> tuple:
                              ).reshape(cfg.k, t_eff)[plan.users]
     prior = graph[np.ix_(plan.beams, plan.users)].T
     ys = np.stack([dl_observe(np.sqrt(p_dl) * q_h, h_eff.T, noise) for p_dl in powers])
-    with np.errstate(over="raise", invalid="raise"):  # an overflowed estimate fails too
-        return h_eff, np.swapaxes(mmse_effective(ys, q_h, prior, powers), 1, 2)
+    return h_eff, np.swapaxes(mmse_effective(ys, q_h, prior, powers), 1, 2)
 
 
 def _select(h_hats: list, powers: np.ndarray, failures: list) -> list:
@@ -428,10 +423,9 @@ def _select_stack(h_hats: list, powers: np.ndarray) -> list:
     """One ``greedy_user_selection`` call on the Gram matrices of every
     member of the estimate stacks ``h_hats``; their selections, stack by
     stack."""
-    with np.errstate(over="raise", invalid="raise"):  # an overflowed Gram or rate fails too
-        grams = np.concatenate([np.einsum("pmi,pmj->pij", h.conj(), h) for h in h_hats])
-        flat = greedy_user_selection(grams, np.tile(powers, len(h_hats)),
-                                     np.repeat([h.shape[1] for h in h_hats], len(powers)))
+    grams = np.concatenate([np.einsum("pmi,pmj->pij", h.conj(), h) for h in h_hats])
+    flat = greedy_user_selection(grams, np.tile(powers, len(h_hats)),
+                                 np.repeat([h.shape[1] for h in h_hats], len(powers)))
     return [flat[k:k + len(powers)] for k in range(0, len(flat), len(powers))]
 
 
@@ -449,20 +443,19 @@ def _serve(cfg, plan, h_beam, t_eff, h_eff, h_hats, orders, powers) -> list:
     for j, order in enumerate(orders):
         if order:
             stacks.setdefault(len(order), []).append(j)
-    with np.errstate(over="raise", invalid="raise"):  # an overflowed rate fails too
-        for n, js in stacks.items():
-            cols = [sorted(orders[j]) for j in js]
-            h_hat = np.stack([h_hats[j][:, c] for j, c in zip(js, cols)])
-            # greedy selection admitted these sets only after their ZF rank test passed
-            v = zf_precoder(h_hat)
-            rates = (1.0 - t_eff / cfg.t) * sum_rate(
-                effective_gains(np.stack([h_eff[:, c] for c in cols]), v, powers[js]))
-            # F is unitary, so ||h - B^H h_hat|| = ||F^H h - h_hat zero-filled||
-            h_hat_beam = np.zeros((len(js), cfg.m, n), dtype=complex)
-            h_hat_beam[:, plan.beams] = h_hat
-            for j, c, h_hat_j, rate in zip(js, cols, h_hat_beam, rates):
-                served = [plan.users[i] for i in c]
-                rows[j] = (n, normalized_error(h_beam[:, served], h_hat_j), float(rate))
+    for n, js in stacks.items():
+        cols = [sorted(orders[j]) for j in js]
+        h_hat = np.stack([h_hats[j][:, c] for j, c in zip(js, cols)])
+        # greedy selection admitted these sets only after their ZF rank test passed
+        v = zf_precoder(h_hat)
+        rates = (1.0 - t_eff / cfg.t) * sum_rate(
+            effective_gains(np.stack([h_eff[:, c] for c in cols]), v, powers[js]))
+        # F is unitary, so ||h - B^H h_hat|| = ||F^H h - h_hat zero-filled||
+        h_hat_beam = np.zeros((len(js), cfg.m, n), dtype=complex)
+        h_hat_beam[:, plan.beams] = h_hat
+        for j, c, h_hat_j, rate in zip(js, cols, h_hat_beam, rates):
+            served = [plan.users[i] for i in c]
+            rows[j] = (n, normalized_error(h_beam[:, served], h_hat_j), float(rate))
     return rows
 
 

@@ -85,15 +85,15 @@ def beam_classes(g: np.ndarray, p0: float) -> list:
     Only active beams (those with an edge) are classed. Two beams fall in
     one class when their adjacency rows (g > 0) are equal and, with P0 > 0,
     so are their rows of g: swapping them then changes no row and no
-    objective term of the selection MILP.
+    objective term of the selection MILP. A row is keyed by its bytes, with
+    -0.0 read as 0.0, and the beams go in ascending order, so each class
+    comes out ascending and the classes by their lowest beam.
     """
-    active = np.flatnonzero(g.any(axis=1))
-    key = (g[active] > 0).astype(float)
-    if p0 > 0:
-        key = np.hstack([key, g[active]])
-    _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
-    rank = np.argsort(np.argsort(first))  # class id by lowest member
-    return [active[rank[inverse.ravel()] == c] for c in range(first.size)]
+    key = g + 0.0 if p0 > 0 else g > 0
+    classes = {}
+    for beam in np.flatnonzero(g.any(axis=1)):
+        classes.setdefault(key[beam].tobytes(), []).append(beam)
+    return [np.array(cls) for cls in classes.values()]
 
 
 @dataclass
@@ -134,8 +134,7 @@ def _check_selection_args(t_dl: int, p0: float) -> None:
         raise InvalidArgumentError(f"P0 {p0} must be finite and nonnegative")
 
 
-def formulate_milp(g: np.ndarray, t_dl: int, p0: float,
-                   classes: list | None = None) -> SelectionMilp:
+def formulate_milp(g: np.ndarray, t_dl: int, p0: float) -> SelectionMilp:
     """MILP with an integer beam count x_c in [0, n_c] per beam class c
     (see ``beam_classes``), binary user selectors y and a continuous
     matching block z_ck in [0, A_ck]; objective sum(z) + epsilon * sum(x).
@@ -149,12 +148,10 @@ def formulate_milp(g: np.ndarray, t_dl: int, p0: float,
     Variables are ordered x (C), y (K), then z with z_ck at C + K + c K + k.
     ``g`` is the M x K edge-power array of ``build_beam_graph``, with edges
     A = g > 0 and W = g. The beam reward is epsilon = EPSILON_FACTOR / M.
-    ``classes``, if given, must be ``beam_classes(g, p0)``.
     """
     m, k = g.shape
     _check_selection_args(t_dl, p0)
-    if classes is None:
-        classes = beam_classes(g, p0)
+    classes = beam_classes(g, p0)
     n_cls = len(classes)
     size = np.array([len(cls) for cls in classes], dtype=float)
     a_ck = g[[cls[0] for cls in classes]] > 0
@@ -253,8 +250,7 @@ def _one_class_optimum(g: np.ndarray, classes: list, t_dl: int, p0: float):
     return [count], users, size, float(size + EPSILON_FACTOR / g.shape[0] * count)
 
 
-def solve_sparsification(g: np.ndarray, t_dl: int, p0: float = 0.0,
-                         classes: list | None = None) -> SparsificationPlan:
+def solve_sparsification(g: np.ndarray, t_dl: int, p0: float = 0.0) -> SparsificationPlan:
     """Solve the beam/user selection program, take the strongest beams of
     each class and certify the matching size with an independent maximum
     matching.
@@ -264,21 +260,16 @@ def solve_sparsification(g: np.ndarray, t_dl: int, p0: float = 0.0,
     graph goes to HiGHS. The x_c beams taken from class c are those with
     the most power sum_k W_mk over the selected users; ties go to the
     lowest index.
-
-    The classes depend on (g, P0) alone: a caller that solves one graph for
-    several T_dl passes ``classes = beam_classes(g, p0)`` to each call, and
-    they are computed once; without them each call computes its own.
     """
     m, k = g.shape
     _check_selection_args(t_dl, p0)
-    if classes is None:
-        classes = beam_classes(g, p0)
+    classes = beam_classes(g, p0)
     n_cls = len(classes)
     if n_cls <= 1:
         counts, users, size, objective = _one_class_optimum(g, classes, t_dl, p0)
         node_count, gap = 0, 0.0
     else:
-        mip = formulate_milp(g, t_dl, p0, classes)
+        mip = formulate_milp(g, t_dl, p0)
         x, node_count, gap = milp_solve(mip)
         counts = x[:n_cls].astype(int)
         users = np.flatnonzero(x[n_cls:n_cls + k] > 0.5)

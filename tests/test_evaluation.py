@@ -3,6 +3,7 @@
 import itertools
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -497,51 +498,6 @@ def test_rank_deficient_member_fails_its_whole_tdl(monkeypatch):
         assert math.isnan(rec.err_norm)
 
 
-def _count_beam_classes(monkeypatch) -> list:
-    """Count the beam_classes calls of evaluation and of the sparsifier."""
-    import fddsim.evaluation as ev
-    import fddsim.sparsifier as sp
-
-    calls = []
-    classes = sp.beam_classes
-
-    def counting(*args):
-        calls.append(args)
-        return classes(*args)
-
-    monkeypatch.setattr(ev, "beam_classes", counting)
-    monkeypatch.setattr(sp, "beam_classes", counting)
-    return calls
-
-
-@pytest.mark.parametrize("n_clusters, width, th_rel", [(3, 0.2, 1e-3), (8, 0.1, 1e-2)],
-                         ids=["closed-form", "highs"])
-def test_evaluate_tdls_classes_the_graph_once(monkeypatch, n_clusters, width, th_rel):
-    """evaluate_tdls finds the trial graph's beam classes once, and every
-    T_dl's solve_sparsification, with formulate_milp on a graph of several
-    classes, reuses them. Each plan equals that of solve_sparsification(
-    graph, t_dl, p0) called on its own. At M=64 3cl th_rel 1e-3 trial 0 has
-    one class (closed form); at 8cl th_rel 1e-2 it has 11 (HiGHS)."""
-    import fddsim.evaluation as ev
-
-    cfg = ExperimentConfig(m=64, k=8, t=64, tdl_list=[8, 16, 24, 32, 48],
-                           snr_db_list=[10.0, 20.0, 30.0], n_trials=1, seed=1, n_ul=500,
-                           th_rel=th_rel, n_clusters=n_clusters, cluster_width=width)
-    graph, h_beam = trial_state(cfg, 0)
-    plans = {}
-    solve = ev.solve_sparsification
-    monkeypatch.setattr(ev, "solve_sparsification",
-                        lambda g, t_dl, **kw: plans.setdefault(t_dl, solve(g, t_dl, **kw)))
-    calls = _count_beam_classes(monkeypatch)
-    records = evaluate_tdls(cfg, 0, cfg.tdl_list, graph, h_beam)
-    monkeypatch.undo()
-    assert len(calls) == 1 and not any(r.failure for r in records)
-    assert list(plans) == cfg.tdl_list
-    assert {p.n_classes for p in plans.values()} == {1 if n_clusters == 3 else 11}
-    for t_dl, plan in plans.items():
-        assert plan == solve_sparsification(graph, t_dl, p0=cfg.p0)
-
-
 # ------------------------------------------------------------ normalized error
 
 def test_normalized_error_basics():
@@ -738,7 +694,8 @@ def test_run_trial_draws_without_eigh(monkeypatch):
 @pytest.mark.parametrize("stage, error", [
     ("mmse_effective", NumericalError("mmse_effective: singular observation covariance")),
     ("greedy_user_selection", FloatingPointError("overflow encountered in multiply")),
-], ids=["estimate", "selection"])
+    ("effective_gains", FloatingPointError("overflow encountered in multiply")),
+], ids=["estimate", "selection", "serve"])
 def test_failed_dl_stage_fails_every_snr_of_its_tdl(monkeypatch, stage, error):
     """The estimate of a T_dl runs once, stacked over its SNRs, and the
     selection once, stacked over every T_dl's estimates. When the estimate
@@ -746,7 +703,8 @@ def test_failed_dl_stage_fails_every_snr_of_its_tdl(monkeypatch, stage, error):
     members, every SNR of T_dl 8 is a zero-rate row naming the error, with
     the plan's matching size, and no SNR is re-run alone; T_dl 4 keeps its
     records. After a raise the selection runs again on each T_dl alone, so
-    only T_dl 8 is charged."""
+    only T_dl 8 is charged. Rating T_dl 8's M' = 8 beams with gains that
+    overflow fails T_dl 8 the same way: numpy itself raises the overflow."""
     import fddsim.evaluation as ev
 
     cfg = ExperimentConfig(**SMALL)
@@ -754,7 +712,7 @@ def test_failed_dl_stage_fails_every_snr_of_its_tdl(monkeypatch, stage, error):
     graph, _ = trial_state(cfg, 0)
     calls = {"mmse_effective": [], "greedy_user_selection": []}
     grams = {}  # t_eff -> the einsum Grams of its estimates
-    mmse, greedy = ev.mmse_effective, ev.greedy_user_selection
+    mmse, greedy, effective = ev.mmse_effective, ev.greedy_user_selection, ev.effective_gains
 
     def estimate(*args):
         t_eff = args[0].shape[2]
@@ -776,12 +734,19 @@ def test_failed_dl_stage_fails_every_snr_of_its_tdl(monkeypatch, stage, error):
             raise error
         return greedy(gram, p_dl, m_prime)
 
+    def gains(h, v, p_dl):
+        b = effective(h, v, p_dl)
+        return b * 1e300 * 1e300 if stage == "effective_gains" and h.shape[-2] == 8 else b
+
     monkeypatch.setattr(ev, "mmse_effective", estimate)
     monkeypatch.setattr(ev, "greedy_user_selection", select)
+    monkeypatch.setattr(ev, "effective_gains", gains)
     records = run_trial(cfg, 0)
     assert calls["mmse_effective"] == [4, 8]
-    assert calls["greedy_user_selection"] == (
-        [[4, 4]] if stage == "mmse_effective" else [[4, 4, 8, 8], [4, 4], [8, 8]])
+    assert calls["greedy_user_selection"] == {
+        "mmse_effective": [[4, 4]],
+        "greedy_user_selection": [[4, 4, 8, 8], [4, 4], [8, 8]],
+        "effective_gains": [[4, 4, 8, 8]]}[stage]
     assert ([r.csv_row() for r in records if r.tdl == 4]
             == [r.csv_row() for r in ref if r.tdl == 4])
     failed = [r for r in records if r.tdl == 8]
@@ -828,9 +793,9 @@ def test_overhead_charges_the_pilots_sent(monkeypatch, t_dl):
         return b
 
     monkeypatch.setattr(ev, "effective_gains", recording)
-    got = evaluate_tdls(cfg, 0, [t_dl], graph, h_beam)
+    got = evaluate_tdls(replace(cfg, tdl_list=[t_dl]), 0, graph, h_beam)
     monkeypatch.undo()
-    ref = evaluate_tdls(cfg, 0, [cfg.m], graph, h_beam)
+    ref = evaluate_tdls(replace(cfg, tdl_list=[cfg.m]), 0, graph, h_beam)
 
     def fields(r):
         return (r.snr_db, r.served, r.matching_size, r.err_norm, r.sum_rate_bits, r.failure)
@@ -863,7 +828,7 @@ def test_pilots_that_fill_the_frame_serve_no_one(monkeypatch, tmp_path):
 
     monkeypatch.setattr(ev, "mmse_effective", refuse)
     monkeypatch.setattr(ev, "greedy_user_selection", refuse)
-    records = evaluate_tdls(cfg, 0, [cfg.t], graph, h_beam)
+    records = evaluate_tdls(replace(cfg, tdl_list=[cfg.t]), 0, graph, h_beam)
     monkeypatch.undo()
     assert [r.snr_db for r in records] == cfg.snr_db_list
     for rec in records:
@@ -997,7 +962,7 @@ def test_observation_noise_is_row_k_of_one_block_per_t_eff(monkeypatch):
     monkeypatch.setattr(ev, "dl_observe", recording)
     users = solve_sparsification(graph, 16, p0=cfg.p0).users
     assert len(users) > 1 and solve_sparsification(graph, 24, p0=cfg.p0).users == users
-    evaluate_tdls(cfg, 0, [16, 24], graph, h_beam)
+    evaluate_tdls(cfg, 0, graph, h_beam)
     assert len(seen) == 2 * len(cfg.snr_db_list)
     for t_eff, noise in seen:
         assert t_eff == cfg.m == 16
@@ -1009,7 +974,7 @@ def test_observation_noise_is_row_k_of_one_block_per_t_eff(monkeypatch):
                                   matching_size=len(subset), objective=0.0, node_count=0)
         monkeypatch.setattr(ev, "solve_sparsification", lambda *args, plan=plan, **kw: plan)
         seen.clear()
-        evaluate_tdls(cfg, 0, [8], graph, h_beam)
+        evaluate_tdls(replace(cfg, tdl_list=[8]), 0, graph, h_beam)
         assert len(seen) == len(cfg.snr_db_list)
         for t_eff, noise in seen:
             assert t_eff == 8
@@ -1248,10 +1213,8 @@ def test_paper_regime_trial_records_golden(monkeypatch):
                                n_ul=500, th_rel=1e-2, n_clusters=n_clusters,
                                cluster_width=width)
 
-        def recording(graph, t_dl, p0=0.0, classes=None, n_clusters=n_clusters):
-            plan = solve(graph, t_dl, p0=p0, classes=classes)
-            # the trial's shared beam classes give the plan of a call on its own
-            assert plan == solve(graph, t_dl, p0=p0)
+        def recording(graph, t_dl, p0=0.0, n_clusters=n_clusters):
+            plan = solve(graph, t_dl, p0=p0)
             plans[(n_clusters, t_dl)] = (plan.n_classes, plan.node_count)
             return plan
 

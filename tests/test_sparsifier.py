@@ -100,6 +100,41 @@ def test_formulate_milp_dimensions():
     assert [cls.tolist() for cls in beam_classes(g, 0.1)] == [[0], [1], [2]]
 
 
+def _beam_classes_by_unique(g, p0):
+    """The np.unique form of ``beam_classes``, kept as its reference: active
+    rows keyed by adjacency (and by g with P0 > 0), then class ids ranked
+    by each class's lowest beam."""
+    active = np.flatnonzero(g.any(axis=1))
+    key = (g[active] > 0).astype(float)
+    if p0 > 0:
+        key = np.hstack([key, g[active]])
+    _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    rank = np.argsort(np.argsort(first))  # class id by lowest member
+    return [active[rank[inverse.ravel()] == c] for c in range(first.size)]
+
+
+def test_beam_classes_match_the_unique_reference():
+    """beam_classes gives the np.unique form's classes, in its order, on 300
+    random graphs of repeated rows (equal powers, and fresh powers on a
+    shared adjacency row), with and without a power floor, some of them with
+    -0.0 in place of their non-edges; and on an all-zero graph and K = 0."""
+    rng = rng_stream(70, 0)
+    graphs = [np.zeros((6, 3)), np.zeros((6, 0)), np.array([[0.5, -0.0], [0.5, 0.0]])]
+    for _ in range(300):
+        g = repeated_row_graph(rng, int(rng.integers(1, 25)), int(rng.integers(1, 6)))
+        signed = rng.random(g.shape[0]) < 0.3
+        g[signed] = np.where(g[signed] > 0, g[signed], -0.0)
+        graphs.append(g)
+    for g in graphs:
+        for p0 in (0.0, 0.25):
+            got = beam_classes(g, p0)
+            assert [cls.tolist() for cls in got] == [
+                cls.tolist() for cls in _beam_classes_by_unique(g, p0)]
+            assert all(cls.dtype == np.intp for cls in got)
+    # -0.0 and 0.0 are one weight: the two beams are one class
+    assert [cls.tolist() for cls in beam_classes(graphs[2], 0.25)] == [[0, 1]]
+
+
 def _class_program_by_loop(g, t_dl, p0):
     """(classes, dense rows, right-hand side, upper bounds) of the class
     program, built one beam, class and row at a time."""
