@@ -18,6 +18,14 @@ import sys
 import warnings
 from contextlib import contextmanager
 
+# One BLAS/OpenMP thread, set before NumPy loads: at these sizes more
+# threads slow a trial down, and the `--threads` workers inherit the pool.
+# A user who sets any one of the variables keeps the defaults of the rest.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                     "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+if not any(var in os.environ for var in _BLAS_THREAD_VARS):
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+
 import numpy as np
 
 from .config import ConfigError, parse_config

@@ -289,23 +289,20 @@ def trial_state(cfg: ExperimentConfig, trial: int) -> tuple[np.ndarray, np.ndarr
     """What every grid point of a trial reads: the beam graph of the users'
     estimated DL spectra, and F^H h of their true DL channels.
 
-    A user's covariance on each band is a function of its ASF alone, so the
-    users with the same ASF share its ``ul_source`` and DL factor: each is
-    computed once per distinct ASF. ``make_scenario`` stores every pair in
-    ascending order, so the users of one cluster pair have one ASF, and a
-    3-cluster trial factors at most 3 pairs per band. The ASFs are compared
-    by the bit patterns of their intervals and point masses, in order. Each
-    user still draws from its own streams."""
+    ``make_scenario`` builds a user's ASF from its cluster pair alone,
+    stored in ascending order, so the users of one pair share its
+    ``ul_source`` and DL factor, computed once per pair: a 3-cluster trial
+    factors at most 3 pairs per band. Each user still draws from its own
+    streams."""
     spectra = np.empty((cfg.m, cfg.k))
     h_true = np.empty((cfg.m, cfg.k), dtype=complex)
     shared = {}
     for k, user in enumerate(trial_scenario(cfg, trial)):
-        key = (np.asarray(user.asf.intervals, dtype=float).tobytes(),
-               np.asarray(user.asf.point_masses, dtype=float).tobytes())
-        if key not in shared:
-            shared[key] = (ul_source(cfg, user.asf),
-                           psd_factor(true_covariance(user.asf, cfg.m, cfg.alpha)))
-        ul, f_dl = shared[key]
+        pair = user.cluster_indices
+        if pair not in shared:
+            shared[pair] = (ul_source(cfg, user.asf),
+                            psd_factor(true_covariance(user.asf, cfg.m, cfg.alpha)))
+        ul, f_dl = shared[pair]
         spectra[:, k] = estimate_user_pipeline(cfg, ul, trial, k)[2]
         h_true[:, k] = sample_channels(f_dl, 1, cfg.seed, trial, k, _DL_CHAN)[:, 0]
     return build_beam_graph(spectra, th_rel=cfg.th_rel), beam_coefficients(h_true)

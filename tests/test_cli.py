@@ -440,3 +440,58 @@ def test_repeated_extrapolate_is_byte_identical(cfg_path, tmp_path):
     for name in ("c_ul_hat.csv", "c_dl_hat.csv", "spectrum.csv"):
         first, between, third = ((d / name).read_bytes() for d in outdirs)
         assert third == first != between
+
+
+# -------------------------------------------------- BLAS threads of a fresh process
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                    "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def _child(args, preset=()):
+    """The stdout of ``python *args`` run in a child process whose
+    environment holds none of the BLAS thread variables but those in
+    ``preset``; the child must exit 0."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(preset, PYTHONPATH=os.path.dirname(os.path.dirname(fddsim.__file__)))
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_package_import_loads_no_numpy():
+    """`import fddsim` leaves NumPy unloaded, so the CLI module's own first
+    lines run before it."""
+    out = _child(["-c", "import sys, fddsim; print('numpy' in sys.modules)"])
+    assert out.split() == ["False"]
+
+
+@pytest.mark.parametrize("preset, want", [
+    ({}, dict.fromkeys(BLAS_THREAD_VARS, "1")),
+    # a per-variable default would hand OpenBLAS one thread here
+    ({"OMP_NUM_THREADS": "2"}, {"OMP_NUM_THREADS": "2"}),
+])
+def test_cli_import_pins_one_blas_thread_unless_one_is_set(preset, want):
+    script = ("import json, os, fddsim.cli\n"
+              f"print(json.dumps({{v: os.environ[v] for v in {BLAS_THREAD_VARS!r} "
+              "if v in os.environ}))")
+    assert json.loads(_child(["-c", script], preset)) == want
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="reads Linux /proc")
+def test_cli_import_runs_blas_on_one_thread():
+    script = ("import os, fddsim.cli, numpy as np\n"
+              "a = np.ones((600, 600))\n"
+              "a @ a\n"
+              "print(len(os.listdir('/proc/self/task')))")
+    assert _child(["-c", script]).split() == ["1"]
+
+
+def test_module_entry_simulates_like_main(cfg_path, tmp_path):
+    """The documented `python -m fddsim.cli` entry writes the records that
+    `main` writes in this process."""
+    child, own = tmp_path / "child.csv", tmp_path / "own.csv"
+    _child(["-m", "fddsim.cli", "simulate", cfg_path, "-o", str(child)])
+    assert main(["simulate", cfg_path, "-o", str(own)]) == 0
+    assert child.read_bytes() == own.read_bytes()
