@@ -212,6 +212,65 @@ def test_nnls_kkt_on_pipeline_inputs(seed, monkeypatch):
         assert np.all(np.abs(w[z > 0]) <= tau)
 
 
+def _count_scipy_nnls(monkeypatch):
+    """Route covariance's SciPy NNLS through a call log."""
+    calls = []
+
+    def logged(*args, **kwargs):
+        calls.append(args)
+        return scipy_nnls(*args, **kwargs)
+
+    monkeypatch.setattr(covariance, "_scipy_nnls", logged)
+    return calls
+
+
+@pytest.mark.parametrize("n_clusters, width", [(3, 0.2), (8, 0.1)])
+@pytest.mark.parametrize("m, k", [(16, 8), (64, 8), (256, 3)])
+def test_gram_fit_matches_scipy_on_pipeline_inputs(m, k, n_clusters, width, monkeypatch):
+    """On the users of trial 0 (seed 1) the default-grid fit comes from the
+    circulant-Gram active set, with no SciPy call, and equals SciPy's NNLS
+    on the same system within 1e-12 max z (observed at most 3.6e-14, at
+    M=256, over trials 0-4 at M=16 and 64 and trial 0 at M=256, K=32)."""
+    cfg = ExperimentConfig(m=m, k=k, t=m, tdl_list=[8], snr_db_list=[20.0],
+                           n_trials=1, seed=1, n_ul=500, n_clusters=n_clusters,
+                           cluster_width=width)
+    inputs = _pipeline_inputs(cfg, monkeypatch)
+    assert len(inputs) == k
+    a, row_w = covariance._asf_system(m, 2 * m)
+    calls = _count_scipy_nnls(monkeypatch)
+    for c_ul in inputs:
+        b = np.concatenate([c_ul.real, c_ul.imag[1:]]) * row_w
+        ref = scipy_nnls(a, b, maxiter=10 * a.shape[1])[0]
+        assert np.abs(estimate_asf(c_ul) - ref).max() <= 1e-12 * ref.max()
+    assert calls == []
+
+
+def _odd_measure_column():
+    """UL column of a measure on the odd grid points of G = 2M = 8: its
+    optimum z + t(-1)^i, 0 <= t <= 0.05, is not unique."""
+    z = np.zeros(8)
+    z[1::2] = [1.0, 1.0, 1.0, 0.05]
+    return extrapolate_dl(z, 4, 1.0)
+
+
+@pytest.mark.parametrize("c_ul, grid_size", [
+    (np.eye(12, 1, dtype=complex)[:, 0], None),   # white: full support
+    (np.ones(1, dtype=complex), None),            # M = 1: singular Gram
+    (true_covariance(TWO_CLUSTER, 16, 1.0), 64),  # 4M: 2M + 1 null directions
+    (_odd_measure_column(), None),                # zeros at one parity only
+], ids=["white", "m1", "grid4m", "one-parity"])
+def test_gram_fit_leaves_to_scipy(c_ul, grid_size, monkeypatch):
+    """Where the active set cannot decide, or the grid is not 2M, the fit
+    is SciPy's NNLS bit for bit, from one call."""
+    m = c_ul.size
+    a, row_w = covariance._asf_system(m, grid_size or 2 * m)
+    b = np.concatenate([c_ul.real, c_ul.imag[1:]]) * row_w
+    ref = scipy_nnls(a, b, maxiter=10 * a.shape[1])[0]
+    calls = _count_scipy_nnls(monkeypatch)
+    np.testing.assert_array_equal(estimate_asf(c_ul, grid_size), ref)
+    assert len(calls) == 1
+
+
 def _full_design(m, g):
     """The weighted real system on all 2M rows Re c_d, Im c_d, with the
     row Im c_0 that estimate_asf drops."""
