@@ -6,13 +6,13 @@ optional point masses; UL and DL share the same scattering function but
 see array responses whose phases differ by the carrier ratio alpha. A
 covariance is returned as the complex first column of its Hermitian
 Toeplitz matrix. Draws from a covariance are channels (``sample_channels``)
-or the noise-corrected sample covariance of noisy pilots, taken from its
-complex-Wishart law (``sample_pilot_covariance``). Both take the M x r
-factor F of ``psd_factor``, F F^H = T(col) + sigma2 I from LAPACK's pivoted
-Cholesky of the Toeplitz matrix, r the numerical rank it reports, and color
-r rows of unit normals by it. A draw does not factor: users with the same
-ASF share their factor on each band, so a trial factors once per distinct
-ASF and band.
+or the Toeplitz column of the noise-corrected sample covariance of noisy
+pilots, from its complex-Wishart law (``sample_pilot_covariance``). Both
+take the M x r factor F of ``psd_factor``, F F^H = T(col) + sigma2 I from
+LAPACK's pivoted Cholesky of the Toeplitz matrix, r the numerical rank it
+reports, and color r rows of unit normals by it. A draw does not factor:
+users with the same ASF share their factor on each band, so a trial
+factors once per distinct ASF and band.
 """
 
 from __future__ import annotations
@@ -120,18 +120,21 @@ def sample_channels(f: np.ndarray, n: int, seed, *path: int) -> np.ndarray:
 
 def sample_pilot_covariance(f: np.ndarray, n: int, sigma2: float, seed,
                             *path: int) -> np.ndarray:
-    """Noise-corrected sample covariance (1/n) sum_i y_i y_i^H - sigma2*I
-    of n i.i.d. pilots y = h + e, h ~ CN(0, T(col)), e ~ CN(0, sigma2*I),
-    drawn from its exact law without drawing the pilots. F is the M x r
-    factor ``psd_factor(col, sigma2)`` of T(col) + sigma2*I, the pilots'
-    covariance, with the same sigma2.
+    """First column of the Toeplitz average of the noise-corrected sample
+    covariance S = (1/n) sum_i y_i y_i^H - sigma2*I of n i.i.d. pilots
+    y = h + e, h ~ CN(0, T(col)), e ~ CN(0, sigma2*I), drawn from its exact
+    law without drawing the pilots; entry d is the mean of S over diagonal
+    offset -d. F is the M x r factor ``psd_factor(col, sigma2)`` of
+    T(col) + sigma2*I, the pilots' covariance, with the same sigma2.
 
-    sum_i y_i y_i^H is F A A^H F^H for the r x min(r, n) lower-trapezoidal
-    Bartlett factor A of a complex Wishart matrix (Goodman 1963):
-    |A_jj|^2 ~ Gamma(n - j, 1) on the diagonal and CN(0, 1) below it, all
-    from the stream (seed, *path). That is about r^2 / 2 draws whatever n
-    is, against 2 M n for the pilots. The result may be indefinite; the
-    nonnegative angular fit repairs it.
+    sum_i y_i y_i^H is B B^H with B = F A, A the r x min(r, n)
+    lower-trapezoidal Bartlett factor of a complex Wishart matrix (Goodman
+    1963): |A_jj|^2 ~ Gamma(n - j, 1) on the diagonal and CN(0, 1) below
+    it, all from the stream (seed, *path). That is about r^2 / 2 draws
+    whatever n is, against 2 M n for the pilots. S is not formed: its sum
+    over offset -d is the lag-d autocorrelation of B's columns, summed, by
+    one zero-padded FFT of B^T's rows. c[0] is exactly real. The column may
+    be indefinite; the nonnegative angular fit repairs it.
     """
     if n < 1:
         raise InvalidArgumentError("sample_pilot_covariance: n must be >= 1")
@@ -147,10 +150,10 @@ def sample_pilot_covariance(f: np.ndarray, n: int, sigma2: float, seed,
     a[np.diag_indices(q)] = np.sqrt(rng.standard_gamma(n - np.arange(q)))
     below = _strictly_lower(r, q)
     a[below] = gaussian_complex(below[0].size, rng)
-    b = f @ a
-    s = b @ b.conj().T / n
-    s[np.diag_indices(m)] -= sigma2
-    return s
+    x = np.fft.fft(a.T @ f.T, 2 * m)  # along the contiguous rows of B^T
+    c = np.fft.ifft((x.real ** 2 + x.imag ** 2).sum(axis=0))[:m] / (n * (m - np.arange(m)))
+    c[0] = c[0].real - sigma2
+    return c
 
 
 @functools.lru_cache(maxsize=8)

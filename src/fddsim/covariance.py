@@ -85,8 +85,7 @@ def estimate_asf(c_ul: np.ndarray, grid_size: int | None = None) -> np.ndarray:
     g = DEFAULT_GRID_FACTOR * m if grid_size is None else int(grid_size)
     if g < m:
         raise InvalidArgumentError(f"grid size {g} must be at least M={m}")
-    a, row_w = _asf_system(m, g)
-    b = np.concatenate([c_ul.real, c_ul.imag[1:]]) * row_w
+    a, b = _asf_problem(c_ul, g)
     z = _gram_fit(a, b) if g == 2 * m else None
     return nnls(a, b) if z is None else z
 
@@ -172,6 +171,12 @@ def _asf_system(m: int, g: int) -> tuple[np.ndarray, np.ndarray]:
     a.flags.writeable = False
     row_w.flags.writeable = False
     return a, row_w
+
+
+def _asf_problem(c_ul: np.ndarray, g: int) -> tuple[np.ndarray, np.ndarray]:
+    """``estimate_asf``'s weighted real system (A, b) for c_ul on ``asf_grid(g)``."""
+    a, row_w = _asf_system(c_ul.size, g)
+    return a, np.concatenate([c_ul.real, c_ul.imag[1:]]) * row_w
 
 
 def extrapolate_dl(z: np.ndarray, m: int, alpha: float) -> np.ndarray:

@@ -33,7 +33,7 @@ from .channel import (make_scenario, psd_factor, sample_channels,
 from .config import ExperimentConfig
 from .covariance import circulant_eigenvalues, estimate_asf, extrapolate_dl
 from .errors import FddsimError, InvalidArgumentError, NumericalError
-from .numerics import gaussian_complex, toeplitz_average
+from .numerics import gaussian_complex
 from .probing import dl_observe, make_pilot, mmse_effective
 from .sparsifier import beam_coefficients, build_beam_graph, solve_sparsification
 
@@ -243,9 +243,9 @@ CSV_HEADER = "trial,Tdl,snr_db,served,matching_size,err_norm,sum_rate_bits"
 def ul_source(cfg: ExperimentConfig, user_asf) -> np.ndarray:
     """What ``estimate_user_pipeline`` fits a user of this ASF from: the
     factor ``psd_factor`` of its UL covariance plus the UL pilot noise
-    sigma2 I, from which each trial draws the user's sample covariance, or
-    with ``exact_covariance`` its exact UL covariance column. Users with the
-    same ASF share it."""
+    sigma2 I, from which each trial draws the Toeplitz column of the user's
+    sample covariance, or with ``exact_covariance`` its exact UL covariance
+    column. Users with the same ASF share it."""
     c_ul = true_covariance(user_asf, cfg.m, 1.0)
     return c_ul if cfg.exact_covariance else psd_factor(c_ul, cfg.ul_sigma2)
 
@@ -257,8 +257,8 @@ def estimate_user_pipeline(cfg: ExperimentConfig, ul: np.ndarray, trial: int, k:
     The one per-user estimator: ``trial_state`` reads its spectrum and
     ``fddsim extrapolate`` exports all three outputs. ``ul`` is the user's
     ``ul_source``. The angular measure is fitted to the Toeplitz average of
-    the sample covariance of user k's n_ul UL pilots in the given trial,
-    drawn from its complex-Wishart law with the factor ``ul`` (with
+    the sample covariance of user k's n_ul UL pilots in the given trial, a
+    column drawn from the complex-Wishart law with the factor ``ul`` (with
     ``exact_covariance``, to the true UL covariance column ``ul``). Returns
     the fitted measure (``estimate_asf``'s grid weights), its DL covariance
     first column (at ``cfg.alpha``) and the DL beam-space spectrum. Its UL
@@ -267,8 +267,8 @@ def estimate_user_pipeline(cfg: ExperimentConfig, ul: np.ndarray, trial: int, k:
     """
     c_ul = ul
     if not cfg.exact_covariance:
-        c_ul = toeplitz_average(sample_pilot_covariance(
-            ul, cfg.n_ul, cfg.ul_sigma2, cfg.seed, trial, k, _UL_COV))
+        c_ul = sample_pilot_covariance(ul, cfg.n_ul, cfg.ul_sigma2,
+                                       cfg.seed, trial, k, _UL_COV)
     z = estimate_asf(c_ul)
     c_dl_hat = extrapolate_dl(z, cfg.m, cfg.alpha)
     return z, c_dl_hat, circulant_eigenvalues(c_dl_hat)
@@ -485,6 +485,7 @@ def summarize(records: list) -> dict:
 
     A failed grid point (see ``ExperimentRecord.failure``) counts as zero
     rate in ``sum_rate_mean``; ``n_failed`` counts them per cell.
+    ``err_norm_mean`` is None in a cell where no row serves anyone.
     """
     grid = {}
     for rec in records:
@@ -502,7 +503,7 @@ def summarize(records: list) -> dict:
             "n_trials": n,
             "sum_rate_mean": float(rates.mean()),
             "sum_rate_se": float(rates.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
-            "err_norm_mean": float(np.nanmean(errs)) if np.any(np.isfinite(errs)) else float("nan"),
+            "err_norm_mean": float(np.nanmean(errs)) if np.any(np.isfinite(errs)) else None,
             "served_mean": float(served.mean()),
             "n_failed": sum(bool(r.failure) for r in recs),
         })
@@ -510,7 +511,7 @@ def summarize(records: list) -> dict:
 
 
 def write_summary_json(summary: dict, path) -> None:
-    """Write a ``summarize`` result as indented JSON."""
+    """Write a ``summarize`` result as indented, strict JSON (no NaN)."""
     with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2, allow_nan=True)
+        json.dump(summary, fh, indent=2, allow_nan=False)
         fh.write("\n")

@@ -8,11 +8,11 @@ a purpose tag unique to its kind of draw (e.g. ``(trial, user, purpose)``),
 so two kinds of draw never read the same stream. Nothing here factors
 a matrix: the channel draws take pivoted Cholesky factors in ``channel``,
 and callers that need eigenvalues run ``np.linalg.eigvalsh`` themselves.
+Nothing here caches. ``toeplitz_average`` serves the validation suites
+and the tests; the pipeline draws its UL column in ``channel``.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 from scipy.linalg import toeplitz
@@ -60,25 +60,11 @@ def toeplitz_average(a: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidArgumentError(f"toeplitz_average: expected square matrix, got {a.shape}")
     m = a.shape[0]
-    h = 0.5 * (a + a.conj().T)
+    h = (0.5 * (a + a.conj().T)).ravel()
     # Sum every diagonal in one pass: bucket entries by (row - col) offset.
-    idx, counts = _diagonal_offsets(m)
-    flat = h.ravel()
-    sums = (np.bincount(idx, weights=flat.real, minlength=2 * m - 1)
-            + 1j * np.bincount(idx, weights=flat.imag, minlength=2 * m - 1))
-    return (sums / counts)[m - 1:]
-
-
-@functools.lru_cache(maxsize=8)
-def _diagonal_offsets(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """For an m x m array in row-major order: each entry's diagonal offset
-    row - col + m - 1, and the number of entries on each of the 2m - 1
-    offsets; built once per m and shared read-only."""
-    idx = (np.arange(m)[:, None] - np.arange(m)[None, :] + m - 1).ravel()
-    counts = m - np.abs(np.arange(2 * m - 1) - (m - 1))
-    idx.flags.writeable = False
-    counts.flags.writeable = False
-    return idx, counts
+    idx = (np.arange(m)[:, None] - np.arange(m) + m - 1).ravel()
+    sums = np.bincount(idx, h.real, 2 * m - 1) + 1j * np.bincount(idx, h.imag, 2 * m - 1)
+    return sums[m - 1:] / (m - np.arange(m))
 
 
 def toeplitz_from_column(col: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .channel import AngularScatteringFunction, true_covariance
-from .covariance import (_asf_system, _gram_fit, circulant_eigenvalues, estimate_asf,
+from .covariance import (_asf_problem, _gram_fit, circulant_eigenvalues, estimate_asf,
                          nnls, steering)
 from .errors import InvalidArgumentError
 from .numerics import gaussian_complex, rng_stream, toeplitz_average, toeplitz_from_column
@@ -384,8 +384,7 @@ def suite_nnls() -> SuiteResult:
             atoms = zip(rng.uniform(-1.0, 1.0, n_atoms), rng.random(n_atoms))
             c_ul = true_covariance(AngularScatteringFunction(point_masses=list(atoms)), m, 1.0)
             c_ul[0] += rng.random()  # a white floor
-        a, row_w = _asf_system(m, 2 * m)
-        b = np.concatenate([c_ul.real, c_ul.imag[1:]]) * row_w
+        a, b = _asf_problem(c_ul, 2 * m)
         z = estimate_asf(c_ul)
         fallback += _gram_fit(a, b) is None
         obj = float(np.linalg.norm(a @ z - b))

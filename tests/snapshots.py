@@ -1,22 +1,47 @@
-"""The explicit-snapshot UL pilot draw: n channel draws plus n noise
-draws and their sample covariance. It is the reference the pipeline's
-complex-Wishart draw (``channel.sample_pilot_covariance``) is checked
-against in distribution, and on the stream path (seed, trial, k) it
-rebuilds bit for bit the UL covariance the pipeline estimated from before
-it drew the Wishart law: channels on stream (seed, trial, k, 1), noise on
-(seed, trial, k, 2).
+"""Two explicit M x M references for the pipeline's UL pilot draw
+(``channel.sample_pilot_covariance``), which returns only the Toeplitz
+average of the pilots' noise-corrected sample covariance S.
 
-Its channels come from ``kl_channels``, an ``eigh`` Karhunen-Loeve
-coloring independent of the pipeline's pivoted-Cholesky factor, so a law
-test compares the pipeline's factor with another one, not with itself.
+``bartlett_covariance`` forms S from the draw's own stream: the M x M
+matrix whose Toeplitz average the draw's column is checked against.
 
-The pipeline never runs it; the tests import it as a sibling module.
+``snapshot_covariance`` draws n channels plus n noise vectors and takes
+their sample covariance. It is the reference the complex-Wishart draw is
+checked against in distribution, and on the stream path (seed, trial, k)
+it rebuilds bit for bit the UL covariance the pipeline estimated from
+before it drew the Wishart law: channels on stream (seed, trial, k, 1),
+noise on (seed, trial, k, 2). Its channels come from ``kl_channels``, an
+``eigh`` Karhunen-Loeve coloring independent of the pipeline's
+pivoted-Cholesky factor, so a law test compares the pipeline's factor with
+another one, not with itself.
+
+The pipeline never runs them; the tests import them as a sibling module.
 """
 
 import numpy as np
 
 from fddsim.errors import InvalidArgumentError
-from fddsim.numerics import gaussian_complex, toeplitz_from_column
+from fddsim.numerics import gaussian_complex, rng_stream, toeplitz_from_column
+
+
+def bartlett_covariance(f: np.ndarray, n: int, sigma2: float, seed,
+                        *path: int) -> np.ndarray:
+    """S = B B^H / n - sigma2*I with B = F A, for the M x r factor F of
+    ``psd_factor(col, sigma2)`` and the r x min(r, n) Bartlett factor A that
+    ``sample_pilot_covariance(f, n, sigma2, seed, *path)`` draws from the
+    same stream: sqrt(Gamma(n - j, 1)) on the diagonal, then CN(0, 1) below
+    it in row-major order."""
+    m, r = f.shape
+    q = min(r, n)
+    rng = rng_stream(seed, *path)
+    a = np.zeros((r, q), dtype=complex)
+    a[np.diag_indices(q)] = np.sqrt(rng.standard_gamma(n - np.arange(q)))
+    below = np.tril_indices(r, -1, q)
+    a[below] = gaussian_complex(below[0].size, rng)
+    b = f @ a
+    s = b @ b.conj().T / n
+    s[np.diag_indices(m)] -= sigma2
+    return s
 
 
 def kl_channels(col: np.ndarray, n: int, seed, *path: int) -> np.ndarray:

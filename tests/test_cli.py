@@ -44,6 +44,24 @@ def test_simulate_writes_csv_and_summary(cfg_path, tmp_path, capsys):
     assert all("sum_rate_mean" in row for row in data["grid"])
 
 
+def test_simulate_summary_is_strict_json(tmp_path, capsys):
+    """At T_dl = T no row serves anyone, so that cell has no error to
+    average: its err_norm_mean is null, and the summary parses with a
+    parser that refuses NaN and Infinity."""
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(SMALL_CFG.replace("T = 32", "T = 8"))
+    summ = tmp_path / "summary.json"
+    assert main(["simulate", str(cfg), "-o", str(tmp_path / "r.csv"),
+                 "--summary", str(summ)]) == 0
+
+    def refuse(name):
+        raise ValueError(f"non-finite constant {name}")
+
+    grid = {row["tdl"]: row for row in json.loads(summ.read_text(), parse_constant=refuse)["grid"]}
+    assert grid[8]["err_norm_mean"] is None and grid[8]["served_mean"] == 0.0
+    assert grid[4]["err_norm_mean"] > 0.0
+
+
 def test_simulate_summarizes_once(cfg_path, tmp_path, capsys, monkeypatch):
     """simulate --summary summarizes the records once, for the JSON and the
     printed table alike."""

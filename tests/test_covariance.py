@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from dykstra import project_toeplitz_psd
 from fddsim import covariance, evaluation
-from snapshots import sample_covariance
+from snapshots import bartlett_covariance, sample_covariance
 from fddsim.channel import DEFAULT_ALPHA, AngularScatteringFunction, true_covariance
 from fddsim.config import ExperimentConfig
 from fddsim.covariance import (asf_grid, circulant_eigenvalues, estimate_asf,
@@ -160,19 +160,19 @@ def test_asf_grid_shape():
 @pytest.mark.parametrize("m", [16, 32])
 @pytest.mark.parametrize("seed", range(1, 6))
 def test_fused_estimator_matches_dykstra_path(m, seed, monkeypatch):
-    """The pipeline's weighted NNLS on the Toeplitz average of the sample
-    covariance gives the DL beam spectrum of the Dykstra projection
+    """The pipeline's weighted NNLS on its UL draw, the Toeplitz average of
+    the sample covariance, gives the DL beam spectrum of the Dykstra
+    projection of that draw's explicit sample covariance (tests/snapshots.py)
     followed by the same NNLS, within 5e-3 relative L1 (observed at most
     1.0e-3 on the default 2M grid, 2.7e-4 on a 4M one)."""
     cfg = ExperimentConfig(m=m, k=1, t=32, tdl_list=[8], snr_db_list=[20.0],
                            n_trials=1, seed=seed, n_ul=500)
     ul = ul_source(cfg, trial_scenario(cfg, 0)[0].asf)
     _, _, fused = estimate_user_pipeline(cfg, ul, 0, 0)
-    draw = evaluation.sample_pilot_covariance
     projected = []
     monkeypatch.setattr(evaluation, "sample_pilot_covariance",
-                        lambda *args: projected.append(args) or toeplitz_from_column(
-                            project_toeplitz_psd(draw(*args))))
+                        lambda *args: projected.append(args) or project_toeplitz_psd(
+                            bartlett_covariance(*args)))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)  # no Dykstra cap hit
         _, _, ref = estimate_user_pipeline(cfg, ul, 0, 0)
@@ -236,10 +236,9 @@ def test_gram_fit_matches_scipy_on_pipeline_inputs(m, k, n_clusters, width, monk
                            cluster_width=width)
     inputs = _pipeline_inputs(cfg, monkeypatch)
     assert len(inputs) == k
-    a, row_w = covariance._asf_system(m, 2 * m)
     calls = _count_scipy_nnls(monkeypatch)
     for c_ul in inputs:
-        b = np.concatenate([c_ul.real, c_ul.imag[1:]]) * row_w
+        a, b = covariance._asf_problem(c_ul, 2 * m)
         ref = scipy_nnls(a, b, maxiter=10 * a.shape[1])[0]
         assert np.abs(estimate_asf(c_ul) - ref).max() <= 1e-12 * ref.max()
     assert calls == []
@@ -263,8 +262,7 @@ def test_gram_fit_leaves_to_scipy(c_ul, grid_size, monkeypatch):
     """Where the active set cannot decide, or the grid is not 2M, the fit
     is SciPy's NNLS bit for bit, from one call."""
     m = c_ul.size
-    a, row_w = covariance._asf_system(m, grid_size or 2 * m)
-    b = np.concatenate([c_ul.real, c_ul.imag[1:]]) * row_w
+    a, b = covariance._asf_problem(c_ul, grid_size or 2 * m)
     ref = scipy_nnls(a, b, maxiter=10 * a.shape[1])[0]
     calls = _count_scipy_nnls(monkeypatch)
     np.testing.assert_array_equal(estimate_asf(c_ul, grid_size), ref)
