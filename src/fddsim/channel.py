@@ -12,12 +12,12 @@ take the M x r factor F of ``psd_factor``, F F^H = T(col) + sigma2 I from
 LAPACK's pivoted Cholesky of the Toeplitz matrix, r the numerical rank it
 reports, and color r rows of unit normals by it. A draw does not factor:
 users with the same ASF share their factor on each band, so a trial
-factors once per distinct ASF and band.
+factors once per distinct ASF and band. The module keeps no state between
+calls.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,23 +148,12 @@ def sample_pilot_covariance(f: np.ndarray, n: int, sigma2: float, seed,
     rng = rng_stream(seed, *path)
     a = np.zeros((r, q), dtype=complex)
     a[np.diag_indices(q)] = np.sqrt(rng.standard_gamma(n - np.arange(q)))
-    below = _strictly_lower(r, q)
-    a[below] = gaussian_complex(below[0].size, rng)
+    below = np.tri(r, q, -1, dtype=bool)
+    a[below] = gaussian_complex(np.count_nonzero(below), rng)
     x = np.fft.fft(a.T @ f.T, 2 * m)  # along the contiguous rows of B^T
     c = np.fft.ifft((x.real ** 2 + x.imag ** 2).sum(axis=0))[:m] / (n * (m - np.arange(m)))
     c[0] = c[0].real - sigma2
     return c
-
-
-@functools.lru_cache(maxsize=8)
-def _strictly_lower(r: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.tril_indices(r, -1, q)``, the entries below the diagonal of an
-    r x q array in row-major order; built once per (r, q) and shared
-    read-only."""
-    below = np.tril_indices(r, -1, q)
-    for idx in below:
-        idx.flags.writeable = False
-    return below
 
 
 def make_scenario(n_clusters: int, cluster_width: float, k: int, seed: int,

@@ -1,8 +1,8 @@
 """Covariance pipeline: angular power estimation from a UL covariance
-column by weighted NNLS, and UL-to-DL extrapolation. On the default grid
-of 2M angles the NNLS is an exact active set on the system's circulant
-Gram, certified by its KKT conditions; on other grids, and on the inputs
-that active set cannot decide, it is SciPy's Lawson-Hanson.
+column by weighted NNLS, and UL-to-DL extrapolation. The fit runs on one
+grid of 2M angles, where the NNLS is an exact active set on the system's
+circulant Gram, certified by its KKT conditions; on the inputs that active
+set cannot decide it is SciPy's Lawson-Hanson.
 
 Everything is a plain array. The covariance of a uniform linear array is
 Hermitian Toeplitz, so it is carried as its complex first column
@@ -24,10 +24,6 @@ from scipy.optimize import nnls as _scipy_nnls
 from .errors import InvalidArgumentError, NumericalError
 
 
-# default angle-grid points per antenna (see estimate_asf for why 2)
-DEFAULT_GRID_FACTOR = 2
-
-
 def asf_grid(g: int) -> np.ndarray:
     """Uniform xi grid of size g."""
     return -1.0 + 2.0 * np.arange(g) / g
@@ -45,17 +41,16 @@ def steering(m: int, g: int, alpha: float) -> np.ndarray:
     return exps
 
 
-def estimate_asf(c_ul: np.ndarray, grid_size: int | None = None) -> np.ndarray:
-    """Nonnegative weights z on ``asf_grid(G)`` whose UL covariance column
-    ``steering(M, G, 1) @ (z / sqrt(M))`` best matches c_ul.
+def estimate_asf(c_ul: np.ndarray) -> np.ndarray:
+    """Nonnegative weights z on ``asf_grid(2M)`` whose UL covariance column
+    ``steering(M, 2M, 1) @ (z / sqrt(M))`` best matches c_ul.
 
     Solves min sum_d n_d |c(z)_d - c_ul[d]|^2 over z >= 0, with c(z) that
     column and n_0 = M, n_d = 2(M - d) the number of entries on diagonal
     offset +-d, so the fit is in the Frobenius norm of the Toeplitz matrices.
     Given the Toeplitz average of a sample covariance S this is, up to a
     constant, the projection of S onto the Toeplitz-PSD cone restricted
-    to the grid's nonnegative measures. Default grid size is
-    DEFAULT_GRID_FACTOR * M = 2M.
+    to the grid's nonnegative measures.
 
     The complex system is stacked into real form on its 2M - 1 informative
     rows, Re c_0..c_{M-1} and Im c_1..c_{M-1}. The row Im c_0 is dropped:
@@ -68,31 +63,21 @@ def estimate_asf(c_ul: np.ndarray, grid_size: int | None = None) -> np.ndarray:
     G = 4M, 2M - 1 of 4M), so only z >= 0 picks among the many z that fit
     equally well, and the solver pays for the extra columns. The DL
     spectrum moves by less than the sampling error of n_ul = 500 pilots
-    (``test_default_grid_dl_spectrum_tolerance``).
-
-    At G = 2M, A^T A is a circulant with the one null vector (-1)^i, and
-    ``_gram_fit`` solves the NNLS by an active set on it; where it returns
-    None, and on every other grid, SciPy's ``nnls`` runs. Per call on
-    pipeline inputs (users of trials 0-4 at M=64, trial 0 at M=256 K=32,
-    SciPy 1.17, one BLAS thread, 2-core Xeon), SciPy -> the Gram fit:
-    0.52-0.56 -> 0.23-0.28 ms at M=64 and 20-22 -> 3.0-3.9 ms at M=256;
-    the two agree within 4e-14 of max z. For the grid size, SciPy at
-    G = 4M -> 2M went 2.4 -> 0.52 ms at M=64, 15 -> 3.1 ms at M=128 and
-    140 -> 22 ms at M=256.
+    (``test_default_grid_dl_spectrum_tolerance``). The grid is not a
+    tunable: at G = 2M, A^T A is a circulant with the one null vector
+    (-1)^i, which ``_gram_fit``'s certificate and parity test assume. It
+    solves the NNLS by an active set on that Gram; where it returns None,
+    SciPy's ``nnls`` runs.
     """
     c_ul = np.asarray(c_ul, dtype=complex)
-    m = c_ul.size
-    g = DEFAULT_GRID_FACTOR * m if grid_size is None else int(grid_size)
-    if g < m:
-        raise InvalidArgumentError(f"grid size {g} must be at least M={m}")
-    a, b = _asf_problem(c_ul, g)
-    z = _gram_fit(a, b) if g == 2 * m else None
+    a, b = _asf_problem(c_ul, 2 * c_ul.size)
+    z = _gram_fit(a, b)
     return nnls(a, b) if z is None else z
 
 
 def _gram_fit(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """NNLS of estimate_asf's system at G = 2M on its circulant Gram, or
-    None where SciPy must decide.
+    """NNLS of estimate_asf's system on its circulant Gram, or None where
+    SciPy must decide.
 
     A^T A has entry (i, j) = h[(j - i) % G] = h[|j - i|] with h = A^T A e_0,
     for any row weighting by offset d, and at G = 2M its one null vector

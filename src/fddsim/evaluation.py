@@ -32,7 +32,7 @@ from .channel import (make_scenario, psd_factor, sample_channels,
                       sample_pilot_covariance, true_covariance)
 from .config import ExperimentConfig
 from .covariance import circulant_eigenvalues, estimate_asf, extrapolate_dl
-from .errors import FddsimError, InvalidArgumentError, NumericalError
+from .errors import InvalidArgumentError, NumericalError
 from .numerics import gaussian_complex
 from .probing import dl_observe, make_pilot, mmse_effective
 from .sparsifier import beam_coefficients, build_beam_graph, solve_sparsification
@@ -308,8 +308,11 @@ def trial_state(cfg: ExperimentConfig, trial: int) -> tuple[np.ndarray, np.ndarr
     return build_beam_graph(spectra, th_rel=cfg.th_rel), beam_coefficients(h_true)
 
 
-# the errors that fail a grid point rather than the run
-_GRID_POINT_ERRORS = (FddsimError, FloatingPointError)
+# the errors that fail a grid point rather than the run. An
+# InvalidArgumentError there is a bug, since config validates T_dl, P0 and
+# the SNRs and every plan fits its pilots and picks to its M' beams: it
+# stops the run.
+_GRID_POINT_ERRORS = (NumericalError, FloatingPointError)
 
 
 def _failure(step: str, exc: Exception) -> str:

@@ -4,8 +4,7 @@ Each suite returns a SuiteResult; the CLI ``validate`` subcommand prints a
 pass/fail table and the acceptance tests assert on the same functions. The
 oracles the suites check against live here too and nowhere in the
 pipeline: the numerical rank, the closed-form MMSE error trace and the
-enumeration oracles for beam/user selection and NNLS. The dense DFT matrix
-is an oracle of the tests only; no suite uses it.
+enumeration oracles for beam/user selection and NNLS.
 """
 
 from __future__ import annotations
@@ -32,14 +31,6 @@ class SuiteResult:
     name: str
     passed: bool
     detail: str
-
-
-def dft_matrix(m: int) -> np.ndarray:
-    """Unitary M x M DFT matrix, entry (p,q) = exp(-j 2 pi p q / M) / sqrt(M)."""
-    if m < 1:
-        raise InvalidArgumentError(f"dft_matrix requires M >= 1, got {m}")
-    idx = np.arange(m)
-    return np.exp(-2j * np.pi * np.outer(idx, idx) / m) / np.sqrt(m)
 
 
 def numerical_rank(a: np.ndarray) -> int:
@@ -294,19 +285,12 @@ def suite_szego() -> SuiteResult:
 
 
 def _toeplitz_distance_sq(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """||A - T(c)||_F^2 for a batch of first columns, by diagonal offsets."""
-    m = a.shape[0]
-    out = np.zeros(cols.shape[0])
-    for d in range(m):
-        lower = np.diagonal(a, offset=-d)
-        c = cols[:, d]
-        out += (np.sum(np.abs(lower) ** 2) - 2 * np.real(np.conj(c) * lower.sum())
-                + lower.size * np.abs(c) ** 2)
-        if d > 0:
-            upper = np.diagonal(a, offset=d)
-            out += (np.sum(np.abs(upper) ** 2) - 2 * np.real(c * upper.sum())
-                    + upper.size * np.abs(c) ** 2)
-    return out
+    """||A - T(c)||_F^2 for a batch of first columns c, from the matrices
+    T(c) themselves: entry (i, j) is c_{i-j} on and below the diagonal and
+    conj(c_{j-i}) above it."""
+    i, j = np.indices(a.shape)
+    t = cols[:, np.abs(i - j)]
+    return np.sum(np.abs(a - np.where(j > i, t.conj(), t)) ** 2, axis=(1, 2))
 
 
 def suite_projection() -> SuiteResult:
@@ -326,7 +310,7 @@ def suite_projection() -> SuiteResult:
         z = estimate_asf(toeplitz_average(a))
         g = z.size  # the fit's own grid
         gm = steering(size, g, 1.0) / np.sqrt(size)
-        d_fit = np.sqrt(max(_toeplitz_distance_sq(a, (gm @ z)[None, :])[0], 0.0))
+        d_fit = np.sqrt(_toeplitz_distance_sq(a, (gm @ z)[None, :])[0])
         # a grid measure of mass sqrt(M) * c has T(gm @ measure) diagonal c
         mass = np.sqrt(size) * max(float(np.trace(a).real) / size, 0.5)
         atoms = rng.integers(0, g, size=(n_atomic, 6))
@@ -337,7 +321,7 @@ def suite_projection() -> SuiteResult:
         step = mass / g * 10.0 ** rng.uniform(-4.0, 0.0, size=(n_samples - n_atomic, 1))
         measures[n_atomic:] = np.maximum(
             z + step * rng.standard_normal((n_samples - n_atomic, g)), 0.0)
-        d_samples = np.sqrt(np.maximum(_toeplitz_distance_sq(a, measures @ gm.T), 0.0))
+        d_samples = np.sqrt(_toeplitz_distance_sq(a, measures @ gm.T))
         if d_fit <= d_samples.min() + 1e-9:
             wins += 1
     return SuiteResult("toeplitz-psd-projection", wins == n_inputs,
@@ -359,7 +343,7 @@ def nnls_bruteforce_objective(a: np.ndarray, b: np.ndarray) -> float:
 
 def suite_nnls() -> SuiteResult:
     """``nnls`` reaches the enumeration optimum on 100 random 6 x 4 systems,
-    and so does ``estimate_asf`` at its default grid G = 2M, where the
+    and so does ``estimate_asf`` on its grid G = 2M, where the
     circulant-Gram active set fits it, on 300 random Hermitian Toeplitz
     columns with M = 2..4: half PSD (1-3 off-grid atoms over a white
     floor), half indefinite (Gaussian columns with a real c_0). The detail

@@ -15,6 +15,10 @@ noise on (seed, trial, k, 2). Its channels come from ``kl_channels``, an
 pivoted-Cholesky factor, so a law test compares the pipeline's factor with
 another one, not with itself.
 
+``dft_matrix`` is the dense unitary DFT matrix, the explicit oracle for
+the pipeline's FFT-based beam maps (``beam_coefficients``, the pilots and
+the beam-space channels).
+
 The pipeline never runs them; the tests import them as a sibling module.
 """
 
@@ -42,6 +46,14 @@ def bartlett_covariance(f: np.ndarray, n: int, sigma2: float, seed,
     s = b @ b.conj().T / n
     s[np.diag_indices(m)] -= sigma2
     return s
+
+
+def dft_matrix(m: int) -> np.ndarray:
+    """Unitary M x M DFT matrix, entry (p,q) = exp(-j 2 pi p q / M) / sqrt(M)."""
+    if m < 1:
+        raise InvalidArgumentError(f"dft_matrix requires M >= 1, got {m}")
+    idx = np.arange(m)
+    return np.exp(-2j * np.pi * np.outer(idx, idx) / m) / np.sqrt(m)
 
 
 def kl_channels(col: np.ndarray, n: int, seed, *path: int) -> np.ndarray:

@@ -403,7 +403,7 @@ def test_extrapolate_former_nnls_hang_input():
     BLAS. Its UL Toeplitz column came from explicit pilot snapshots, which
     tests/snapshots.py rebuilds bit for bit; a child process with BLAS
     pinned to one thread rebuilds it and fits it under a time limit, on the
-    default grid of 2M = 128 angles."""
+    grid of 2M = 128 angles."""
     script = (
         "from fddsim.channel import true_covariance\n"
         "from fddsim.config import ExperimentConfig\n"

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from dykstra import project_toeplitz_psd
 from fddsim import covariance, evaluation
-from snapshots import bartlett_covariance, sample_covariance
+from snapshots import bartlett_covariance, dft_matrix, sample_covariance
 from fddsim.channel import DEFAULT_ALPHA, AngularScatteringFunction, true_covariance
 from fddsim.config import ExperimentConfig
 from fddsim.covariance import (asf_grid, circulant_eigenvalues, estimate_asf,
@@ -19,7 +19,7 @@ from fddsim.covariance import (asf_grid, circulant_eigenvalues, estimate_asf,
 from fddsim.errors import InvalidArgumentError
 from fddsim.evaluation import estimate_user_pipeline, trial_scenario, ul_source
 from fddsim.numerics import gaussian_complex, rng_stream, toeplitz_from_column
-from fddsim.validate import dft_matrix, suite_projection
+from fddsim.validate import suite_projection
 
 TWO_CLUSTER = AngularScatteringFunction(
     intervals=[(-0.55, -0.35, 2.5), (0.25, 0.45, 2.5)], normalized=True)
@@ -118,7 +118,7 @@ def test_project_variational_characterization():
 def test_estimate_asf_point_source_at_zero():
     c_ul = np.ones(16, dtype=complex)  # point source at xi = 0
     z = estimate_asf(c_ul)
-    # the default grid is 2M points: the real design, 2M - 1 rows by 2M
+    # the grid is 2M points: the real design, 2M - 1 rows by 2M
     # columns, is then close to square (see estimate_asf)
     assert z.shape == (2 * 16,)
     center = np.argmin(np.abs(asf_grid(z.size)))
@@ -135,16 +135,11 @@ def test_estimate_asf_uniform_residual():
     assert np.linalg.norm(fit - c_ul) <= 1e-6
 
 
-def test_estimate_asf_grid_too_small():
-    with pytest.raises(InvalidArgumentError):
-        estimate_asf(np.ones(8, dtype=complex), grid_size=4)
-
-
 def test_estimate_asf_residual_decreases_with_grid():
     c_ul = true_covariance(TWO_CLUSTER, 16, 1.0)
     residuals = []
-    for factor in (2, 4, 8):
-        z = estimate_asf(c_ul, grid_size=factor * 16)
+    for z in (estimate_asf(c_ul), nnls(*covariance._asf_problem(c_ul, 4 * 16)),
+              nnls(*covariance._asf_problem(c_ul, 8 * 16))):
         fit = extrapolate_dl(z, 16, 1.0)
         residuals.append(np.linalg.norm(fit - c_ul))
     assert residuals[0] >= residuals[1] - 1e-12
@@ -201,7 +196,7 @@ def test_nnls_kkt_on_pipeline_inputs(seed, monkeypatch):
     for k, user in enumerate(trial_scenario(cfg, 0)):
         estimate_user_pipeline(cfg, ul_source(cfg, user.asf), 0, k)
     assert len(fitted) == cfg.k
-    a, row_w = covariance._asf_system(cfg.m, covariance.DEFAULT_GRID_FACTOR * cfg.m)
+    a, row_w = covariance._asf_system(cfg.m, 2 * cfg.m)
     norm_a = np.linalg.norm(a, 2)
     for c_ul, z in fitted:
         b = np.concatenate([c_ul.real, c_ul.imag[1:]]) * row_w
@@ -227,7 +222,7 @@ def _count_scipy_nnls(monkeypatch):
 @pytest.mark.parametrize("n_clusters, width", [(3, 0.2), (8, 0.1)])
 @pytest.mark.parametrize("m, k", [(16, 8), (64, 8), (256, 3)])
 def test_gram_fit_matches_scipy_on_pipeline_inputs(m, k, n_clusters, width, monkeypatch):
-    """On the users of trial 0 (seed 1) the default-grid fit comes from the
+    """On the users of trial 0 (seed 1) the fit comes from the
     circulant-Gram active set, with no SciPy call, and equals SciPy's NNLS
     on the same system within 1e-12 max z (observed at most 3.6e-14, at
     M=256, over trials 0-4 at M=16 and 64 and trial 0 at M=256, K=32)."""
@@ -252,20 +247,18 @@ def _odd_measure_column():
     return extrapolate_dl(z, 4, 1.0)
 
 
-@pytest.mark.parametrize("c_ul, grid_size", [
-    (np.eye(12, 1, dtype=complex)[:, 0], None),   # white: full support
-    (np.ones(1, dtype=complex), None),            # M = 1: singular Gram
-    (true_covariance(TWO_CLUSTER, 16, 1.0), 64),  # 4M: 2M + 1 null directions
-    (_odd_measure_column(), None),                # zeros at one parity only
-], ids=["white", "m1", "grid4m", "one-parity"])
-def test_gram_fit_leaves_to_scipy(c_ul, grid_size, monkeypatch):
-    """Where the active set cannot decide, or the grid is not 2M, the fit
-    is SciPy's NNLS bit for bit, from one call."""
-    m = c_ul.size
-    a, b = covariance._asf_problem(c_ul, grid_size or 2 * m)
+@pytest.mark.parametrize("c_ul", [
+    np.eye(12, 1, dtype=complex)[:, 0],  # white: full support
+    np.ones(1, dtype=complex),           # M = 1: singular Gram
+    _odd_measure_column(),               # zeros at one parity only
+], ids=["white", "m1", "one-parity"])
+def test_gram_fit_leaves_to_scipy(c_ul, monkeypatch):
+    """Where the active set cannot decide, the fit is SciPy's NNLS bit for
+    bit, from one call."""
+    a, b = covariance._asf_problem(c_ul, 2 * c_ul.size)
     ref = scipy_nnls(a, b, maxiter=10 * a.shape[1])[0]
     calls = _count_scipy_nnls(monkeypatch)
-    np.testing.assert_array_equal(estimate_asf(c_ul, grid_size), ref)
+    np.testing.assert_array_equal(estimate_asf(c_ul), ref)
     assert len(calls) == 1
 
 
@@ -283,7 +276,7 @@ def _full_design(m, g):
 def test_asf_system_has_no_zero_row(m):
     """The design has the 2M - 1 rows Re c_0..c_{M-1}, Im c_1..c_{M-1}:
     the one row that is zero in the full stack, Im c_0, is gone."""
-    g = covariance.DEFAULT_GRID_FACTOR * m
+    g = 2 * m
     a, row_w = covariance._asf_system(m, g)
     assert a.shape == (2 * m - 1, g) and row_w.shape == (2 * m - 1,)
     assert np.all(np.abs(a).max(axis=1) > 0)
@@ -309,7 +302,7 @@ def test_row_drop_matches_full_design(m, k, monkeypatch):
     at tau = 1e-12 ||A|| ||b||."""
     cfg = ExperimentConfig(m=m, k=k, t=m, tdl_list=[8], snr_db_list=[20.0],
                            n_trials=1, seed=1, n_ul=500)
-    a, row_w = _full_design(m, covariance.DEFAULT_GRID_FACTOR * m)
+    a, row_w = _full_design(m, 2 * m)
     norm_a = np.linalg.norm(a, 2)
     inputs = _pipeline_inputs(cfg, monkeypatch)
     assert len(inputs) == k
@@ -328,7 +321,7 @@ def test_row_drop_matches_full_design(m, k, monkeypatch):
 @pytest.mark.parametrize("m, n_clusters, width", [(64, 3, 0.2), (64, 8, 0.1),
                                                    (256, 3, 0.2), (256, 8, 0.1)])
 def test_default_grid_dl_spectrum_tolerance(m, n_clusters, width, monkeypatch):
-    """The DL beam spectrum of the default-grid (2M) fit stays within a
+    """The DL beam spectrum of the 2M-grid fit (estimate_asf) stays within a
     stated relative L1 of (a) the true DL spectrum, when fitted to the exact
     UL covariance, bound 2.5e-2, and (b) the 4M-grid fit of the same
     n_ul=500 Wishart draw, bound 5e-2, below the draw's own sampling error
@@ -355,7 +348,7 @@ def test_default_grid_dl_spectrum_tolerance(m, n_clusters, width, monkeypatch):
     inputs = _pipeline_inputs(cfg, monkeypatch)
     assert len(inputs) == cfg.k
     for c_ul in inputs:
-        fine = spectrum(estimate_asf(c_ul, grid_size=4 * m))
+        fine = spectrum(nnls(*covariance._asf_problem(c_ul, 4 * m)))
         assert l1(spectrum(estimate_asf(c_ul)), fine) <= 5e-2
 
 
@@ -399,7 +392,7 @@ def test_cached_estimator_matches_uncached_across_sizes():
         for m, alpha, g in cases:
             c_ul = true_covariance(TWO_CLUSTER, m, 1.0)
             z_ref, c_dl = _uncached_estimate(c_ul, alpha, g)
-            z = estimate_asf(c_ul, grid_size=g)
+            z = nnls(*covariance._asf_problem(c_ul, g))
             np.testing.assert_array_equal(z, z_ref)
             np.testing.assert_array_equal(extrapolate_dl(z, m, alpha), c_dl)
 
@@ -454,7 +447,7 @@ def test_extrapolate_point_mass_at_zero():
 def test_extrapolate_two_cluster_accuracy():
     c_ul = true_covariance(TWO_CLUSTER, 64, 1.0)
     c_dl = toeplitz_from_column(true_covariance(TWO_CLUSTER, 64, 1.1))
-    z = estimate_asf(c_ul, grid_size=8 * 64)
+    z = nnls(*covariance._asf_problem(c_ul, 8 * 64))
     out = toeplitz_from_column(extrapolate_dl(z, 64, 1.1))
     assert np.linalg.norm(out - c_dl) / np.linalg.norm(c_dl) <= 0.05
 

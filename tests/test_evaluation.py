@@ -19,8 +19,7 @@ from fddsim.evaluation import (CSV_HEADER, ZF_COND_TOL, ExperimentRecord, _full_
                                write_records_csv, zf_precoder)
 from fddsim.numerics import gaussian_complex, rng_stream, toeplitz_average
 from fddsim.sparsifier import SparsificationPlan, beam_coefficients, solve_sparsification
-from fddsim.validate import dft_matrix
-from snapshots import bartlett_covariance
+from snapshots import bartlett_covariance, dft_matrix
 
 
 # ---------------------------------------------------------------- zf_precoder
@@ -766,6 +765,23 @@ def test_failed_dl_stage_fails_every_snr_of_its_tdl(monkeypatch, stage, error):
         assert rec.failure == f"grid point: {type(error).__name__}: {error}"
         assert (rec.served, rec.matching_size, rec.sum_rate_bits) == (0, matching_size, 0.0)
         assert math.isnan(rec.err_norm)
+
+
+def test_invalid_argument_in_dl_stage_stops_the_trial(monkeypatch):
+    """Only solver and floating-point errors fail a grid point. Config
+    validates T_dl, P0 and the SNRs, and every plan fits its pilots and
+    selections to its M' beams, so an InvalidArgumentError in a DL stage is
+    a bug: it propagates instead of becoming zero-rate rows that the summary
+    would average in."""
+    import fddsim.evaluation as ev
+
+    def bad_pilot(*args):
+        raise InvalidArgumentError("make_pilot: internal")
+
+    cfg = ExperimentConfig(**SMALL)
+    monkeypatch.setattr(ev, "make_pilot", bad_pilot)
+    with pytest.raises(InvalidArgumentError, match="make_pilot: internal"):
+        run_trial(cfg, 0)
 
 
 @pytest.mark.parametrize("m", [16, 64])

@@ -7,7 +7,8 @@ from dykstra import psd_project
 from fddsim.errors import InvalidArgumentError
 from fddsim.numerics import (gaussian_complex, rng_stream, toeplitz_average,
                              toeplitz_from_column)
-from fddsim.validate import dft_matrix, numerical_rank
+from fddsim.validate import numerical_rank
+from snapshots import dft_matrix
 
 
 def random_hermitian(n, rng):

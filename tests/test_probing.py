@@ -8,7 +8,8 @@ from fddsim.errors import InvalidArgumentError, NumericalError
 from fddsim.numerics import gaussian_complex, rng_stream
 from fddsim.probing import dl_observe, make_pilot, mmse_effective
 from fddsim.sparsifier import beam_coefficients
-from fddsim.validate import dft_matrix, error_trace_oracle, mmse_empirical_vs_oracle
+from fddsim.validate import error_trace_oracle, mmse_empirical_vs_oracle
+from snapshots import dft_matrix
 
 
 # --------------------------------------------------------------------- pilots

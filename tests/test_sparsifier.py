@@ -15,9 +15,9 @@ from fddsim.numerics import rng_stream
 from fddsim.sparsifier import (SparsificationPlan, _validate_plan, beam_classes,
                                beam_coefficients, build_beam_graph, formulate_milp,
                                milp_solve, solve_sparsification)
-from fddsim.validate import (SuiteResult, brute_force_sparsify, dft_matrix,
-                             fixed_selector_deviations, milp_oracle, random_beam_graph,
-                             suite_milp_vs_bruteforce)
+from fddsim.validate import (SuiteResult, brute_force_sparsify, fixed_selector_deviations,
+                             milp_oracle, random_beam_graph, suite_milp_vs_bruteforce)
+from snapshots import dft_matrix
 
 
 def repeated_row_graph(rng, n_beams, n_users):
