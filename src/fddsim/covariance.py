@@ -65,9 +65,10 @@ def estimate_asf(c_ul: np.ndarray) -> np.ndarray:
     spectrum moves by less than the sampling error of n_ul = 500 pilots
     (``test_default_grid_dl_spectrum_tolerance``). The grid is not a
     tunable: at G = 2M, A^T A is a circulant with the one null vector
-    (-1)^i, which ``_gram_fit``'s certificate and parity test assume. It
-    solves the NNLS by an active set on that Gram; where it returns None,
-    SciPy's ``nnls`` runs.
+    (-1)^i and, with these row weights, zeros at every even lag, which
+    ``_gram_fit``'s certificate, parity test and per-parity block solve
+    assume. It solves the NNLS by an active set on that Gram; where it
+    returns None, SciPy's ``nnls`` runs.
     """
     c_ul = np.asarray(c_ul, dtype=complex)
     a, b = _asf_problem(c_ul, 2 * c_ul.size)
@@ -81,41 +82,62 @@ def _gram_fit(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
 
     A^T A has entry (i, j) = h[(j - i) % G] = h[|j - i|] with h = A^T A e_0,
     for any row weighting by offset d, and at G = 2M its one null vector
-    is (-1)^i, so only the full grid has a singular H_SS. The support S
-    starts as the positive entries of the FFT pseudo-inverse solution.
-    Each round solves H_SS z_S = (A^T b)_S and drops the entries <= 0; once
-    all are positive it adds every grid point whose gradient
+    is (-1)^i, so only the full grid has a singular H_SS. With the
+    Frobenius weights h is the Fejer kernel sin^2(pi k/2) / (M sin^2(pi k/2M)):
+    h[0] = M and h = 0 at every even lag k != 0. So H_SS is M I within each
+    grid parity, [[M I, C], [C^T, M I]] with the cross block C = h[|e - o|],
+    and each round solves the Schur complement
+    (M^2 I - C C^T) z_p = M c_p - C c_q on the smaller parity p, then sets
+    z_q = (c_q - C^T z_p) / M, with c = A^T b.
+
+    The support S starts as the positive entries of the FFT pseudo-inverse
+    solution. Each round solves H_SS z_S = c_S and drops the entries <= 0;
+    once all are positive it adds every grid point whose gradient
     w = A^T (b - A z) exceeds tau = 1e-12 ||A||_2 ||b||, and it returns z
-    when there is none and |w| <= tau on S. None when a support repeats,
-    a solve is singular, or the optimal z has zeros at one parity at
-    most: then z + t(-1)^i is optimal too, and SciPy's pick is kept.
+    when there is none and |w| <= tau on S. None when h is not zero at even
+    lags (within 1e-12 h[0]), a support repeats, a solve is singular, or
+    the optimal z has zeros at one parity at most: then z + t(-1)^i is
+    optimal too, and SciPy's pick is kept.
     """
     g = a.shape[1]
     h = a.T @ a[:, 0]
+    d = h[0]
+    if (np.abs(h[2::2]) > 1e-12 * d).any():
+        return None
     lam = np.fft.rfft(h).real
     c = a.T @ b
     tau = 1e-12 * np.sqrt(lam.max()) * np.linalg.norm(b)
-    q = np.fft.rfft(c)
-    q[:-1] /= lam[:-1]
-    q[-1] = 0.0  # the null eigenvalue, of (-1)^i
-    s = np.flatnonzero(np.fft.irfft(q, g) > 0.0)
+    u = np.fft.rfft(c)
+    u[:-1] /= lam[:-1]
+    u[-1] = 0.0  # the null eigenvalue, of (-1)^i
+    s = np.flatnonzero(np.fft.irfft(u, g) > 0.0)
     seen = set()
     while True:
         key = s.tobytes()
         if key in seen or s.size == g:
             return None
         seen.add(key)
+        odd = (s & 1).astype(bool)
+        p, q = s[odd], s[~odd]
+        if p.size > q.size:
+            p, q = q, p
+        cross = h[np.abs(p[:, None] - q)]
+        # the Schur system negated, (C C^T - d^2 I) z_p = C c_q - d c_p with
+        # d = h[0] = M, so its diagonal shift is one subtraction
+        schur = cross @ cross.T
+        schur.flat[::p.size + 1] -= d * d
+        z = np.zeros(g)
         try:
-            z_s = np.linalg.solve(h[np.abs(s[:, None] - s)], c[s])
+            z[p] = np.linalg.solve(schur, cross @ c[q] - d * c[p])
         except np.linalg.LinAlgError:
             return None
-        if np.any(z_s <= 0.0):
+        z[q] = (c[q] - z[p] @ cross) / d
+        z_s = z[s]
+        if (z_s <= 0.0).any():
             s = s[z_s > 0.0]
             continue
-        z = np.zeros(g)
-        z[s] = z_s
         w = a.T @ (b - a @ z)
-        if np.all(w <= tau) and np.all(np.abs(w[s]) <= tau):
+        if (w <= tau).all() and (np.abs(w[s]) <= tau).all():
             zero = z == 0.0
             return z if zero[0::2].any() and zero[1::2].any() else None
         s = np.flatnonzero((w > tau) | (z > 0.0))

@@ -220,12 +220,13 @@ def _count_scipy_nnls(monkeypatch):
 
 
 @pytest.mark.parametrize("n_clusters, width", [(3, 0.2), (8, 0.1)])
-@pytest.mark.parametrize("m, k", [(16, 8), (64, 8), (256, 3)])
+@pytest.mark.parametrize("m, k", [(16, 8), (64, 8), (256, 3), (512, 2)])
 def test_gram_fit_matches_scipy_on_pipeline_inputs(m, k, n_clusters, width, monkeypatch):
     """On the users of trial 0 (seed 1) the fit comes from the
     circulant-Gram active set, with no SciPy call, and equals SciPy's NNLS
-    on the same system within 1e-12 max z (observed at most 3.6e-14, at
-    M=256, over trials 0-4 at M=16 and 64 and trial 0 at M=256, K=32)."""
+    on the same system within 1e-12 max z (observed at most 4.3e-14 at
+    M=256 and 9.2e-14 at M=512, over trials 0-4 at M=16 and 64, trial 0
+    at M=256, K=32 and trial 0 at M=512, K=4)."""
     cfg = ExperimentConfig(m=m, k=k, t=m, tdl_list=[8], snr_db_list=[20.0],
                            n_trials=1, seed=1, n_ul=500, n_clusters=n_clusters,
                            cluster_width=width)
@@ -237,6 +238,71 @@ def test_gram_fit_matches_scipy_on_pipeline_inputs(m, k, n_clusters, width, monk
         ref = scipy_nnls(a, b, maxiter=10 * a.shape[1])[0]
         assert np.abs(estimate_asf(c_ul) - ref).max() <= 1e-12 * ref.max()
     assert calls == []
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 16, 64, 256])
+def test_asf_gram_is_the_fejer_kernel(m):
+    """The block solve of ``_gram_fit`` rests on this: with the Frobenius
+    row weights on the 2M grid, h = A^T A e_0 is the Fejer kernel
+    sin^2(pi k / 2) / (M sin^2(pi k / 2M)), so h[0] = M, h vanishes at
+    every even lag k != 0 and H_SS is M I within each grid parity."""
+    a, _ = covariance._asf_system(m, 2 * m)
+    h = a.T @ a[:, 0]
+    assert h[0] == pytest.approx(m, rel=1e-12)
+    assert np.abs(h[2::2]).max(initial=0.0) <= 1e-13 * m
+    k = np.arange(1, 2 * m, 2)
+    # within 1e-12 of h[0]: h carries the rounding of its M-term sums, up to
+    # 2.6e-14 M at M=256, which is 8e-11 of the smallest odd-lag entry
+    np.testing.assert_allclose(h[1::2], 1.0 / (m * np.sin(np.pi * k / (2 * m)) ** 2),
+                               rtol=0.0, atol=1e-12 * m)
+
+
+def test_gram_fit_decides_an_even_measure(monkeypatch):
+    """A measure z0 on even grid points only, with zeros at both parities,
+    is the unique optimum for b = A z0 - y with A^T y = v >= 0, v = 0 on
+    the support of z0 and v > 0 off it. The active set finds it, its last
+    support empty at the odd parity, with no SciPy call. (For b = A z0
+    alone every odd gradient is 0, and rounding decides whether the fit
+    ends with 1e-15 weights at every odd point, which the parity test
+    leaves to SciPy.)"""
+    m = 16
+    z0 = np.zeros(2 * m)
+    z0[[0, 4, 6, 12, 14, 16, 22, 26, 30]] = np.random.default_rng(5).uniform(0.5, 2.0, 9)
+    v = np.where(z0 > 0.0, 0.0, 1.0)
+    v[1::2] = 7 / 16  # v is orthogonal to the null vector (-1)^i
+    a, row_w = covariance._asf_system(m, 2 * m)
+    b = (a @ z0 - np.linalg.pinv(a).T @ v) / row_w
+    c_ul = b[:m] + 1j * np.concatenate([[0.0], b[m:]])
+    calls = _count_scipy_nnls(monkeypatch)
+    z = estimate_asf(c_ul)
+    assert np.abs(z - z0).max() <= 1e-12 * z0.max() and not z[1::2].any()
+    assert calls == []
+
+
+def test_gram_fit_leaves_a_non_fejer_gram_to_scipy(monkeypatch):
+    """Random positive weights per offset keep A^T A circulant but not zero
+    at even lags, so H_SS has no M I blocks: the active set declines before
+    its first solve, and the fit is SciPy's NNLS bit for bit, from one
+    call."""
+    weight = np.random.default_rng(3).uniform(0.5, 2.0, 16)
+
+    def reweighted(m, g):
+        gm = steering(m, g, 1.0) / np.sqrt(m)
+        row_w = np.sqrt(np.concatenate([weight, weight[1:]]))
+        return np.vstack([gm.real, gm.imag[1:]]) * row_w[:, None], row_w
+
+    monkeypatch.setattr(covariance, "_asf_system", reweighted)
+    c_ul = true_covariance(TWO_CLUSTER, 16, 1.0)
+    a, b = covariance._asf_problem(c_ul, 32)
+    h = a.T @ a[:, 0]
+    assert np.abs(h[2::2]).max() > 1e-12 * h[0]
+    ref = scipy_nnls(a, b, maxiter=10 * a.shape[1])[0]
+    calls = _count_scipy_nnls(monkeypatch)
+    np.testing.assert_array_equal(estimate_asf(c_ul), ref)
+    assert len(calls) == 1
+    solves = []
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(args))
+    assert covariance._gram_fit(a, b) is None and solves == []
 
 
 def _odd_measure_column():
